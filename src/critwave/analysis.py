@@ -342,7 +342,6 @@ def diagnostics_series(
     report: RunReport,
     ball_radii: tuple = (),
     g_radii: tuple = (),
-    T_est: float | None = None,
     split: SingularSplit | None = None,
 ) -> DiagnosticsSeries:
     """Assemble the standard series: t,E,sup_u,mu,nu,lambda1,f,z1,z2,Z,d

@@ -95,7 +95,7 @@ def _write_report(report: solver.RunReport, out: Path) -> None:
         fh.write("\n")
 
 
-def _write_run_outputs(report: solver.RunReport, out: Path, ball_radii, g_radii, t_est) -> dict:
+def _write_run_outputs(report: solver.RunReport, out: Path, ball_radii, g_radii) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     snapdir = out / "snapshots"
     snapdir.mkdir(exist_ok=True)
@@ -105,9 +105,7 @@ def _write_run_outputs(report: solver.RunReport, out: Path, ball_radii, g_radii,
         solver.save_snapshot(snap, snapdir / name)
         files[f"snapshots/{name}"] = snap.mesh.nodes.size
 
-    series = analysis.diagnostics_series(
-        report, ball_radii=tuple(ball_radii), g_radii=tuple(g_radii), T_est=t_est
-    )
+    series = analysis.diagnostics_series(report, ball_radii=tuple(ball_radii), g_radii=tuple(g_radii))
     series.to_csv(out / "series.csv")
     files["series.csv"] = len(report.snapshots)
 
@@ -133,7 +131,7 @@ def cmd_simulate(args) -> int:
     started = _iso_now()
     try:
         report = solver.run(config)
-        files = _write_run_outputs(report, out, args.ball_radius, args.g_radius, args.t_est)
+        files = _write_run_outputs(report, out, args.ball_radius, args.g_radius)
     except CritwaveError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -237,7 +235,6 @@ def cmd_analyze(args) -> int:
             report,
             ball_radii=tuple(args.ball_radius),
             g_radii=tuple(args.g_radius),
-            T_est=args.t_est,
             split=split,
         )
         out = _out_dir(args)
@@ -300,7 +297,7 @@ def _sweep_cell(cell):
     try:
         config = solver.RunConfig.from_dict({**base, **overrides})
         report = solver.run(config)
-        _write_run_outputs(report, cell_dir, (), (), None)
+        _write_run_outputs(report, cell_dir, (), ())
         nu_hat = ""
         if report.outcome == "BlowUpDetected" and report.t_star:
             try:
@@ -399,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--ball-radius", type=float, action="append", default=[], metavar="R")
     p.add_argument("--g-radius", type=float, action="append", default=[], metavar="R")
-    p.add_argument("--t-est", type=float, default=None, help="estimated blow-up time")
+    p.add_argument("--t-est", type=float, default=None, help="no effect; analyze takes --t-est")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("dalembert", help="exact linear-solution checks and evolution")

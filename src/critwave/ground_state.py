@@ -145,8 +145,7 @@ def energy(field: FieldState, region: Region = Region.full()) -> EnergyReport:
     dur = field.du_dr()
 
     mask = (r >= r0 - 1e-12) & (r <= r1 + 1e-12)
-    sub = RadialMesh.__new__(RadialMesh)  # subgrid without origin validation
-    object.__setattr__(sub, "nodes", r[mask])
+    sub = RadialMesh.subgrid(r[mask])
 
     def integ(vals):
         v = vals[mask]

@@ -15,6 +15,14 @@ from scipy.integrate import simpson
 from .errors import InvalidParameterError, OutOfDomainError
 
 
+def _uniform_spacing(nodes: np.ndarray) -> float | None:
+    """First node spacing if every spacing matches it to 1e-12 relative, else None."""
+    d = np.diff(nodes)
+    if d.size and np.allclose(d, d[0], rtol=1e-12, atol=0.0):
+        return float(d[0])
+    return None
+
+
 @dataclass(frozen=True)
 class RadialMesh:
     """Strictly increasing radial nodes with r[0] = 0.
@@ -22,6 +30,7 @@ class RadialMesh:
     Uniform meshes (``RadialMesh.uniform``) are required by the
     time-domain solver; analysis and profile extraction accept arbitrary
     strictly increasing nodes (e.g. ``RadialMesh.graded`` log spacing).
+    The uniform spacing is found once, at construction.
     """
 
     nodes: np.ndarray
@@ -35,6 +44,16 @@ class RadialMesh:
         if np.any(np.diff(nodes) <= 0):
             raise InvalidParameterError("mesh nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "_dr", _uniform_spacing(nodes))
+
+    @classmethod
+    def subgrid(cls, nodes: np.ndarray) -> "RadialMesh":
+        """Mesh over a run of another mesh's nodes, which need not include
+        the origin; no validation (used for region quadrature)."""
+        sub = cls.__new__(cls)
+        object.__setattr__(sub, "nodes", nodes)
+        object.__setattr__(sub, "_dr", _uniform_spacing(nodes))
+        return sub
 
     @classmethod
     def uniform(cls, h: float, rmax: float) -> "RadialMesh":
@@ -60,15 +79,13 @@ class RadialMesh:
     @property
     def spacing(self) -> float:
         """Uniform spacing; raises if the mesh is not uniform."""
-        d = np.diff(self.nodes)
-        if not np.allclose(d, d[0], rtol=1e-12, atol=0.0):
+        if self._dr is None:
             raise InvalidParameterError("mesh is not uniform")
-        return float(d[0])
+        return self._dr
 
     @property
     def is_uniform(self) -> bool:
-        d = np.diff(self.nodes)
-        return bool(np.allclose(d, d[0], rtol=1e-12, atol=0.0))
+        return self._dr is not None
 
     def integrate(self, values: np.ndarray) -> float:
         """Integral of sampled values dr over the mesh.

@@ -25,13 +25,6 @@ def smoothstep_bump(s):
     return 1.0 - 3.0 * sig**2 + 2.0 * sig**3
 
 
-def smoothstep_bump_deriv(s):
-    s = np.asarray(s, dtype=float)
-    sig = s - 1.0
-    out = np.where((sig > 0.0) & (sig < 1.0), -6.0 * sig + 6.0 * sig**2, 0.0)
-    return out
-
-
 def transition(r, a, b):
     """C^1 ramp: 0 for r <= a, 1 for r >= b."""
     r = np.asarray(r, dtype=float)

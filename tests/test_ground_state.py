@@ -46,6 +46,32 @@ class TestMesh:
         with pytest.raises(InvalidParameterError):
             RadialMesh.uniform(-0.1, 1.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["uniform", "graded", "perturbed"]),
+        n=st.integers(3, 400),
+        h=st.floats(1e-3, 1.0),
+        rel=st.sampled_from([1e-15, 1e-13, 5e-12, 1e-9, 1e-3, -1e-3]),
+        data=st.data(),
+    )
+    def test_spacing_matches_allclose_definition(self, kind, n, h, rel, data):
+        nodes = h * np.arange(n, dtype=float)
+        if kind == "graded":
+            nodes = RadialMesh.graded(h, h * n, n).nodes
+        elif kind == "perturbed":
+            j = data.draw(st.integers(1, n - 1))
+            nodes[j] += rel * h
+        # the origin-free sub-mesh that energy() integrates regions on, too
+        for mesh in (RadialMesh(nodes), RadialMesh.subgrid(nodes[1:])):
+            d = np.diff(mesh.nodes)
+            uniform = bool(np.allclose(d, d[0], rtol=1e-12, atol=0.0))
+            assert mesh.is_uniform is uniform
+            if uniform:
+                assert mesh.spacing == float(d[0])
+            else:
+                with pytest.raises(InvalidParameterError):
+                    mesh.spacing
+
     def test_simpson_exact_on_cubic(self):
         mesh = RadialMesh.uniform(0.25, 2.0)
         r = mesh.nodes
