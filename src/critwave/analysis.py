@@ -272,12 +272,12 @@ def rho_tail(snapshots: list, R: float) -> float:
 # ----------------------------------------------------------------- cone energy
 
 
-def cone_energy(snapshots: list, T_est: float, k: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Energy inside the shrinking cone r <= k (T_est - t), per output time."""
+def cone_energy(snapshots: list, T_est: float) -> tuple[np.ndarray, np.ndarray]:
+    """Energy inside the shrinking light cone r <= T_est - t, per output time."""
     times = np.array([s.t for s in snapshots])
     vals = []
     for s in snapshots:
-        rad = k * (T_est - s.t)
+        rad = T_est - s.t
         if rad <= 0:
             vals.append(0.0)
             continue

@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,21 +51,7 @@ class ExperimentManifest:
 
 
 def _config_hash(config: solver.RunConfig) -> str:
-    payload = json.dumps(
-        {
-            "mesh_h": config.mesh_h,
-            "rmax": config.rmax,
-            "cfl": config.cfl,
-            "t_end": config.t_end,
-            "nonlinear": config.nonlinear,
-            "blowup_threshold": config.blowup_threshold,
-            "output_every": config.output_every,
-            "family": config.family,
-            "params": {k: config.params[k] for k in sorted(config.params)},
-            "seed": config.seed,
-        },
-        sort_keys=True,
-    )
+    payload = json.dumps(asdict(config), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -121,9 +107,7 @@ def cmd_simulate(args) -> int:
     try:
         config = solver.load_config(args.config)
         if args.seed is not None:
-            config = solver.RunConfig(
-                **{**{f: getattr(config, f) for f in config.__dataclass_fields__}, "seed": args.seed}
-            )
+            config = replace(config, seed=args.seed)
     except (InvalidConfigError, ValueError) as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -307,8 +291,8 @@ def _sweep_cell(cell):
             except CritwaveError:
                 nu_hat = ""
         return index, overrides, report.outcome, report.t_star, nu_hat, ""
-    except (CritwaveError, Exception) as exc:  # noqa: BLE001 - recorded per cell
-        return index, overrides, "Failed", None, "", str(exc)
+    except Exception as exc:  # noqa: BLE001 - recorded per cell
+        return index, overrides, "Failed", None, "", f"{type(exc).__name__}: {exc}"
 
 
 def cmd_sweep(args) -> int:
@@ -316,22 +300,11 @@ def cmd_sweep(args) -> int:
         print("sweep: missing or unreadable config", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        base_config = solver.load_config(args.config)  # validates the template
+        base = solver.read_config(args.config)
+        solver.RunConfig.from_dict(base)  # validates the template
     except (InvalidConfigError, ValueError) as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    del base_config
-    with open(args.config) as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        base = solver._flatten(json.loads(text))
-    else:
-        base = {}
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line:
-                k, v = (p.strip() for p in line.split("=", 1))
-                base[k] = solver._parse_scalar(v)
 
     grids = []
     for spec in args.param:
@@ -339,7 +312,7 @@ def cmd_sweep(args) -> int:
             print(f"sweep: bad --param {spec!r} (want key=v1,v2,...)", file=sys.stderr)
             return EXIT_CONFIG
         key, vals = spec.split("=", 1)
-        grids.append([(key, solver._parse_scalar(v)) for v in vals.split(",")])
+        grids.append([(key, solver.parse_scalar(v)) for v in vals.split(",")])
     cells = [{}]
     for grid in grids:
         cells = [{**c, k: v} for c in cells for k, v in grid]
@@ -396,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--ball-radius", type=float, action="append", default=[], metavar="R")
     p.add_argument("--g-radius", type=float, action="append", default=[], metavar="R")
-    p.add_argument("--t-est", type=float, default=None, help="no effect; analyze takes --t-est")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("dalembert", help="exact linear-solution checks and evolution")

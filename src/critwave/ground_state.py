@@ -1,9 +1,10 @@
 """Ground state W, energy functionals, and variational predicates.
 
-W(r) = (1 + r^2/(N(N-2)))^{-(N-2)/2} is the unique (up to sign and
-scaling) radial stationary solution of the energy-critical focusing wave
-equation.  Reference constants are computed once by adaptive quadrature
-and cached; no hard-coded decimals enter the core.
+W(r) = (1 + r^2/3)^{-1/2} is the unique (up to sign and scaling) radial
+stationary solution of the energy-critical focusing wave equation
+d_t^2 u = Delta u + u^5 in dimension 3.  Reference constants are computed
+once by adaptive quadrature and cached; no hard-coded decimals enter the
+core.
 """
 
 from __future__ import annotations
@@ -17,20 +18,15 @@ from .errors import InvalidParameterError
 from .mesh import FieldState, RadialMesh, Region
 from .radial import FOUR_PI, RadialProfile
 
-_SUPPORTED_N = (3, 4, 5)
-
 
 @dataclass(frozen=True)
 class GroundStateParams:
-    """Dimension, scale, and sign of a rescaled ground state."""
+    """Scale and sign of a rescaled ground state."""
 
-    N: int = 3
     lam: float = 1.0
     iota: int = 1
 
     def __post_init__(self):
-        if self.N not in _SUPPORTED_N:
-            raise InvalidParameterError(f"N must be one of {_SUPPORTED_N}")
         if self.lam <= 0:
             raise InvalidParameterError("scale lam must be positive")
         if self.iota not in (-1, 1):
@@ -38,26 +34,19 @@ class GroundStateParams:
 
 
 def eval_w(r, params: GroundStateParams = GroundStateParams()):
-    """Evaluate iota * lam^{-(N-2)/2} * W(r/lam)."""
+    """Evaluate iota * lam^{-1/2} * W(r/lam)."""
     r = np.asarray(r, dtype=float)
-    N, lam = params.N, params.lam
-    p = (N - 2) / 2.0
-    val = params.iota * lam**-p * (1.0 + (r / lam) ** 2 / (N * (N - 2))) ** -p
+    lam = params.lam
+    val = params.iota * lam**-0.5 * (1.0 + (r / lam) ** 2 / 3.0) ** -0.5
     return val if val.ndim else float(val)
 
 
 def eval_w_deriv(r, params: GroundStateParams = GroundStateParams()):
     """d/dr of eval_w."""
     r = np.asarray(r, dtype=float)
-    N, lam = params.N, params.lam
-    p = (N - 2) / 2.0
+    lam = params.lam
     rho = r / lam
-    val = (
-        params.iota
-        * lam ** (-p - 1)
-        * (-2.0 * p * rho / (N * (N - 2)))
-        * (1.0 + rho**2 / (N * (N - 2))) ** (-p - 1)
-    )
+    val = params.iota * lam**-1.5 * (-rho / 3.0) * (1.0 + rho**2 / 3.0) ** -1.5
     return val if val.ndim else float(val)
 
 
@@ -73,47 +62,33 @@ def w_field(mesh: RadialMesh, params: GroundStateParams = GroundStateParams()) -
 
 @lru_cache(maxsize=None)
 def w_constants(N: int = 3) -> dict:
-    """Reference constants of W in dimension N.
+    """Reference constants of W; the dimension N must be 3.
 
     grad_norm_sq      int |grad W|^2
-    energy_w          E(W, 0) = grad_norm_sq / N
-    potential_w       int W^{2N/(N-2)}  (equals grad_norm_sq, Pohozaev)
-    sobolev_threshold (N/(N-2))^{(N-2)/2} * grad_norm_sq
+    energy_w          E(W, 0) = grad_norm_sq / 3
+    potential_w       int W^6  (equals grad_norm_sq, Pohozaev)
+    sobolev_threshold sqrt(3) * grad_norm_sq
     """
-    if N not in _SUPPORTED_N:
-        raise InvalidParameterError(f"N must be one of {_SUPPORTED_N}")
+    if N != 3:
+        raise InvalidParameterError("only dimension N = 3 is supported")
     from scipy.integrate import quad
 
-    p = (N - 2) / 2.0
-    omega = 2.0 * np.pi ** (N / 2.0) / _gamma_half(N)
-    w = lambda r: (1.0 + r * r / (N * (N - 2))) ** -p
-    dw = lambda r: -2.0 * p * r / (N * (N - 2)) * (1.0 + r * r / (N * (N - 2))) ** (-p - 1)
-    grad = omega * quad(lambda r: r ** (N - 1) * dw(r) ** 2, 0, np.inf, limit=200)[0]
-    pot = omega * quad(lambda r: r ** (N - 1) * w(r) ** (2 * N / (N - 2)), 0, np.inf, limit=200)[0]
+    grad = FOUR_PI * quad(lambda r: r**2 * eval_w_deriv(r) ** 2, 0, np.inf, limit=200)[0]
+    pot = FOUR_PI * quad(lambda r: r**2 * eval_w(r) ** 6, 0, np.inf, limit=200)[0]
     return {
         "grad_norm_sq": grad,
-        "energy_w": grad / N,
+        "energy_w": grad / 3.0,
         "potential_w": pot,
-        "sobolev_threshold": (N / (N - 2)) ** p * grad,
+        "sobolev_threshold": 3.0**0.5 * grad,
     }
 
 
-def _gamma_half(N: int) -> float:
-    from math import gamma
-
-    return gamma(N / 2.0)
-
-
 @lru_cache(maxsize=None)
-def w_exterior_grad(radius: float, N: int = 3) -> float:
+def w_exterior_grad(radius: float) -> float:
     """int_{|x| >= radius} |grad W|^2, by adaptive quadrature."""
     from scipy.integrate import quad
 
-    params = GroundStateParams(N=N)
-    omega = 2.0 * np.pi ** (N / 2.0) / _gamma_half(N)
-    return omega * quad(
-        lambda r: r ** (N - 1) * eval_w_deriv(r, params) ** 2, radius, np.inf, limit=200
-    )[0]
+    return FOUR_PI * quad(lambda r: r**2 * eval_w_deriv(r) ** 2, radius, np.inf, limit=200)[0]
 
 
 @dataclass(frozen=True)
@@ -138,40 +113,28 @@ def energy(field: FieldState, region: Region = Region.full()) -> EnergyReport:
     The Hardy integrand u^2/r^2 * r^2 dr reduces to u^2 dr and is
     evaluated through h/r, with the limit (d_r h)(0) at the origin.
     """
-    r0, r1 = region.clip(field.mesh)
-    r = field.mesh.nodes
+    mesh = field.mesh
+    r0, r1 = region.clip(mesh)
+    r = mesh.nodes
     u = field.u()
     ut = field.ut()
     dur = field.du_dr()
-
-    mask = (r >= r0 - 1e-12) & (r <= r1 + 1e-12)
-    sub = RadialMesh.subgrid(r[mask])
-
-    def integ(vals):
-        v = vals[mask]
-        if sub.nodes.size < 2:
-            return 0.0
-        if sub.is_uniform:
-            from scipy.integrate import simpson
-
-            return float(simpson(v, x=sub.nodes))
-        return float(np.trapezoid(v, sub.nodes))
-
+    # the nodes in [r0, r1], with edges snapped to nodes within 1e-12
+    run = slice(np.searchsorted(r, r0 - 1e-12), np.searchsorted(r, r1 + 1e-12, side="right"))
     return EnergyReport(
-        gradient_sq=FOUR_PI * integ(r * r * dur**2),
-        kinetic_sq=FOUR_PI * integ(r * r * ut**2),
-        potential=FOUR_PI * integ(r * r * u**6),
-        hardy_sq=FOUR_PI * integ(u * u),
+        gradient_sq=FOUR_PI * mesh.integrate(r * r * dur**2, run),
+        kinetic_sq=FOUR_PI * mesh.integrate(r * r * ut**2, run),
+        potential=FOUR_PI * mesh.integrate(r * r * u**6, run),
+        hardy_sq=FOUR_PI * mesh.integrate(u * u, run),
         region=region,
     )
 
 
-def energy_of_profile(u0: RadialProfile, u1: RadialProfile | None = None) -> EnergyReport:
-    """Full-space EnergyReport of closed-form radial data (N=3)."""
-    kin = 0.0 if u1 is None else u1.l2p_norm(2)
+def energy_of_profile(u0: RadialProfile) -> EnergyReport:
+    """Full-space EnergyReport of closed-form static radial data (u, u_t) = (u0, 0)."""
     return EnergyReport(
         gradient_sq=u0.grad_norm_sq(),
-        kinetic_sq=kin,
+        kinetic_sq=0.0,
         potential=u0.l2p_norm(6),
         hardy_sq=u0.hardy_sq(),
         region=Region.full(),
@@ -183,12 +146,12 @@ class VariationalReport:
     """Outcome of the trapping/positivity predicates for a static field."""
 
     hypothesis_holds: bool  # |grad v|^2 <= |grad W|^2 and E(v,0) <= E(W,0)
-    bound_holds: bool | None  # if hypothesis: |grad v|^2 <= N E(v,0)
+    bound_holds: bool | None  # if hypothesis: |grad v|^2 <= 3 E(v,0)
     below_sobolev_threshold: bool
     positivity_holds: bool | None  # if below threshold: E(v,0) >= 0
 
 
-def variational_check(field, N: int = 3, slack: float = 1e-12) -> VariationalReport:
+def variational_check(field, slack: float = 1e-12) -> VariationalReport:
     """Check the variational implications for a static field v.
 
     `field` may be a FieldState, an EnergyReport, or a RadialProfile.
@@ -201,13 +164,13 @@ def variational_check(field, N: int = 3, slack: float = 1e-12) -> VariationalRep
         rep = energy_of_profile(field)
     else:
         rep = field
-    c = w_constants(N)
+    c = w_constants(3)
     grad = rep.gradient_sq
-    e_static = 0.5 * grad - (N - 2) / (2.0 * N) * rep.potential
+    e_static = 0.5 * grad - rep.potential / 6.0
     tol = slack * max(1.0, c["grad_norm_sq"])
 
     hyp = grad <= c["grad_norm_sq"] + tol and e_static <= c["energy_w"] + tol
-    bound = (grad <= N * e_static + tol) if hyp else None
+    bound = (grad <= 3.0 * e_static + tol) if hyp else None
     below = grad <= c["sobolev_threshold"] + tol
     pos = (e_static >= -tol) if below else None
     return VariationalReport(hyp, bound, below, pos)

@@ -14,13 +14,7 @@ from scipy.integrate import simpson
 
 from .errors import InvalidParameterError, OutOfDomainError
 
-
-def _uniform_spacing(nodes: np.ndarray) -> float | None:
-    """First node spacing if every spacing matches it to 1e-12 relative, else None."""
-    d = np.diff(nodes)
-    if d.size and np.allclose(d, d[0], rtol=1e-12, atol=0.0):
-        return float(d[0])
-    return None
+_ALL = slice(None)  # RadialMesh.integrate's default run: every node
 
 
 @dataclass(frozen=True)
@@ -41,19 +35,13 @@ class RadialMesh:
             raise InvalidParameterError("mesh needs at least 3 nodes")
         if nodes[0] != 0.0:
             raise InvalidParameterError("first mesh node must be r = 0")
-        if np.any(np.diff(nodes) <= 0):
+        d = np.diff(nodes)
+        if np.any(d <= 0):
             raise InvalidParameterError("mesh nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "_dr", _uniform_spacing(nodes))
-
-    @classmethod
-    def subgrid(cls, nodes: np.ndarray) -> "RadialMesh":
-        """Mesh over a run of another mesh's nodes, which need not include
-        the origin; no validation (used for region quadrature)."""
-        sub = cls.__new__(cls)
-        object.__setattr__(sub, "nodes", nodes)
-        object.__setattr__(sub, "_dr", _uniform_spacing(nodes))
-        return sub
+        # the first spacing, if every spacing matches it to 1e-12 relative
+        uniform = np.allclose(d, d[0], rtol=1e-12, atol=0.0)
+        object.__setattr__(self, "_dr", float(d[0]) if uniform else None)
 
     @classmethod
     def uniform(cls, h: float, rmax: float) -> "RadialMesh":
@@ -87,15 +75,22 @@ class RadialMesh:
     def is_uniform(self) -> bool:
         return self._dr is not None
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Integral of sampled values dr over the mesh.
+    def integrate(self, values: np.ndarray, run: slice = _ALL) -> float:
+        """Integral of sampled values dr over the mesh, or over the run of
+        nodes that the slice `run` selects.
 
-        Composite Simpson on uniform meshes, trapezoid otherwise.
+        Composite Simpson on uniform meshes, trapezoid otherwise; a run of
+        fewer than 2 nodes integrates to 0.
         """
         values = np.asarray(values, dtype=float)
-        if self.is_uniform:
-            return float(simpson(values, dx=self.spacing))
-        return float(np.trapezoid(values, self.nodes))
+        nodes = self.nodes
+        if run is not _ALL:  # the whole mesh, the hot path, is not sliced
+            values, nodes = values[run], nodes[run]
+            if values.size < 2:
+                return 0.0
+        if self._dr is not None:
+            return float(simpson(values, dx=self._dr))
+        return float(np.trapezoid(values, nodes))
 
     def cumulative(self, values: np.ndarray) -> np.ndarray:
         """Running trapezoid integral of values dr, node by node."""

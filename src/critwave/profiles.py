@@ -18,6 +18,11 @@ from .ground_state import GroundStateParams, eval_w, eval_w_deriv
 from .mesh import FieldState, RadialMesh
 from .radial import FOUR_PI
 
+_SEPARATION_FACTOR = 10.0  # least scale ratio between two extracted bubbles
+_COEFF_WINDOW = (0.7, 1.3)  # projection coefficients snapped to +-1
+_REFINE_SWEEPS = 2  # back-fitting sweeps over a multi-bubble fit
+_N_SEEDS = 8  # golden-section starts across the scale range
+
 
 @dataclass(frozen=True)
 class Bubble:
@@ -73,14 +78,14 @@ def correlate_scale(mesh: RadialMesh, du: np.ndarray, lam: float) -> tuple[float
     return inner / np.sqrt(nu * nw), inner / nw
 
 
-def _best_scale(mesh, du, lam_min, lam_max, n_seeds=8):
+def _best_scale(mesh, du, lam_min, lam_max):
     """Multi-start golden-section search of |correlation| over log lam."""
 
     def neg_abs_corr(loglam):
         return -abs(correlate_scale(mesh, du, np.exp(loglam))[0])
 
-    seeds = np.geomspace(lam_min, lam_max, n_seeds)
-    half = 0.5 * (np.log(lam_max) - np.log(lam_min)) / (n_seeds - 1)
+    seeds = np.geomspace(lam_min, lam_max, _N_SEEDS)
+    half = 0.5 * (np.log(lam_max) - np.log(lam_min)) / (_N_SEEDS - 1)
     best = (np.inf, None)
     for s in seeds:
         lo, hi = np.log(s) - 1.5 * half, np.log(s) + 1.5 * half
@@ -95,19 +100,17 @@ def _best_scale(mesh, du, lam_min, lam_max, n_seeds=8):
 def extract(
     field: FieldState,
     max_bubbles: int = 3,
-    separation_factor: float = 10.0,
     correlation_floor: float = 0.3,
-    coeff_window: tuple = (0.7, 1.3),
     lam_range: tuple | None = None,
-    refine_sweeps: int = 2,
 ) -> ProfileDecomposition:
     """Greedy matching pursuit over the dictionary {+-W_lam}.
 
     Repeatedly finds the scale maximizing the absolute gradient
     correlation of the residual, snaps the projection coefficient to
-    +-1 when it lies in coeff_window, subtracts, and stops when the
+    +-1 when it lies in _COEFF_WINDOW, subtracts, and stops when the
     correlation drops below correlation_floor, the coefficient falls
-    outside the window, or a scale collides with one already found.
+    outside the window, or a scale lies within _SEPARATION_FACTOR of one
+    already found.  A fit of several bubbles is then back-fitted.
     """
     mesh = field.mesh
     r = mesh.nodes
@@ -131,9 +134,9 @@ def extract(
         if corr_abs < correlation_floor:
             break
         corr, coeff = correlate_scale(mesh, du_res, lam)
-        if not (coeff_window[0] <= abs(coeff) <= coeff_window[1]):
+        if not (_COEFF_WINDOW[0] <= abs(coeff) <= _COEFF_WINDOW[1]):
             break
-        if any(max(lam / b.lam, b.lam / lam) < separation_factor for b in bubbles):
+        if any(max(lam / b.lam, b.lam / lam) < _SEPARATION_FACTOR for b in bubbles):
             break
         iota = 1 if coeff > 0 else -1
         params = GroundStateParams(lam=lam, iota=iota)
@@ -141,30 +144,31 @@ def extract(
         du_res = du_res - eval_w_deriv(r, params)
         bubbles.append(Bubble(iota=iota, lam=lam, coeff=float(coeff), correlation=float(corr)))
 
-    # back-fitting: re-optimize each scale against the field minus the other
-    # bubbles, which removes the leading-order bias from overlapping tails
-    du_field = field.du_dr()
-    u_field = field.u()
-    for _ in range(refine_sweeps if len(bubbles) > 1 else 0):
-        for j, b in enumerate(bubbles):
-            du_j = du_field.copy()
-            for k, other in enumerate(bubbles):
-                if k != j:
-                    du_j -= eval_w_deriv(r, GroundStateParams(lam=other.lam, iota=other.iota))
+    if len(bubbles) > 1:
+        # back-fitting: re-optimize each scale against the field minus the
+        # other bubbles, which removes the leading-order bias from
+        # overlapping tails
+        du_field = field.du_dr()
+        for _ in range(_REFINE_SWEEPS):
+            for j, b in enumerate(bubbles):
+                du_j = du_field.copy()
+                for k, other in enumerate(bubbles):
+                    if k != j:
+                        du_j -= eval_w_deriv(r, GroundStateParams(lam=other.lam, iota=other.iota))
 
-            def neg_abs(loglam):
-                return -abs(correlate_scale(mesh, du_j, np.exp(loglam))[0])
+                def neg_abs(loglam):
+                    return -abs(correlate_scale(mesh, du_j, np.exp(loglam))[0])
 
-            lo, hi = np.log(b.lam / 3.0), np.log(b.lam * 3.0)
-            res = minimize_scalar(neg_abs, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
-            lam_j = float(np.exp(res.x))
-            corr, coeff = correlate_scale(mesh, du_j, lam_j)
-            bubbles[j] = Bubble(
-                iota=1 if coeff > 0 else -1, lam=lam_j, coeff=float(coeff), correlation=float(corr)
-            )
-    if refine_sweeps and len(bubbles) > 1:
-        u_res = u_field.copy()
-        du_res = du_field.copy()
+                lo, hi = np.log(b.lam / 3.0), np.log(b.lam * 3.0)
+                res = minimize_scalar(
+                    neg_abs, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10}
+                )
+                lam_j = float(np.exp(res.x))
+                corr, coeff = correlate_scale(mesh, du_j, lam_j)
+                bubbles[j] = Bubble(
+                    iota=1 if coeff > 0 else -1, lam=lam_j, coeff=float(coeff), correlation=float(corr)
+                )
+        u_res, du_res = field.u(), du_field
         for b in bubbles:
             params = GroundStateParams(lam=b.lam, iota=b.iota)
             u_res = u_res - eval_w(r, params)

@@ -55,6 +55,21 @@ class TestSimulate:
         assert rep["outcome"] == "BlowUpDetected"
         assert isinstance(rep["t_star"], float)
 
+    def test_config_hash_pinned(self, tmp_path):
+        # a near_w config with data params and a --seed override; the digest
+        # is the one the field-by-field hash gave before it came from asdict
+        cfg = write(
+            tmp_path / "c.json",
+            '{"mesh": {"h": 0.05, "rmax": 15.0}, "t_end": 0.2, "output": {"every": 0.1},'
+            ' "data": {"family": "near_w", "delta": 0.05, "lambda": 0.5, "r_cut": 6.0}}',
+        )
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--seed", "11", "--out", str(out), "--quiet"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_hash"] == (
+            "a5c7db90b115bedfa6a2b22b936856926baa0b48f155826abe041ab5a574e7eb"
+        )
+
     def test_determinism(self, tmp_path):
         cfg = write(tmp_path / "c.json", BUMP_CFG)
         outs = []
@@ -168,3 +183,30 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert [row["outcome"] for row in rows] == ["Completed", "Failed"]
         assert rows[1]["error"] != ""
+        assert rows[1]["error"].startswith("InvalidConfigError:")
+
+    def test_key_value_template(self, tmp_path):
+        cfg = write(
+            tmp_path / "c.cfg",
+            "# bump template\n"
+            "mesh.h = 0.04\nmesh.rmax = 8.0\nt_end = 1.0  # overridden below\n"
+            "output.every = 0.25\ndata.family = bump\n"
+            "data.amp = 0.3\ndata.sigma = 1.0\ndata.center = 3.0\n",
+        )
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--param", "data.amp=0.1,0.2", "--param", "t_end=0.5",
+                     "--out", str(out), "--quiet"]) == 0
+        with open(out / "aggregate.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["data.amp"], row["t_end"], row["outcome"]) for row in rows] == [
+            ("0.1", "0.5", "Completed"),
+            ("0.2", "0.5", "Completed"),
+        ]
+        for cell in ("cell_000", "cell_001"):
+            rep = json.loads((out / cell / "report.json").read_text())
+            assert rep["final_time"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_key_value_template_without_equals(self, tmp_path):
+        cfg = write(tmp_path / "c.cfg", "mesh.h = 0.04\nmesh.rmax 8.0\n")
+        assert main(["sweep", "--config", cfg, "--param", "t_end=0.5",
+                     "--out", str(tmp_path / "sweep"), "--quiet"]) == 2

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from critwave.errors import InvalidParameterError, OutOfDomainError
@@ -20,7 +20,85 @@ from critwave.ground_state import (
     w_profile,
 )
 from critwave.mesh import FieldState, RadialMesh, Region, rescale_field
-from critwave.radial import gaussian_bump
+from critwave.radial import FOUR_PI, gaussian_bump
+
+# ----------------------------------------------------------------- references
+# The earlier general-dimension formulas (evaluated at N = 3) and the earlier
+# energy(), which integrated a region on a sub-mesh of its nodes with the
+# Simpson/trapezoid choice made on that sub-mesh.
+
+
+def _reference_eval_w(r, lam, iota, N=3):
+    r = np.asarray(r, dtype=float)
+    p = (N - 2) / 2.0
+    val = iota * lam**-p * (1.0 + (r / lam) ** 2 / (N * (N - 2))) ** -p
+    return val if val.ndim else float(val)
+
+
+def _reference_eval_w_deriv(r, lam, iota, N=3):
+    r = np.asarray(r, dtype=float)
+    p = (N - 2) / 2.0
+    rho = r / lam
+    val = (
+        iota
+        * lam ** (-p - 1)
+        * (-2.0 * p * rho / (N * (N - 2)))
+        * (1.0 + rho**2 / (N * (N - 2))) ** (-p - 1)
+    )
+    return val if val.ndim else float(val)
+
+
+def _reference_w_constants(N=3):
+    from math import gamma
+
+    from scipy.integrate import quad
+
+    p = (N - 2) / 2.0
+    omega = 2.0 * np.pi ** (N / 2.0) / gamma(N / 2.0)
+    w = lambda r: (1.0 + r * r / (N * (N - 2))) ** -p
+    dw = lambda r: -2.0 * p * r / (N * (N - 2)) * (1.0 + r * r / (N * (N - 2))) ** (-p - 1)
+    grad = omega * quad(lambda r: r ** (N - 1) * dw(r) ** 2, 0, np.inf, limit=200)[0]
+    pot = omega * quad(lambda r: r ** (N - 1) * w(r) ** (2 * N / (N - 2)), 0, np.inf, limit=200)[0]
+    return {
+        "grad_norm_sq": grad,
+        "energy_w": grad / N,
+        "potential_w": pot,
+        "sobolev_threshold": (N / (N - 2)) ** p * grad,
+    }
+
+
+def _reference_w_exterior_grad(radius, N=3):
+    from math import gamma
+
+    from scipy.integrate import quad
+
+    omega = 2.0 * np.pi ** (N / 2.0) / gamma(N / 2.0)
+    return omega * quad(
+        lambda r: r ** (N - 1) * _reference_eval_w_deriv(r, 1.0, 1, N) ** 2, radius, np.inf, limit=200
+    )[0]
+
+
+def _reference_energy(field, region):
+    """(gradient_sq, kinetic_sq, potential, hardy_sq) as the sub-mesh energy() gave them."""
+    from scipy.integrate import simpson
+
+    r0, r1 = region.clip(field.mesh)
+    r = field.mesh.nodes
+    u, ut, dur = field.u(), field.ut(), field.du_dr()
+    mask = (r >= r0 - 1e-12) & (r <= r1 + 1e-12)
+    sub = r[mask]
+    d = np.diff(sub)
+    uniform = d.size > 0 and np.allclose(d, d[0], rtol=1e-12, atol=0.0)
+
+    def integ(vals):
+        v = vals[mask]
+        if sub.size < 2:
+            return 0.0
+        if uniform:
+            return float(simpson(v, x=sub))
+        return float(np.trapezoid(v, sub))
+
+    return tuple(FOUR_PI * integ(f) for f in (r * r * dur**2, r * r * ut**2, r * r * u**6, u * u))
 
 
 class TestMesh:
@@ -61,16 +139,15 @@ class TestMesh:
         elif kind == "perturbed":
             j = data.draw(st.integers(1, n - 1))
             nodes[j] += rel * h
-        # the origin-free sub-mesh that energy() integrates regions on, too
-        for mesh in (RadialMesh(nodes), RadialMesh.subgrid(nodes[1:])):
-            d = np.diff(mesh.nodes)
-            uniform = bool(np.allclose(d, d[0], rtol=1e-12, atol=0.0))
-            assert mesh.is_uniform is uniform
-            if uniform:
-                assert mesh.spacing == float(d[0])
-            else:
-                with pytest.raises(InvalidParameterError):
-                    mesh.spacing
+        mesh = RadialMesh(nodes)
+        d = np.diff(mesh.nodes)
+        uniform = bool(np.allclose(d, d[0], rtol=1e-12, atol=0.0))
+        assert mesh.is_uniform is uniform
+        if uniform:
+            assert mesh.spacing == float(d[0])
+        else:
+            with pytest.raises(InvalidParameterError):
+                mesh.spacing
 
     def test_simpson_exact_on_cubic(self):
         mesh = RadialMesh.uniform(0.25, 2.0)
@@ -134,8 +211,6 @@ class TestGroundState:
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParameterError):
-            GroundStateParams(N=2)
-        with pytest.raises(InvalidParameterError):
             GroundStateParams(lam=0.0)
         with pytest.raises(InvalidParameterError):
             GroundStateParams(iota=2)
@@ -179,6 +254,15 @@ class TestEnergy:
         outer = energy(state, Region.exterior(3.0)).gradient_sq
         assert inner + outer == pytest.approx(full, rel=1e-6)
 
+    def test_regions_of_fewer_than_two_nodes_vanish(self):
+        mesh = RadialMesh.uniform(0.1, 4.0)
+        state = w_field(mesh)
+        r = mesh.nodes
+        for region in (Region.ball(0.03), Region.annulus(r[3] + 0.03, r[3] + 0.07),
+                       Region.annulus(r[3] - 0.03, r[3] + 0.03), Region.exterior(r[-1] - 0.03)):
+            rep = energy(state, region)
+            assert (rep.gradient_sq, rep.kinetic_sq, rep.potential, rep.hardy_sq) == (0.0,) * 4
+
     def test_static_energy_of_w(self):
         prof = energy_of_profile(w_profile())
         e = 0.5 * prof.gradient_sq - prof.potential / 6.0
@@ -219,3 +303,84 @@ class TestVariational:
             assert rep.bound_holds
         if rep.below_sobolev_threshold:
             assert rep.positivity_holds
+
+
+class TestAgainstReference:
+    """The N = 3 formulas and the run-based region quadrature against the references."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=st.one_of(
+            st.floats(0.0, 1e8),
+            st.lists(st.floats(0.0, 1e8), min_size=1, max_size=20).map(np.array),
+        ),
+        lam=st.floats(1e-6, 1e6),
+        iota=st.sampled_from([-1, 1]),
+    )
+    def test_w_and_deriv_bitwise(self, r, lam, iota):
+        p = GroundStateParams(lam=lam, iota=iota)
+        for new, ref in ((eval_w, _reference_eval_w), (eval_w_deriv, _reference_eval_w_deriv)):
+            got, want = new(r, p), ref(r, lam, iota)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
+
+    def test_constants_equal(self):
+        got, want = w_constants(3), _reference_w_constants()
+        assert got == want
+        assert all(type(got[k]) is type(want[k]) for k in want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(radius=st.one_of(st.just(1.0), st.floats(0.0, 500.0)))
+    def test_exterior_grad_equal(self, radius):
+        assert w_exterior_grad(radius) == _reference_w_exterior_grad(radius)
+
+    def test_other_dimensions_rejected(self):
+        for N in (2, 4, 5):
+            with pytest.raises(InvalidParameterError):
+                w_constants(N)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        graded=st.booleans(),
+        n=st.integers(3, 1500),
+        h=st.floats(0.002, 0.1),
+        ppd=st.integers(5, 120),
+        lam=st.floats(0.05, 5.0),
+        amp=st.floats(-1.0, 1.0),
+        center=st.floats(0.0, 5.0),
+        kind=st.sampled_from(["full", "ball", "annulus", "exterior"]),
+        data=st.data(),
+    )
+    def test_region_energies_match(self, graded, n, h, ppd, lam, amp, center, kind, data):
+        mesh = RadialMesh.graded(h, h * n, ppd) if graded else RadialMesh.uniform(h, h * n)
+        r = mesh.nodes
+        u = eval_w(r, GroundStateParams(lam=lam)) + amp * np.exp(-((r - center) ** 2))
+        ut = amp * r * np.exp(-(r**2))
+        field = FieldState.from_u(mesh, u, ut)
+
+        def edge(k):
+            # node k, moved by less than the snapping tolerance or by a
+            # fraction of the next cell
+            off = data.draw(st.sampled_from([0.0, 5e-13, -5e-13, 0.3, 0.7]))
+            return max(r[k] + (off if abs(off) < 1e-3 else off * (r[k + 1] - r[k])), 0.0)
+
+        k = data.draw(st.integers(0, r.size - 2))
+        if kind == "full":
+            region = Region.full()
+        elif kind == "ball":
+            region = Region.ball(edge(k))
+        elif kind == "exterior":
+            region = Region.exterior(edge(k))
+        else:
+            # the same or the next cell gives runs of 0, 1 or 2 nodes
+            last = r.size - 2
+            k2 = data.draw(st.one_of(st.just(k), st.just(min(k + 1, last)), st.integers(k, last)))
+            a, b = sorted((edge(k), edge(k2)))
+            assume(a < b)
+            region = Region.annulus(a, b)
+        rep = energy(field, region)
+        got = (rep.gradient_sq, rep.kinetic_sq, rep.potential, rep.hardy_sq)
+        for g, want in zip(got, _reference_energy(field, region)):
+            # relative to 1e-12; below the smallest normal float the last
+            # bits are gone, so relative error is measured against it there
+            assert abs(g - want) <= 1e-12 * max(abs(want), np.finfo(float).tiny)

@@ -172,7 +172,7 @@ class TestRun:
         # the run lasts 1.0; the outgoing signal reaches rmax only after 1.32
         cfg = solver.RunConfig(
             mesh_h=0.03, rmax=6.0, t_end=1.0, family="bump",
-            params={"amp": 0.1, "sigma": 0.5, "center": 2.0, "strict_contamination": True},
+            params={"amp": 0.1, "sigma": 0.5, "center": 2.0},
         )
         initial = solver.make_initial_data(cfg.mesh(), cfg.family, cfg.params).with_time(t0)
         rep = solver.run(cfg, initial=initial)
