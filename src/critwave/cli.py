@@ -59,11 +59,6 @@ def _iso_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
 
-def _count_rows(path: Path) -> int:
-    with open(path) as fh:
-        return max(0, sum(1 for _ in fh) - 1)  # minus header
-
-
 # ------------------------------------------------------------- simulate logic
 
 
@@ -140,7 +135,7 @@ def cmd_dalembert(args) -> int:
         if args.n < 0:
             print("dalembert check: --n must be >= 0", file=sys.stderr)
             return EXIT_CONFIG
-        rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+        rng = np.random.default_rng(args.seed)
         worst = np.inf
         for _ in range(args.n):
             data = dalembert.random_data(rng)
@@ -332,7 +327,8 @@ def cmd_sweep(args) -> int:
         w.writerow(["cell", *param_keys, "outcome", "t_star", "nu_hat", "error"])
         for index, overrides, outcome, t_star, nu_hat, err in sorted(results):
             row = [index]
-            row += [repr(float(overrides[k])) if k in overrides else "" for k in param_keys]
+            vals = [overrides[k] for k in param_keys]  # every cell sets every key
+            row += [repr(float(v)) if isinstance(v, (int, float, bool)) else str(v) for v in vals]
             row += [outcome, "" if t_star is None else repr(float(t_star)), nu_hat, err]
             w.writerow(row)
     n_ok = sum(1 for r in results if r[2] != "Failed")
@@ -351,10 +347,7 @@ def _out_dir(args) -> Path:
 
 
 def _add_common(p):
-    p.add_argument("--config", help="configuration file (JSON or key = value)")
     p.add_argument("--out", help="output directory (default: CRITWAVE_OUT or cwd)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
-    p.add_argument("--seed", type=int, default=None, help="random seed override")
     p.add_argument("--quiet", action="store_true", help="suppress status output")
 
 
@@ -367,6 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the solver, write snapshots and diagnostics")
     _add_common(p)
+    p.add_argument("--config", help="configuration file (JSON or key = value)")
+    p.add_argument("--seed", type=int, default=None, help="override the config's seed")
     p.add_argument("--ball-radius", type=float, action="append", default=[], metavar="R")
     p.add_argument("--g-radius", type=float, action="append", default=[], metavar="R")
     p.set_defaults(func=cmd_simulate)
@@ -374,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dalembert", help="exact linear-solution checks and evolution")
     _add_common(p)
     p.add_argument("mode", choices=("check", "evolve"))
+    p.add_argument("--seed", type=int, default=0, help="random seed for check")
     p.add_argument("--n", type=int, default=100, help="number of random channel checks")
     p.add_argument("--r0", type=float, default=1.0)
     p.add_argument("--r1", type=float, default=None)
@@ -400,6 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a parameter grid of simulations")
     _add_common(p)
+    p.add_argument("--config", help="configuration file (JSON or key = value)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--param", action="append", default=[], metavar="key=v1,v2,...")
     p.set_defaults(func=cmd_sweep)
 

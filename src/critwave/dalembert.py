@@ -48,23 +48,6 @@ class RadialData:
         object.__setattr__(self, "f0", f0)
         object.__setattr__(self, "f1", f1)
 
-    def u0(self, r):
-        """u0 = f0/r, linear interpolation between knots."""
-        r = np.asarray(r, dtype=float)
-        f = np.interp(r, self.knots, self.f0, right=self.f0[-1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(r > 0, f / np.where(r > 0, r, 1.0), self._slope0())
-        return out if out.ndim else float(out)
-
-    def _slope0(self) -> float:
-        return float((self.f0[1] - self.f0[0]) / (self.knots[1] - self.knots[0]))
-
-    def energy_1d(self) -> float:
-        """int (d_r f0)^2 + f1^2 dr (the dr-normalized initial energy)."""
-        dk = np.diff(self.knots)
-        slopes = np.diff(self.f0) / dk
-        return float(np.sum((slopes**2 + self.f1**2) * dk))
-
 
 def reduce(u0, u1, grid: np.ndarray) -> RadialData:
     """Project radial data (u0, u1) onto the piecewise class at the grid.

@@ -40,7 +40,8 @@ class RadialMesh:
             raise InvalidParameterError("mesh nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
         # the first spacing, if every spacing matches it to 1e-12 relative
-        uniform = np.allclose(d, d[0], rtol=1e-12, atol=0.0)
+        # plus a few ulps of rmax, the rounding of np.linspace's nodes
+        uniform = np.allclose(d, d[0], rtol=1e-12, atol=4.0 * np.finfo(float).eps * nodes[-1])
         object.__setattr__(self, "_dr", float(d[0]) if uniform else None)
 
     @classmethod
@@ -156,11 +157,6 @@ class FieldState:
         r = mesh.nodes
         return cls(mesh, t, r * np.asarray(u, float), r * np.asarray(ut, float))
 
-    @classmethod
-    def zero(cls, mesh: RadialMesh, t: float = 0.0) -> "FieldState":
-        z = np.zeros_like(mesh.nodes)
-        return cls(mesh, t, z, z.copy())
-
     def _origin_slope(self, values: np.ndarray) -> float:
         # one-sided 2nd-order d/dr at r=0 on possibly nonuniform nodes
         r1, r2 = self.mesh.nodes[1], self.mesh.nodes[2]
@@ -192,16 +188,8 @@ class FieldState:
     def with_time(self, t: float) -> "FieldState":
         return replace(self, t=t)
 
-    def __add__(self, other: "FieldState") -> "FieldState":
-        return FieldState(self.mesh, self.t, self.h + other.h, self.hdot + other.hdot)
-
     def __sub__(self, other: "FieldState") -> "FieldState":
         return FieldState(self.mesh, self.t, self.h - other.h, self.hdot - other.hdot)
-
-    def __mul__(self, c: float) -> "FieldState":
-        return FieldState(self.mesh, self.t, c * self.h, c * self.hdot)
-
-    __rmul__ = __mul__
 
 
 def rescale_field(state: FieldState, lam: float) -> FieldState:

@@ -21,7 +21,7 @@ from .radial import FOUR_PI
 _SEPARATION_FACTOR = 10.0  # least scale ratio between two extracted bubbles
 _COEFF_WINDOW = (0.7, 1.3)  # projection coefficients snapped to +-1
 _REFINE_SWEEPS = 2  # back-fitting sweeps over a multi-bubble fit
-_N_SEEDS = 8  # golden-section starts across the scale range
+_GRID_PER_DECADE = 4  # log-lam grid density of the scale search
 
 
 @dataclass(frozen=True)
@@ -78,23 +78,19 @@ def correlate_scale(mesh: RadialMesh, du: np.ndarray, lam: float) -> tuple[float
     return inner / np.sqrt(nu * nw), inner / nw
 
 
-def _best_scale(mesh, du, lam_min, lam_max):
-    """Multi-start golden-section search of |correlation| over log lam."""
+def _best_scale(mesh, du, lo, hi):
+    """(lam, |correlation|) of the scale in lo <= log lam <= hi best correlated with du:
+    a log grid of _GRID_PER_DECADE points per decade, then one bounded search
+    between the best grid point's two neighbours."""
 
     def neg_abs_corr(loglam):
         return -abs(correlate_scale(mesh, du, np.exp(loglam))[0])
 
-    seeds = np.geomspace(lam_min, lam_max, _N_SEEDS)
-    half = 0.5 * (np.log(lam_max) - np.log(lam_min)) / (_N_SEEDS - 1)
-    best = (np.inf, None)
-    for s in seeds:
-        lo, hi = np.log(s) - 1.5 * half, np.log(s) + 1.5 * half
-        res = minimize_scalar(
-            neg_abs_corr, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10}
-        )
-        if res.fun < best[0]:
-            best = (res.fun, float(np.exp(res.x)))
-    return best[1], -best[0]
+    grid = np.linspace(lo, hi, int(np.ceil(_GRID_PER_DECADE * (hi - lo) / np.log(10.0))) + 1)
+    i = int(np.argmin([neg_abs_corr(x) for x in grid]))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    res = minimize_scalar(neg_abs_corr, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
+    return float(np.exp(res.x)), -res.fun
 
 
 def extract(
@@ -111,6 +107,10 @@ def extract(
     correlation drops below correlation_floor, the coefficient falls
     outside the window, or a scale lies within _SEPARATION_FACTOR of one
     already found.  A fit of several bubbles is then back-fitted.
+
+    With S = log(lam_max / lam_min), the greedy search covers log lam from
+    log lam_min - (3/28) S to log lam_max + (3/28) S, so it also finds
+    bubbles just outside lam_range (up to ~8e5 for lam_range=(1e-5, 1e5)).
     """
     mesh = field.mesh
     r = mesh.nodes
@@ -119,18 +119,20 @@ def extract(
     lam_min, lam_max = lam_range
     if not (0 < lam_min < lam_max):
         raise InvalidParameterError("need 0 < lam_min < lam_max")
+    reach = 3.0 / 28.0 * np.log(lam_max / lam_min)
+    lo, hi = np.log(lam_min) - reach, np.log(lam_max) + reach
 
-    u_res = field.u().copy()
-    du_res = field.du_dr().copy()
-    total = _grad_inner(mesh, du_res, du_res)
+    du_field = field.du_dr()
+    total = _grad_inner(mesh, du_field, du_field)
     if total <= 0:
         raise DegenerateInputError("field has vanishing gradient energy")
 
     bubbles = []
+    du_res = du_field
     while len(bubbles) < max_bubbles:
         if _grad_inner(mesh, du_res, du_res) <= 1e-30 * total:
             break
-        lam, corr_abs = _best_scale(mesh, du_res, lam_min, lam_max)
+        lam, corr_abs = _best_scale(mesh, du_res, lo, hi)
         if corr_abs < correlation_floor:
             break
         corr, coeff = correlate_scale(mesh, du_res, lam)
@@ -139,40 +141,30 @@ def extract(
         if any(max(lam / b.lam, b.lam / lam) < _SEPARATION_FACTOR for b in bubbles):
             break
         iota = 1 if coeff > 0 else -1
-        params = GroundStateParams(lam=lam, iota=iota)
-        u_res = u_res - eval_w(r, params)
-        du_res = du_res - eval_w_deriv(r, params)
+        du_res = du_res - eval_w_deriv(r, GroundStateParams(lam=lam, iota=iota))
         bubbles.append(Bubble(iota=iota, lam=lam, coeff=float(coeff), correlation=float(corr)))
 
     if len(bubbles) > 1:
         # back-fitting: re-optimize each scale against the field minus the
         # other bubbles, which removes the leading-order bias from
         # overlapping tails
-        du_field = field.du_dr()
         for _ in range(_REFINE_SWEEPS):
             for j, b in enumerate(bubbles):
                 du_j = du_field.copy()
                 for k, other in enumerate(bubbles):
                     if k != j:
                         du_j -= eval_w_deriv(r, GroundStateParams(lam=other.lam, iota=other.iota))
-
-                def neg_abs(loglam):
-                    return -abs(correlate_scale(mesh, du_j, np.exp(loglam))[0])
-
-                lo, hi = np.log(b.lam / 3.0), np.log(b.lam * 3.0)
-                res = minimize_scalar(
-                    neg_abs, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10}
-                )
-                lam_j = float(np.exp(res.x))
+                lam_j, _ = _best_scale(mesh, du_j, np.log(b.lam / 3.0), np.log(b.lam * 3.0))
                 corr, coeff = correlate_scale(mesh, du_j, lam_j)
                 bubbles[j] = Bubble(
                     iota=1 if coeff > 0 else -1, lam=lam_j, coeff=float(coeff), correlation=float(corr)
                 )
-        u_res, du_res = field.u(), du_field
-        for b in bubbles:
-            params = GroundStateParams(lam=b.lam, iota=b.iota)
-            u_res = u_res - eval_w(r, params)
-            du_res = du_res - eval_w_deriv(r, params)
+
+    u_res, du_res = field.u(), du_field
+    for b in bubbles:
+        params = GroundStateParams(lam=b.lam, iota=b.iota)
+        u_res = u_res - eval_w(r, params)
+        du_res = du_res - eval_w_deriv(r, params)
 
     residual = FieldState.from_u(mesh, u_res, field.ut(), t=field.t)
     return ProfileDecomposition(

@@ -21,6 +21,7 @@ check.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -141,9 +142,6 @@ def parse_scalar(val: str):
 
 # ----------------------------------------------------------------- initial data
 
-FAMILIES = ("near_w", "bump", "perturbed_w", "csv")
-
-
 def make_initial_data(mesh: RadialMesh, family: str, params: dict) -> FieldState:
     r = mesh.nodes
     if family == "near_w":
@@ -179,10 +177,16 @@ def make_initial_data(mesh: RadialMesh, family: str, params: dict) -> FieldState
 def load_snapshot(path, mesh: RadialMesh | None = None) -> FieldState:
     """Read an r,u,ut snapshot CSV; resample onto `mesh` if given."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0][:3]] != ["r", "u", "ut"]:
-        raise InvalidConfigError("expected header r,u,ut")
-    arr = np.array([[float(x) for x in row[:3]] for row in rows[1:]], dtype=float)
+        if [c.strip() for c in next(csv.reader(fh), [])[:3]] != ["r", "u", "ut"]:
+            raise InvalidConfigError("expected header r,u,ut")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on no rows; raised below
+            try:
+                arr = np.loadtxt(fh, delimiter=",", usecols=(0, 1, 2), ndmin=2)
+            except ValueError as exc:
+                raise InvalidConfigError(f"malformed snapshot: {exc}") from exc
+    if arr.shape[0] == 0:
+        raise InvalidConfigError("snapshot has no rows")
     r, u, ut = arr[:, 0], arr[:, 1], arr[:, 2]
     if mesh is None:
         if r[0] != 0.0:

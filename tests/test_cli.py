@@ -157,6 +157,19 @@ class TestProfiles:
     def test_missing_snapshot(self, tmp_path):
         assert main(["profiles", str(tmp_path / "nope.csv"), "--out", str(tmp_path), "--quiet"]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "r,u,ut\n",  # header only
+            "r,u,ut\n0.0,1.0,0.0\n0.1,abc,0.0\n0.2,1.0,0.0\n",  # non-numeric
+            "r,u,ut\n0.0,1.0,0.0\n0.1,1.0\n0.2,1.0,0.0\n",  # ragged
+        ],
+        ids=["header_only", "non_numeric", "ragged"],
+    )
+    def test_malformed_snapshot_exit_2(self, tmp_path, text):
+        snap = write(tmp_path / "snap.csv", text)
+        assert main(["profiles", snap, "--out", str(tmp_path), "--quiet"]) == 2
+
 
 class TestSweep:
     def test_delta_grid_outcomes(self, tmp_path):
@@ -185,6 +198,19 @@ class TestSweep:
         assert rows[1]["error"] != ""
         assert rows[1]["error"].startswith("InvalidConfigError:")
 
+    def test_non_numeric_param(self, tmp_path):
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--param", "data.family=bump,nope",
+                     "--out", str(out), "--quiet"]) == 0
+        with open(out / "aggregate.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["data.family"], row["outcome"]) for row in rows] == [
+            ("bump", "Completed"),
+            ("nope", "Failed"),
+        ]
+        assert rows[1]["error"].startswith("InvalidConfigError:")
+
     def test_key_value_template(self, tmp_path):
         cfg = write(
             tmp_path / "c.cfg",
@@ -210,3 +236,26 @@ class TestSweep:
         cfg = write(tmp_path / "c.cfg", "mesh.h = 0.04\nmesh.rmax 8.0\n")
         assert main(["sweep", "--config", cfg, "--param", "t_end=0.5",
                      "--out", str(tmp_path / "sweep"), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "c.json", "--jobs", "2"],
+        ["dalembert", "check", "--config", "c.json"],
+        ["dalembert", "check", "--jobs", "2"],
+        ["analyze", "run", "--config", "c.json"],
+        ["analyze", "run", "--jobs", "2"],
+        ["analyze", "run", "--seed", "1"],
+        ["profiles", "snap.csv", "--config", "c.json"],
+        ["profiles", "snap.csv", "--jobs", "2"],
+        ["profiles", "snap.csv", "--seed", "1"],
+        ["sweep", "--config", "c.json", "--seed", "1"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_unread_flags_rejected(argv):
+    # each subcommand declares only the flags it reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

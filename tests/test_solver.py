@@ -129,6 +129,14 @@ class TestRun:
         assert np.array_equal(a.snapshots[-1].h, b.snapshots[-1].h)
         assert np.array_equal(a.energies, b.energies)
 
+    def test_fine_linspace_mesh_is_uniform(self):
+        # 13001 linspace nodes: spacings differ by ~ulp(rmax), above 1e-12 relative
+        cfg = solver.RunConfig(mesh_h=0.002, rmax=26.0, t_end=0.005, family="bump", params=BUMP)
+        assert cfg.mesh().is_uniform
+        rep = solver.run(cfg)
+        assert rep.outcome == "Completed"
+        assert rep.times[-1] == pytest.approx(0.005, abs=1e-12)
+
     def test_outflow_absorbs_pulse(self):
         # an outgoing pulse should leave the domain with little reflection
         cfg = solver.RunConfig(
