@@ -19,7 +19,7 @@ from .ground_state import (
 )
 from .mesh import FieldState, Region
 from .radial import FOUR_PI, smoothstep_bump, transition
-from .solver import RunReport, step
+from .solver import RunReport, _write_csv_columns, step
 
 
 # ------------------------------------------------------------- singular part
@@ -237,6 +237,13 @@ class GRSeries:
     tail_bound: np.ndarray
 
 
+def _g_r(field: FieldState, R: float) -> float:
+    """g_R = 2 int u u_t phi(r/R) of one field."""
+    r = field.mesh.nodes
+    phi = smoothstep_bump(r / R)
+    return 2.0 * FOUR_PI * field.mesh.integrate(r * r * field.u() * field.ut() * phi)
+
+
 def g_r_series(snapshots: list, R: float, grad_ref: float | None = None) -> GRSeries:
     """g_R(t) = 2 int u u_t phi(r/R), its derivative defect against d(t),
     and the exterior-tail bound on the remainder A_R."""
@@ -245,9 +252,7 @@ def g_r_series(snapshots: list, R: float, grad_ref: float | None = None) -> GRSe
     times = np.array([s.t for s in snapshots])
     gs, ds, tails = [], [], []
     for s in snapshots:
-        r = s.mesh.nodes
-        phi = smoothstep_bump(r / R)
-        gs.append(2.0 * FOUR_PI * s.mesh.integrate(r * r * s.u() * s.ut() * phi))
+        gs.append(_g_r(s, R))
         ds.append(d_functional(s, grad_ref))
         tails.append(tail_energy(s, min(R, s.mesh.rmax)))
     g = np.array(gs)
@@ -328,14 +333,30 @@ class DiagnosticsSeries:
     data: dict  # column -> np.ndarray
 
     def to_csv(self, path) -> None:
-        import csv
+        _write_csv_columns(path, self.columns, [self.data[c] for c in self.columns])
 
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(self.columns)
-            n = len(self.data[self.columns[0]])
-            for i in range(n):
-                w.writerow([repr(float(self.data[c][i])) for c in self.columns])
+
+class _Frame(FieldState):
+    """A snapshot whose u, u_t and d_r u are computed once, at construction.
+
+    `diagnostics_series` builds one per snapshot and drops it after the
+    snapshot's row, so a report never holds the derived arrays.
+    """
+
+    def __init__(self, field: FieldState):
+        super().__init__(field.mesh, field.t, field.h, field.hdot)
+        object.__setattr__(self, "_u", super().u())
+        object.__setattr__(self, "_ut", super().ut())
+        object.__setattr__(self, "_du_dr", super().du_dr())  # reads the cached u
+
+    def u(self) -> np.ndarray:
+        return self._u
+
+    def ut(self) -> np.ndarray:
+        return self._ut
+
+    def du_dr(self) -> np.ndarray:
+        return self._du_dr
 
 
 def diagnostics_series(
@@ -351,11 +372,11 @@ def diagnostics_series(
     so a stationary sampled W reads d = 0 without a truncation offset.
     """
     snaps = report.snapshots
-    times = report.times
     n = len(snaps)
     cols = ["t", "E", "sup_u", "mu", "nu", "lambda1", "f", "z1", "z2", "Z", "d"]
+    cols += [f"E_ball_{rho:g}" for rho in ball_radii] + [f"g_{R:g}" for R in g_radii]
     data: dict = {c: np.full(n, np.nan) for c in cols}
-    data["t"] = times.copy()
+    data["t"] = report.times.copy()
     data["E"] = report.energies.copy()
     data["sup_u"] = report.sup_history.copy()
 
@@ -363,6 +384,10 @@ def diagnostics_series(
     if split is not None:
         for t, a in zip(split.times, split.a_fields):
             a_of[round(float(t), 12)] = a
+    # z1, z2 (v's moments subtracted when v covers the run) and g_R need 3
+    # snapshots, as in virial_series and g_r_series
+    v_snaps = split.v_fields if split is not None and len(split.v_fields) == n else None
+    moments = []
 
     d_ref = None
     if snaps:
@@ -371,35 +396,29 @@ def diagnostics_series(
         d_ref = energy(w_field(snaps[0].mesh)).gradient_sq
 
     for i, s in enumerate(snaps):
-        a = a_of.get(round(float(s.t), 12), s)
-        radii = concentration_radii(s, a)
+        frame = _Frame(s)
+        key = round(float(s.t), 12)
+        a = _Frame(a_of[key]) if key in a_of else frame
+        radii = concentration_radii(frame, a)
         data["mu"][i] = np.nan if radii.mu is None else radii.mu
         data["nu"][i] = np.nan if radii.nu is None else radii.nu
         data["lambda1"][i] = np.nan if radii.lambda1 is None else radii.lambda1
         if radii.lambda1 is not None:
             data["f"][i] = sign_projection(a, radii.lambda1)
-        data["d"][i] = d_functional(s, grad_ref=d_ref)
+        data["d"][i] = d_functional(frame, grad_ref=d_ref)
+        for rho in ball_radii:
+            rep = energy(frame, Region.ball(min(rho, s.mesh.rmax)))
+            data[f"E_ball_{rho:g}"][i] = rep.gradient_sq + rep.kinetic_sq
+        if n >= 3:
+            z = _virial_moments(frame)[:2]
+            if v_snaps is not None:
+                z = tuple(x - y for x, y in zip(z, _virial_moments(v_snaps[i])))
+            moments.append(z)
+            for R in g_radii:
+                data[f"g_{R:g}"][i] = _g_r(frame, R)
 
     if n >= 3:
-        v_snaps = split.v_fields if split is not None and len(split.v_fields) == n else None
-        vs = virial_series(snaps, v_snaps)
-        data["z1"], data["z2"], data["Z"] = vs.z1, vs.z2, vs.Z
-
-    for rho in ball_radii:
-        col = f"E_ball_{rho:g}"
-        cols.append(col)
-        vals = []
-        for s in snaps:
-            rep = energy(s, Region.ball(min(rho, s.mesh.rmax)))
-            vals.append(rep.gradient_sq + rep.kinetic_sq)
-        data[col] = np.array(vals)
-
-    for R in g_radii:
-        col = f"g_{R:g}"
-        cols.append(col)
-        if n >= 3:
-            data[col] = g_r_series(snaps, R).g
-        else:
-            data[col] = np.full(n, np.nan)
+        z1, z2 = (np.array(col) for col in zip(*moments))
+        data["z1"], data["z2"], data["Z"] = z1, z2, 0.5 * z1 + z2
 
     return DiagnosticsSeries(columns=cols, data=data)

@@ -245,15 +245,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_profiles(args) -> int:
+    if (args.lam_min is None) != (args.lam_max is None):
+        print("profiles: give --lam-min and --lam-max together, or neither", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         state = solver.load_snapshot(args.snapshot)
     except (OSError, CritwaveError) as exc:
         print(f"profiles: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        lam_range = None
-        if args.lam_min is not None and args.lam_max is not None:
-            lam_range = (args.lam_min, args.lam_max)
+        lam_range = None if args.lam_min is None else (args.lam_min, args.lam_max)
         decomp = profiles.extract(state, max_bubbles=args.max_bubbles, lam_range=lam_range)
         out = _out_dir(args)
         out.mkdir(parents=True, exist_ok=True)

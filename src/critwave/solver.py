@@ -201,11 +201,23 @@ def load_snapshot(path, mesh: RadialMesh | None = None) -> FieldState:
 
 
 def save_snapshot(state: FieldState, path) -> None:
+    """Write the snapshot as r,u,ut CSV rows (see `_write_csv_columns`)."""
+    _write_csv_columns(path, ["r", "u", "ut"], [state.mesh.nodes, state.u(), state.ut()])
+
+
+def _write_csv_columns(path, header: list, columns: list) -> None:
+    """Write equal-length columns as CSV: the header names (which need no
+    quoting), then one row per index of `repr(float(x))` values, each line
+    ended by \\r\\n.
+
+    These are the bytes `csv.writer` writes for such rows: a float's repr
+    never needs quoting, and \\r\\n is its line terminator. Each column is
+    formatted in one pass and the file is written at once.
+    """
+    cols = [list(map(repr, np.asarray(c, dtype=float).tolist())) for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*cols))]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "u", "ut"])
-        for r, u, ut in zip(state.mesh.nodes, state.u(), state.ut()):
-            w.writerow([repr(float(r)), repr(float(u)), repr(float(ut))])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 # ----------------------------------------------------------------- time stepping
@@ -315,10 +327,12 @@ def run(config: RunConfig, initial: FieldState | None = None) -> RunReport:
     r = mesh.nodes
     n_steps = int(np.ceil((config.t_end - 1e-12) / dt))
     for i in range(n_steps):
-        # the last step ends on t_final: shortened, or stretched by <= 1e-12
-        new = step(state, t_final - state.t if i == n_steps - 1 else dt, config.nonlinear)
-        # NaN and inf propagate through max into amp
-        amp = np.max(np.abs(new.h[1:] / r[1:]))
+        # the last step ends on t_final: shortened, or stretched by <= 1e-12;
+        # near blow-up the RK stages overflow, and the NaN and inf that
+        # result propagate through max into amp, which ends the run
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = step(state, t_final - state.t if i == n_steps - 1 else dt, config.nonlinear)
+            amp = np.max(np.abs(new.h[1:] / r[1:]))
         if not np.isfinite(amp) or amp > config.blowup_threshold:
             outcome = "BlowUpDetected"
             t_star = state.t

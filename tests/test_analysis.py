@@ -1,12 +1,16 @@
 """Diagnostics: splits, concentration radii, virial series, exponent fits."""
 
+import csv
+import dataclasses
+
 import numpy as np
 import pytest
 
 from critwave import analysis
 from critwave.errors import DegenerateInputError, InvalidParameterError
 from critwave.ground_state import GroundStateParams, energy, eval_w, w_constants, w_field
-from critwave.mesh import FieldState, RadialMesh
+from critwave.mesh import FieldState, RadialMesh, Region
+from critwave.radial import FOUR_PI, smoothstep_bump
 from critwave import solver
 
 
@@ -175,3 +179,99 @@ class TestSeries:
         rep = solver.run(cfg)
         series = analysis.diagnostics_series(rep)
         assert np.max(np.abs(series.data["d"])) < 1e-2
+
+
+def reference_diagnostics_series(report, ball_radii=(), g_radii=(), split=None):
+    """The multi-pass `diagnostics_series` that the one-pass version
+    replaced, kept as its reference: every diagnostic recomputes u, u_t and
+    d_r u, and the virial and g_R columns come from whole-run series."""
+    snaps = report.snapshots
+    n = len(snaps)
+    cols = ["t", "E", "sup_u", "mu", "nu", "lambda1", "f", "z1", "z2", "Z", "d"]
+    data = {c: np.full(n, np.nan) for c in cols}
+    data["t"] = report.times.copy()
+    data["E"] = report.energies.copy()
+    data["sup_u"] = report.sup_history.copy()
+    a_of = {}
+    if split is not None:
+        for t, a in zip(split.times, split.a_fields):
+            a_of[round(float(t), 12)] = a
+    d_ref = energy(w_field(snaps[0].mesh)).gradient_sq if snaps else None
+    for i, s in enumerate(snaps):
+        a = a_of.get(round(float(s.t), 12), s)
+        radii = analysis.concentration_radii(s, a)
+        data["mu"][i] = np.nan if radii.mu is None else radii.mu
+        data["nu"][i] = np.nan if radii.nu is None else radii.nu
+        data["lambda1"][i] = np.nan if radii.lambda1 is None else radii.lambda1
+        if radii.lambda1 is not None:
+            data["f"][i] = analysis.sign_projection(a, radii.lambda1)
+        data["d"][i] = analysis.d_functional(s, grad_ref=d_ref)
+    if n >= 3:
+        v_snaps = split.v_fields if split is not None and len(split.v_fields) == n else None
+        vs = analysis.virial_series(snaps, v_snaps)
+        data["z1"], data["z2"], data["Z"] = vs.z1, vs.z2, vs.Z
+    for rho in ball_radii:
+        col = f"E_ball_{rho:g}"
+        cols.append(col)
+        vals = []
+        for s in snaps:
+            rep = energy(s, Region.ball(min(rho, s.mesh.rmax)))
+            vals.append(rep.gradient_sq + rep.kinetic_sq)
+        data[col] = np.array(vals)
+    for R in g_radii:
+        col = f"g_{R:g}"
+        cols.append(col)
+        g = []
+        for s in snaps:
+            r = s.mesh.nodes
+            g.append(2.0 * FOUR_PI * s.mesh.integrate(r * r * s.u() * s.ut() * smoothstep_bump(r / R)))
+        data[col] = np.array(g) if n >= 3 else np.full(n, np.nan)
+    return cols, data
+
+
+def reference_to_csv(series, path):
+    """The csv.writer loop `DiagnosticsSeries.to_csv` replaced."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(series.columns)
+        for i in range(len(series.data[series.columns[0]])):
+            w.writerow([repr(float(series.data[c][i])) for c in series.columns])
+
+
+def _first(report, k):
+    return dataclasses.replace(
+        report, times=report.times[:k], energies=report.energies[:k],
+        sup_history=report.sup_history[:k], snapshots=report.snapshots[:k],
+    )
+
+
+class TestOnePassSeries:
+    @pytest.mark.parametrize("case", ["plain", "split_0", "split_5", "two_snapshots"])
+    def test_bitwise_equal_to_multi_pass(self, bump_run, case, tmp_path):
+        report, split = bump_run, None
+        if case.startswith("split"):
+            # from index 0, v covers the run and z1/z2 subtract its moments;
+            # from index 5 only a is used
+            split = analysis.singular_part(bump_run.snapshots, T_est=3.0, t0_index=int(case[-1]))
+        if case == "two_snapshots":
+            report = _first(bump_run, 2)
+        radii = dict(ball_radii=(1.0, 2.5, 50.0), g_radii=(4.0, 2.0))
+        got = analysis.diagnostics_series(report, split=split, **radii)
+        cols, want = reference_diagnostics_series(report, split=split, **radii)
+        assert got.columns == cols
+        for c in cols:
+            assert got.data[c].dtype == want[c].dtype and got.data[c].tobytes() == want[c].tobytes(), c
+        if case == "two_snapshots":
+            assert all(np.isnan(got.data[c]).all() for c in ("z1", "z2", "Z", "g_4", "g_2"))
+        a, b = tmp_path / "got.csv", tmp_path / "want.csv"
+        got.to_csv(a)
+        reference_to_csv(got, b)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_one_gradient_per_snapshot(self, bump_run, monkeypatch):
+        calls = []
+        gradient = np.gradient
+        monkeypatch.setattr(np, "gradient", lambda *a, **k: calls.append(1) or gradient(*a, **k))
+        analysis.diagnostics_series(bump_run, ball_radii=(2.0,), g_radii=(4.0,))
+        # d_r u once per snapshot, plus the W reference of the d column
+        assert len(calls) == len(bump_run.snapshots) + 1

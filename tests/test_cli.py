@@ -157,6 +157,20 @@ class TestProfiles:
     def test_missing_snapshot(self, tmp_path):
         assert main(["profiles", str(tmp_path / "nope.csv"), "--out", str(tmp_path), "--quiet"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--lam-min", "--lam-max"])
+    def test_lone_lam_bound_exit_2(self, tmp_path, capsys, flag):
+        # one bound alone used to be dropped: the search ran over the default range
+        mesh = RadialMesh.graded(1e-6, 1e3, 60)
+        state = FieldState.from_u(mesh, eval_w(mesh.nodes, GroundStateParams(lam=1e-3)),
+                                  np.zeros_like(mesh.nodes))
+        snap = tmp_path / "snap.csv"
+        solver.save_snapshot(state, snap)
+        out = tmp_path / "prof"
+        assert main(["profiles", str(snap), "--out", str(out), flag, "10", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "--lam-min" in err and "--lam-max" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -1,5 +1,10 @@
 """Time-domain solver: configs, stepping, conservation, blow-up handling."""
 
+import csv
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,7 +108,40 @@ class TestConfig:
             solver.make_initial_data(cfg.mesh(), cfg.family, cfg.params)
 
 
+def reference_save_snapshot(state, path):
+    """The csv.writer loop that `solver.save_snapshot` replaced, kept as the
+    reference for its bytes."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["r", "u", "ut"])
+        for r, u, ut in zip(state.mesh.nodes, state.u(), state.ut()):
+            w.writerow([repr(float(r)), repr(float(u)), repr(float(ut))])
+
+
+# every float class: signed zeros, subnormals, 1e+-300, inf and nan
+SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-300, -1e300,
+           1.7976931348623157e308, np.inf, -np.inf, np.nan]
+ANY_FLOAT = st.sampled_from(SPECIAL) | st.floats()
+
+
 class TestSnapshots:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        r=st.lists(st.floats(0.0, 1e300, exclude_min=True), min_size=2, max_size=40, unique=True),
+        data=st.data(),
+    )
+    def test_bytes_match_csv_writer(self, r, data):
+        nodes = np.array([0.0, *sorted(r)])
+        n = nodes.size
+        h, hdot = (np.array([0.0, *data.draw(st.lists(ANY_FLOAT, min_size=n - 1, max_size=n - 1))])
+                   for _ in range(2))
+        state = FieldState(RadialMesh(nodes), 0.0, h, hdot)
+        with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+            got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+            solver.save_snapshot(state, got)
+            reference_save_snapshot(state, want)
+            assert got.read_bytes() == want.read_bytes()
+
     def test_roundtrip(self, tmp_path):
         mesh = RadialMesh.uniform(0.1, 5.0)
         state = solver.make_initial_data(mesh, "bump", BUMP)
@@ -160,6 +198,20 @@ class TestRun:
         assert rep.t_star is not None and 0.0 < rep.t_star < 5.0
         # the last stable state is retained for diagnostics
         assert rep.snapshots[-1].t == pytest.approx(rep.t_star)
+
+    def test_rhs_overflow_before_blowup_warns_nothing(self):
+        # the RK stages reach inf before sup|u| crosses the threshold; the
+        # inf ends the run as a blow-up, at the t* the overflow warning hid
+        cfg = solver.RunConfig.from_dict({
+            "mesh": {"h": 0.005, "rmax": 12.0}, "t_end": 20.0, "output": {"every": 0.5},
+            "data": {"family": "near_w", "lambda": 1.0, "delta": 0.05},
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solver.run(cfg)
+        assert rep.outcome == "BlowUpDetected"
+        assert rep.t_star == 2.027499999999968
+        assert rep.snapshots[-1].t == rep.t_star
 
     def test_finite_speed_small_leakage(self):
         cfg = solver.RunConfig(
