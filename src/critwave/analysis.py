@@ -165,12 +165,21 @@ class VirialSeries:
     Z_defect: np.ndarray
 
 
-def _virial_moments(state: FieldState) -> tuple[float, float, float, float, float]:
+def _virial_z(state: FieldState) -> tuple[float, float]:
+    """(z1, z2) = (int u u_t, int x.grad u u_t) of one field."""
     r = state.mesh.nodes
     u, ut, ur = state.u(), state.ut(), state.du_dr()
     m = state.mesh.integrate
-    z1 = FOUR_PI * m(r * r * u * ut)
-    z2 = FOUR_PI * m(r * r * r * ur * ut)
+    return FOUR_PI * m(r * r * u * ut), FOUR_PI * m(r * r * r * ur * ut)
+
+
+def _virial_moments(state: FieldState) -> tuple[float, float, float, float, float]:
+    """(z1, z2, kin, grad, pot): _virial_z and the three right-hand-side integrals."""
+    frame = _Frame(state)  # u, u_t and d_r u once for all five
+    r = state.mesh.nodes
+    u, ut, ur = frame.u(), frame.ut(), frame.du_dr()
+    m = state.mesh.integrate
+    z1, z2 = _virial_z(frame)
     kin = FOUR_PI * m(r * r * ut * ut)
     grad = FOUR_PI * m(r * r * ur * ur)
     pot = FOUR_PI * m(r * r * u**6)
@@ -410,9 +419,9 @@ def diagnostics_series(
             rep = energy(frame, Region.ball(min(rho, s.mesh.rmax)))
             data[f"E_ball_{rho:g}"][i] = rep.gradient_sq + rep.kinetic_sq
         if n >= 3:
-            z = _virial_moments(frame)[:2]
+            z = _virial_z(frame)
             if v_snaps is not None:
-                z = tuple(x - y for x, y in zip(z, _virial_moments(v_snaps[i])))
+                z = tuple(x - y for x, y in zip(z, _virial_z(v_snaps[i])))
             moments.append(z)
             for R in g_radii:
                 data[f"g_{R:g}"][i] = _g_r(frame, R)

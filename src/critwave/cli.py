@@ -21,9 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import CritwaveError, InvalidConfigError
+from .errors import CritwaveError, InvalidConfigError, InvalidDataError
 from . import analysis, dalembert, profiles, solver
-from .ground_state import energy
 from .mesh import FieldState
 
 EXIT_OK = 0
@@ -177,16 +176,34 @@ def cmd_dalembert(args) -> int:
 # -------------------------------------------------------------------- analyze
 
 
+def _read_series_columns(path: Path, names: tuple, n_rows: int) -> list:
+    """The named columns of a run's series.csv, which must have n_rows rows."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    try:
+        index = [rows[0].index(name) for name in names]
+        columns = [np.array([float(row[j]) for row in rows[1:]]) for j in index]
+    except (IndexError, ValueError) as exc:
+        raise InvalidDataError(f"{path}: malformed series ({exc})") from exc
+    if len(rows) - 1 != n_rows:
+        raise InvalidDataError(f"{path}: {len(rows) - 1} rows, but report.json lists {n_rows} snapshots")
+    return columns
+
+
 def _load_run_dir(run_dir: Path) -> solver.RunReport:
+    """The report of a run directory: its snapshots, which share one mesh
+    while their r columns are equal, and E and sup_u from its series.csv."""
     with open(run_dir / "report.json") as fh:
         rep = json.load(fh)
     times = rep["snapshot_times"]
+    energies, sups = _read_series_columns(run_dir / "series.csv", ("E", "sup_u"), len(times))
     snaps = []
+    mesh = None
     for i, t in enumerate(times):
         state = solver.load_snapshot(run_dir / "snapshots" / f"snap_{i:04d}.csv")
-        snaps.append(FieldState(state.mesh, float(t), state.h, state.hdot))
-    energies = np.array([energy(s).total_energy for s in snaps])
-    sups = np.array([s.sup_u() for s in snaps])
+        if mesh is None or not np.array_equal(state.mesh.nodes, mesh.nodes):
+            mesh = state.mesh
+        snaps.append(FieldState(mesh, float(t), state.h, state.hdot))
     return solver.RunReport(
         outcome=rep["outcome"],
         t_star=rep["t_star"],

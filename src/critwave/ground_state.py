@@ -41,12 +41,16 @@ def eval_w(r, params: GroundStateParams = GroundStateParams()):
     return val if val.ndim else float(val)
 
 
+def _w_deriv(r, lam):
+    """d/dr of lam^{-1/2} W(r/lam); lam may be an array that broadcasts
+    against r, e.g. a column of scales for one row per scale."""
+    rho = r / lam
+    return lam**-1.5 * (-rho / 3.0) * (1.0 + rho**2 / 3.0) ** -1.5
+
+
 def eval_w_deriv(r, params: GroundStateParams = GroundStateParams()):
     """d/dr of eval_w."""
-    r = np.asarray(r, dtype=float)
-    lam = params.lam
-    rho = r / lam
-    val = params.iota * lam**-1.5 * (-rho / 3.0) * (1.0 + rho**2 / 3.0) ** -1.5
+    val = params.iota * _w_deriv(np.asarray(r, dtype=float), params.lam)
     return val if val.ndim else float(val)
 
 

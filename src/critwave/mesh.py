@@ -10,11 +10,39 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import InvalidParameterError, OutOfDomainError
 
 _ALL = slice(None)  # RadialMesh.integrate's default run: every node
+
+
+def _weights(nodes: np.ndarray, dr: float | None) -> np.ndarray:
+    """Quadrature weights w of a run of >= 2 nodes, so that w @ f integrates f dr.
+
+    With a uniform spacing dr these are the weights scipy's simpson(f, dx=dr)
+    applies: dr/3 [1, 4, 2, ..., 4, 1] on an odd count of nodes; on an even
+    count, Simpson on all but the last node plus Cartwright's last-interval
+    terms (-1/12, 2/3, 5/12) dr; the trapezoid on 2 nodes. Without one,
+    trapezoid weights.
+    """
+    m = nodes.size
+    if dr is None:
+        d = np.diff(nodes)
+        w = np.zeros(m)
+        w[:-1] += 0.5 * d
+        w[1:] += 0.5 * d
+        return w
+    if m == 2:
+        return np.full(2, 0.5 * dr)
+    k = m - 1 + m % 2  # the odd count of nodes under Simpson panels
+    w = np.zeros(m)
+    w[1 : k - 1 : 2] = 4.0
+    w[2 : k - 1 : 2] = 2.0
+    w[0] = w[k - 1] = 1.0
+    w *= dr / 3.0
+    if k < m:
+        w[-3:] += dr * np.array([-1.0 / 12.0, 2.0 / 3.0, 5.0 / 12.0])
+    return w
 
 
 @dataclass(frozen=True)
@@ -24,7 +52,8 @@ class RadialMesh:
     Uniform meshes (``RadialMesh.uniform``) are required by the
     time-domain solver; analysis and profile extraction accept arbitrary
     strictly increasing nodes (e.g. ``RadialMesh.graded`` log spacing).
-    The uniform spacing is found once, at construction.
+    The uniform spacing and the quadrature weights (`weights`) are found
+    once, at construction.
     """
 
     nodes: np.ndarray
@@ -43,6 +72,9 @@ class RadialMesh:
         # plus a few ulps of rmax, the rounding of np.linspace's nodes
         uniform = np.allclose(d, d[0], rtol=1e-12, atol=4.0 * np.finfo(float).eps * nodes[-1])
         object.__setattr__(self, "_dr", float(d[0]) if uniform else None)
+        w = _weights(nodes, self._dr)
+        w.setflags(write=False)
+        object.__setattr__(self, "_w", w)
 
     @classmethod
     def uniform(cls, h: float, rmax: float) -> "RadialMesh":
@@ -76,22 +108,24 @@ class RadialMesh:
     def is_uniform(self) -> bool:
         return self._dr is not None
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Read-only quadrature weights: composite Simpson on uniform meshes,
+        trapezoid otherwise (see `_weights`)."""
+        return self._w
+
     def integrate(self, values: np.ndarray, run: slice = _ALL) -> float:
         """Integral of sampled values dr over the mesh, or over the run of
-        nodes that the slice `run` selects.
-
-        Composite Simpson on uniform meshes, trapezoid otherwise; a run of
-        fewer than 2 nodes integrates to 0.
+        nodes that the slice `run` selects: w @ values, with the weights of
+        the run's own length (a run of fewer than 2 nodes integrates to 0).
         """
         values = np.asarray(values, dtype=float)
-        nodes = self.nodes
-        if run is not _ALL:  # the whole mesh, the hot path, is not sliced
-            values, nodes = values[run], nodes[run]
-            if values.size < 2:
-                return 0.0
-        if self._dr is not None:
-            return float(simpson(values, dx=self._dr))
-        return float(np.trapezoid(values, nodes))
+        if run is _ALL:  # the whole mesh, the hot path, uses the stored weights
+            return float(self._w @ values)
+        values = values[run]
+        if values.size < 2:
+            return 0.0
+        return float(_weights(self.nodes[run], self._dr) @ values)
 
     def cumulative(self, values: np.ndarray) -> np.ndarray:
         """Running trapezoid integral of values dr, node by node."""

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import DegenerateInputError, InvalidDataError, InvalidParameterError
-from .ground_state import GroundStateParams, eval_w, eval_w_deriv
+from .ground_state import GroundStateParams, _w_deriv, eval_w, eval_w_deriv
 from .mesh import FieldState, RadialMesh
 from .radial import FOUR_PI
 
@@ -22,6 +22,7 @@ _SEPARATION_FACTOR = 10.0  # least scale ratio between two extracted bubbles
 _COEFF_WINDOW = (0.7, 1.3)  # projection coefficients snapped to +-1
 _REFINE_SWEEPS = 2  # back-fitting sweeps over a multi-bubble fit
 _GRID_PER_DECADE = 4  # log-lam grid density of the scale search
+_BLOCK_ELEMENTS = 2**20  # size of one row block of the grid-scoring matrix
 
 
 @dataclass(frozen=True)
@@ -78,19 +79,49 @@ def correlate_scale(mesh: RadialMesh, du: np.ndarray, lam: float) -> tuple[float
     return inner / np.sqrt(nu * nw), inner / nw
 
 
+def _grid_scores(mesh: RadialMesh, du: np.ndarray, loglam: np.ndarray) -> np.ndarray:
+    """|correlation| of du against grad W_lam at every lam = exp(loglam).
+
+    With a = 4 pi w r^2 and D the matrix whose row i is grad W at lam_i, the
+    scores are |D @ (a du)| / sqrt((a @ du^2) ((D*D) @ a)): correlate_scale at
+    every grid point up to rounding. D is formed in row blocks of about
+    _BLOCK_ELEMENTS elements (one row at a time on a mesh larger than that).
+    """
+    r = mesh.nodes
+    a = FOUR_PI * mesh.weights * r * r
+    adu = a * du
+    nu = a @ (du * du)
+    if nu <= 0:
+        raise DegenerateInputError("vanishing gradient norm")
+    lam = np.exp(loglam)
+    rows = max(1, _BLOCK_ELEMENTS // r.size)
+    scores = np.empty(lam.size)
+    for i in range(0, lam.size, rows):
+        d = _w_deriv(r, lam[i : i + rows, None])
+        nw = (d * d) @ a
+        if np.any(nw <= 0):
+            raise DegenerateInputError("vanishing gradient norm")
+        scores[i : i + rows] = np.abs(d @ adu) / np.sqrt(nu * nw)
+    return scores
+
+
 def _best_scale(mesh, du, lo, hi):
-    """(lam, |correlation|) of the scale in lo <= log lam <= hi best correlated with du:
-    a log grid of _GRID_PER_DECADE points per decade, then one bounded search
-    between the best grid point's two neighbours."""
+    """(lam, correlation, coefficient) of the scale in lo <= log lam <= hi best
+    correlated with du: a log grid of _GRID_PER_DECADE points per decade scored
+    at once, then one bounded search between the best grid point's two
+    neighbours, whose evaluation at its result is returned."""
+    seen = {}
 
     def neg_abs_corr(loglam):
-        return -abs(correlate_scale(mesh, du, np.exp(loglam))[0])
+        seen[loglam] = correlate_scale(mesh, du, np.exp(loglam))
+        return -abs(seen[loglam][0])
 
     grid = np.linspace(lo, hi, int(np.ceil(_GRID_PER_DECADE * (hi - lo) / np.log(10.0))) + 1)
-    i = int(np.argmin([neg_abs_corr(x) for x in grid]))
+    i = int(np.argmax(_grid_scores(mesh, du, grid)))
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
     res = minimize_scalar(neg_abs_corr, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
-    return float(np.exp(res.x)), -res.fun
+    corr, coeff = seen[res.x]  # the result is the best point the search evaluated
+    return float(np.exp(res.x)), corr, coeff
 
 
 def extract(
@@ -132,10 +163,9 @@ def extract(
     while len(bubbles) < max_bubbles:
         if _grad_inner(mesh, du_res, du_res) <= 1e-30 * total:
             break
-        lam, corr_abs = _best_scale(mesh, du_res, lo, hi)
-        if corr_abs < correlation_floor:
+        lam, corr, coeff = _best_scale(mesh, du_res, lo, hi)
+        if abs(corr) < correlation_floor:
             break
-        corr, coeff = correlate_scale(mesh, du_res, lam)
         if not (_COEFF_WINDOW[0] <= abs(coeff) <= _COEFF_WINDOW[1]):
             break
         if any(max(lam / b.lam, b.lam / lam) < _SEPARATION_FACTOR for b in bubbles):
@@ -154,8 +184,7 @@ def extract(
                 for k, other in enumerate(bubbles):
                     if k != j:
                         du_j -= eval_w_deriv(r, GroundStateParams(lam=other.lam, iota=other.iota))
-                lam_j, _ = _best_scale(mesh, du_j, np.log(b.lam / 3.0), np.log(b.lam * 3.0))
-                corr, coeff = correlate_scale(mesh, du_j, lam_j)
+                lam_j, corr, coeff = _best_scale(mesh, du_j, np.log(b.lam / 3.0), np.log(b.lam * 3.0))
                 bubbles[j] = Bubble(
                     iota=1 if coeff > 0 else -1, lam=lam_j, coeff=float(coeff), correlation=float(corr)
                 )

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from critwave import cli
 from critwave.cli import main
 from critwave.ground_state import GroundStateParams, eval_w
 from critwave.mesh import FieldState, RadialMesh
@@ -136,6 +137,39 @@ class TestAnalyze:
 
     def test_not_a_run_dir(self, tmp_path):
         assert main(["analyze", str(tmp_path), "--out", str(tmp_path), "--quiet"]) == 2
+
+    def test_one_mesh_and_simulate_columns(self, tmp_path):
+        run_dir = tmp_path / "run"
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+        report = cli._load_run_dir(run_dir)
+        assert len(report.snapshots) == 5
+        assert all(s.mesh is report.snapshots[0].mesh for s in report.snapshots)
+        out = tmp_path / "an"
+        assert main(["analyze", str(run_dir), "--out", str(out), "--quiet"]) == 0
+
+        def columns(path):
+            with open(path, newline="") as fh:
+                return [row[1:3] for row in csv.reader(fh)]
+
+        assert columns(out / "series.csv") == columns(run_dir / "series.csv")
+
+    @pytest.mark.parametrize("damage", ["missing", "short", "no_E"])
+    def test_bad_series_exit_3(self, tmp_path, capsys, damage):
+        run_dir = tmp_path / "run"
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+        series = run_dir / "series.csv"
+        lines = series.read_text().splitlines(keepends=True)
+        if damage == "missing":
+            series.unlink()
+        elif damage == "short":
+            series.write_text("".join(lines[:-1]))
+        else:
+            series.write_text("".join([lines[0].replace(",E,", ",e,"), *lines[1:]]))
+        capsys.readouterr()
+        assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 3
+        assert str(series) in capsys.readouterr().err
 
 
 class TestProfiles:

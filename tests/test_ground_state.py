@@ -78,6 +78,18 @@ def _reference_w_exterior_grad(radius, N=3):
     )[0]
 
 
+def _reference_integrate(mesh, values, run=slice(None)):
+    """The earlier integrate(): scipy's simpson(dx=) on uniform meshes, np.trapezoid otherwise."""
+    from scipy.integrate import simpson
+
+    values, nodes = np.asarray(values, dtype=float)[run], mesh.nodes[run]
+    if values.size < 2:
+        return 0.0
+    if mesh.is_uniform:
+        return float(simpson(values, dx=mesh.spacing))
+    return float(np.trapezoid(values, nodes))
+
+
 def _reference_energy(field, region):
     """(gradient_sq, kinetic_sq, potential, hardy_sq) as the sub-mesh energy() gave them."""
     from scipy.integrate import simpson
@@ -148,6 +160,39 @@ class TestMesh:
         else:
             with pytest.raises(InvalidParameterError):
                 mesh.spacing
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graded=st.booleans(),
+        n=st.integers(3, 300),
+        h=st.floats(1e-3, 1.0),
+        ppd=st.integers(5, 120),
+        scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e200]),
+        seed=st.integers(0, 2**32 - 1),
+        where=st.floats(0.0, 1.0),
+    )
+    def test_integrate_matches_reference(self, graded, n, h, ppd, scale, seed, where):
+        # every run of 0..size nodes, so on uniform meshes every Simpson
+        # length 2..300; the weights are positive, so sum |w f| is the
+        # reference rule applied to |f|
+        mesh = RadialMesh.graded(h, h * n, ppd) if graded else RadialMesh(h * np.arange(n, dtype=float))
+        assert mesh.is_uniform is not graded
+        size = mesh.nodes.size
+        values = scale * np.random.default_rng(seed).standard_normal(size)
+        tol = 16.0 * np.finfo(float).eps
+        got, want = mesh.integrate(values), _reference_integrate(mesh, values)
+        assert abs(got - want) <= tol * _reference_integrate(mesh, np.abs(values))
+        for m in range(size + 1):
+            start = int(where * (size - m))
+            run = slice(start, start + m)
+            got, want = mesh.integrate(values, run), _reference_integrate(mesh, values, run)
+            assert abs(got - want) <= tol * _reference_integrate(mesh, np.abs(values), run)
+
+    def test_weights_read_only(self):
+        mesh = RadialMesh.uniform(0.25, 2.0)
+        assert mesh.weights @ np.ones(mesh.nodes.size) == pytest.approx(2.0, rel=1e-15)
+        with pytest.raises(ValueError):
+            mesh.weights[0] = 1.0
 
     def test_simpson_exact_on_cubic(self):
         mesh = RadialMesh.uniform(0.25, 2.0)

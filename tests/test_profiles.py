@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from critwave.errors import InvalidDataError
+from critwave.errors import DegenerateInputError, InvalidDataError
 from critwave.ground_state import GroundStateParams, eval_w
 from critwave.mesh import FieldState, RadialMesh
 from critwave import profiles
@@ -40,6 +40,60 @@ class TestCorrelateScale:
         assert coeff == pytest.approx(-1.0, abs=2e-3)
 
 
+# 1-, 2- and 3-bubble fields: (scale, sign) pairs and the extraction's lam_range
+FIELDS = {
+    1: ([(0.37, -1)], (1e-3, 100.0)),
+    2: ([(1e-3, 1), (2.0, -1)], (1e-4, 100.0)),
+    3: ([(1e-4, 1), (0.1, -1), (100.0, 1)], (1e-5, 1e3)),
+}
+
+
+def scale_grid(lam_range):
+    """The greedy search's log-lam grid for lam_range (see extract and _best_scale)."""
+    lo, hi = np.log(lam_range)
+    reach = 3.0 / 28.0 * (hi - lo)
+    lo, hi = lo - reach, hi + reach
+    return np.linspace(lo, hi, int(np.ceil(profiles._GRID_PER_DECADE * (hi - lo) / np.log(10.0))) + 1)
+
+
+class TestGridScores:
+    """The one-product grid scores against correlate_scale at every grid point."""
+
+    @staticmethod
+    def check(mesh, du, grid):
+        got = profiles._grid_scores(mesh, du, grid)
+        want = np.array([abs(profiles.correlate_scale(mesh, du, np.exp(x))[0]) for x in grid])
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+        assert np.argmax(got) == np.argmax(want)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_equal_to_correlate_scale(self, mesh, count):
+        scales, lam_range = FIELDS[count]
+        self.check(mesh, bubble_field(mesh, scales, noise=1e-3).du_dr(), scale_grid(lam_range))
+
+    def test_row_blocks(self, monkeypatch):
+        # 198002 nodes: a block holds 5 of the grid's 40 rows
+        mesh = RadialMesh.graded(1e-6, 1e3, 22000)
+        shapes = []
+
+        def spy(r, lam):
+            shapes.append(lam.shape)
+            return w_deriv(r, lam)
+
+        w_deriv = profiles._w_deriv
+        monkeypatch.setattr(profiles, "_w_deriv", spy)
+        scales, lam_range = FIELDS[3]
+        grid = scale_grid(lam_range)
+        self.check(mesh, bubble_field(mesh, scales).du_dr(), grid)
+        assert len(shapes) > 1
+        assert sum(s[0] for s in shapes) == grid.size
+        assert all(s[0] * mesh.nodes.size <= profiles._BLOCK_ELEMENTS for s in shapes)
+
+    def test_degenerate_input(self, mesh):
+        with pytest.raises(DegenerateInputError):
+            profiles._grid_scores(mesh, np.zeros_like(mesh.nodes), scale_grid((1e-3, 100.0)))
+
+
 class TestExtract:
     def test_single_bubble(self, mesh):
         state = bubble_field(mesh, [(0.37, -1)])
@@ -65,6 +119,31 @@ class TestExtract:
         state = FieldState.from_u(mesh, 0.1 * np.exp(-((r - 1.0) ** 2) / 4.0), np.zeros_like(r))
         d = profiles.extract(state, lam_range=(1e-3, 100.0))
         assert d.n_bubbles == 0
+
+    def test_correlate_scale_only_in_the_refines(self, mesh, monkeypatch):
+        # the grid and the coefficient of each found scale make no
+        # correlate_scale call: 3 greedy refines and 2 back-fit sweeps of 3
+        calls, nfev = [], []
+        correlate_scale, minimize_scalar = profiles.correlate_scale, profiles.minimize_scalar
+
+        def counted(*args):
+            calls.append(args[2])
+            return correlate_scale(*args)
+
+        def refine(*args, **kwargs):
+            res = minimize_scalar(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(profiles, "correlate_scale", counted)
+        monkeypatch.setattr(profiles, "minimize_scalar", refine)
+        scales, lam_range = FIELDS[3]
+        d = profiles.extract(bubble_field(mesh, scales, noise=1e-3), lam_range=lam_range)
+        assert sorted((b.lam, b.iota) for b in d.bubbles) == [
+            (pytest.approx(lam, rel=0.01), iota) for lam, iota in scales
+        ]
+        assert len(nfev) == 9
+        assert len(calls) == sum(nfev)
 
     def test_half_amplitude_rejected_by_coeff_window(self, mesh):
         r = mesh.nodes
