@@ -12,6 +12,7 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidParameterError
 from .ground_state import (
     GroundStateParams,
+    _gradient_kinetic,
     energy,
     eval_w_deriv,
     w_constants,
@@ -225,8 +226,8 @@ def d_functional(field: FieldState, grad_ref: float | None = None) -> float:
     """d = 8 int u_t^2 + 4 (int |grad u|^2 - int |grad W|^2)."""
     if grad_ref is None:
         grad_ref = w_constants(3)["grad_norm_sq"]
-    rep = energy(field)
-    return 8.0 * rep.kinetic_sq + 4.0 * (rep.gradient_sq - grad_ref)
+    gradient_sq, kinetic_sq = _gradient_kinetic(field)
+    return 8.0 * kinetic_sq + 4.0 * (gradient_sq - grad_ref)
 
 
 def tail_energy(field: FieldState, R: float) -> float:
@@ -295,8 +296,8 @@ def cone_energy(snapshots: list, T_est: float) -> tuple[np.ndarray, np.ndarray]:
         if rad <= 0:
             vals.append(0.0)
             continue
-        rep = energy(s, Region.ball(min(rad, s.mesh.rmax)))
-        vals.append(rep.gradient_sq + rep.kinetic_sq)
+        gradient_sq, kinetic_sq = _gradient_kinetic(s, Region.ball(min(rad, s.mesh.rmax)))
+        vals.append(gradient_sq + kinetic_sq)
     return times, np.array(vals)
 
 
@@ -402,7 +403,7 @@ def diagnostics_series(
     if snaps:
         from .ground_state import w_field
 
-        d_ref = energy(w_field(snaps[0].mesh)).gradient_sq
+        d_ref = _gradient_kinetic(w_field(snaps[0].mesh))[0]
 
     for i, s in enumerate(snaps):
         frame = _Frame(s)
@@ -416,8 +417,8 @@ def diagnostics_series(
             data["f"][i] = sign_projection(a, radii.lambda1)
         data["d"][i] = d_functional(frame, grad_ref=d_ref)
         for rho in ball_radii:
-            rep = energy(frame, Region.ball(min(rho, s.mesh.rmax)))
-            data[f"E_ball_{rho:g}"][i] = rep.gradient_sq + rep.kinetic_sq
+            gradient_sq, kinetic_sq = _gradient_kinetic(frame, Region.ball(min(rho, s.mesh.rmax)))
+            data[f"E_ball_{rho:g}"][i] = gradient_sq + kinetic_sq
         if n >= 3:
             z = _virial_z(frame)
             if v_snaps is not None:

@@ -117,21 +117,37 @@ def energy(field: FieldState, region: Region = Region.full()) -> EnergyReport:
     The Hardy integrand u^2/r^2 * r^2 dr reduces to u^2 dr and is
     evaluated through h/r, with the limit (d_r h)(0) at the origin.
     """
+    gradient_sq, kinetic_sq = _gradient_kinetic(field, region)
     mesh = field.mesh
-    r0, r1 = region.clip(mesh)
     r = mesh.nodes
+    run = _region_run(mesh, region)
     u = field.u()
-    ut = field.ut()
-    dur = field.du_dr()
-    # the nodes in [r0, r1], with edges snapped to nodes within 1e-12
-    run = slice(np.searchsorted(r, r0 - 1e-12), np.searchsorted(r, r1 + 1e-12, side="right"))
     return EnergyReport(
-        gradient_sq=FOUR_PI * mesh.integrate(r * r * dur**2, run),
-        kinetic_sq=FOUR_PI * mesh.integrate(r * r * ut**2, run),
+        gradient_sq=gradient_sq,
+        kinetic_sq=kinetic_sq,
         potential=FOUR_PI * mesh.integrate(r * r * u**6, run),
         hardy_sq=FOUR_PI * mesh.integrate(u * u, run),
         region=region,
     )
+
+
+def _gradient_kinetic(field: FieldState, region: Region = Region.full()) -> tuple[float, float]:
+    """(gradient_sq, kinetic_sq) of `energy(field, region)`, without its
+    potential and Hardy integrals."""
+    mesh = field.mesh
+    r = mesh.nodes
+    run = _region_run(mesh, region)
+    return (
+        FOUR_PI * mesh.integrate(r * r * field.du_dr() ** 2, run),
+        FOUR_PI * mesh.integrate(r * r * field.ut() ** 2, run),
+    )
+
+
+def _region_run(mesh: RadialMesh, region: Region) -> slice:
+    """The nodes in the region's [r0, r1], with edges snapped to nodes within 1e-12."""
+    r0, r1 = region.clip(mesh)
+    r = mesh.nodes
+    return slice(np.searchsorted(r, r0 - 1e-12), np.searchsorted(r, r1 + 1e-12, side="right"))
 
 
 def energy_of_profile(u0: RadialProfile) -> EnergyReport:

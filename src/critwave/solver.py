@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidParameterError
-from .ground_state import GroundStateParams, energy, eval_w
+from .ground_state import GroundStateParams, _gradient_kinetic, energy, eval_w
 from .mesh import FieldState, RadialMesh, Region
 from .radial import RadialProfile, smoothstep_bump
 
@@ -178,15 +178,15 @@ def load_snapshot(path, mesh: RadialMesh | None = None) -> FieldState:
     """Read an r,u,ut snapshot CSV; resample onto `mesh` if given."""
     with open(path, newline="") as fh:
         if [c.strip() for c in next(csv.reader(fh), [])[:3]] != ["r", "u", "ut"]:
-            raise InvalidConfigError("expected header r,u,ut")
+            raise InvalidConfigError(f"{path}: expected header r,u,ut")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on no rows; raised below
             try:
                 arr = np.loadtxt(fh, delimiter=",", usecols=(0, 1, 2), ndmin=2)
             except ValueError as exc:
-                raise InvalidConfigError(f"malformed snapshot: {exc}") from exc
+                raise InvalidConfigError(f"{path}: malformed snapshot: {exc}") from exc
     if arr.shape[0] == 0:
-        raise InvalidConfigError("snapshot has no rows")
+        raise InvalidConfigError(f"{path}: snapshot has no rows")
     r, u, ut = arr[:, 0], arr[:, 1], arr[:, 2]
     if mesh is None:
         if r[0] != 0.0:
@@ -201,8 +201,31 @@ def load_snapshot(path, mesh: RadialMesh | None = None) -> FieldState:
 
 
 def save_snapshot(state: FieldState, path) -> None:
-    """Write the snapshot as r,u,ut CSV rows (see `_write_csv_columns`)."""
-    _write_csv_columns(path, ["r", "u", "ut"], [state.mesh.nodes, state.u(), state.ut()])
+    """Write the snapshot as r,u,ut CSV rows (see `_write_csv_columns`).
+
+    The text of the r column is kept for the last mesh written (see
+    `_r_column`), so the snapshots of a run, which share one mesh, format
+    only their u and ut columns.
+    """
+    columns = [_r_column(state.mesh), _format(state.u()), _format(state.ut())]
+    _write_csv_text(path, ["r", "u", "ut"], columns)
+
+
+# (mesh, repr text of its nodes) of the last snapshot saved; holding the
+# mesh keeps its identity from being reused by another mesh
+_last_r_column: tuple = (None, [])
+
+
+def _r_column(mesh: RadialMesh) -> list:
+    """The repr text of the mesh's nodes, formatted once per mesh."""
+    global _last_r_column
+    if _last_r_column[0] is not mesh:
+        _last_r_column = (mesh, _format(mesh.nodes))
+    return _last_r_column[1]
+
+
+def _format(column) -> list:
+    return list(map(repr, np.asarray(column, dtype=float).tolist()))
 
 
 def _write_csv_columns(path, header: list, columns: list) -> None:
@@ -214,7 +237,11 @@ def _write_csv_columns(path, header: list, columns: list) -> None:
     never needs quoting, and \\r\\n is its line terminator. Each column is
     formatted in one pass and the file is written at once.
     """
-    cols = [list(map(repr, np.asarray(c, dtype=float).tolist())) for c in columns]
+    _write_csv_text(path, header, [_format(c) for c in columns])
+
+
+def _write_csv_text(path, header: list, cols: list) -> None:
+    """`_write_csv_columns` on columns already formatted."""
     lines = [",".join(header), *map(",".join, zip(*cols))]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
@@ -374,8 +401,8 @@ def run(config: RunConfig, initial: FieldState | None = None) -> RunReport:
 
 
 def _linear_energy(state: FieldState) -> float:
-    rep = energy(state)
-    return 0.5 * rep.gradient_sq + 0.5 * rep.kinetic_sq
+    gradient_sq, kinetic_sq = _gradient_kinetic(state)
+    return 0.5 * gradient_sq + 0.5 * kinetic_sq
 
 
 def finite_speed_check(
@@ -400,8 +427,8 @@ def finite_speed_check(
         edge = rho + (sb.t - base0.t)
         if edge >= mesh.rmax:
             break
-        rep = energy(diff, Region.exterior(edge))
-        leaks.append(rep.gradient_sq + rep.kinetic_sq)
+        gradient_sq, kinetic_sq = _gradient_kinetic(diff, Region.exterior(edge))
+        leaks.append(gradient_sq + kinetic_sq)
         ts.append(sb.t)
     return float(max(leaks)), np.asarray(ts), np.asarray(leaks)
 

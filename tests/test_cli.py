@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,6 +29,36 @@ NEAR_W_CFG = (
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def run_files(run_dir):
+    """Bytes of a run's snapshots, series.csv and report.json by relative path."""
+    paths = [*sorted((run_dir / "snapshots").iterdir()), run_dir / "series.csv", run_dir / "report.json"]
+    return {str(p.relative_to(run_dir)): p.read_bytes() for p in paths}
+
+
+@pytest.fixture
+def cpus(monkeypatch, tmp_path):
+    """Set the CPU count the snapshot fan-out sees, with no minimum of rows,
+    and log every pool that cli creates: returns (set_cpus, pool_pids)."""
+    log = tmp_path / "pools.log"
+
+    class LoggedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            with open(log, "a") as fh:  # a file, so forked workers' pools show too
+                fh.write(f"{os.getpid()}\n")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", LoggedPool)
+    monkeypatch.setattr(cli, "_FAN_OUT_MIN_ROWS", 0)
+
+    def set_cpus(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+    def pool_pids():
+        return [int(pid) for pid in log.read_text().split()] if log.exists() else []
+
+    return set_cpus, pool_pids
 
 
 class TestSimulate:
@@ -86,6 +118,47 @@ class TestSimulate:
         ma = json.loads((a / "manifest.json").read_text())
         mb = json.loads((b / "manifest.json").read_text())
         assert ma["config_hash"] == mb["config_hash"]
+
+    def test_same_bytes_on_any_cpu_count(self, tmp_path, cpus):
+        # 11 snapshots: 3 CPUs split the 10 after snapshot 0 as 4 + 3 + 3
+        set_cpus, pool_pids = cpus
+        cfg = write(tmp_path / "c.json", BUMP_CFG.replace('"every": 0.25', '"every": 0.1'))
+        runs = {}
+        for k in (1, 2, 3):
+            set_cpus(k)
+            out = tmp_path / f"cpus{k}"
+            assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet",
+                         "--ball-radius", "2", "--g-radius", "4"]) == 0
+            runs[k] = run_files(out)
+            assert len(pool_pids()) == k - 1  # one pool per fanned-out simulate
+        assert len(runs[1]) == 11 + 2
+        assert runs[2] == runs[1] and runs[3] == runs[1]
+
+    def test_small_run_stays_serial(self, tmp_path, cpus, monkeypatch):
+        set_cpus, pool_pids = cpus
+        set_cpus(2)
+        monkeypatch.setattr(cli, "_FAN_OUT_MIN_ROWS", 1 << 16)
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 0
+        assert pool_pids() == []
+
+    def test_out_is_a_file_exit_3(self, tmp_path, capsys):
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+        assert str(out) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_snapshot_write_fails_exit_3(self, tmp_path, capsys, cpus, k):
+        # 5 snapshots: under 2 CPUs snapshot 4 is a forked writer's
+        set_cpus, _ = cpus
+        set_cpus(k)
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        blocked = tmp_path / "run" / "snapshots" / "snap_0004.csv"
+        blocked.mkdir(parents=True)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 3
+        assert str(blocked) in capsys.readouterr().err
 
 
 class TestDalembert:
@@ -153,6 +226,45 @@ class TestAnalyze:
                 return [row[1:3] for row in csv.reader(fh)]
 
         assert columns(out / "series.csv") == columns(run_dir / "series.csv")
+
+    def test_load_equal_on_any_cpu_count(self, tmp_path, cpus):
+        set_cpus, pool_pids = cpus
+        set_cpus(1)
+        run_dir = tmp_path / "run"
+        cfg = write(tmp_path / "c.json", BUMP_CFG.replace('"every": 0.25', '"every": 0.1'))
+        assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+        reports = []
+        for k in (1, 2):
+            set_cpus(k)
+            reports.append(cli._load_run_dir(run_dir))
+        assert len(pool_pids()) == 1  # the load under 2 CPUs forked
+        one, two = reports
+        assert one.times.tobytes() == two.times.tobytes()
+        assert len(one.snapshots) == len(two.snapshots) == 11
+        for a, b in zip(one.snapshots, two.snapshots):
+            assert a.t == b.t
+            assert a.h.tobytes() == b.h.tobytes() and a.hdot.tobytes() == b.hdot.tobytes()
+        for rep in reports:
+            assert all(s.mesh is rep.snapshots[0].mesh for s in rep.snapshots)
+
+    @pytest.mark.parametrize("damage", ["missing", "malformed"])
+    def test_bad_snapshot_in_workers_half_exit_3(self, tmp_path, capsys, cpus, damage):
+        # 5 snapshots: under 2 CPUs snapshot 4 is parsed by a forked worker
+        set_cpus, pool_pids = cpus
+        set_cpus(1)
+        run_dir = tmp_path / "run"
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+        snap = run_dir / "snapshots" / "snap_0004.csv"
+        if damage == "missing":
+            snap.unlink()
+        else:
+            snap.write_text("r,u,ut\n0.0,1.0,0.0\n0.1,abc,0.0\n")
+        set_cpus(2)
+        capsys.readouterr()
+        assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 3
+        assert str(snap) in capsys.readouterr().err
+        assert len(pool_pids()) == 1
 
     @pytest.mark.parametrize("damage", ["missing", "short", "no_E"])
     def test_bad_series_exit_3(self, tmp_path, capsys, damage):
@@ -229,6 +341,23 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert [row["outcome"] for row in rows] == ["Completed", "Completed", "BlowUpDetected"]
         assert rows[2]["t_star"] != ""
+
+    def test_cells_write_serially_in_workers(self, tmp_path, cpus):
+        set_cpus, pool_pids = cpus
+        set_cpus(2)
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        outs = {}
+        for jobs in ("2", "1"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["sweep", "--config", cfg, "--param", "data.amp=0.2,0.3",
+                         "--out", str(out), "--jobs", jobs, "--quiet"]) == 0
+            outs[jobs] = out
+            if jobs == "2":
+                assert pool_pids() == [os.getpid()]  # the sweep's pool, none nested in a cell
+        assert len(pool_pids()) == 3  # --jobs 1: each cell's snapshots fan out here
+        for cell in ("cell_000", "cell_001"):
+            assert run_files(outs["2"] / cell) == run_files(outs["1"] / cell)
+        assert (outs["2"] / "aggregate.csv").read_bytes() == (outs["1"] / "aggregate.csv").read_bytes()
 
     def test_bad_param_spec(self, tmp_path):
         cfg = write(tmp_path / "c.json", BUMP_CFG)

@@ -10,6 +10,7 @@ from critwave.ground_state import (
     GroundStateParams,
     elliptic_residual,
     energy,
+    _gradient_kinetic,
     energy_of_profile,
     eval_w,
     eval_w_deriv,
@@ -111,6 +112,24 @@ def _reference_energy(field, region):
         return float(np.trapezoid(v, sub))
 
     return tuple(FOUR_PI * integ(f) for f in (r * r * dur**2, r * r * ut**2, r * r * u**6, u * u))
+
+
+def _four_integral_energy(field, region):
+    """(gradient_sq, kinetic_sq, potential, hardy_sq) as energy() gave them
+    when it formed all four integrals itself, before `_gradient_kinetic`."""
+    mesh = field.mesh
+    r0, r1 = region.clip(mesh)
+    r = mesh.nodes
+    u = field.u()
+    ut = field.ut()
+    dur = field.du_dr()
+    run = slice(np.searchsorted(r, r0 - 1e-12), np.searchsorted(r, r1 + 1e-12, side="right"))
+    return (
+        FOUR_PI * mesh.integrate(r * r * dur**2, run),
+        FOUR_PI * mesh.integrate(r * r * ut**2, run),
+        FOUR_PI * mesh.integrate(r * r * u**6, run),
+        FOUR_PI * mesh.integrate(u * u, run),
+    )
 
 
 class TestMesh:
@@ -425,6 +444,9 @@ class TestAgainstReference:
             region = Region.annulus(a, b)
         rep = energy(field, region)
         got = (rep.gradient_sq, rep.kinetic_sq, rep.potential, rep.hardy_sq)
+        # bit for bit against the four-integral energy(), and so the pair
+        assert np.array(got).tobytes() == np.array(_four_integral_energy(field, region)).tobytes()
+        assert np.array(_gradient_kinetic(field, region)).tobytes() == np.array(got[:2]).tobytes()
         for g, want in zip(got, _reference_energy(field, region)):
             # relative to 1e-12; below the smallest normal float the last
             # bits are gone, so relative error is measured against it there
