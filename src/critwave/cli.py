@@ -61,10 +61,12 @@ def _iso_now() -> str:
 
 # ---------------------------------------------------------- snapshot fan-out
 
-# A forked pool costs 12-23 ms to start and stop on a 2-CPU host, while a
-# snapshot row costs about 2.5 us to write and 1 us to parse: below this
-# many rows the pool would cost about what the other CPUs save.
-_FAN_OUT_MIN_ROWS = 1 << 16
+# Fanning out costs a run about 20-30 ms whatever its size. End to end on
+# a 2-CPU host, simulate then analyze on 2401-node runs, fanned out against
+# serial over 15 alternating pairs: 50421 rows lost 60 ms (0/15 pairs won),
+# 60025 rows won 39 ms (11/15) and 69629 rows won 96 ms (14/15). Runs of
+# fewer rows stay serial. Hosts with more than 2 CPUs have not been measured.
+_FAN_OUT_MIN_ROWS = 60_000
 
 _forked_fn = None  # the fan-out's fn, set in its worker processes only
 
@@ -83,12 +85,14 @@ def _fan_out(fn, indices: range, rows: int):
     the k CPUs of this process's affinity mask.
 
     This process calls fn on the first ceil(len/k) indices itself while
-    k - 1 forked workers take the rest, one index per task. The workers
-    inherit fn, and all that it reads, from this process's memory (fork,
-    not spawn, for that; the pool forks them all before it starts its own
-    thread), so a task sends only its index and a result comes back one
-    call at a time. An exception that fn raises in a worker is raised here
-    when its result is reached.
+    forked workers take the rest, one index per task: k - 1 workers, or
+    one per remaining index if that is fewer, since a fork-context pool
+    forks all of its workers at its first task, before it starts its own
+    thread. The workers inherit fn, and all that it reads, from this
+    process's memory, so a task sends only its index and a result comes
+    back one call at a time. An exception that fn raises in a worker is
+    raised here when its result is reached; the tasks not yet started are
+    then cancelled.
 
     Runs serially under `_FAN_OUT_MIN_ROWS` rows of work, where the mask
     cannot be read, and inside a worker process (a sweep cell), so that
@@ -103,19 +107,17 @@ def _fan_out(fn, indices: range, rows: int):
         yield from map(fn, indices)
         return
     with ProcessPoolExecutor(
-        max_workers=k - 1,
+        max_workers=min(k - 1, len(indices) - own),
         mp_context=multiprocessing.get_context("fork"),
         initializer=_set_forked_fn,
         initargs=(fn,),
     ) as pool:
-        futures = [pool.submit(_call_forked_fn, i) for i in indices[own:]]
         try:
+            results = pool.map(_call_forked_fn, indices[own:])
             yield from map(fn, indices[:own])
-            for future in futures:
-                yield future.result()
+            yield from results
         finally:
-            for future in futures:
-                future.cancel()
+            pool.shutdown(cancel_futures=True)
 
 
 # ------------------------------------------------------------- simulate logic

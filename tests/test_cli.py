@@ -25,6 +25,8 @@ NEAR_W_CFG = (
     ' "data": {"family": "near_w", "delta": %s, "lambda": 0.5, "r_cut": 6.0}}'
 )
 
+FAN_OUT_MIN_ROWS = cli._FAN_OUT_MIN_ROWS  # the cpus fixture sets it to 0
+
 
 def write(path, text):
     path.write_text(text)
@@ -59,6 +61,29 @@ def cpus(monkeypatch, tmp_path):
         return [int(pid) for pid in log.read_text().split()] if log.exists() else []
 
     return set_cpus, pool_pids
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("rows", [FAN_OUT_MIN_ROWS - 1, FAN_OUT_MIN_ROWS])
+    def test_cut_off_and_pool_size(self, monkeypatch, rows):
+        # 8 CPUs and 3 indices: this process takes index 0, so a fanned-out
+        # call forks 2 workers, not 7
+        sizes = []
+
+        class SizedPool(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SizedPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        got = list(cli._fan_out(lambda i: (i * i, os.getpid()), range(3), rows))
+        assert [square for square, _ in got] == [0, 1, 4]
+        forked = [pid != os.getpid() for _, pid in got]
+        if rows < FAN_OUT_MIN_ROWS:
+            assert sizes == [] and forked == [False, False, False]
+        else:
+            assert sizes == [2] and forked == [False, True, True]
 
 
 class TestSimulate:
@@ -137,7 +162,7 @@ class TestSimulate:
     def test_small_run_stays_serial(self, tmp_path, cpus, monkeypatch):
         set_cpus, pool_pids = cpus
         set_cpus(2)
-        monkeypatch.setattr(cli, "_FAN_OUT_MIN_ROWS", 1 << 16)
+        monkeypatch.setattr(cli, "_FAN_OUT_MIN_ROWS", FAN_OUT_MIN_ROWS)
         cfg = write(tmp_path / "c.json", BUMP_CFG)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 0
         assert pool_pids() == []
