@@ -137,7 +137,9 @@ def _write_report(report: solver.RunReport, out: Path) -> None:
         fh.write("\n")
 
 
-def _write_run_outputs(report: solver.RunReport, out: Path, ball_radii, g_radii) -> dict:
+def _write_run_outputs(report: solver.RunReport, out: Path, ball_radii, g_radii):
+    """Write a run's snapshots, series.csv and report.json under out; returns
+    the manifest's {file: rows} and the diagnostics series written."""
     out.mkdir(parents=True, exist_ok=True)
     snapdir = out / "snapshots"
     snapdir.mkdir(exist_ok=True)
@@ -158,7 +160,7 @@ def _write_run_outputs(report: solver.RunReport, out: Path, ball_radii, g_radii)
 
     _write_report(report, out)
     files["report.json"] = 1
-    return files
+    return files, series
 
 
 def cmd_simulate(args) -> int:
@@ -176,7 +178,7 @@ def cmd_simulate(args) -> int:
     started = _iso_now()
     try:
         report = solver.run(config)
-        files = _write_run_outputs(report, out, args.ball_radius, args.g_radius)
+        files, _ = _write_run_outputs(report, out, args.ball_radius, args.g_radius)
         ExperimentManifest(
             config_hash=_config_hash(config),
             version=__version__,
@@ -260,9 +262,13 @@ def _read_series_columns(path: Path, names: tuple, n_rows: int) -> list:
 def _load_run_dir(run_dir: Path) -> solver.RunReport:
     """The report of a run directory: its snapshots, which share one mesh
     while their r columns are equal, and E and sup_u from its series.csv."""
-    with open(run_dir / "report.json") as fh:
-        rep = json.load(fh)
-    times = rep["snapshot_times"]
+    path = run_dir / "report.json"
+    with open(path) as fh:
+        try:
+            rep = json.load(fh)
+            times, outcome, t_star = rep["snapshot_times"], rep["outcome"], rep["t_star"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InvalidDataError(f"{path}: malformed report ({exc!r})") from exc
     energies, sups = _read_series_columns(run_dir / "series.csv", ("E", "sup_u"), len(times))
     snapdir = run_dir / "snapshots"
     first = solver.load_snapshot(snapdir / "snap_0000.csv")
@@ -282,8 +288,8 @@ def _load_run_dir(run_dir: Path) -> solver.RunReport:
             mesh = RadialMesh(r)
         snaps.append(FieldState(mesh, float(t), h, hdot))
     return solver.RunReport(
-        outcome=rep["outcome"],
-        t_star=rep["t_star"],
+        outcome=outcome,
+        t_star=t_star,
         times=np.asarray(times, float),
         energies=energies,
         sup_history=sups,
@@ -371,11 +377,10 @@ def _sweep_cell(cell):
     try:
         config = solver.RunConfig.from_dict({**base, **overrides})
         report = solver.run(config)
-        _write_run_outputs(report, cell_dir, (), ())
+        _, series = _write_run_outputs(report, cell_dir, (), ())
         nu_hat = ""
         if report.outcome == "BlowUpDetected" and report.t_star:
             try:
-                series = analysis.diagnostics_series(report)
                 fit = analysis.fit_exponent(series.data["t"], series.data["lambda1"], report.t_star)
                 nu_hat = repr(fit.nu_hat)
             except CritwaveError:

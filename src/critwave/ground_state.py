@@ -48,6 +48,18 @@ def _w_deriv(r, lam):
     return lam**-1.5 * (-rho / 3.0) * (1.0 + rho**2 / 3.0) ** -1.5
 
 
+def _w_deriv_log_jet(r, lam):
+    """(d, d_x, d_xx): d = _w_deriv(r, lam) and its first and second
+    derivatives in x = log lam. With rho = r/lam, s = rho^2/3 and q = 1 + s,
+    d_x = lam^{-3/2} rho (5 - s) / (6 q^{5/2}) and
+    d_xx = lam^{-3/2} rho (34 s - s^2 - 25) / (12 q^{7/2})."""
+    rho = r / lam
+    s = rho**2 / 3.0
+    q = 1.0 + s
+    c = lam**-1.5 * rho * q**-2.5
+    return _w_deriv(r, lam), c * (5.0 - s) / 6.0, c * (s * (34.0 - s) - 25.0) / (12.0 * q)
+
+
 def eval_w_deriv(r, params: GroundStateParams = GroundStateParams()):
     """d/dr of eval_w."""
     val = params.iota * _w_deriv(np.asarray(r, dtype=float), params.lam)
@@ -141,6 +153,16 @@ def _gradient_kinetic(field: FieldState, region: Region = Region.full()) -> tupl
         FOUR_PI * mesh.integrate(r * r * field.du_dr() ** 2, run),
         FOUR_PI * mesh.integrate(r * r * field.ut() ** 2, run),
     )
+
+
+def _total_energy(field: FieldState) -> float:
+    """`energy(field).total_energy`, bit for bit, from its three integrals,
+    without the Hardy integral it does not read."""
+    gradient_sq, kinetic_sq = _gradient_kinetic(field)
+    mesh = field.mesh
+    r = mesh.nodes
+    potential = FOUR_PI * mesh.integrate(r * r * field.u() ** 6, _region_run(mesh, Region.full()))
+    return 0.5 * gradient_sq + 0.5 * kinetic_sq - potential / 6.0
 
 
 def _region_run(mesh: RadialMesh, region: Region) -> slice:

@@ -11,10 +11,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DegenerateInputError, InvalidDataError, InvalidParameterError
-from .ground_state import GroundStateParams, _w_deriv, eval_w, eval_w_deriv
+from .ground_state import GroundStateParams, _w_deriv, _w_deriv_log_jet, eval_w, eval_w_deriv
 from .mesh import FieldState, RadialMesh
 from .radial import FOUR_PI
 
@@ -23,6 +22,8 @@ _COEFF_WINDOW = (0.7, 1.3)  # projection coefficients snapped to +-1
 _REFINE_SWEEPS = 2  # back-fitting sweeps over a multi-bubble fit
 _GRID_PER_DECADE = 4  # log-lam grid density of the scale search
 _BLOCK_ELEMENTS = 2**20  # size of one row block of the grid-scoring matrix
+_SCALE_XTOL = 1e-10  # last step in log lam of the scale search's Newton refine
+_SCALE_MAX_STEPS = 64  # bound on the refine's steps; bisection alone needs about 33
 
 
 @dataclass(frozen=True)
@@ -79,49 +80,88 @@ def correlate_scale(mesh: RadialMesh, du: np.ndarray, lam: float) -> tuple[float
     return inner / np.sqrt(nu * nw), inner / nw
 
 
-def _grid_scores(mesh: RadialMesh, du: np.ndarray, loglam: np.ndarray) -> np.ndarray:
-    """|correlation| of du against grad W_lam at every lam = exp(loglam).
+class _ScaleGrid:
+    """A log-lam grid x with its matrix D, whose row i is grad W at
+    lam = exp(x_i), and the row norms nw = (D*D) @ a, a = 4 pi w r^2: made
+    once and scored against any number of gradients. D is formed in row blocks
+    of about _BLOCK_ELEMENTS elements (one row at a time on a mesh larger than
+    that); it is kept when it is one block, and formed again at each scoring
+    when it is more."""
 
-    With a = 4 pi w r^2 and D the matrix whose row i is grad W at lam_i, the
-    scores are |D @ (a du)| / sqrt((a @ du^2) ((D*D) @ a)): correlate_scale at
-    every grid point up to rounding. D is formed in row blocks of about
-    _BLOCK_ELEMENTS elements (one row at a time on a mesh larger than that).
-    """
-    r = mesh.nodes
-    a = FOUR_PI * mesh.weights * r * r
-    adu = a * du
-    nu = a @ (du * du)
-    if nu <= 0:
-        raise DegenerateInputError("vanishing gradient norm")
-    lam = np.exp(loglam)
-    rows = max(1, _BLOCK_ELEMENTS // r.size)
-    scores = np.empty(lam.size)
-    for i in range(0, lam.size, rows):
-        d = _w_deriv(r, lam[i : i + rows, None])
-        nw = (d * d) @ a
-        if np.any(nw <= 0):
+    def __init__(self, mesh: RadialMesh, x: np.ndarray):
+        r = mesh.nodes
+        self.r, self.x = r, x
+        self.a = FOUR_PI * mesh.weights * r * r
+        self.nw = np.empty(x.size)
+        for rows, d in self._blocks():
+            self.nw[rows] = (d * d) @ self.a
+        if np.any(self.nw <= 0):
             raise DegenerateInputError("vanishing gradient norm")
-        scores[i : i + rows] = np.abs(d @ adu) / np.sqrt(nu * nw)
-    return scores
+        self._d = d if d.shape[0] == x.size else None
+
+    @classmethod
+    def spanning(cls, mesh: RadialMesh, lo: float, hi: float) -> "_ScaleGrid":
+        """The grid of _GRID_PER_DECADE points per decade from lo to hi."""
+        return cls(mesh, np.linspace(lo, hi, int(np.ceil(_GRID_PER_DECADE * (hi - lo) / np.log(10.0))) + 1))
+
+    def _blocks(self):
+        step = max(1, _BLOCK_ELEMENTS // self.r.size)
+        lam = np.exp(self.x)
+        for i in range(0, lam.size, step):
+            yield slice(i, i + step), _w_deriv(self.r, lam[i : i + step, None])
+
+    def scores(self, du: np.ndarray) -> np.ndarray:
+        """|correlation| of du against every row: |D @ (a du)| / sqrt((a @ du^2) nw),
+        correlate_scale at every grid point up to rounding."""
+        adu = self.a * du
+        nu = adu @ du
+        if nu <= 0:
+            raise DegenerateInputError("vanishing gradient norm")
+        if self._d is not None:
+            dots = self._d @ adu
+        else:
+            dots = np.empty(self.x.size)
+            for rows, d in self._blocks():
+                dots[rows] = d @ adu
+        return np.abs(dots) / np.sqrt(nu * self.nw)
 
 
-def _best_scale(mesh, du, lo, hi):
-    """(lam, correlation, coefficient) of the scale in lo <= log lam <= hi best
-    correlated with du: a log grid of _GRID_PER_DECADE points per decade scored
-    at once, then one bounded search between the best grid point's two
-    neighbours, whose evaluation at its result is returned."""
-    seen = {}
+def _best_scale(grid: _ScaleGrid, du: np.ndarray) -> tuple[float, float, float]:
+    """(lam, correlation, coefficient) of the scale best correlated with du:
+    the grid's best point, then a safeguarded Newton search on x = log lam
+    between that point's two neighbours.
 
-    def neg_abs_corr(loglam):
-        seen[loglam] = correlate_scale(mesh, du, np.exp(loglam))
-        return -abs(seen[loglam][0])
-
-    grid = np.linspace(lo, hi, int(np.ceil(_GRID_PER_DECADE * (hi - lo) / np.log(10.0))) + 1)
-    i = int(np.argmax(_grid_scores(mesh, du, grid)))
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-    res = minimize_scalar(neg_abs_corr, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
-    corr, coeff = seen[res.x]  # the result is the best point the search evaluated
-    return float(np.exp(res.x)), corr, coeff
+    With d the row grad W_lam and its x-derivatives d', d'', the search scores
+    A = <a du, d> and B = <a, d^2> and steps to the root of
+    F = 2 A' B - A B', where (A^2/B)' = A F / B^2 vanishes: |correlation| =
+    |A| / sqrt(nu B) rises with x where A F > 0. Each step keeps the uphill
+    part of the bracket, and is a bisection of it where the Newton step would
+    leave it or would not point uphill (A F' >= 0). The search stops at a
+    step of at most _SCALE_XTOL; correlation and coefficient come from the
+    rows of its last point.
+    """
+    i = int(np.argmax(grid.scores(du)))
+    lo, hi = grid.x[max(i - 1, 0)], grid.x[min(i + 1, grid.x.size - 1)]
+    x = grid.x[i]
+    a, adu = grid.a, grid.a * du
+    for n in range(1, _SCALE_MAX_STEPS + 1):
+        d, d1, d2 = _w_deriv_log_jet(grid.r, np.exp(x))
+        ad = a * d
+        A, A1, A2 = adu @ d, adu @ d1, adu @ d2
+        B, B1, B2 = ad @ d, 2.0 * (ad @ d1), 2.0 * (ad @ d2 + a @ (d1 * d1))
+        F = 2.0 * A1 * B - A * B1
+        F1 = 2.0 * A2 * B + A1 * B1 - A * B2
+        if A * F > 0:
+            lo = x
+        elif A * F < 0:
+            hi = x
+        step = -F / F1 if A * F1 < 0 else np.inf
+        if not lo <= x + step <= hi:
+            step = 0.5 * (lo + hi) - x
+        if abs(step) <= _SCALE_XTOL or n == _SCALE_MAX_STEPS:
+            break
+        x += step
+    return float(np.exp(x)), A / np.sqrt((adu @ du) * B), A / B
 
 
 def extract(
@@ -158,12 +198,13 @@ def extract(
     if total <= 0:
         raise DegenerateInputError("field has vanishing gradient energy")
 
+    greedy = _ScaleGrid.spanning(mesh, lo, hi)
     bubbles = []
     du_res = du_field
     while len(bubbles) < max_bubbles:
         if _grad_inner(mesh, du_res, du_res) <= 1e-30 * total:
             break
-        lam, corr, coeff = _best_scale(mesh, du_res, lo, hi)
+        lam, corr, coeff = _best_scale(greedy, du_res)
         if abs(corr) < correlation_floor:
             break
         if not (_COEFF_WINDOW[0] <= abs(coeff) <= _COEFF_WINDOW[1]):
@@ -184,7 +225,8 @@ def extract(
                 for k, other in enumerate(bubbles):
                     if k != j:
                         du_j -= eval_w_deriv(r, GroundStateParams(lam=other.lam, iota=other.iota))
-                lam_j, corr, coeff = _best_scale(mesh, du_j, np.log(b.lam / 3.0), np.log(b.lam * 3.0))
+                near = _ScaleGrid.spanning(mesh, np.log(b.lam / 3.0), np.log(b.lam * 3.0))
+                lam_j, corr, coeff = _best_scale(near, du_j)
                 bubbles[j] = Bubble(
                     iota=1 if coeff > 0 else -1, lam=lam_j, coeff=float(coeff), correlation=float(corr)
                 )

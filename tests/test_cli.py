@@ -308,6 +308,17 @@ class TestAnalyze:
         assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 3
         assert str(series) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['{"outcome": "Completed"}', "not json\n"])
+    def test_bad_report_exit_3(self, tmp_path, capsys, text):
+        run_dir = tmp_path / "run"
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+        report = run_dir / "report.json"
+        report.write_text(text)
+        capsys.readouterr()
+        assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 3
+        assert str(report) in capsys.readouterr().err
+
 
 class TestProfiles:
     def test_two_bubble_snapshot(self, tmp_path):
@@ -366,6 +377,25 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert [row["outcome"] for row in rows] == ["Completed", "Completed", "BlowUpDetected"]
         assert rows[2]["t_star"] != ""
+
+    def test_one_series_per_cell(self, tmp_path, monkeypatch):
+        # a blow-up cell's nu_hat reads the series its series.csv was written from
+        calls = []
+        diagnostics_series = cli.analysis.diagnostics_series
+
+        def counted(report, *args, **kwargs):
+            calls.append(report.outcome)
+            return diagnostics_series(report, *args, **kwargs)
+
+        monkeypatch.setattr(cli.analysis, "diagnostics_series", counted)
+        cfg = write(tmp_path / "c.json", NEAR_W_CFG.replace('"every": 0.25', '"every": 0.05') % "0.0")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--param", "data.delta=0.0,0.1",
+                     "--out", str(out), "--quiet"]) == 0
+        assert calls == ["Completed", "BlowUpDetected"]
+        with open(out / "aggregate.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["nu_hat"] == "" and rows[1]["nu_hat"] != ""
 
     def test_cells_write_serially_in_workers(self, tmp_path, cpus):
         set_cpus, pool_pids = cpus

@@ -11,6 +11,9 @@ from critwave.ground_state import (
     elliptic_residual,
     energy,
     _gradient_kinetic,
+    _total_energy,
+    _w_deriv,
+    _w_deriv_log_jet,
     energy_of_profile,
     eval_w,
     eval_w_deriv,
@@ -273,6 +276,19 @@ class TestGroundState:
         fd = (eval_w(r + e) - eval_w(r - e)) / (2 * e)
         assert np.allclose(eval_w_deriv(r), fd, atol=1e-8)
 
+    @pytest.mark.parametrize("lam", [1e-4, 0.37, 1.0, 25.0, 1e4])
+    def test_log_jet_matches_complex_step(self, lam):
+        # d/dx f(x) = Im f(x + i h) / h to rounding for h far below the
+        # real part: the jet's d_x and d_xx against its d and d_x
+        r = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, 400)))
+        d, d_x, d_xx = _w_deriv_log_jet(r, lam)
+        assert np.array_equal(d, _w_deriv(r, lam))
+        h = 1e-30
+        _, d_x_step, _ = _w_deriv_log_jet(r, np.exp(np.log(lam) + 1j * h))
+        scale = lam**-1.5
+        assert np.max(np.abs(_w_deriv(r, np.exp(np.log(lam) + 1j * h)).imag / h - d_x)) <= 1e-13 * scale
+        assert np.max(np.abs(d_x_step.imag / h - d_xx)) <= 1e-13 * scale
+
     def test_invalid_params(self):
         with pytest.raises(InvalidParameterError):
             GroundStateParams(lam=0.0)
@@ -451,3 +467,19 @@ class TestAgainstReference:
             # relative to 1e-12; below the smallest normal float the last
             # bits are gone, so relative error is measured against it there
             assert abs(g - want) <= 1e-12 * max(abs(want), np.finfo(float).tiny)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graded=st.booleans(),
+        n=st.integers(3, 1500),
+        h=st.floats(0.002, 0.1),
+        lam=st.floats(0.05, 5.0),
+        amp=st.floats(-1.0, 1.0),
+    )
+    def test_total_energy_bitwise(self, graded, n, h, lam, amp):
+        # solver.run's E column: the three-integral total, bit for bit
+        mesh = RadialMesh.graded(h, h * n, 40) if graded else RadialMesh.uniform(h, h * n)
+        r = mesh.nodes
+        u = eval_w(r, GroundStateParams(lam=lam)) + amp * np.exp(-((r - 1.0) ** 2))
+        field = FieldState.from_u(mesh, u, amp * r * np.exp(-(r**2)))
+        assert np.float64(_total_energy(field)).tobytes() == np.float64(energy(field).total_energy).tobytes()

@@ -1,10 +1,14 @@
 """Multi-bubble extraction, Pythagorean splitting, and orthogonality."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critwave.errors import DegenerateInputError, InvalidDataError
-from critwave.ground_state import GroundStateParams, eval_w
+from critwave.ground_state import GroundStateParams, eval_w, eval_w_deriv
 from critwave.mesh import FieldState, RadialMesh
 from critwave import profiles
 
@@ -48,6 +52,20 @@ FIELDS = {
 }
 
 
+# the profiles benchmark's mesh: 48 nodes per decade from 1e-8 to 1e6
+GRADED_48 = RadialMesh.graded(1e-8, 1e6, 48)
+
+
+@dataclass(frozen=True)
+class ExactGradientField(FieldState):
+    """A sampled iota W_lam whose du_dr is the closed form, not a finite difference."""
+
+    params: GroundStateParams = GroundStateParams()
+
+    def du_dr(self):
+        return eval_w_deriv(self.mesh.nodes, self.params)
+
+
 def scale_grid(lam_range):
     """The greedy search's log-lam grid for lam_range (see extract and _best_scale)."""
     lo, hi = np.log(lam_range)
@@ -61,7 +79,7 @@ class TestGridScores:
 
     @staticmethod
     def check(mesh, du, grid):
-        got = profiles._grid_scores(mesh, du, grid)
+        got = profiles._ScaleGrid(mesh, grid).scores(du)
         want = np.array([abs(profiles.correlate_scale(mesh, du, np.exp(x))[0]) for x in grid])
         assert np.all(np.abs(got - want) <= 1e-12 * want)
         assert np.argmax(got) == np.argmax(want)
@@ -85,13 +103,14 @@ class TestGridScores:
         scales, lam_range = FIELDS[3]
         grid = scale_grid(lam_range)
         self.check(mesh, bubble_field(mesh, scales).du_dr(), grid)
-        assert len(shapes) > 1
-        assert sum(s[0] for s in shapes) == grid.size
+        # the blocks are formed for the row norms, then again for the scores
+        assert len(shapes) > 2
+        assert sum(s[0] for s in shapes) == 2 * grid.size
         assert all(s[0] * mesh.nodes.size <= profiles._BLOCK_ELEMENTS for s in shapes)
 
     def test_degenerate_input(self, mesh):
         with pytest.raises(DegenerateInputError):
-            profiles._grid_scores(mesh, np.zeros_like(mesh.nodes), scale_grid((1e-3, 100.0)))
+            profiles._ScaleGrid(mesh, scale_grid((1e-3, 100.0))).scores(np.zeros_like(mesh.nodes))
 
 
 class TestExtract:
@@ -120,30 +139,49 @@ class TestExtract:
         d = profiles.extract(state, lam_range=(1e-3, 100.0))
         assert d.n_bubbles == 0
 
-    def test_correlate_scale_only_in_the_refines(self, mesh, monkeypatch):
-        # the grid and the coefficient of each found scale make no
-        # correlate_scale call: 3 greedy refines and 2 back-fit sweeps of 3
-        calls, nfev = [], []
-        correlate_scale, minimize_scalar = profiles.correlate_scale, profiles.minimize_scalar
+    def test_newton_refine(self, mesh, monkeypatch):
+        # 3 greedy searches and 2 back-fit sweeps of 3, each returning
+        # correlate_scale's values at its scale; the greedy grid's matrix is
+        # formed once and kept for all three greedy searches
+        searches, rows = [], []
+        best_scale, w_deriv = profiles._best_scale, profiles._w_deriv
 
-        def counted(*args):
-            calls.append(args[2])
-            return correlate_scale(*args)
+        def search(grid, du):
+            found = best_scale(grid, du)
+            searches.append((du, found))
+            return found
 
-        def refine(*args, **kwargs):
-            res = minimize_scalar(*args, **kwargs)
-            nfev.append(res.nfev)
-            return res
+        def formed(r, lam):
+            rows.append(lam.size)
+            return w_deriv(r, lam)
 
-        monkeypatch.setattr(profiles, "correlate_scale", counted)
-        monkeypatch.setattr(profiles, "minimize_scalar", refine)
+        monkeypatch.setattr(profiles, "_best_scale", search)
+        monkeypatch.setattr(profiles, "_w_deriv", formed)
         scales, lam_range = FIELDS[3]
         d = profiles.extract(bubble_field(mesh, scales, noise=1e-3), lam_range=lam_range)
         assert sorted((b.lam, b.iota) for b in d.bubbles) == [
             (pytest.approx(lam, rel=0.01), iota) for lam, iota in scales
         ]
-        assert len(nfev) == 9
-        assert len(calls) == sum(nfev)
+        assert len(searches) == 9
+        for du, (lam, corr, coeff) in searches:
+            want_corr, want_coeff = profiles.correlate_scale(mesh, du, lam)
+            assert abs(corr - want_corr) <= 1e-12
+            assert abs(coeff - want_coeff) <= 1e-12 * abs(want_coeff)
+        assert rows.count(scale_grid(lam_range).size) == 1
+        assert len(rows) == 7  # the greedy grid and one per back-fit search
+
+    @settings(max_examples=40, deadline=None)
+    @given(exponent=st.floats(-4.0, 4.0), iota=st.sampled_from([-1, 1]))
+    def test_scale_accuracy_independent_of_lam(self, exponent, iota):
+        # a field whose gradient is grad W_lam itself correlates best at
+        # exactly lam, so what is left is the search's own error
+        lam = 10.0**exponent
+        params = GroundStateParams(lam=lam, iota=iota)
+        r = GRADED_48.nodes
+        field = ExactGradientField(GRADED_48, 0.0, r * eval_w(r, params), np.zeros_like(r), params)
+        d = profiles.extract(field, lam_range=(1e-5, 1e5))
+        assert [b.iota for b in d.bubbles] == [iota]
+        assert abs(d.bubbles[0].lam / lam - 1.0) <= 1e-9
 
     def test_half_amplitude_rejected_by_coeff_window(self, mesh):
         r = mesh.nodes
