@@ -266,7 +266,8 @@ def _load_run_dir(run_dir: Path) -> solver.RunReport:
     with open(path) as fh:
         try:
             rep = json.load(fh)
-            times, outcome, t_star = rep["snapshot_times"], rep["outcome"], rep["t_star"]
+            times = [float(t) for t in rep["snapshot_times"]]
+            outcome, t_star = rep["outcome"], rep["t_star"]
         except (ValueError, KeyError, TypeError) as exc:
             raise InvalidDataError(f"{path}: malformed report ({exc!r})") from exc
     energies, sups = _read_series_columns(run_dir / "series.csv", ("E", "sup_u"), len(times))

@@ -308,7 +308,11 @@ class TestAnalyze:
         assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 3
         assert str(series) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ['{"outcome": "Completed"}', "not json\n"])
+    @pytest.mark.parametrize("text", [
+        '{"outcome": "Completed"}',
+        "not json\n",
+        '{"snapshot_times": 5, "outcome": "Completed", "t_star": null}',
+    ])
     def test_bad_report_exit_3(self, tmp_path, capsys, text):
         run_dir = tmp_path / "run"
         cfg = write(tmp_path / "c.json", BUMP_CFG)
