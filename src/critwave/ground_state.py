@@ -155,16 +155,6 @@ def _gradient_kinetic(field: FieldState, region: Region = Region.full()) -> tupl
     )
 
 
-def _total_energy(field: FieldState) -> float:
-    """`energy(field).total_energy`, bit for bit, from its three integrals,
-    without the Hardy integral it does not read."""
-    gradient_sq, kinetic_sq = _gradient_kinetic(field)
-    mesh = field.mesh
-    r = mesh.nodes
-    potential = FOUR_PI * mesh.integrate(r * r * field.u() ** 6, _region_run(mesh, Region.full()))
-    return 0.5 * gradient_sq + 0.5 * kinetic_sq - potential / 6.0
-
-
 def _region_run(mesh: RadialMesh, region: Region) -> slice:
     """The nodes in the region's [r0, r1], with edges snapped to nodes within 1e-12."""
     r0, r1 = region.clip(mesh)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidParameterError
-from .ground_state import GroundStateParams, _gradient_kinetic, _total_energy, eval_w
+from .ground_state import GroundStateParams, _gradient_kinetic, energy, eval_w
 from .mesh import FieldState, RadialMesh, Region
 from .radial import RadialProfile, smoothstep_bump
 
@@ -344,7 +344,7 @@ def run(config: RunConfig, initial: FieldState | None = None) -> RunReport:
 
     times = [state.t]
     snapshots = [state]
-    energies = [_total_energy(state) if config.nonlinear else _linear_energy(state)]
+    energies = [energy(state).total_energy if config.nonlinear else _linear_energy(state)]
     sups = [state.sup_u()]
     outcome = "Completed"
     t_star = None
@@ -366,14 +366,18 @@ def run(config: RunConfig, initial: FieldState | None = None) -> RunReport:
             if times[-1] < state.t:  # keep the last stable state
                 times.append(state.t)
                 snapshots.append(state)
-                energies.append(_total_energy(state) if config.nonlinear else _linear_energy(state))
+                energies.append(
+                    energy(state).total_energy if config.nonlinear else _linear_energy(state)
+                )
                 sups.append(state.sup_u())
             break
         state = new
         if state.t >= next_out - 1e-9 or i == n_steps - 1:
             times.append(state.t)
             snapshots.append(state)
-            energies.append(_total_energy(state) if config.nonlinear else _linear_energy(state))
+            energies.append(
+                energy(state).total_energy if config.nonlinear else _linear_energy(state)
+            )
             sups.append(state.sup_u())
             next_out += config.output_every
 

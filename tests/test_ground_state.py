@@ -11,7 +11,6 @@ from critwave.ground_state import (
     elliptic_residual,
     energy,
     _gradient_kinetic,
-    _total_energy,
     _w_deriv,
     _w_deriv_log_jet,
     energy_of_profile,
@@ -467,19 +466,3 @@ class TestAgainstReference:
             # relative to 1e-12; below the smallest normal float the last
             # bits are gone, so relative error is measured against it there
             assert abs(g - want) <= 1e-12 * max(abs(want), np.finfo(float).tiny)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        graded=st.booleans(),
-        n=st.integers(3, 1500),
-        h=st.floats(0.002, 0.1),
-        lam=st.floats(0.05, 5.0),
-        amp=st.floats(-1.0, 1.0),
-    )
-    def test_total_energy_bitwise(self, graded, n, h, lam, amp):
-        # solver.run's E column: the three-integral total, bit for bit
-        mesh = RadialMesh.graded(h, h * n, 40) if graded else RadialMesh.uniform(h, h * n)
-        r = mesh.nodes
-        u = eval_w(r, GroundStateParams(lam=lam)) + amp * np.exp(-((r - 1.0) ** 2))
-        field = FieldState.from_u(mesh, u, amp * r * np.exp(-(r**2)))
-        assert np.float64(_total_energy(field)).tobytes() == np.float64(energy(field).total_energy).tobytes()
