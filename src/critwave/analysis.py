@@ -5,7 +5,7 @@ and the power-law fit of the concentration scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,16 +42,15 @@ def singular_part(
     snapshots: list,
     T_est: float,
     t0_index: int = 0,
-    margin: float | None = None,
     nonlinear: bool = True,
     cfl: float = 0.5,
 ) -> SingularSplit:
     """Split u into regular part v and singular part a = u - v.
 
     v restarts at t0 from u's data smoothly cut off to the exterior
-    r >= (T_est - t0) + margin; by finite speed of propagation v agrees
-    with the true regular part outside the light cone, which is the only
-    region the diagnostics use it on.
+    r >= (T_est - t0) + margin, margin = 2 dr + 2 dt; by finite speed of
+    propagation v agrees with the true regular part outside the light cone,
+    which is the only region the diagnostics use it on.
     """
     if not snapshots:
         raise InvalidParameterError("no snapshots")
@@ -61,8 +60,7 @@ def singular_part(
         raise InvalidParameterError("T_est must exceed the restart time")
     dr = mesh.spacing
     dt = cfl * dr
-    if margin is None:
-        margin = 2.0 * dr + 2.0 * dt
+    margin = 2.0 * dr + 2.0 * dt
     r_cone = T_est - base.t
     chi = transition(mesh.nodes, r_cone, r_cone + margin)
     v_state = FieldState(mesh, base.t, chi * base.h, chi * base.hdot)
@@ -277,11 +275,6 @@ def g_r_series(snapshots: list, R: float, grad_ref: float | None = None) -> GRSe
         defect=np.abs(g_deriv - d),
         tail_bound=np.array(tails),
     )
-
-
-def rho_tail(snapshots: list, R: float) -> float:
-    """rho(R) = sup over the run of the Hardy-weighted exterior energy."""
-    return max(tail_energy(s, R) for s in snapshots)
 
 
 # ----------------------------------------------------------------- cone energy

@@ -22,7 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import CritwaveError, InvalidConfigError, InvalidDataError
+from .errors import (
+    CritwaveError,
+    DegenerateInputError,
+    InvalidConfigError,
+    InvalidDataError,
+    InvalidParameterError,
+)
 from . import analysis, dalembert, profiles, solver
 from .mesh import FieldState, RadialMesh
 
@@ -205,12 +211,16 @@ def cmd_dalembert(args) -> int:
             return EXIT_CONFIG
         rng = np.random.default_rng(args.seed)
         worst = np.inf
-        for _ in range(args.n):
-            data = dalembert.random_data(rng)
-            wave = dalembert.build_F(data)
-            r1 = args.r1 if args.r1 is not None else 0.5 * data.knots[-1]
-            rep = dalembert.channel_check(wave, args.r0, r1)
-            worst = min(worst, rep.min_ratio)
+        try:
+            for _ in range(args.n):
+                data = dalembert.random_data(rng)
+                wave = dalembert.build_F(data)
+                r1 = args.r1 if args.r1 is not None else 0.5 * data.knots[-1]
+                rep = dalembert.channel_check(wave, args.r0, r1)
+                worst = min(worst, rep.min_ratio)
+        except (InvalidParameterError, DegenerateInputError) as exc:
+            print(f"dalembert check: {exc} (--r0 {args.r0}, --r1 {args.r1})", file=sys.stderr)
+            return EXIT_CONFIG
         if not args.quiet:
             print(f"checked {args.n} worst_min_ratio={worst if args.n else 'n/a'}")
         if args.n and worst < 0.5 - 1e-12:
@@ -225,8 +235,8 @@ def cmd_dalembert(args) -> int:
         if n_rows <= 0:
             out = _out_dir(args)
             out.mkdir(parents=True, exist_ok=True)
-            with open(out / f"evolved_t{args.t:g}.csv", "w") as fh:
-                fh.write("s,f0,f1\n")
+            with open(out / f"evolved_t{args.t:g}.csv", "w", newline="") as fh:
+                fh.write("s,f0,f1\r\n")  # export_csv's header line
             return EXIT_OK
         data = dalembert.import_csv(args.data)
     except (OSError, TypeError, CritwaveError) as exc:
@@ -295,7 +305,6 @@ def _load_run_dir(run_dir: Path) -> solver.RunReport:
         energies=energies,
         sup_history=sups,
         snapshots=snaps,
-        config=solver.RunConfig(),
         contamination_time=rep.get("contamination_time", 0.0),
         energy_drift=rep.get("energy_drift", 0.0),
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -52,28 +51,16 @@ class RadialData:
 def reduce(u0, u1, grid: np.ndarray) -> RadialData:
     """Project radial data (u0, u1) onto the piecewise class at the grid.
 
-    u0, u1 may be RadialProfile/callables or arrays sampled at the grid.
+    u0, u1 are RadialProfiles or callables of r.
     f0 = r*u0 at knots; f1 = r*u1 sampled at cell midpoints.
     """
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0:
         grid = np.concatenate(([0.0], grid))
     mid = 0.5 * (grid[1:] + grid[:-1])
-
-    def _eval(fn, pts, node_values_ok):
-        if isinstance(fn, RadialProfile):
-            return fn.u(pts)
-        if callable(fn):
-            return fn(pts)
-        arr = np.asarray(fn, dtype=float)
-        if arr.shape != grid.shape:
-            raise InvalidDataError("sampled data must match the grid")
-        if node_values_ok:
-            return arr
-        return np.interp(pts, grid, arr)
-
-    f0 = grid * _eval(u0, grid, True)
-    f1 = mid * _eval(u1, mid, False)
+    u0, u1 = (fn.u if isinstance(fn, RadialProfile) else fn for fn in (u0, u1))
+    f0 = grid * u0(grid)
+    f1 = mid * u1(mid)
     f0[0] = 0.0
     return RadialData(grid, f0, f1)
 
@@ -264,36 +251,11 @@ def exterior_identity_check(u0: RadialProfile, R0: float = 0.0) -> ExteriorIdent
     from scipy.integrate import quad
 
     lhs = quad(
-        lambda r: (u0.u(r) + r * u0.deriv(r)) ** 2, R0, np.inf, limit=400, epsabs=1e-13
+        lambda r: (u0.u(r) + r * u0.du(r)) ** 2, R0, np.inf, limit=400, epsabs=1e-13
     )[0]
-    rhs = quad(lambda r: r * r * u0.deriv(r) ** 2, R0, np.inf, limit=400, epsabs=1e-13)[0]
+    rhs = quad(lambda r: r * r * u0.du(r) ** 2, R0, np.inf, limit=400, epsabs=1e-13)[0]
     boundary = R0 * float(u0.u(R0)) ** 2
     return ExteriorIdentity(lhs, rhs, boundary)
-
-
-@dataclass(frozen=True)
-class HuygensReport:
-    t: float
-    lam: float
-    total: float
-    annulus_fraction: Callable[[float], float]
-
-
-def huygens_localization(data: OneDWaveData, t: float, lam: float) -> HuygensReport:
-    """Energy fraction in the annulus | r - |t| | <= R*lam, as a function of R."""
-    if lam <= 0:
-        raise InvalidParameterError("lam must be positive")
-    total = data.total_energy()
-    if total <= 0.0:
-        raise DegenerateInputError("zero-energy data")
-
-    def fraction(R: float) -> float:
-        a = max(abs(t) - R * lam, 0.0)
-        b = abs(t) + R * lam
-        val = 2.0 * (data.int_dF_sq(t + a, t + b) + data.int_dF_sq(t - b, t - a))
-        return val / total
-
-    return HuygensReport(t, lam, total, fraction)
 
 
 def export_csv(data: RadialData, path) -> None:

@@ -186,16 +186,11 @@ class VariationalReport:
 def variational_check(field, slack: float = 1e-12) -> VariationalReport:
     """Check the variational implications for a static field v.
 
-    `field` may be a FieldState, an EnergyReport, or a RadialProfile.
+    `field` may be an EnergyReport or a RadialProfile.
     Comparisons use a relative slack so that exact boundary cases (v = W)
     are classified as satisfying the implications.
     """
-    if isinstance(field, FieldState):
-        rep = energy(field)
-    elif isinstance(field, RadialProfile):
-        rep = energy_of_profile(field)
-    else:
-        rep = field
+    rep = energy_of_profile(field) if isinstance(field, RadialProfile) else field
     c = w_constants(3)
     grad = rep.gradient_sq
     e_static = 0.5 * grad - rep.potential / 6.0

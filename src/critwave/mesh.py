@@ -7,7 +7,7 @@ makes the origin a plain Dirichlet node (u even => h odd => h(0) = 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -224,18 +224,3 @@ class FieldState:
 
     def __sub__(self, other: "FieldState") -> "FieldState":
         return FieldState(self.mesh, self.t, self.h - other.h, self.hdot - other.hdot)
-
-
-def rescale_field(state: FieldState, lam: float) -> FieldState:
-    """Energy-invariant rescaling u -> lam^{-1/2} u(r/lam) on the same mesh.
-
-    Values of u outside the original domain (r/lam > rmax) are taken as 0.
-    """
-    if lam <= 0:
-        raise InvalidParameterError("lam must be positive")
-    r = state.mesh.nodes
-    u = state.u()
-    ut = state.ut()
-    u_new = lam ** -0.5 * np.interp(r / lam, r, u, right=0.0)
-    ut_new = lam ** -1.5 * np.interp(r / lam, r, ut, right=0.0)
-    return FieldState.from_u(state.mesh, u_new, ut_new, t=state.t)

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidDataError, InvalidParameterError
+from .errors import DegenerateInputError, InvalidParameterError
 from .ground_state import GroundStateParams, _w_deriv, _w_deriv_log_jet, eval_w, eval_w_deriv
 from .mesh import FieldState, RadialMesh
 from .radial import FOUR_PI
 
 _SEPARATION_FACTOR = 10.0  # least scale ratio between two extracted bubbles
+_CORRELATION_FLOOR = 0.3  # least |correlation| of an extracted bubble
 _COEFF_WINDOW = (0.7, 1.3)  # projection coefficients snapped to +-1
 _REFINE_SWEEPS = 2  # back-fitting sweeps over a multi-bubble fit
 _GRID_PER_DECADE = 4  # log-lam grid density of the scale search
@@ -167,7 +168,6 @@ def _best_scale(grid: _ScaleGrid, du: np.ndarray) -> tuple[float, float, float]:
 def extract(
     field: FieldState,
     max_bubbles: int = 3,
-    correlation_floor: float = 0.3,
     lam_range: tuple | None = None,
 ) -> ProfileDecomposition:
     """Greedy matching pursuit over the dictionary {+-W_lam}.
@@ -175,7 +175,7 @@ def extract(
     Repeatedly finds the scale maximizing the absolute gradient
     correlation of the residual, snaps the projection coefficient to
     +-1 when it lies in _COEFF_WINDOW, subtracts, and stops when the
-    correlation drops below correlation_floor, the coefficient falls
+    correlation drops below _CORRELATION_FLOOR, the coefficient falls
     outside the window, or a scale lies within _SEPARATION_FACTOR of one
     already found.  A fit of several bubbles is then back-fitted.
 
@@ -205,7 +205,7 @@ def extract(
         if _grad_inner(mesh, du_res, du_res) <= 1e-30 * total:
             break
         lam, corr, coeff = _best_scale(greedy, du_res)
-        if abs(corr) < correlation_floor:
+        if abs(corr) < _CORRELATION_FLOOR:
             break
         if not (_COEFF_WINDOW[0] <= abs(coeff) <= _COEFF_WINDOW[1]):
             break
@@ -272,19 +272,6 @@ def pythagorean_check(decomp: ProfileDecomposition) -> PythagoreanReport:
     )
 
 
-def orthogonality_matrix(decomp: ProfileDecomposition) -> np.ndarray:
-    """Normalized gradient Gram matrix of the extracted bubbles."""
-    mesh = decomp.residual.mesh
-    dws = [_w_grad_samples(mesh, b.lam) for b in decomp.bubbles]
-    norms = [np.sqrt(_grad_inner(mesh, dw, dw)) for dw in dws]
-    n = len(dws)
-    m = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i, j] = m[j, i] = _grad_inner(mesh, dws[i], dws[j]) / (norms[i] * norms[j])
-    return m
-
-
 def export_json(decomp: ProfileDecomposition, path) -> None:
     payload = {
         "bubbles": [
@@ -302,25 +289,3 @@ def export_json(decomp: ProfileDecomposition, path) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-
-
-def import_json(path) -> dict:
-    """Load an exported decomposition summary (without the residual field)."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    try:
-        return {
-            "bubbles": [
-                Bubble(
-                    iota=int(b["iota"]),
-                    lam=float(b["lam"]),
-                    coeff=float(b["coeff"]),
-                    correlation=float(b["correlation"]),
-                )
-                for b in payload["bubbles"]
-            ],
-            "total_grad_sq": float(payload["total_grad_sq"]),
-            "residual_grad_sq": float(payload["residual_grad_sq"]),
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidDataError(f"malformed decomposition file: {exc}") from exc

@@ -37,17 +37,7 @@ class RadialProfile:
     """A radial function r -> u(r) with its derivative, on [0, inf)."""
 
     u: Callable[[np.ndarray], np.ndarray]
-    du: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def deriv(self, r):
-        if self.du is not None:
-            return self.du(r)
-        # 4th-order central difference fallback
-        e = 1e-4 * max(1.0, float(np.max(np.abs(np.atleast_1d(r)))))
-        r = np.asarray(r, dtype=float)
-        return (
-            -self.u(r + 2 * e) + 8 * self.u(r + e) - 8 * self.u(r - e) + self.u(r - 2 * e)
-        ) / (12 * e)
+    du: Callable[[np.ndarray], np.ndarray] | None = None  # needed only to differentiate
 
     def _int(self, integrand, a=0.0, b=np.inf) -> float:
         val, _ = quad(integrand, a, b, **_QUAD_OPTS)
@@ -55,7 +45,7 @@ class RadialProfile:
 
     def grad_norm_sq(self, r0: float = 0.0, r1: float = np.inf) -> float:
         """4*pi * int r^2 u'(r)^2 dr over [r0, r1]."""
-        return FOUR_PI * self._int(lambda r: r * r * self.deriv(r) ** 2, r0, r1)
+        return FOUR_PI * self._int(lambda r: r * r * self.du(r) ** 2, r0, r1)
 
     def l2p_norm(self, p: float, r0: float = 0.0, r1: float = np.inf) -> float:
         """4*pi * int r^2 |u|^p dr over [r0, r1]."""
@@ -69,24 +59,19 @@ class RadialProfile:
         """Energy-invariant rescaling lam^{-1/2} u(r/lam)."""
         u, du = self.u, self.du
         s_u = lambda r: lam ** -0.5 * u(np.asarray(r) / lam)
-        s_du = None if du is None else (lambda r: lam ** -1.5 * du(np.asarray(r) / lam))
+        s_du = lambda r: lam ** -1.5 * du(np.asarray(r) / lam)
         return RadialProfile(s_u, s_du)
 
     def __mul__(self, c: float) -> "RadialProfile":
         u, du = self.u, self.du
-        return RadialProfile(
-            lambda r: c * u(r), None if du is None else (lambda r: c * du(r))
-        )
+        return RadialProfile(lambda r: c * u(r), lambda r: c * du(r))
 
     __rmul__ = __mul__
 
     def __add__(self, other: "RadialProfile") -> "RadialProfile":
         ua, ub = self.u, other.u
         da, db = self.du, other.du
-        du = None
-        if da is not None and db is not None:
-            du = lambda r: da(r) + db(r)
-        return RadialProfile(lambda r: ua(r) + ub(r), du)
+        return RadialProfile(lambda r: ua(r) + ub(r), lambda r: da(r) + db(r))
 
 
 def gaussian_bump(amp: float, sigma: float, center: float = 0.0) -> RadialProfile:

@@ -26,10 +26,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidParameterError
+from .errors import InvalidConfigError
 from .ground_state import GroundStateParams, _gradient_kinetic, energy, eval_w
 from .mesh import FieldState, RadialMesh, Region
-from .radial import RadialProfile, smoothstep_bump
+from .radial import RadialProfile, gaussian_bump, smoothstep_bump
 
 CFL_MAX = 0.5
 
@@ -151,27 +151,22 @@ def make_initial_data(mesh: RadialMesh, family: str, params: dict) -> FieldState
         u0 = (1.0 + delta) * eval_w(r, GroundStateParams(lam=lam)) * smoothstep_bump(r / r_cut)
         return FieldState.from_u(mesh, u0, np.zeros_like(r))
     if family == "bump":
-        amp = float(params.get("amp", 1.0))
-        sigma = float(params.get("sigma", 1.0))
-        center = float(params.get("center", 0.0))
-        u0 = amp * np.exp(-((r - center) ** 2) / sigma**2)
-        return FieldState.from_u(mesh, u0, np.zeros_like(r))
+        return FieldState.from_u(mesh, _bump(params).u(r), np.zeros_like(r))
     if family == "perturbed_w":
         lam = float(params.get("lambda", 1.0))
         eps = float(params.get("eps", 0.0))
-        pert = params.get("perturbation")
         u0 = eval_w(r, GroundStateParams(lam=lam))
-        if pert is not None:
-            pu = pert.u(r) if isinstance(pert, RadialProfile) else pert(r)
-        else:
-            amp = float(params.get("amp", 1.0))
-            sigma = float(params.get("sigma", 1.0))
-            center = float(params.get("center", 0.0))
-            pu = amp * np.exp(-((r - center) ** 2) / sigma**2)
-        return FieldState.from_u(mesh, u0 + eps * pu, np.zeros_like(r))
+        return FieldState.from_u(mesh, u0 + eps * _bump(params).u(r), np.zeros_like(r))
     if family == "csv":
         return load_snapshot(params["path"], mesh)
     raise InvalidConfigError(f"unknown initial-data family: {family}")
+
+
+def _bump(params: dict) -> RadialProfile:
+    """The Gaussian bump of the config's data.amp, data.sigma and data.center."""
+    return gaussian_bump(
+        float(params.get("amp", 1.0)), float(params.get("sigma", 1.0)), float(params.get("center", 0.0))
+    )
 
 
 def load_snapshot(path, mesh: RadialMesh | None = None) -> FieldState:
@@ -318,7 +313,6 @@ class RunReport:
     energies: np.ndarray
     sup_history: np.ndarray
     snapshots: list
-    config: RunConfig
     contamination_time: float  # rmax minus the initial support radius
     energy_drift: float
 
@@ -342,10 +336,15 @@ def run(config: RunConfig, initial: FieldState | None = None) -> RunReport:
     dt = config.cfl * mesh.spacing
     contamination = mesh.rmax - support_radius(state)
 
-    times = [state.t]
-    snapshots = [state]
-    energies = [energy(state).total_energy if config.nonlinear else _linear_energy(state)]
-    sups = [state.sup_u()]
+    times, snapshots, energies, sups = [], [], [], []
+
+    def record(state: FieldState) -> None:
+        times.append(state.t)
+        snapshots.append(state)
+        energies.append(energy(state).total_energy if config.nonlinear else _linear_energy(state))
+        sups.append(state.sup_u())
+
+    record(state)
     outcome = "Completed"
     t_star = None
 
@@ -364,21 +363,11 @@ def run(config: RunConfig, initial: FieldState | None = None) -> RunReport:
             outcome = "BlowUpDetected"
             t_star = state.t
             if times[-1] < state.t:  # keep the last stable state
-                times.append(state.t)
-                snapshots.append(state)
-                energies.append(
-                    energy(state).total_energy if config.nonlinear else _linear_energy(state)
-                )
-                sups.append(state.sup_u())
+                record(state)
             break
         state = new
         if state.t >= next_out - 1e-9 or i == n_steps - 1:
-            times.append(state.t)
-            snapshots.append(state)
-            energies.append(
-                energy(state).total_energy if config.nonlinear else _linear_energy(state)
-            )
-            sups.append(state.sup_u())
+            record(state)
             next_out += config.output_every
 
     times_a = np.asarray(times)
@@ -394,7 +383,6 @@ def run(config: RunConfig, initial: FieldState | None = None) -> RunReport:
         energies=energies_a,
         sup_history=np.asarray(sups),
         snapshots=snapshots,
-        config=config,
         contamination_time=contamination,
         energy_drift=drift,
     )
@@ -431,15 +419,3 @@ def finite_speed_check(
         leaks.append(gradient_sq + kinetic_sq)
         ts.append(sb.t)
     return float(max(leaks)), np.asarray(ts), np.asarray(leaks)
-
-
-def strichartz_monitor(report: RunReport) -> float:
-    """Space-time quadrature of int int |u|^8 dx dt over the stored snapshots."""
-    if len(report.snapshots) < 2:
-        raise InvalidParameterError("need at least 2 snapshots")
-    vals = []
-    for snap in report.snapshots:
-        r = snap.mesh.nodes
-        u = snap.u()
-        vals.append(4.0 * np.pi * snap.mesh.integrate(r * r * u**8))
-    return float(np.trapezoid(np.asarray(vals), report.times))

@@ -101,8 +101,9 @@ class TestGRandTails:
         assert g.g.shape == g.d.shape == g.defect.shape == (n,)
 
     def test_rho_tail_monotone_in_radius(self, bump_run):
-        r_small = analysis.rho_tail(bump_run.snapshots, 2.0)
-        r_large = analysis.rho_tail(bump_run.snapshots, 6.0)
+        # rho(R): the sup over the run of the exterior energy
+        r_small = max(analysis.tail_energy(s, 2.0) for s in bump_run.snapshots)
+        r_large = max(analysis.tail_energy(s, 6.0) for s in bump_run.snapshots)
         assert r_large <= r_small + 1e-12
 
 

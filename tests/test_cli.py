@@ -199,6 +199,19 @@ class TestDalembert:
     def test_check_negative_n(self):
         assert main(["dalembert", "check", "--n", "-1", "--quiet"]) == 2
 
+    @pytest.mark.parametrize(
+        "band",
+        [
+            ["--r0", "3"],  # r1 defaults to half the data's support, 2.5 at most
+            ["--r0", "-1"],
+            ["--r0", "1", "--r1", "0.5"],
+            ["--r0", "40", "--r1", "50"],  # outside the data: zero band energy
+        ],
+    )
+    def test_check_bad_band(self, band, capsys):
+        assert main(["dalembert", "check", "--n", "3", "--quiet", *band]) == 2
+        assert "band" in capsys.readouterr().err
+
     def test_evolve_roundtrip(self, tmp_path):
         src = tmp_path / "data.csv"
         src.write_text("s,f0,f1\n0.0,0.0,0.0\n1.0,0.5,1.0\n2.0,0.0,0.0\n")
@@ -213,8 +226,8 @@ class TestDalembert:
         src.write_text("s,f0,f1\n")
         assert main(["dalembert", "evolve", "--data", str(src), "--t", "1.0",
                      "--out", str(tmp_path), "--quiet"]) == 0
-        rows = (tmp_path / "evolved_t1.csv").read_text().splitlines()
-        assert rows == ["s,f0,f1"]
+        # the header line export_csv writes, csv.writer's \r\n included
+        assert (tmp_path / "evolved_t1.csv").read_bytes() == b"s,f0,f1\r\n"
 
 
 class TestAnalyze:

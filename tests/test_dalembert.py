@@ -105,16 +105,6 @@ class TestExteriorIdentity:
         assert rep.boundary_term > 0.0
 
 
-class TestHuygens:
-    def test_fraction_monotone_to_one(self):
-        rng = np.random.default_rng(23)
-        wave = da.build_F(da.random_data(rng))
-        rep = da.huygens_localization(wave, 20.0, 1.0)
-        f = [rep.annulus_fraction(R) for R in (1.0, 3.0, 6.0, 30.0)]
-        assert all(b >= a - 1e-12 for a, b in zip(f, f[1:]))
-        assert f[-1] == pytest.approx(1.0, abs=1e-12)
-
-
 class TestIO:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(29)

@@ -22,7 +22,7 @@ from critwave.ground_state import (
     w_field,
     w_profile,
 )
-from critwave.mesh import FieldState, RadialMesh, Region, rescale_field
+from critwave.mesh import FieldState, RadialMesh, Region
 from critwave.radial import FOUR_PI, gaussian_bump
 
 # ----------------------------------------------------------------- references
@@ -254,8 +254,11 @@ class TestFieldState:
         mesh = RadialMesh.uniform(0.005, 30.0)
         u = np.exp(-((mesh.nodes - 3.0) ** 2))
         state = FieldState.from_u(mesh, u, np.zeros_like(u))
+        # u -> lam^{-1/2} u(r/lam) leaves |grad u|^2 invariant
+        lam = 2.0
+        scaled = lam**-0.5 * np.interp(mesh.nodes / lam, mesh.nodes, u)
         e0 = energy(state).gradient_sq
-        e2 = energy(rescale_field(state, 2.0)).gradient_sq
+        e2 = energy(FieldState.from_u(mesh, scaled, np.zeros_like(u))).gradient_sq
         assert e2 == pytest.approx(e0, rel=1e-3)
 
 

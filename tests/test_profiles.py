@@ -1,5 +1,6 @@
-"""Multi-bubble extraction, Pythagorean splitting, and orthogonality."""
+"""Multi-bubble extraction and Pythagorean splitting."""
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critwave.errors import DegenerateInputError, InvalidDataError
+from critwave.errors import DegenerateInputError
 from critwave.ground_state import GroundStateParams, eval_w, eval_w_deriv
 from critwave.mesh import FieldState, RadialMesh
 from critwave import profiles
@@ -200,38 +201,13 @@ class TestPythagorean:
         assert rep.total_grad_sq == pytest.approx(d.total_grad_sq)
 
 
-class TestOrthogonality:
-    def test_off_diagonal_decreases_with_ratio(self, mesh):
-        offdiags = []
-        for ratio in (10.0, 100.0, 1000.0):
-            state = bubble_field(mesh, [(0.01, 1), (0.01 * ratio, 1)])
-            d = profiles.extract(state, lam_range=(1e-3, 100.0), correlation_floor=0.1)
-            if d.n_bubbles == 2:
-                m = profiles.orthogonality_matrix(d)
-                offdiags.append(abs(m[0, 1]))
-        assert len(offdiags) >= 2
-        assert all(b < a for a, b in zip(offdiags, offdiags[1:]))
-
-    def test_unit_diagonal(self, mesh):
-        state = bubble_field(mesh, [(1e-3, 1), (2.0, -1)])
-        d = profiles.extract(state, lam_range=(1e-4, 100.0))
-        m = profiles.orthogonality_matrix(d)
-        assert np.allclose(np.diag(m), 1.0)
-
-
 class TestIO:
     def test_roundtrip(self, mesh, tmp_path):
         state = bubble_field(mesh, [(0.37, -1)])
         d = profiles.extract(state, lam_range=(1e-3, 100.0))
         path = tmp_path / "decomp.json"
         profiles.export_json(d, path)
-        back = profiles.import_json(path)
+        back = json.loads(path.read_text())
         assert len(back["bubbles"]) == 1
-        assert back["bubbles"][0].lam == d.bubbles[0].lam
-        assert back["total_grad_sq"] == d.total_grad_sq
-
-    def test_malformed(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"bubbles": [{"iota": "x"}]}')
-        with pytest.raises(InvalidDataError):
-            profiles.import_json(path)
+        assert float(back["bubbles"][0]["lam"]) == d.bubbles[0].lam
+        assert float(back["total_grad_sq"]) == d.total_grad_sq

@@ -222,11 +222,6 @@ class TestRun:
         assert leak < 1e-4
         assert len(ts) == len(leaks) > 0
 
-    def test_strichartz_monitor_positive(self):
-        cfg = solver.RunConfig(mesh_h=0.05, rmax=8.0, t_end=0.5, family="bump", params=BUMP)
-        rep = solver.run(cfg)
-        assert solver.strichartz_monitor(rep) > 0.0
-
     @pytest.mark.parametrize("t0", [0.0, 5.0])
     def test_contamination_compares_durations(self, t0):
         # the run lasts 1.0; the outgoing signal reaches rmax only after 1.32
