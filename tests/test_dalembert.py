@@ -105,6 +105,32 @@ class TestExteriorIdentity:
         assert rep.boundary_term > 0.0
 
 
+def annulus_energy(data, center, half_width):
+    """Energy int (d_r f)^2 + (d_t f)^2 dr of a piecewise pair over |r - center| <= half_width.
+
+    Both derivatives are constant on each cell, so the clipped cell sum is exact.
+    """
+    k = data.knots
+    density = (np.diff(data.f0) / np.diff(k)) ** 2 + data.f1**2
+    lo = np.maximum(k[:-1], center - half_width)
+    hi = np.minimum(k[1:], center + half_width)
+    return float(np.sum(density * np.clip(hi - lo, 0.0, None)))
+
+
+class TestHuygens:
+    def test_fraction_monotone_to_one(self):
+        # strong Huygens: at t = 20 the evolved energy sits in |r - t| <= 5
+        rng = np.random.default_rng(23)
+        wave = da.build_F(da.random_data(rng))
+        t = 20.0
+        moved = da.evolve(wave, t)
+        total = wave.total_energy()
+        f = [annulus_energy(moved, t, R) / total for R in (1.0, 3.0, 6.0, 30.0)]
+        assert all(b >= a - 1e-12 for a, b in zip(f, f[1:]))
+        assert f[-2] == pytest.approx(1.0, abs=1e-12)
+        assert f[-1] == pytest.approx(1.0, abs=1e-12)
+
+
 class TestIO:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(29)

@@ -1,4 +1,4 @@
-"""Multi-bubble extraction and Pythagorean splitting."""
+"""Multi-bubble extraction, Pythagorean splitting, and orthogonality."""
 
 import json
 from dataclasses import dataclass
@@ -199,6 +199,36 @@ class TestPythagorean:
         rep = profiles.pythagorean_check(d)
         assert rep.relative_defect < 0.02
         assert rep.total_grad_sq == pytest.approx(d.total_grad_sq)
+
+
+def gram_matrix(decomp):
+    """Normalized gradient Gram matrix <grad W_i, grad W_j> / (|grad W_i| |grad W_j|) of the bubbles."""
+    mesh = decomp.residual.mesh
+    dws = [eval_w_deriv(mesh.nodes, GroundStateParams(lam=b.lam)) for b in decomp.bubbles]
+    return np.array(
+        [[profiles.correlate_scale(mesh, dw, b.lam)[0] for b in decomp.bubbles] for dw in dws]
+    )
+
+
+class TestOrthogonality:
+    def test_off_diagonal_decreases_with_ratio(self, mesh):
+        offdiags = []
+        for ratio in (10.0, 100.0, 1000.0):
+            state = bubble_field(mesh, [(0.01, 1), (0.01 * ratio, 1)])
+            d = profiles.extract(state, lam_range=(1e-3, 100.0))
+            if d.n_bubbles == 2:
+                m = gram_matrix(d)
+                offdiags.append(abs(m[0, 1]))
+        assert len(offdiags) >= 2
+        assert all(b < a for a, b in zip(offdiags, offdiags[1:]))
+
+    def test_unit_diagonal(self, mesh):
+        state = bubble_field(mesh, [(1e-3, 1), (2.0, -1)])
+        d = profiles.extract(state, lam_range=(1e-4, 100.0))
+        m = gram_matrix(d)
+        assert d.n_bubbles == 2
+        assert np.allclose(np.diag(m), 1.0)
+        assert np.allclose(m, m.T)
 
 
 class TestIO:
