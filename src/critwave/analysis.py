@@ -20,7 +20,8 @@ from .ground_state import (
 )
 from .mesh import FieldState, Region
 from .radial import FOUR_PI, smoothstep_bump, transition
-from .solver import RunReport, _write_csv_columns, step
+from .solver import BLOWUP_THRESHOLD, RunReport, _step_unless_blowup
+from .table import format_column, write_columns
 
 
 # ------------------------------------------------------------- singular part
@@ -50,7 +51,8 @@ def singular_part(
     v restarts at t0 from u's data smoothly cut off to the exterior
     r >= (T_est - t0) + margin, margin = 2 dr + 2 dt; by finite speed of
     propagation v agrees with the true regular part outside the light cone,
-    which is the only region the diagnostics use it on.
+    which is the only region the diagnostics use it on. If v fails
+    `solver.run`'s blow-up test, DegenerateInputError names when.
     """
     if not snapshots:
         raise InvalidParameterError("no snapshots")
@@ -70,7 +72,12 @@ def singular_part(
     cur = v_state
     for target in targets:
         while cur.t < target.t - 1e-9:
-            cur = step(cur, min(dt, target.t - cur.t), nonlinear)
+            tau = min(dt, target.t - cur.t)
+            new = _step_unless_blowup(cur, tau, nonlinear, BLOWUP_THRESHOLD)
+            if new is None:
+                raise DegenerateInputError(f"the regular part v restarted at snapshot index {t0_index} "
+                                           f"(t = {base.t:.6g}) blew up at t = {cur.t + tau:.6g}")
+            cur = new
         v_fields.append(cur)
     a_fields = [u - v for u, v in zip(targets, v_fields)]
     return SingularSplit(
@@ -336,7 +343,7 @@ class DiagnosticsSeries:
     data: dict  # column -> np.ndarray
 
     def to_csv(self, path) -> None:
-        _write_csv_columns(path, self.columns, [self.data[c] for c in self.columns])
+        write_columns(path, self.columns, [format_column(self.data[c]) for c in self.columns])
 
 
 class _Frame(FieldState):

@@ -29,7 +29,7 @@ from .errors import (
     InvalidDataError,
     InvalidParameterError,
 )
-from . import analysis, dalembert, profiles, solver
+from . import analysis, dalembert, profiles, solver, table
 from .mesh import FieldState, RadialMesh
 
 EXIT_OK = 0
@@ -230,43 +230,21 @@ def cmd_dalembert(args) -> int:
 
     # evolve: breakpoint CSV in, exact solution at time t out
     try:
-        with open(args.data) as fh:
-            n_rows = sum(1 for _ in fh) - 1
-        if n_rows <= 0:
-            out = _out_dir(args)
-            out.mkdir(parents=True, exist_ok=True)
-            with open(out / f"evolved_t{args.t:g}.csv", "w", newline="") as fh:
-                fh.write("s,f0,f1\r\n")  # export_csv's header line
-            return EXIT_OK
         data = dalembert.import_csv(args.data)
     except (OSError, TypeError, CritwaveError) as exc:
         print(f"dalembert evolve: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    wave = dalembert.build_F(data)
-    moved = dalembert.evolve(wave, args.t)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    dalembert.export_csv(moved, out / f"evolved_t{args.t:g}.csv")
+    path = out / f"evolved_t{args.t:g}.csv"
+    # a header-only file holds no data (None) and evolves to a header-only file
+    dalembert.export_csv(None if data is None else dalembert.evolve(dalembert.build_F(data), args.t), path)
     if not args.quiet:
-        print(f"wrote {out / f'evolved_t{args.t:g}.csv'}")
+        print(f"wrote {path}")
     return EXIT_OK
 
 
 # -------------------------------------------------------------------- analyze
-
-
-def _read_series_columns(path: Path, names: tuple, n_rows: int) -> list:
-    """The named columns of a run's series.csv, which must have n_rows rows."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    try:
-        index = [rows[0].index(name) for name in names]
-        columns = [np.array([float(row[j]) for row in rows[1:]]) for j in index]
-    except (IndexError, ValueError) as exc:
-        raise InvalidDataError(f"{path}: malformed series ({exc})") from exc
-    if len(rows) - 1 != n_rows:
-        raise InvalidDataError(f"{path}: {len(rows) - 1} rows, but report.json lists {n_rows} snapshots")
-    return columns
 
 
 def _load_run_dir(run_dir: Path) -> solver.RunReport:
@@ -280,7 +258,10 @@ def _load_run_dir(run_dir: Path) -> solver.RunReport:
             outcome, t_star = rep["outcome"], rep["t_star"]
         except (ValueError, KeyError, TypeError) as exc:
             raise InvalidDataError(f"{path}: malformed report ({exc!r})") from exc
-    energies, sups = _read_series_columns(run_dir / "series.csv", ("E", "sup_u"), len(times))
+    series = run_dir / "series.csv"
+    _, energies, sups = table.read_columns(series, ("t", "E", "sup_u"))
+    if energies.size != len(times):
+        raise InvalidDataError(f"{series}: {energies.size} rows, but report.json lists {len(times)} snapshots")
     snapdir = run_dir / "snapshots"
     first = solver.load_snapshot(snapdir / "snap_0000.csv")
 

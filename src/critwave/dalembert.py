@@ -8,23 +8,24 @@ so evolution and all band energies are exact (no quadrature).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidDataError, InvalidParameterError
 from .radial import RadialProfile
+from .table import format_column, read_columns, write_columns
 
 _MERGE_EPS = 1e-12
+_CSV_COLUMNS = ("s", "f0", "f1")
 
 
 @dataclass(frozen=True)
 class RadialData:
     """Reduced pair (f0, f1): f0 piecewise-linear at knots, f1 constant on cells.
 
-    f0 is constant and f1 zero beyond the last knot; knots[0] must be 0
-    and f0[0] must vanish (u bounded at the origin).
+    There are at least two knots; f0 is constant and f1 zero beyond the last
+    one; knots[0] must be 0 and f0[0] must vanish (u bounded at the origin).
     """
 
     knots: np.ndarray
@@ -35,10 +36,10 @@ class RadialData:
         knots = np.asarray(self.knots, dtype=float)
         f0 = np.asarray(self.f0, dtype=float)
         f1 = np.asarray(self.f1, dtype=float)
+        if knots.size < 2 or np.any(np.diff(knots) <= 0):
+            raise InvalidDataError("need two or more strictly increasing knots")
         if knots[0] != 0.0:
             raise InvalidDataError("knots must start at r = 0")
-        if np.any(np.diff(knots) <= 0):
-            raise InvalidDataError("knots must be strictly increasing")
         if f0.shape != knots.shape or f1.shape != (knots.size - 1,):
             raise InvalidDataError("f0/f1 shapes do not match the knots")
         if f0[0] != 0.0:
@@ -258,25 +259,21 @@ def exterior_identity_check(u0: RadialProfile, R0: float = 0.0) -> ExteriorIdent
     return ExteriorIdentity(lhs, rhs, boundary)
 
 
-def export_csv(data: RadialData, path) -> None:
-    """Write knots as rows s,f0,f1 (f1 value applies to [s_i, s_{i+1}))."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s", "f0", "f1"])
-        f1 = np.concatenate((data.f1, [0.0]))
-        for s, a, b in zip(data.knots, data.f0, f1):
-            w.writerow([repr(float(s)), repr(float(a)), repr(float(b))])
+def export_csv(data: RadialData | None, path) -> None:
+    """Write knots as rows s,f0,f1 (f1 applies to [s_i, s_{i+1})); None writes the header alone."""
+    columns = [] if data is None else [data.knots, data.f0, np.append(data.f1, 0.0)]
+    write_columns(path, _CSV_COLUMNS, [format_column(c) for c in columns])
 
 
-def import_csv(path) -> RadialData:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:3] != ["s", "f0", "f1"]:
-        raise InvalidDataError("expected header s,f0,f1")
-    arr = np.array([[float(x) for x in row] for row in rows[1:]], dtype=float)
-    if arr.size == 0:
-        raise InvalidDataError("no data rows")
-    return RadialData(arr[:, 0], arr[:, 1], arr[:-1, 2])
+def import_csv(path) -> RadialData | None:
+    """The data `export_csv` wrote (the last f1 is unused); None for a header-only file."""
+    s, f0, f1 = read_columns(path, _CSV_COLUMNS)
+    if s.size == 0:
+        return None
+    try:
+        return RadialData(s, f0, f1[:-1])
+    except InvalidDataError as exc:
+        raise InvalidDataError(f"{path}: {exc}") from exc
 
 
 def random_data(rng: np.random.Generator, n_knots: int = 8, support: float = 5.0) -> RadialData:

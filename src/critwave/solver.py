@@ -20,18 +20,18 @@ check.
 
 from __future__ import annotations
 
-import csv
-import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, InvalidDataError
 from .ground_state import GroundStateParams, _gradient_kinetic, energy, eval_w
 from .mesh import FieldState, RadialMesh, Region
 from .radial import RadialProfile, gaussian_bump, smoothstep_bump
+from .table import format_column, read_columns, write_columns
 
 CFL_MAX = 0.5
+BLOWUP_THRESHOLD = 1e6  # sup|u| past which a run, or singular_part's v, has blown up
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class RunConfig:
     cfl: float = 0.5
     t_end: float = 2.0
     nonlinear: bool = True
-    blowup_threshold: float = 1e6
+    blowup_threshold: float = BLOWUP_THRESHOLD
     output_every: float = 0.1
     family: str = "bump"
     params: dict = dc_field(default_factory=dict)
@@ -170,19 +170,10 @@ def _bump(params: dict) -> RadialProfile:
 
 
 def load_snapshot(path, mesh: RadialMesh | None = None) -> FieldState:
-    """Read an r,u,ut snapshot CSV; resample onto `mesh` if given."""
-    with open(path, newline="") as fh:
-        if [c.strip() for c in next(csv.reader(fh), [])[:3]] != ["r", "u", "ut"]:
-            raise InvalidConfigError(f"{path}: expected header r,u,ut")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # loadtxt warns on no rows; raised below
-            try:
-                arr = np.loadtxt(fh, delimiter=",", usecols=(0, 1, 2), ndmin=2)
-            except ValueError as exc:
-                raise InvalidConfigError(f"{path}: malformed snapshot: {exc}") from exc
-    if arr.shape[0] == 0:
-        raise InvalidConfigError(f"{path}: snapshot has no rows")
-    r, u, ut = arr[:, 0], arr[:, 1], arr[:, 2]
+    """Read an r,u,ut snapshot table; resample onto `mesh` if given."""
+    r, u, ut = read_columns(path, ("r", "u", "ut"))
+    if r.size == 0:
+        raise InvalidDataError(f"{path}: snapshot has no rows")
     if mesh is None:
         if r[0] != 0.0:
             r = np.concatenate(([0.0], r))
@@ -196,14 +187,10 @@ def load_snapshot(path, mesh: RadialMesh | None = None) -> FieldState:
 
 
 def save_snapshot(state: FieldState, path) -> None:
-    """Write the snapshot as r,u,ut CSV rows (see `_write_csv_columns`).
-
-    The text of the r column is kept for the last mesh written (see
-    `_r_column`), so the snapshots of a run, which share one mesh, format
-    only their u and ut columns.
-    """
-    columns = [_r_column(state.mesh), _format(state.u()), _format(state.ut())]
-    _write_csv_text(path, ["r", "u", "ut"], columns)
+    """Write the snapshot as an r,u,ut table; the r column's text is kept per
+    mesh (`_r_column`), so a run's snapshots format only u and ut."""
+    columns = [_r_column(state.mesh), format_column(state.u()), format_column(state.ut())]
+    write_columns(path, ["r", "u", "ut"], columns)
 
 
 # (mesh, repr text of its nodes) of the last snapshot saved; holding the
@@ -215,31 +202,8 @@ def _r_column(mesh: RadialMesh) -> list:
     """The repr text of the mesh's nodes, formatted once per mesh."""
     global _last_r_column
     if _last_r_column[0] is not mesh:
-        _last_r_column = (mesh, _format(mesh.nodes))
+        _last_r_column = (mesh, format_column(mesh.nodes))
     return _last_r_column[1]
-
-
-def _format(column) -> list:
-    return list(map(repr, np.asarray(column, dtype=float).tolist()))
-
-
-def _write_csv_columns(path, header: list, columns: list) -> None:
-    """Write equal-length columns as CSV: the header names (which need no
-    quoting), then one row per index of `repr(float(x))` values, each line
-    ended by \\r\\n.
-
-    These are the bytes `csv.writer` writes for such rows: a float's repr
-    never needs quoting, and \\r\\n is its line terminator. Each column is
-    formatted in one pass and the file is written at once.
-    """
-    _write_csv_text(path, header, [_format(c) for c in columns])
-
-
-def _write_csv_text(path, header: list, cols: list) -> None:
-    """`_write_csv_columns` on columns already formatted."""
-    lines = [",".join(header), *map(",".join, zip(*cols))]
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
 
 
 # ----------------------------------------------------------------- time stepping
@@ -305,6 +269,15 @@ def step(state: FieldState, dt: float, nonlinear: bool = True) -> FieldState:
     return FieldState(mesh, state.t + dt, new[0], new[1])
 
 
+def _step_unless_blowup(state: FieldState, dt: float, nonlinear: bool, threshold: float) -> FieldState | None:
+    """One `step`, or None if it blew up: sup|h/r| over r > 0 above threshold
+    or not finite (near blow-up the RK stages overflow, silently here)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        new = step(state, dt, nonlinear)
+        amp = np.max(np.abs(new.h[1:] / new.mesh.nodes[1:]))
+    return new if np.isfinite(amp) and amp <= threshold else None
+
+
 @dataclass
 class RunReport:
     outcome: str  # "Completed" | "BlowUpDetected"
@@ -350,16 +323,12 @@ def run(config: RunConfig, initial: FieldState | None = None) -> RunReport:
 
     next_out = state.t + config.output_every
     t_final = state.t + config.t_end
-    r = mesh.nodes
     n_steps = int(np.ceil((config.t_end - 1e-12) / dt))
     for i in range(n_steps):
-        # the last step ends on t_final: shortened, or stretched by <= 1e-12;
-        # near blow-up the RK stages overflow, and the NaN and inf that
-        # result propagate through max into amp, which ends the run
-        with np.errstate(over="ignore", invalid="ignore"):
-            new = step(state, t_final - state.t if i == n_steps - 1 else dt, config.nonlinear)
-            amp = np.max(np.abs(new.h[1:] / r[1:]))
-        if not np.isfinite(amp) or amp > config.blowup_threshold:
+        # the last step ends on t_final: shortened, or stretched by <= 1e-12
+        tau = t_final - state.t if i == n_steps - 1 else dt
+        new = _step_unless_blowup(state, tau, config.nonlinear, config.blowup_threshold)
+        if new is None:
             outcome = "BlowUpDetected"
             t_star = state.t
             if times[-1] < state.t:  # keep the last stable state

@@ -229,6 +229,22 @@ class TestDalembert:
         # the header line export_csv writes, csv.writer's \r\n included
         assert (tmp_path / "evolved_t1.csv").read_bytes() == b"s,f0,f1\r\n"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "s,f0,f1\n0.0,0.0,0.0\n1.0,abc,1.0\n2.0,0.0,0.0\n",  # non-numeric
+            "s,f0,f1\n0.0,0.0,0.0\n1.0,0.5\n2.0,0.0,0.0\n",  # ragged
+            "s,f0,f1\n0.0,0.0,1.0\n",  # one knot, no cell
+        ],
+        ids=["non_numeric", "ragged", "one_row"],
+    )
+    def test_evolve_malformed_data_exit_2(self, tmp_path, capsys, text):
+        src = write(tmp_path / "data.csv", text)
+        out = tmp_path / "out"
+        assert main(["dalembert", "evolve", "--data", src, "--t", "1.0", "--out", str(out), "--quiet"]) == 2
+        assert src in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_stationary_w_d_column(self, tmp_path):
@@ -303,6 +319,25 @@ class TestAnalyze:
         assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 3
         assert str(snap) in capsys.readouterr().err
         assert len(pool_pids()) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_split_v_blowup_exit_3(self, tmp_path, capsys):
+        # restarted at t = 0.4, the regular part v takes in the data outside
+        # the cone r >= T_est - 0.4 and focuses it at the origin, where v
+        # blows up near T_est
+        cfg = write(
+            tmp_path / "c.json",
+            '{"mesh": {"h": 0.02, "rmax": 8.0}, "t_end": 5.0, "output": {"every": 0.1},'
+            ' "data": {"family": "near_w", "delta": 0.05, "lambda": 1.0}}',
+        )
+        run_dir = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+        t_star = json.loads((run_dir / "report.json").read_text())["t_star"]
+        capsys.readouterr()
+        assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet",
+                     "--t-est", repr(t_star + 0.002), "--split-index", "4"]) == 3
+        err = capsys.readouterr().err
+        assert "restarted at snapshot index 4 (t = 0.4) blew up at t = " in err
 
     @pytest.mark.parametrize("damage", ["missing", "short", "no_E"])
     def test_bad_series_exit_3(self, tmp_path, capsys, damage):

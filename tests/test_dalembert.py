@@ -1,5 +1,9 @@
 """Exact piecewise solutions of the free radial wave equation."""
 
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from critwave import dalembert as da
 from critwave.errors import DegenerateInputError, InvalidDataError
 from critwave.radial import gaussian_bump
 from critwave.ground_state import w_profile
+from test_solver import ANY_FLOAT
 
 
 def step_velocity_data():
@@ -131,7 +136,34 @@ class TestHuygens:
         assert f[-1] == pytest.approx(1.0, abs=1e-12)
 
 
+def reference_export_csv(data, path):
+    """The csv.writer loop that `export_csv` replaced, kept as the
+    reference for its bytes."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["s", "f0", "f1"])
+        f1 = np.concatenate((data.f1, [0.0]))
+        for s, a, b in zip(data.knots, data.f0, f1):
+            w.writerow([repr(float(s)), repr(float(a)), repr(float(b))])
+
+
 class TestIO:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        s=st.lists(st.floats(0.0, 1e300, exclude_min=True), min_size=1, max_size=40, unique=True),
+        data=st.data(),
+    )
+    def test_bytes_match_csv_writer(self, s, data):
+        knots = np.array([0.0, *sorted(s)])
+        f0 = np.array([0.0, *data.draw(st.lists(ANY_FLOAT, min_size=knots.size - 1, max_size=knots.size - 1))])
+        f1 = np.array(data.draw(st.lists(ANY_FLOAT, min_size=knots.size - 1, max_size=knots.size - 1)))
+        radial = da.RadialData(knots, f0, f1)
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+            da.export_csv(radial, got)
+            reference_export_csv(radial, want)
+            assert got.read_bytes() == want.read_bytes()
+
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(29)
         data = da.random_data(rng)
@@ -147,6 +179,19 @@ class TestIO:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(InvalidDataError):
             da.import_csv(path)
+
+    def test_header_only_reads_as_no_data(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("s,f0,f1\n")
+        assert da.import_csv(path) is None
+        da.export_csv(None, path)
+        assert path.read_bytes() == b"s,f0,f1\r\n"
+
+    @pytest.mark.parametrize("knots", [[], [0.0]])
+    def test_fewer_than_two_knots(self, knots):
+        # one knot has no cell, so F' would have none to evaluate
+        with pytest.raises(InvalidDataError, match="two or more"):
+            da.RadialData(np.array(knots), np.zeros(len(knots)), np.zeros(0))
 
     def test_reduce_from_profile(self):
         grid = np.linspace(0.0, 6.0, 61)
