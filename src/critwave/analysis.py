@@ -20,7 +20,7 @@ from .ground_state import (
 )
 from .mesh import FieldState, Region
 from .radial import FOUR_PI, smoothstep_bump, transition
-from .solver import BLOWUP_THRESHOLD, RunReport, _step_unless_blowup
+from .solver import RunReport, run
 from .table import format_column, write_columns
 
 
@@ -34,57 +34,39 @@ class SingularSplit:
     times: np.ndarray
     a_fields: list
     v_fields: list
-    T_est: float
     cone_radius: float  # T_est - t0
     margin: float
 
 
-def singular_part(
-    snapshots: list,
-    T_est: float,
-    t0_index: int = 0,
-    nonlinear: bool = True,
-    cfl: float = 0.5,
-) -> SingularSplit:
+def singular_part(report: RunReport, T_est: float, t0_index: int = 0) -> SingularSplit:
     """Split u into regular part v and singular part a = u - v.
 
     v restarts at t0 from u's data smoothly cut off to the exterior
-    r >= (T_est - t0) + margin, margin = 2 dr + 2 dt; by finite speed of
-    propagation v agrees with the true regular part outside the light cone,
-    which is the only region the diagnostics use it on. If v fails
-    `solver.run`'s blow-up test, DegenerateInputError names when.
+    r >= (T_est - t0) + margin, margin = 2 dr + 2 dt, and is evolved by
+    `solver.run` under the run's own config to the later snapshots' times;
+    by finite speed of propagation v agrees with the true regular part
+    outside the light cone, which is the only region the diagnostics use it
+    on. If v fails the run's blow-up test, DegenerateInputError names when.
     """
-    if not snapshots:
-        raise InvalidParameterError("no snapshots")
-    base = snapshots[t0_index]
+    base = report.snapshots[t0_index]
     mesh = base.mesh
     if not (base.t < T_est):
         raise InvalidParameterError("T_est must exceed the restart time")
     dr = mesh.spacing
-    dt = cfl * dr
-    margin = 2.0 * dr + 2.0 * dt
+    margin = 2.0 * dr + 2.0 * report.config.cfl * dr
     r_cone = T_est - base.t
     chi = transition(mesh.nodes, r_cone, r_cone + margin)
-    v_state = FieldState(mesh, base.t, chi * base.h, chi * base.hdot)
+    v0 = FieldState(mesh, base.t, chi * base.h, chi * base.hdot)
 
-    targets = [s for s in snapshots[t0_index:]]
-    v_fields = []
-    cur = v_state
-    for target in targets:
-        while cur.t < target.t - 1e-9:
-            tau = min(dt, target.t - cur.t)
-            new = _step_unless_blowup(cur, tau, nonlinear, BLOWUP_THRESHOLD)
-            if new is None:
-                raise DegenerateInputError(f"the regular part v restarted at snapshot index {t0_index} "
-                                           f"(t = {base.t:.6g}) blew up at t = {cur.t + tau:.6g}")
-            cur = new
-        v_fields.append(cur)
-    a_fields = [u - v for u, v in zip(targets, v_fields)]
+    targets = report.snapshots[t0_index:]
+    v_run = run(report.config, initial=v0, times=[s.t for s in targets[1:]])
+    if v_run.outcome == "BlowUpDetected":
+        raise DegenerateInputError(f"the regular part v restarted at snapshot index {t0_index} "
+                                   f"(t = {base.t:.6g}) blew up at t = {v_run.t_star:.6g}")
     return SingularSplit(
         times=np.array([s.t for s in targets]),
-        a_fields=a_fields,
-        v_fields=v_fields,
-        T_est=T_est,
+        a_fields=[u - v for u, v in zip(targets, v_run.snapshots)],
+        v_fields=v_run.snapshots,
         cone_radius=r_cone,
         margin=margin,
     )

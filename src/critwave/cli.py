@@ -30,7 +30,7 @@ from .errors import (
     InvalidParameterError,
 )
 from . import analysis, dalembert, profiles, solver, table
-from .mesh import FieldState, RadialMesh
+from .mesh import FieldState
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -137,6 +137,7 @@ def _write_report(report: solver.RunReport, out: Path) -> None:
         "contamination_time": report.contamination_time,
         "snapshot_times": [float(t) for t in report.times],
         "final_time": float(report.times[-1]),
+        "config": asdict(report.config),
     }
     with open(out / "report.json", "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -248,14 +249,16 @@ def cmd_dalembert(args) -> int:
 
 
 def _load_run_dir(run_dir: Path) -> solver.RunReport:
-    """The report of a run directory: its snapshots, which share one mesh
-    while their r columns are equal, and E and sup_u from its series.csv."""
+    """The report of a run directory: its config (`RunConfig()` when
+    report.json predates the key), its snapshots on snapshot 0's mesh, and
+    E and sup_u from its series.csv."""
     path = run_dir / "report.json"
     with open(path) as fh:
         try:
             rep = json.load(fh)
             times = [float(t) for t in rep["snapshot_times"]]
             outcome, t_star = rep["outcome"], rep["t_star"]
+            config = solver.RunConfig(**rep["config"]) if "config" in rep else solver.RunConfig()
         except (ValueError, KeyError, TypeError) as exc:
             raise InvalidDataError(f"{path}: malformed report ({exc!r})") from exc
     series = run_dir / "series.csv"
@@ -266,19 +269,14 @@ def _load_run_dir(run_dir: Path) -> solver.RunReport:
     first = solver.load_snapshot(snapdir / "snap_0000.csv")
 
     def parse(i):
-        # h and hdot, and r only where it differs from snapshot 0's
-        state = solver.load_snapshot(snapdir / f"snap_{i:04d}.csv")
-        same = np.array_equal(state.mesh.nodes, first.mesh.nodes)
-        return state.h, state.hdot, None if same else state.mesh.nodes
+        path = snapdir / f"snap_{i:04d}.csv"
+        state = solver.load_snapshot(path)
+        if not np.array_equal(state.mesh.nodes, first.mesh.nodes):
+            raise InvalidDataError(f"{path}: r column differs from snapshot 0's")
+        return state.h, state.hdot
 
     rest = _fan_out(parse, range(1, len(times)), first.mesh.nodes.size * len(times))
-    snaps = []
-    for t, (h, hdot, r) in zip(times, [(first.h, first.hdot, None), *rest]):
-        if r is None:
-            mesh = first.mesh
-        elif not np.array_equal(r, mesh.nodes):
-            mesh = RadialMesh(r)
-        snaps.append(FieldState(mesh, float(t), h, hdot))
+    snaps = [FieldState(first.mesh, t, h, hdot) for t, (h, hdot) in zip(times, [(first.h, first.hdot), *rest])]
     return solver.RunReport(
         outcome=outcome,
         t_star=t_star,
@@ -288,10 +286,14 @@ def _load_run_dir(run_dir: Path) -> solver.RunReport:
         snapshots=snaps,
         contamination_time=rep.get("contamination_time", 0.0),
         energy_drift=rep.get("energy_drift", 0.0),
+        config=config,
     )
 
 
 def cmd_analyze(args) -> int:
+    if args.split_index is not None and args.t_est is None:
+        print("analyze: give --split-index with --t-est", file=sys.stderr)
+        return EXIT_CONFIG
     run_dir = Path(args.run)
     if not (run_dir / "report.json").exists():
         print(f"analyze: {run_dir} is not a run directory", file=sys.stderr)
@@ -299,8 +301,12 @@ def cmd_analyze(args) -> int:
     try:
         report = _load_run_dir(run_dir)
         split = None
-        if args.t_est is not None and args.split_index is not None:
-            split = analysis.singular_part(report.snapshots, args.t_est, t0_index=args.split_index)
+        if args.split_index is not None:
+            n = len(report.snapshots)
+            if not 0 <= args.split_index < n:
+                print(f"analyze: --split-index {args.split_index} is outside [0, {n})", file=sys.stderr)
+                return EXIT_CONFIG
+            split = analysis.singular_part(report, args.t_est, t0_index=args.split_index)
         series = analysis.diagnostics_series(
             report,
             ball_radii=tuple(args.ball_radius),

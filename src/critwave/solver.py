@@ -20,6 +20,7 @@ check.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -31,7 +32,6 @@ from .radial import RadialProfile, gaussian_bump, smoothstep_bump
 from .table import format_column, read_columns, write_columns
 
 CFL_MAX = 0.5
-BLOWUP_THRESHOLD = 1e6  # sup|u| past which a run, or singular_part's v, has blown up
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class RunConfig:
     cfl: float = 0.5
     t_end: float = 2.0
     nonlinear: bool = True
-    blowup_threshold: float = BLOWUP_THRESHOLD
+    blowup_threshold: float = 1e6  # sup|u| past which a run has blown up
     output_every: float = 0.1
     family: str = "bump"
     params: dict = dc_field(default_factory=dict)
@@ -269,15 +269,6 @@ def step(state: FieldState, dt: float, nonlinear: bool = True) -> FieldState:
     return FieldState(mesh, state.t + dt, new[0], new[1])
 
 
-def _step_unless_blowup(state: FieldState, dt: float, nonlinear: bool, threshold: float) -> FieldState | None:
-    """One `step`, or None if it blew up: sup|h/r| over r > 0 above threshold
-    or not finite (near blow-up the RK stages overflow, silently here)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        new = step(state, dt, nonlinear)
-        amp = np.max(np.abs(new.h[1:] / new.mesh.nodes[1:]))
-    return new if np.isfinite(amp) and amp <= threshold else None
-
-
 @dataclass
 class RunReport:
     outcome: str  # "Completed" | "BlowUpDetected"
@@ -288,6 +279,7 @@ class RunReport:
     snapshots: list
     contamination_time: float  # rmax minus the initial support radius
     energy_drift: float
+    config: RunConfig
 
 
 def support_radius(state: FieldState, tol: float = 1e-13) -> float:
@@ -298,8 +290,13 @@ def support_radius(state: FieldState, tol: float = 1e-13) -> float:
     return float(state.mesh.nodes[idx[-1]])
 
 
-def run(config: RunConfig, initial: FieldState | None = None) -> RunReport:
-    """Integrate until t_end or blow-up; snapshot at the output cadence."""
+def run(config: RunConfig, initial: FieldState | None = None, times: list | None = None) -> RunReport:
+    """Integrate until t_end or blow-up; snapshot at the output cadence.
+
+    With `times`, increasing output times after the initial state's, the run
+    ends at the last of them instead and keeps a frame at the first step
+    that reaches each; t_end and output_every are then not read.
+    """
     mesh = config.mesh()
     if initial is None:
         state = make_initial_data(mesh, config.family, config.params)
@@ -309,10 +306,10 @@ def run(config: RunConfig, initial: FieldState | None = None) -> RunReport:
     dt = config.cfl * mesh.spacing
     contamination = mesh.rmax - support_radius(state)
 
-    times, snapshots, energies, sups = [], [], [], []
+    frame_t, snapshots, energies, sups = [], [], [], []
 
     def record(state: FieldState) -> None:
-        times.append(state.t)
+        frame_t.append(state.t)
         snapshots.append(state)
         energies.append(energy(state).total_energy if config.nonlinear else _linear_energy(state))
         sups.append(state.sup_u())
@@ -321,25 +318,38 @@ def run(config: RunConfig, initial: FieldState | None = None) -> RunReport:
     outcome = "Completed"
     t_star = None
 
-    next_out = state.t + config.output_every
-    t_final = state.t + config.t_end
-    n_steps = int(np.ceil((config.t_end - 1e-12) / dt))
+    if times is None:
+        t_final = state.t + config.t_end
+        n_steps = int(np.ceil((config.t_end - 1e-12) / dt))
+        every = config.output_every
+        times = itertools.accumulate(itertools.repeat(every), initial=state.t + every)
+    else:
+        # output times that are sums of dt steps carry the sums' rounding
+        # (2e-12 after 8000 steps), so count steps to the frame tolerance
+        t_final = max(times, default=state.t)
+        n_steps = int(np.ceil((t_final - state.t - 1e-9) / dt))
+    outputs = iter(times)
+    next_out = next(outputs, np.inf)
     for i in range(n_steps):
-        # the last step ends on t_final: shortened, or stretched by <= 1e-12
+        # the last step ends on t_final, shortened or stretched to it
         tau = t_final - state.t if i == n_steps - 1 else dt
-        new = _step_unless_blowup(state, tau, config.nonlinear, config.blowup_threshold)
-        if new is None:
+        # sup|h/r| over r > 0 above the threshold, or not finite (near
+        # blow-up the RK stages overflow, silently here), ends the run
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = step(state, tau, config.nonlinear)
+            amp = np.max(np.abs(new.h[1:] / new.mesh.nodes[1:]))
+        if not (np.isfinite(amp) and amp <= config.blowup_threshold):
             outcome = "BlowUpDetected"
             t_star = state.t
-            if times[-1] < state.t:  # keep the last stable state
+            if frame_t[-1] < state.t:  # keep the last stable state
                 record(state)
             break
         state = new
         if state.t >= next_out - 1e-9 or i == n_steps - 1:
             record(state)
-            next_out += config.output_every
+            next_out = next(outputs, np.inf)
 
-    times_a = np.asarray(times)
+    times_a = np.asarray(frame_t)
     energies_a = np.asarray(energies)
     e0 = energies_a[0]
     # drift excludes the under-resolved last stable frame of a blow-up run
@@ -354,6 +364,7 @@ def run(config: RunConfig, initial: FieldState | None = None) -> RunReport:
         snapshots=snapshots,
         contamination_time=contamination,
         energy_drift=drift,
+        config=config,
     )
 
 

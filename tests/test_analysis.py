@@ -10,7 +10,7 @@ from critwave import analysis
 from critwave.errors import DegenerateInputError, InvalidParameterError
 from critwave.ground_state import GroundStateParams, energy, eval_w, w_constants, w_field
 from critwave.mesh import FieldState, RadialMesh, Region
-from critwave.radial import FOUR_PI, smoothstep_bump
+from critwave.radial import FOUR_PI, smoothstep_bump, transition
 from critwave import solver
 
 
@@ -109,20 +109,54 @@ class TestGRandTails:
 
 class TestSingularPart:
     def test_exterior_agreement_at_restart(self, bump_run):
-        split = analysis.singular_part(bump_run.snapshots, T_est=3.0)
+        split = analysis.singular_part(bump_run, T_est=3.0)
         u0 = bump_run.snapshots[0]
         v0 = split.v_fields[0]
         mask = u0.mesh.nodes > split.cone_radius + split.margin
         assert np.max(np.abs(u0.h[mask] - v0.h[mask])) == 0.0
 
     def test_split_is_additive(self, bump_run):
-        split = analysis.singular_part(bump_run.snapshots, T_est=3.0)
+        split = analysis.singular_part(bump_run, T_est=3.0)
         for u, v, a in zip(bump_run.snapshots, split.v_fields, split.a_fields):
             assert np.allclose(u.h, v.h + a.h, atol=1e-12)
 
     def test_rejects_past_t_est(self, bump_run):
         with pytest.raises(InvalidParameterError):
-            analysis.singular_part(bump_run.snapshots, T_est=-1.0)
+            analysis.singular_part(bump_run, T_est=-1.0)
+
+    @pytest.mark.parametrize("changes", [{"nonlinear": False, "params": {**BUMP, "amp": 0.8}}, {"cfl": 0.25}])
+    def test_v_evolves_under_the_runs_config(self, changes):
+        # v0 cut off with the margin of the run's own dt, then stepped by the
+        # run's own equation and time step: an ordinary run of v0 gives the
+        # same bits at the same frame times
+        cfg = solver.RunConfig(**{
+            "mesh_h": 0.02, "rmax": 10.0, "t_end": 1.0, "family": "bump", "params": BUMP, "output_every": 0.1,
+            **changes,
+        })
+        rep = solver.run(cfg)
+        split = analysis.singular_part(rep, T_est=2.5)
+        u0 = rep.snapshots[0]
+        r_cone, margin = 2.5, 2.0 * 0.02 + 2.0 * cfg.cfl * 0.02
+        chi = transition(u0.mesh.nodes, r_cone, r_cone + margin)
+        ref = solver.run(cfg, initial=FieldState(u0.mesh, 0.0, chi * u0.h, chi * u0.hdot))
+        assert split.margin == margin
+        assert len(split.v_fields) == len(ref.snapshots) == len(rep.snapshots)
+        for v, w in zip(split.v_fields, ref.snapshots):
+            assert v.t == w.t
+            assert v.h.tobytes() == w.h.tobytes() and v.hdot.tobytes() == w.hdot.tobytes()
+
+    @pytest.mark.parametrize("t0_index", [0, 5])
+    def test_frames_at_snapshot_times(self, bump_run, t0_index):
+        split = analysis.singular_part(bump_run, T_est=3.0, t0_index=t0_index)
+        assert len(split.v_fields) == len(bump_run.snapshots) - t0_index
+        for i, v in enumerate(split.v_fields):
+            assert v.t == bump_run.snapshots[t0_index + i].t
+
+    def test_restart_at_last_snapshot_makes_no_step(self, bump_run, monkeypatch):
+        monkeypatch.setattr(solver, "step", lambda *a: pytest.fail("stepped"))
+        last = len(bump_run.snapshots) - 1
+        split = analysis.singular_part(bump_run, T_est=3.0, t0_index=last)
+        assert len(split.v_fields) == 1 and split.v_fields[0].t == bump_run.snapshots[last].t
 
 
 class TestConeEnergy:
@@ -253,7 +287,7 @@ class TestOnePassSeries:
         if case.startswith("split"):
             # from index 0, v covers the run and z1/z2 subtract its moments;
             # from index 5 only a is used
-            split = analysis.singular_part(bump_run.snapshots, T_est=3.0, t0_index=int(case[-1]))
+            split = analysis.singular_part(bump_run, T_est=3.0, t0_index=int(case[-1]))
         if case == "two_snapshots":
             report = _first(bump_run, 2)
         radii = dict(ball_radii=(1.0, 2.5, 50.0), g_radii=(4.0, 2.0))

@@ -301,7 +301,7 @@ class TestAnalyze:
         for rep in reports:
             assert all(s.mesh is rep.snapshots[0].mesh for s in rep.snapshots)
 
-    @pytest.mark.parametrize("damage", ["missing", "malformed"])
+    @pytest.mark.parametrize("damage", ["missing", "malformed", "other_mesh"])
     def test_bad_snapshot_in_workers_half_exit_3(self, tmp_path, capsys, cpus, damage):
         # 5 snapshots: under 2 CPUs snapshot 4 is parsed by a forked worker
         set_cpus, pool_pids = cpus
@@ -312,8 +312,11 @@ class TestAnalyze:
         snap = run_dir / "snapshots" / "snap_0004.csv"
         if damage == "missing":
             snap.unlink()
-        else:
+        elif damage == "malformed":
             snap.write_text("r,u,ut\n0.0,1.0,0.0\n0.1,abc,0.0\n")
+        else:  # well formed, on a coarser mesh than snapshot 0's
+            mesh = RadialMesh.uniform(0.05, 8.0)
+            solver.save_snapshot(FieldState.from_u(mesh, np.zeros(mesh.nodes.size), np.zeros(mesh.nodes.size)), snap)
         set_cpus(2)
         capsys.readouterr()
         assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 3
@@ -339,6 +342,46 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "restarted at snapshot index 4 (t = 0.4) blew up at t = " in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_linear_split_finishes(self, tmp_path):
+        # v is restarted under the run's own linear equation, which cannot
+        # blow up; under the nonlinear one it did, at t = 0.33
+        cfg = write(
+            tmp_path / "c.json",
+            '{"mesh": {"h": 0.02, "rmax": 10.0}, "t_end": 1.0, "output": {"every": 0.25}, "nonlinear": false,'
+            ' "data": {"family": "bump", "amp": 2.0, "sigma": 1.0, "center": 3.0}}',
+        )
+        run_dir = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+        assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet",
+                     "--t-est", "2.5", "--split-index", "0"]) == 0
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--t-est", "2.0", "--split-index", "99"], "--split-index 99 is outside [0, 5)"),
+        (["--t-est", "2.0", "--split-index", "-2"], "--split-index -2 is outside [0, 5)"),
+        (["--split-index", "0"], "give --split-index with --t-est"),
+    ])
+    def test_bad_split_index_exit_2(self, tmp_path, capsys, flags, message):
+        run_dir = tmp_path / "run"
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet", *flags]) == 2
+        assert capsys.readouterr().err == f"analyze: {message}\n"
+
+    def test_config_roundtrip(self, tmp_path):
+        run_dir = tmp_path / "run"
+        cfg = write(tmp_path / "c.json", NEAR_W_CFG % "0.1")
+        assert main(["simulate", "--config", cfg, "--seed", "7", "--out", str(run_dir), "--quiet"]) == 0
+        config = cli._load_run_dir(run_dir).config
+        assert config == solver.RunConfig.from_dict({**json.loads(NEAR_W_CFG % "0.1"), "seed": 7})
+        # a run directory from before report.json carried its config
+        report = run_dir / "report.json"
+        rep = json.loads(report.read_text())
+        del rep["config"]
+        report.write_text(json.dumps(rep))
+        assert cli._load_run_dir(run_dir).config == solver.RunConfig()
+
     @pytest.mark.parametrize("damage", ["missing", "short", "no_E"])
     def test_bad_series_exit_3(self, tmp_path, capsys, damage):
         run_dir = tmp_path / "run"
@@ -360,6 +403,10 @@ class TestAnalyze:
         '{"outcome": "Completed"}',
         "not json\n",
         '{"snapshot_times": 5, "outcome": "Completed", "t_star": null}',
+        '{"snapshot_times": [0.0], "outcome": "Completed", "t_star": null, "config": null}',
+        '{"snapshot_times": [0.0], "outcome": "Completed", "t_star": null, "config": [0.5]}',
+        '{"snapshot_times": [0.0], "outcome": "Completed", "t_star": null, "config": {"cfl": 0.9}}',
+        '{"snapshot_times": [0.0], "outcome": "Completed", "t_star": null, "config": {"mesh": {"h": 0.04}}}',
     ])
     def test_bad_report_exit_3(self, tmp_path, capsys, text):
         run_dir = tmp_path / "run"

@@ -246,3 +246,29 @@ class TestRun:
         assert 0.0 < calls[-1] < 0.015 and all(dt == 0.015 for dt in calls[:-1])
         assert rep.times[-1] == pytest.approx(6.0, abs=1e-12)
         assert rep.snapshots[-1].t == rep.times[-1]
+
+    def test_times_on_rounded_sums(self, monkeypatch):
+        # restarted at a frame of an 8000-step run, frames at later step times
+        # of that run: the sums of dt carry rounding (the span is 800 dt to
+        # within 1.2e-12), yet each frame lands on its time in 800 steps
+        calls = []
+        step = solver.step
+        monkeypatch.setattr(solver, "step", lambda s, dt, nl: calls.append(dt) or step(s, dt, nl))
+        cfg = solver.RunConfig(mesh_h=0.005, rmax=0.1)
+        ts = [0.0]
+        for _ in range(7200):
+            ts.append(ts[-1] + 0.0025)
+        zero = np.zeros(cfg.mesh().nodes.size)
+        initial = FieldState(cfg.mesh(), ts[6400], zero, zero)
+        want = ts[6500:7201:100]
+        rep = solver.run(cfg, initial=initial, times=want)
+        assert len(calls) == 800
+        assert rep.times.tolist() == [ts[6400], *want]
+        assert [s.t for s in rep.snapshots] == rep.times.tolist()
+
+    def test_no_times_left_makes_no_step(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(solver, "step", lambda *a: calls.append(1))
+        cfg = solver.RunConfig(mesh_h=0.03, rmax=6.0, family="bump", params=BUMP)
+        rep = solver.run(cfg, times=[])
+        assert calls == [] and rep.times.tolist() == [0.0] and rep.config is cfg
