@@ -29,10 +29,12 @@ from .table import format_column, write_columns
 
 @dataclass
 class SingularSplit:
-    """u = v + a near the blow-up time: v re-solved from exterior-cutoff data."""
+    """u = v + a near the blow-up time: v re-solved from exterior-cutoff data.
 
-    times: np.ndarray
-    a_fields: list
+    v_fields[k] is v at the time of the run's snapshot t0_index + k.
+    """
+
+    t0_index: int
     v_fields: list
     cone_radius: float  # T_est - t0
     margin: float
@@ -58,18 +60,11 @@ def singular_part(report: RunReport, T_est: float, t0_index: int = 0) -> Singula
     chi = transition(mesh.nodes, r_cone, r_cone + margin)
     v0 = FieldState(mesh, base.t, chi * base.h, chi * base.hdot)
 
-    targets = report.snapshots[t0_index:]
-    v_run = run(report.config, initial=v0, times=[s.t for s in targets[1:]])
+    v_run = run(report.config, initial=v0, times=[s.t for s in report.snapshots[t0_index + 1 :]])
     if v_run.outcome == "BlowUpDetected":
         raise DegenerateInputError(f"the regular part v restarted at snapshot index {t0_index} "
                                    f"(t = {base.t:.6g}) blew up at t = {v_run.t_star:.6g}")
-    return SingularSplit(
-        times=np.array([s.t for s in targets]),
-        a_fields=[u - v for u, v in zip(targets, v_run.snapshots)],
-        v_fields=v_run.snapshots,
-        cone_radius=r_cone,
-        margin=margin,
-    )
+    return SingularSplit(t0_index=t0_index, v_fields=v_run.snapshots, cone_radius=r_cone, margin=margin)
 
 
 # -------------------------------------------------------- concentration radii
@@ -372,13 +367,10 @@ def diagnostics_series(
     data["E"] = report.energies.copy()
     data["sup_u"] = report.sup_history.copy()
 
-    a_of = {}
-    if split is not None:
-        for t, a in zip(split.times, split.a_fields):
-            a_of[round(float(t), 12)] = a
-    # z1, z2 (v's moments subtracted when v covers the run) and g_R need 3
-    # snapshots, as in virial_series and g_r_series
-    v_snaps = split.v_fields if split is not None and len(split.v_fields) == n else None
+    # a = u - v from the split's restart on, u before it; z1 and z2 subtract
+    # v's moments when v covers the run (a split at index 0). They and g_R
+    # need 3 snapshots, as in virial_series and g_r_series
+    t0 = n if split is None else split.t0_index
     moments = []
 
     d_ref = None
@@ -389,8 +381,7 @@ def diagnostics_series(
 
     for i, s in enumerate(snaps):
         frame = _Frame(s)
-        key = round(float(s.t), 12)
-        a = _Frame(a_of[key]) if key in a_of else frame
+        a = frame if i < t0 else _Frame(s - split.v_fields[i - t0])
         radii = concentration_radii(frame, a)
         data["mu"][i] = np.nan if radii.mu is None else radii.mu
         data["nu"][i] = np.nan if radii.nu is None else radii.nu
@@ -403,8 +394,8 @@ def diagnostics_series(
             data[f"E_ball_{rho:g}"][i] = gradient_sq + kinetic_sq
         if n >= 3:
             z = _virial_z(frame)
-            if v_snaps is not None:
-                z = tuple(x - y for x, y in zip(z, _virial_z(v_snaps[i])))
+            if t0 == 0:
+                z = tuple(x - y for x, y in zip(z, _virial_z(split.v_fields[i])))
             moments.append(z)
             for R in g_radii:
                 data[f"g_{R:g}"][i] = _g_r(frame, R)

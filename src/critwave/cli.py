@@ -196,7 +196,8 @@ def cmd_simulate(args) -> int:
         ).write(out / "manifest.json")
     except (OSError, CritwaveError) as exc:
         print(f"simulate: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        # InvalidConfigError: a data.* value that make_initial_data cannot use
+        return EXIT_CONFIG if isinstance(exc, InvalidConfigError) else EXIT_RUNTIME
     if not args.quiet:
         print(f"{report.outcome} t_star={report.t_star} drift={report.energy_drift:.3e}")
     return EXIT_OK
@@ -267,15 +268,17 @@ def _load_run_dir(run_dir: Path) -> solver.RunReport:
         raise InvalidDataError(f"{series}: {energies.size} rows, but report.json lists {len(times)} snapshots")
     snapdir = run_dir / "snapshots"
     first = solver.load_snapshot(snapdir / "snap_0000.csv")
+    nodes = first.mesh.nodes
 
     def parse(i):
+        # (h, hdot) as FieldState.from_u forms them, on snapshot 0's mesh
         path = snapdir / f"snap_{i:04d}.csv"
-        state = solver.load_snapshot(path)
-        if not np.array_equal(state.mesh.nodes, first.mesh.nodes):
+        r, u, ut = table.read_columns(path, ("r", "u", "ut"))
+        if not np.array_equal(r, nodes):
             raise InvalidDataError(f"{path}: r column differs from snapshot 0's")
-        return state.h, state.hdot
+        return nodes * u, nodes * ut
 
-    rest = _fan_out(parse, range(1, len(times)), first.mesh.nodes.size * len(times))
+    rest = _fan_out(parse, range(1, len(times)), nodes.size * len(times))
     snaps = [FieldState(first.mesh, t, h, hdot) for t, (h, hdot) in zip(times, [(first.h, first.hdot), *rest])]
     return solver.RunReport(
         outcome=outcome,

@@ -73,7 +73,6 @@ class OneDWaveData:
     s: np.ndarray  # sorted breakpoints over the real line
     dF: np.ndarray  # len(s)-1 cell values of F'
     F_left: float  # F value on (-inf, s[0]]
-    source: RadialData
 
     @property
     def F_knots(self) -> np.ndarray:
@@ -128,7 +127,7 @@ def build_F(data: RadialData) -> OneDWaveData:
     dF = np.concatenate((neg, pos))
     f1_int = float(np.sum(data.f1 * dk))
     F_left = -0.5 * data.f0[-1] + 0.5 * f1_int
-    return OneDWaveData(s, dF, F_left, data)
+    return OneDWaveData(s, dF, F_left)
 
 
 def _merge_knots(values: np.ndarray) -> np.ndarray:

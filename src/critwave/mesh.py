@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import InvalidParameterError, OutOfDomainError
 
-_ALL = slice(None)  # RadialMesh.integrate's default run: every node
-
 
 def _weights(nodes: np.ndarray, dr: float | None) -> np.ndarray:
     """Quadrature weights w of a run of >= 2 nodes, so that w @ f integrates f dr.
@@ -114,13 +112,13 @@ class RadialMesh:
         trapezoid otherwise (see `_weights`)."""
         return self._w
 
-    def integrate(self, values: np.ndarray, run: slice = _ALL) -> float:
+    def integrate(self, values: np.ndarray, run: slice = slice(None)) -> float:
         """Integral of sampled values dr over the mesh, or over the run of
         nodes that the slice `run` selects: w @ values, with the weights of
         the run's own length (a run of fewer than 2 nodes integrates to 0).
         """
         values = np.asarray(values, dtype=float)
-        if run is _ALL:  # the whole mesh, the hot path, uses the stored weights
+        if run.indices(self._w.size) == (0, self._w.size, 1):  # every node: the stored weights
             return float(self._w @ values)
         values = values[run]
         if values.size < 2:
@@ -135,29 +133,28 @@ class RadialMesh:
 
 @dataclass(frozen=True)
 class Region:
-    """Integration region: full space, ball, annulus, or exterior."""
+    """Integration region r0 <= r <= r1: full space, ball, annulus, or exterior."""
 
-    kind: str  # "full" | "ball" | "annulus" | "exterior"
     r0: float = 0.0
     r1: float = np.inf
 
     @classmethod
     def full(cls) -> "Region":
-        return cls("full", 0.0, np.inf)
+        return cls()
 
     @classmethod
     def ball(cls, radius: float) -> "Region":
-        return cls("ball", 0.0, radius)
+        return cls(0.0, radius)
 
     @classmethod
     def annulus(cls, r0: float, r1: float) -> "Region":
         if not (0 <= r0 < r1):
             raise InvalidParameterError("annulus needs 0 <= r0 < r1")
-        return cls("annulus", r0, r1)
+        return cls(r0, r1)
 
     @classmethod
     def exterior(cls, radius: float) -> "Region":
-        return cls("exterior", radius, np.inf)
+        return cls(radius)
 
     def clip(self, mesh: RadialMesh) -> tuple[float, float]:
         hi = self.r1 if np.isfinite(self.r1) else mesh.rmax

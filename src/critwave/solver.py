@@ -145,28 +145,37 @@ def parse_scalar(val: str):
 def make_initial_data(mesh: RadialMesh, family: str, params: dict) -> FieldState:
     r = mesh.nodes
     if family == "near_w":
-        delta = float(params.get("delta", 0.0))
-        lam = float(params.get("lambda", 1.0))
-        r_cut = float(params.get("r_cut", mesh.rmax / 3.0))
+        delta = _number(params, "delta", 0.0)
+        lam = _number(params, "lambda", 1.0)
+        r_cut = _number(params, "r_cut", mesh.rmax / 3.0)
         u0 = (1.0 + delta) * eval_w(r, GroundStateParams(lam=lam)) * smoothstep_bump(r / r_cut)
         return FieldState.from_u(mesh, u0, np.zeros_like(r))
     if family == "bump":
         return FieldState.from_u(mesh, _bump(params).u(r), np.zeros_like(r))
     if family == "perturbed_w":
-        lam = float(params.get("lambda", 1.0))
-        eps = float(params.get("eps", 0.0))
+        lam = _number(params, "lambda", 1.0)
+        eps = _number(params, "eps", 0.0)
         u0 = eval_w(r, GroundStateParams(lam=lam))
         return FieldState.from_u(mesh, u0 + eps * _bump(params).u(r), np.zeros_like(r))
     if family == "csv":
+        if "path" not in params:
+            raise InvalidConfigError("data.family = csv needs data.path")
         return load_snapshot(params["path"], mesh)
     raise InvalidConfigError(f"unknown initial-data family: {family}")
 
 
+def _number(params: dict, key: str, default: float) -> float:
+    """params[key] as a float, or default where the key is absent; a value
+    that is not a number raises InvalidConfigError naming data.<key>."""
+    try:
+        return float(params.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"data.{key} must be a number, got {params[key]!r}") from exc
+
+
 def _bump(params: dict) -> RadialProfile:
     """The Gaussian bump of the config's data.amp, data.sigma and data.center."""
-    return gaussian_bump(
-        float(params.get("amp", 1.0)), float(params.get("sigma", 1.0)), float(params.get("center", 0.0))
-    )
+    return gaussian_bump(_number(params, "amp", 1.0), _number(params, "sigma", 1.0), _number(params, "center", 0.0))
 
 
 def load_snapshot(path, mesh: RadialMesh | None = None) -> FieldState:

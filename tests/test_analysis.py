@@ -115,11 +115,6 @@ class TestSingularPart:
         mask = u0.mesh.nodes > split.cone_radius + split.margin
         assert np.max(np.abs(u0.h[mask] - v0.h[mask])) == 0.0
 
-    def test_split_is_additive(self, bump_run):
-        split = analysis.singular_part(bump_run, T_est=3.0)
-        for u, v, a in zip(bump_run.snapshots, split.v_fields, split.a_fields):
-            assert np.allclose(u.h, v.h + a.h, atol=1e-12)
-
     def test_rejects_past_t_est(self, bump_run):
         with pytest.raises(InvalidParameterError):
             analysis.singular_part(bump_run, T_est=-1.0)
@@ -227,13 +222,10 @@ def reference_diagnostics_series(report, ball_radii=(), g_radii=(), split=None):
     data["t"] = report.times.copy()
     data["E"] = report.energies.copy()
     data["sup_u"] = report.sup_history.copy()
-    a_of = {}
-    if split is not None:
-        for t, a in zip(split.times, split.a_fields):
-            a_of[round(float(t), 12)] = a
+    t0 = n if split is None else split.t0_index
     d_ref = energy(w_field(snaps[0].mesh)).gradient_sq if snaps else None
     for i, s in enumerate(snaps):
-        a = a_of.get(round(float(s.t), 12), s)
+        a = s if i < t0 else s - split.v_fields[i - t0]
         radii = analysis.concentration_radii(s, a)
         data["mu"][i] = np.nan if radii.mu is None else radii.mu
         data["nu"][i] = np.nan if radii.nu is None else radii.nu
@@ -242,7 +234,7 @@ def reference_diagnostics_series(report, ball_radii=(), g_radii=(), split=None):
             data["f"][i] = analysis.sign_projection(a, radii.lambda1)
         data["d"][i] = analysis.d_functional(s, grad_ref=d_ref)
     if n >= 3:
-        v_snaps = split.v_fields if split is not None and len(split.v_fields) == n else None
+        v_snaps = split.v_fields if t0 == 0 else None
         vs = analysis.virial_series(snaps, v_snaps)
         data["z1"], data["z2"], data["Z"] = vs.z1, vs.z2, vs.Z
     for rho in ball_radii:

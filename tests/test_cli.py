@@ -8,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from critwave import cli
+from critwave import analysis, cli, table
 from critwave.cli import main
 from critwave.ground_state import GroundStateParams, eval_w
 from critwave.mesh import FieldState, RadialMesh
@@ -104,6 +104,24 @@ class TestSimulate:
     def test_invalid_config_exit_2(self, tmp_path):
         cfg = write(tmp_path / "c.json", '{"cfl": 0.9}')
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("data, message", [
+        ("data.family = csv\n", "data.family = csv needs data.path"),
+        ("data.family = bump\ndata.amp = big\n", "data.amp must be a number, got 'big'"),
+        ("data.family = nope\n", "unknown initial-data family: nope"),
+    ], ids=["csv_without_path", "non_numeric_amp", "unknown_family"])
+    def test_bad_initial_data_exit_2(self, tmp_path, capsys, data, message):
+        cfg = write(tmp_path / "c.cfg", "mesh.h = 0.04\nmesh.rmax = 8.0\nt_end = 1.0\n" + data)
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"simulate: {message}\n"
+
+    def test_unreadable_csv_data_exit_3(self, tmp_path, capsys):
+        snap = write(tmp_path / "snap.csv", "r,u,ut\n0.0,1.0,0.0\n0.1,abc,0.0\n")
+        cfg = write(tmp_path / "c.cfg", f"mesh.h = 0.04\nmesh.rmax = 8.0\ndata.family = csv\ndata.path = {snap}\n")
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+        assert snap in capsys.readouterr().err
 
     def test_blowup_report_schema(self, tmp_path):
         cfg = write(tmp_path / "c.json", NEAR_W_CFG % "0.1")
@@ -265,11 +283,15 @@ class TestAnalyze:
     def test_not_a_run_dir(self, tmp_path):
         assert main(["analyze", str(tmp_path), "--out", str(tmp_path), "--quiet"]) == 2
 
-    def test_one_mesh_and_simulate_columns(self, tmp_path):
+    def test_one_mesh_and_simulate_columns(self, tmp_path, monkeypatch):
         run_dir = tmp_path / "run"
         cfg = write(tmp_path / "c.json", BUMP_CFG)
         assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
-        report = cli._load_run_dir(run_dir)
+        built = []
+        post_init = RadialMesh.__post_init__
+        monkeypatch.setattr(RadialMesh, "__post_init__", lambda self: built.append(1) or post_init(self))
+        report = cli._load_run_dir(run_dir)  # 1005 rows: parsed serially, in this process
+        assert len(built) == 1
         assert len(report.snapshots) == 5
         assert all(s.mesh is report.snapshots[0].mesh for s in report.snapshots)
         out = tmp_path / "an"
@@ -301,7 +323,7 @@ class TestAnalyze:
         for rep in reports:
             assert all(s.mesh is rep.snapshots[0].mesh for s in rep.snapshots)
 
-    @pytest.mark.parametrize("damage", ["missing", "malformed", "other_mesh"])
+    @pytest.mark.parametrize("damage", ["missing", "malformed", "other_mesh", "no_origin_row"])
     def test_bad_snapshot_in_workers_half_exit_3(self, tmp_path, capsys, cpus, damage):
         # 5 snapshots: under 2 CPUs snapshot 4 is parsed by a forked worker
         set_cpus, pool_pids = cpus
@@ -314,6 +336,9 @@ class TestAnalyze:
             snap.unlink()
         elif damage == "malformed":
             snap.write_text("r,u,ut\n0.0,1.0,0.0\n0.1,abc,0.0\n")
+        elif damage == "no_origin_row":
+            header, _, *rows = snap.read_bytes().splitlines(keepends=True)
+            snap.write_bytes(b"".join([header, *rows]))
         else:  # well formed, on a coarser mesh than snapshot 0's
             mesh = RadialMesh.uniform(0.05, 8.0)
             solver.save_snapshot(FieldState.from_u(mesh, np.zeros(mesh.nodes.size), np.zeros(mesh.nodes.size)), snap)
@@ -322,6 +347,21 @@ class TestAnalyze:
         assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 3
         assert str(snap) in capsys.readouterr().err
         assert len(pool_pids()) == 1
+
+    def test_fit_json_is_the_fit_of_the_written_series(self, tmp_path):
+        cfg = write(tmp_path / "c.json", NEAR_W_CFG.replace('"every": 0.25', '"every": 0.05') % "0.1")
+        run_dir = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+        t_star = json.loads((run_dir / "report.json").read_text())["t_star"]
+        t_est = t_star + 0.01
+        out = tmp_path / "an"
+        assert main(["analyze", str(run_dir), "--out", str(out), "--quiet", "--t-est", repr(t_est)]) == 0
+        t, _, _, _, _, lam1 = table.read_columns(out / "series.csv", ("t", "E", "sup_u", "mu", "nu", "lambda1"))
+        fit = analysis.fit_exponent(t, lam1, t_est)
+        assert fit.n_points >= 10
+        assert json.loads((out / "fit.json").read_text()) == {
+            "nu_hat": fit.nu_hat, "slope": fit.slope, "r_squared": fit.r_squared, "n_points": fit.n_points,
+        }
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_split_v_blowup_exit_3(self, tmp_path, capsys):
@@ -435,6 +475,18 @@ class TestProfiles:
         iotas = sorted(b["iota"] for b in payload["bubbles"])
         assert iotas == [-1, 1]
 
+    def test_w_snapshot_without_origin_row(self, tmp_path):
+        # load_snapshot puts the r = 0 row back, as a copy of the first row
+        mesh = RadialMesh.graded(1e-6, 1e3, 60)
+        state = FieldState.from_u(mesh, eval_w(mesh.nodes, GroundStateParams(lam=0.1)), np.zeros_like(mesh.nodes))
+        snap = tmp_path / "snap.csv"
+        solver.save_snapshot(state, snap)
+        header, _, *rows = snap.read_bytes().splitlines(keepends=True)
+        snap.write_bytes(b"".join([header, *rows]))
+        out = tmp_path / "prof"
+        assert main(["profiles", str(snap), "--out", str(out), "--quiet"]) == 0
+        assert len(json.loads((out / "decomposition.json").read_text())["bubbles"]) == 1
+
     def test_missing_snapshot(self, tmp_path):
         assert main(["profiles", str(tmp_path / "nope.csv"), "--out", str(tmp_path), "--quiet"]) == 2
 
@@ -528,6 +580,15 @@ class TestSweep:
         assert [row["outcome"] for row in rows] == ["Completed", "Failed"]
         assert rows[1]["error"] != ""
         assert rows[1]["error"].startswith("InvalidConfigError:")
+
+    def test_non_numeric_data_param_recorded(self, tmp_path):
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--param", "data.amp=0.3,big", "--out", str(out), "--quiet"]) == 0
+        with open(out / "aggregate.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["outcome"] for row in rows] == ["Completed", "Failed"]
+        assert rows[1]["error"] == "InvalidConfigError: data.amp must be a number, got 'big'"
 
     def test_non_numeric_param(self, tmp_path):
         cfg = write(tmp_path / "c.json", BUMP_CFG)

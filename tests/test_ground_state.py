@@ -22,6 +22,7 @@ from critwave.ground_state import (
     w_field,
     w_profile,
 )
+from critwave import mesh as mesh_module
 from critwave.mesh import FieldState, RadialMesh, Region
 from critwave.radial import FOUR_PI, gaussian_bump
 
@@ -344,6 +345,28 @@ class TestEnergy:
                        Region.annulus(r[3] - 0.03, r[3] + 0.03), Region.exterior(r[-1] - 0.03)):
             rep = energy(state, region)
             assert (rep.gradient_sq, rep.kinetic_sq, rep.potential, rep.hardy_sq) == (0.0,) * 4
+
+    def test_whole_mesh_integrals_use_stored_weights(self, monkeypatch):
+        # a region that selects every node reads the mesh's weights; a ball
+        # builds the weights of its own run for each integral
+        mesh = RadialMesh.uniform(0.01, 8.0)
+        state = w_field(mesh)
+        rebuilt = mesh_module._weights(mesh.nodes, mesh.spacing)
+        calls = []
+        weights = mesh_module._weights
+        monkeypatch.setattr(mesh_module, "_weights", lambda *a: calls.append(1) or weights(*a))
+        counts = {}
+        for fn in (energy, _gradient_kinetic):
+            for region in (Region.full(), Region.ball(3.0)):
+                calls.clear()
+                fn(state, region)
+                counts[fn.__name__, region.r1] = len(calls)
+        assert counts == {("energy", np.inf): 0, ("energy", 3.0): 4,
+                          ("_gradient_kinetic", np.inf): 0, ("_gradient_kinetic", 3.0): 2}
+        # the stored weights are the rebuilt ones, bit for bit
+        assert mesh.weights.tobytes() == rebuilt.tobytes()
+        values = state.h**2
+        assert mesh.integrate(values, slice(0, mesh.nodes.size)) == float(rebuilt @ values)
 
     def test_static_energy_of_w(self):
         prof = energy_of_profile(w_profile())

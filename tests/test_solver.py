@@ -16,6 +16,7 @@ from critwave.ground_state import energy
 from critwave.mesh import FieldState, RadialMesh
 from critwave.radial import gaussian_bump
 from critwave import solver
+from critwave.table import read_columns
 
 
 BUMP = {"amp": 0.3, "sigma": 1.0, "center": 3.0}
@@ -107,6 +108,17 @@ class TestConfig:
         with pytest.raises(InvalidConfigError):
             solver.make_initial_data(cfg.mesh(), cfg.family, cfg.params)
 
+    @pytest.mark.parametrize("family, params, key", [
+        ("csv", {}, "data.path"),
+        ("bump", {**BUMP, "amp": "big"}, "data.amp"),
+        ("near_w", {"r_cut": [1.0]}, "data.r_cut"),
+        ("perturbed_w", {"eps": "small"}, "data.eps"),
+    ])
+    def test_bad_data_param_names_its_key(self, family, params, key):
+        mesh = RadialMesh.uniform(0.1, 5.0)
+        with pytest.raises(InvalidConfigError, match=key):
+            solver.make_initial_data(mesh, family, params)
+
 
 def reference_save_snapshot(state, path):
     """The csv.writer loop that `solver.save_snapshot` replaced, kept as the
@@ -141,6 +153,24 @@ class TestSnapshots:
             solver.save_snapshot(state, got)
             reference_save_snapshot(state, want)
             assert got.read_bytes() == want.read_bytes()
+
+    def test_csv_family_resamples_onto_the_run_mesh(self, tmp_path):
+        # a bump run's last snapshot restarts on a finer and a longer mesh:
+        # u and u_t interpolated linearly, zero past the snapshot's rmax
+        base = solver.run(solver.RunConfig(mesh_h=0.04, rmax=8.0, t_end=0.5, output_every=0.25,
+                                           family="bump", params=BUMP))
+        path = tmp_path / "snap.csv"
+        solver.save_snapshot(base.snapshots[-1], path)
+        r, u, ut = read_columns(path, ("r", "u", "ut"))
+        cfg = solver.RunConfig(mesh_h=0.03, rmax=10.0, t_end=0.5, output_every=0.25,
+                               family="csv", params={"path": str(path)})
+        nodes = cfg.mesh().nodes
+        state = solver.make_initial_data(cfg.mesh(), cfg.family, cfg.params)
+        assert state.h.tobytes() == (nodes * np.interp(nodes, r, u, right=0.0)).tobytes()
+        assert state.hdot.tobytes() == (nodes * np.interp(nodes, r, ut, right=0.0)).tobytes()
+        assert np.all(state.h[nodes > 8.0] == 0.0)
+        rep = solver.run(cfg)
+        assert rep.outcome == "Completed" and rep.times[-1] == pytest.approx(0.5, abs=1e-12)
 
     def test_roundtrip(self, tmp_path):
         mesh = RadialMesh.uniform(0.1, 5.0)
