@@ -8,6 +8,7 @@ makes the origin a plain Dirichlet node (u even => h odd => h(0) = 0).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -105,6 +106,13 @@ class RadialMesh:
     @property
     def is_uniform(self) -> bool:
         return self._dr is not None
+
+    @cached_property
+    def inv_r(self) -> np.ndarray:
+        """Read-only 1/r at the nodes past the origin, computed on first use."""
+        inv_r = 1.0 / self.nodes[1:]
+        inv_r.setflags(write=False)
+        return inv_r
 
     @property
     def weights(self) -> np.ndarray:

@@ -3,18 +3,18 @@ equation in 3D, in the reduced variable h = r*u:
 
     d^2_t h = d^2_r h + h^5 / r^4        (nonlinear term = r * u^5)
 
-Second-order centered differences in r, RK4 in t, Dirichlet h(t,0) = 0 at
-the origin and Sommerfeld outflow at r = rmax (exact for the linear 1D
-reduction).
+Second-order centered differences in r, a drift-kick-drift Stormer-Verlet
+step in t, Dirichlet h(t,0) = 0 at the origin and Sommerfeld outflow
+d_t v = -d_r v at r = rmax (exact for the linear 1D reduction), advanced by
+Crank-Nicolson on the one-sided second-order stencil.
 
-Cost model of `step` on n nodes: the state is stacked as one (2, n) array
-(h, v = dh/dt) and every stage works on it with `out=` NumPy operations in
-a workspace allocated once per step, so the stages allocate nothing. A step
-is 4 RHS evaluations; each is a copy, 4 operations for the stencil and, when
-nonlinear, 5 for r u^5 = (u^2)^2 h (u = h/r, products rather than pow).
-With the stage updates that is 56 array operations per step (36 linear),
-plus scalar writes at the two boundaries. The spacing is read from the
-mesh, which checks uniformity once at construction, so a step does no mesh
+Cost model of `step` on n nodes: one force evaluation per step, in `out=`
+NumPy operations on the new h and v arrays and one interior scratch array.
+The two drifts are 4 operations, the stencil 4, the kick 2 and, when
+nonlinear, r u^5 = (u^2)^2 h (u = h/r, products rather than pow, 1/r
+kept on the mesh) 5 more: 15 array operations per step (10 linear), plus
+scalar writes at the two boundaries. The spacing is read from the mesh,
+which checks uniformity once at construction, so a step does no mesh
 check.
 """
 
@@ -146,20 +146,22 @@ def make_initial_data(mesh: RadialMesh, family: str, params: dict) -> FieldState
     r = mesh.nodes
     if family == "near_w":
         delta = _number(params, "delta", 0.0)
-        lam = _number(params, "lambda", 1.0)
-        r_cut = _number(params, "r_cut", mesh.rmax / 3.0)
+        lam = _positive(params, "lambda", 1.0)
+        r_cut = _positive(params, "r_cut", mesh.rmax / 3.0)
         u0 = (1.0 + delta) * eval_w(r, GroundStateParams(lam=lam)) * smoothstep_bump(r / r_cut)
         return FieldState.from_u(mesh, u0, np.zeros_like(r))
     if family == "bump":
         return FieldState.from_u(mesh, _bump(params).u(r), np.zeros_like(r))
     if family == "perturbed_w":
-        lam = _number(params, "lambda", 1.0)
+        lam = _positive(params, "lambda", 1.0)
         eps = _number(params, "eps", 0.0)
         u0 = eval_w(r, GroundStateParams(lam=lam))
         return FieldState.from_u(mesh, u0 + eps * _bump(params).u(r), np.zeros_like(r))
     if family == "csv":
         if "path" not in params:
             raise InvalidConfigError("data.family = csv needs data.path")
+        if not isinstance(params["path"], str):
+            raise InvalidConfigError(f"data.path must be a string, got {params['path']!r}")
         return load_snapshot(params["path"], mesh)
     raise InvalidConfigError(f"unknown initial-data family: {family}")
 
@@ -173,9 +175,18 @@ def _number(params: dict, key: str, default: float) -> float:
         raise InvalidConfigError(f"data.{key} must be a number, got {params[key]!r}") from exc
 
 
+def _positive(params: dict, key: str, default: float) -> float:
+    """`_number`, and a value that is not positive raises InvalidConfigError
+    naming data.<key>."""
+    value = _number(params, key, default)
+    if not value > 0.0:
+        raise InvalidConfigError(f"data.{key} must be positive, got {params[key]!r}")
+    return value
+
+
 def _bump(params: dict) -> RadialProfile:
     """The Gaussian bump of the config's data.amp, data.sigma and data.center."""
-    return gaussian_bump(_number(params, "amp", 1.0), _number(params, "sigma", 1.0), _number(params, "center", 0.0))
+    return gaussian_bump(_number(params, "amp", 1.0), _positive(params, "sigma", 1.0), _number(params, "center", 0.0))
 
 
 def load_snapshot(path, mesh: RadialMesh | None = None) -> FieldState:
@@ -218,64 +229,47 @@ def _r_column(mesh: RadialMesh) -> list:
 # ----------------------------------------------------------------- time stepping
 
 
-def _rhs(
-    y: np.ndarray, k: np.ndarray, inv_r: np.ndarray, dr: float, nonlinear: bool, tmp: np.ndarray
-) -> None:
-    """Right-hand side of the first-order system: k = (dh/dt, dv/dt) at y = (h, v).
-
-    `inv_r` is 1/r and `tmp` scratch, both on the interior nodes.
-    """
-    h, v = y
-    np.copyto(k[0], v)
-    dv = k[1, 1:-1]
-    np.multiply(h[1:-1], -2.0, out=dv)
-    dv += h[2:]
-    dv += h[:-2]
-    dv *= 1.0 / dr**2
-    if nonlinear:
-        # r u^5 = (u^2)^2 h with u = h / r, by products rather than pow
-        np.multiply(h[1:-1], inv_r, out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        tmp *= h[1:-1]
-        dv += tmp
-    # origin: Dirichlet h = 0
-    k[:, 0] = 0.0
-    # outer boundary: advect v out, d_t v = -d_r v (one-sided 2nd order)
-    k[1, -1] = -(3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dr)
-
-
 def step(state: FieldState, dt: float, nonlinear: bool = True) -> FieldState:
-    """One RK4 step of the method-of-lines system.
+    """One drift-kick-drift (position) Stormer-Verlet step.
 
-    Works on the stacked state (h, v) in scratch arrays allocated once per
-    step; the stages allocate nothing.
+    h_half = h + dt/2 v, then v' = v + dt (D^2 h_half + h_half^5 / r^4) on the
+    interior and h' = h_half + dt/2 v', with h = v = 0 at the origin. The
+    outer row advances d_t v = -d_r v by Crank-Nicolson on the one-sided
+    second-order stencil.
     """
     mesh = state.mesh
-    r, dr = mesh.nodes, mesh.spacing
-    inv_r = 1.0 / r[1:-1]
-    tmp = np.empty_like(inv_r)
-    y, ys, k, ksum = np.empty((4, 2, r.size))
-    new = np.empty((2, r.size))
-    y[0] = state.h
-    y[1] = state.hdot
-
-    # ksum accumulates k1 + 2 k2 + 2 k3 + k4; `new` is scratch until the end
-    _rhs(y, ksum, inv_r, dr, nonlinear, tmp)
-    np.multiply(ksum, 0.5 * dt, out=ys)
-    ys += y
-    for c in (0.5 * dt, dt):
-        _rhs(ys, k, inv_r, dr, nonlinear, tmp)
-        np.multiply(k, 2.0, out=new)
-        ksum += new
-        np.multiply(k, c, out=ys)
-        ys += y
-    _rhs(ys, k, inv_r, dr, nonlinear, tmp)
-    ksum += k
-
-    np.multiply(ksum, dt / 6.0, out=new)
-    new += y
-    return FieldState(mesh, state.t + dt, new[0], new[1])
+    dr = mesh.spacing
+    h, v = state.h, state.hdot
+    new_h = np.multiply(v, 0.5 * dt)
+    new_h += h  # h_half until the last drift
+    new_v = np.empty_like(v)
+    hi = new_h[1:-1]
+    force = new_v[1:-1]  # the force, then v' after the kick
+    np.multiply(hi, 2.0, out=force)
+    np.subtract(new_h[2:], force, out=force)
+    force += new_h[:-2]
+    force *= 1.0 / dr**2
+    tmp = np.empty_like(force)
+    if nonlinear:
+        # r u^5 = (u^2)^2 h with u = h / r, by products rather than pow
+        np.multiply(hi, mesh.inv_r[:-1], out=tmp)
+        tmp *= tmp
+        tmp *= tmp
+        tmp *= hi
+        force += tmp
+    force *= dt
+    force += v[1:-1]
+    new_v[0] = 0.0
+    # outer boundary: d_t v = -d_r v, Crank-Nicolson on (3 v_N - 4 v_N-1 + v_N-2) / 2 dr
+    a = dt / (2.0 * dr)
+    new_v[-1] = (
+        v[-1] - a * (1.5 * v[-1] - 2.0 * (v[-2] + new_v[-2]) + 0.5 * (v[-3] + new_v[-3]))
+    ) / (1.0 + 1.5 * a)
+    np.multiply(new_v[1:-1], 0.5 * dt, out=tmp)
+    hi += tmp
+    new_h[-1] += 0.5 * dt * new_v[-1]
+    new_h[0] = 0.0
+    return FieldState(mesh, state.t + dt, new_h, new_v)
 
 
 @dataclass
@@ -339,14 +333,18 @@ def run(config: RunConfig, initial: FieldState | None = None, times: list | None
         n_steps = int(np.ceil((t_final - state.t - 1e-9) / dt))
     outputs = iter(times)
     next_out = next(outputs, np.inf)
+    r = mesh.nodes[1:]
+    u = np.empty_like(r)
     for i in range(n_steps):
         # the last step ends on t_final, shortened or stretched to it
         tau = t_final - state.t if i == n_steps - 1 else dt
         # sup|h/r| over r > 0 above the threshold, or not finite (near
-        # blow-up the RK stages overflow, silently here), ends the run
+        # blow-up the force h^5/r^4 can overflow, silently here), ends the
+        # run; a NaN makes both max and min NaN
         with np.errstate(over="ignore", invalid="ignore"):
             new = step(state, tau, config.nonlinear)
-            amp = np.max(np.abs(new.h[1:] / new.mesh.nodes[1:]))
+            np.divide(new.h[1:], r, out=u)
+            amp = max(u.max(), -u.min())
         if not (np.isfinite(amp) and amp <= config.blowup_threshold):
             outcome = "BlowUpDetected"
             t_star = state.t

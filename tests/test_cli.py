@@ -109,7 +109,13 @@ class TestSimulate:
         ("data.family = csv\n", "data.family = csv needs data.path"),
         ("data.family = bump\ndata.amp = big\n", "data.amp must be a number, got 'big'"),
         ("data.family = nope\n", "unknown initial-data family: nope"),
-    ], ids=["csv_without_path", "non_numeric_amp", "unknown_family"])
+        ("data.family = near_w\ndata.lambda = 0\n", "data.lambda must be positive, got 0"),
+        ("data.family = bump\ndata.sigma = 0\n", "data.sigma must be positive, got 0"),
+        ("data.family = near_w\ndata.r_cut = 0\n", "data.r_cut must be positive, got 0"),
+        # a number is not read as a file descriptor
+        ("data.family = csv\ndata.path = 7\n", "data.path must be a string, got 7"),
+    ], ids=["csv_without_path", "non_numeric_amp", "unknown_family", "zero_lambda", "zero_sigma",
+            "zero_r_cut", "path_not_string"])
     def test_bad_initial_data_exit_2(self, tmp_path, capsys, data, message):
         cfg = write(tmp_path / "c.cfg", "mesh.h = 0.04\nmesh.rmax = 8.0\nt_end = 1.0\n" + data)
         capsys.readouterr()

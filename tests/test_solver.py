@@ -22,32 +22,30 @@ from critwave.table import read_columns
 BUMP = {"amp": 0.3, "sigma": 1.0, "center": 3.0}
 
 
-def _reference_rhs(h, v, r, dr, nonlinear):
-    dh = v.copy()
-    dv = np.zeros_like(h)
-    dv[1:-1] = (h[2:] - 2.0 * h[1:-1] + h[:-2]) / dr**2
-    if nonlinear:
-        u = h[1:-1] / r[1:-1]
-        dv[1:-1] += r[1:-1] * u**5
-    dh[0] = 0.0
-    dv[0] = 0.0
-    dv[-1] = -(3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dr)
-    return dh, dv
-
-
 def reference_step(state, dt, nonlinear=True):
-    """The original allocating RK4 step, kept as the reference for `solver.step`."""
+    """A textbook allocating drift-kick-drift Verlet step, the reference for
+    `solver.step`, with the outer row d_t v = -d_r v advanced by
+    Crank-Nicolson on the one-sided second-order stencil."""
     r = state.mesh.nodes
     dr = state.mesh.spacing
     h, v = state.h, state.hdot
-    k1h, k1v = _reference_rhs(h, v, r, dr, nonlinear)
-    k2h, k2v = _reference_rhs(h + 0.5 * dt * k1h, v + 0.5 * dt * k1v, r, dr, nonlinear)
-    k3h, k3v = _reference_rhs(h + 0.5 * dt * k2h, v + 0.5 * dt * k2v, r, dr, nonlinear)
-    k4h, k4v = _reference_rhs(h + dt * k3h, v + dt * k3v, r, dr, nonlinear)
-    h_new = h + dt / 6.0 * (k1h + 2 * k2h + 2 * k3h + k4h)
-    v_new = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    h_new[0] = 0.0
+    h_half = h + 0.5 * dt * v
+    force = np.zeros_like(h)
+    force[1:-1] = (h_half[2:] - 2.0 * h_half[1:-1] + h_half[:-2]) / dr**2
+    if nonlinear:
+        force[1:-1] += r[1:-1] * (h_half[1:-1] / r[1:-1]) ** 5
+    v_new = v + dt * force
     v_new[0] = 0.0
+
+    def d_r(w):
+        return (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * dr)
+
+    # v'_N - v_N = -dt/2 (d_r v + d_r v'), where d_r v' is 3 v'_N / (2 dr)
+    # plus its terms in the interior's v', solved for v'_N
+    rest = (-4.0 * v_new[-2] + v_new[-3]) / (2.0 * dr)
+    v_new[-1] = (v[-1] - 0.5 * dt * (d_r(v) + rest)) / (1.0 + 0.75 * dt / dr)
+    h_new = h_half + 0.5 * dt * v_new
+    h_new[0] = 0.0
     return FieldState(state.mesh, state.t + dt, h_new, v_new)
 
 
@@ -64,7 +62,7 @@ class TestStep:
         nonlinear=st.booleans(),
         data=st.data(),
     )
-    def test_matches_reference_rk4(self, n, dr, cfl, nonlinear, data):
+    def test_matches_reference_verlet(self, n, dr, cfl, nonlinear, data):
         mesh = RadialMesh(dr * np.arange(n, dtype=float))
         values = arrays(np.float64, n, elements=st.floats(-1.0, 1.0))
         u, ut = data.draw(values), data.draw(values)
@@ -76,6 +74,21 @@ class TestStep:
         assert _rel_diff(got.h, want.h) <= 1e-13
         assert _rel_diff(got.hdot, want.hdot) <= 1e-13
         assert np.array_equal(state.h, h0) and np.array_equal(state.hdot, v0)
+
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_second_order_in_time(self, nonlinear):
+        # one mesh, so the spatial error is common to every run: the final
+        # fields at cfl 0.4, 0.2 and 0.1 against cfl 0.025 shrink as dt^2
+        def final(cfl):
+            cfg = solver.RunConfig(mesh_h=0.02, rmax=10.0, cfl=cfl, t_end=1.0, nonlinear=nonlinear,
+                                   family="bump", params=BUMP)
+            last = solver.run(cfg).snapshots[-1]
+            return np.concatenate((last.h, last.hdot))
+
+        ref = final(0.025)
+        errs = [np.max(np.abs(final(cfl) - ref)) for cfl in (0.4, 0.2, 0.1)]
+        orders = np.log2(np.divide(errs[:-1], errs[1:]))
+        assert np.all(orders >= 1.9), orders
 
 
 class TestConfig:
@@ -230,8 +243,9 @@ class TestRun:
         assert rep.snapshots[-1].t == pytest.approx(rep.t_star)
 
     def test_rhs_overflow_before_blowup_warns_nothing(self):
-        # the RK stages reach inf before sup|u| crosses the threshold; the
-        # inf ends the run as a blow-up, at the t* the overflow warning hid
+        # near blow-up the force h^5/r^4 can overflow before sup|u| crosses
+        # the threshold; the run ends as a blow-up at the pinned t* with no
+        # warning (here the last step's sup|u| is ~8e9: finite, past 1e6)
         cfg = solver.RunConfig.from_dict({
             "mesh": {"h": 0.005, "rmax": 12.0}, "t_end": 20.0, "output": {"every": 0.5},
             "data": {"family": "near_w", "lambda": 1.0, "delta": 0.05},
@@ -242,6 +256,26 @@ class TestRun:
         assert rep.outcome == "BlowUpDetected"
         assert rep.t_star == 2.027499999999968
         assert rep.snapshots[-1].t == rep.t_star
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_step_is_a_blowup(self, monkeypatch, bad):
+        # a step whose h holds inf or NaN, as an overflowed force leaves it,
+        # ends the run at the last finite state, with no warning
+        step = solver.step
+
+        def overflowing_step(s, dt, nl):
+            new = step(s, dt, nl)
+            if new.t > 0.1:
+                new.h[7] = bad
+            return new
+
+        monkeypatch.setattr(solver, "step", overflowing_step)
+        cfg = solver.RunConfig(mesh_h=0.03, rmax=6.0, t_end=1.0, family="bump", params=BUMP)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solver.run(cfg)
+        assert rep.outcome == "BlowUpDetected"
+        assert rep.t_star == pytest.approx(0.09) and rep.snapshots[-1].t == rep.t_star
 
     def test_finite_speed_small_leakage(self):
         cfg = solver.RunConfig(
