@@ -2,15 +2,14 @@
 
 W(r) = (1 + r^2/3)^{-1/2} is the unique (up to sign and scaling) radial
 stationary solution of the energy-critical focusing wave equation
-d_t^2 u = Delta u + u^5 in dimension 3.  Reference constants are computed
-once by adaptive quadrature and cached; no hard-coded decimals enter the
-core.
+d_t^2 u = Delta u + u^5 in dimension 3.  Reference constants are in
+closed form; no hard-coded decimals enter the core.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -76,35 +75,42 @@ def w_field(mesh: RadialMesh, params: GroundStateParams = GroundStateParams()) -
     return FieldState.from_u(mesh, u, np.zeros_like(mesh.nodes))
 
 
-@lru_cache(maxsize=None)
-def w_constants(N: int = 3) -> dict:
-    """Reference constants of W; the dimension N must be 3.
+# int |grad W|^2 = int W^6 = 3 sqrt(3) pi^2 / 4: W is the extremizer of the
+# Sobolev inequality (Aubin, Talenti 1976)
+_GRAD_W = 3.0 * 3.0**0.5 * np.pi**2 / 4.0
 
-    grad_norm_sq      int |grad W|^2
+
+def w_constants(N: int = 3) -> dict:
+    """Reference constants of W, a fresh dict on every call; the dimension
+    N must be 3.
+
+    grad_norm_sq      int |grad W|^2 = 3 sqrt(3) pi^2 / 4
     energy_w          E(W, 0) = grad_norm_sq / 3
     potential_w       int W^6  (equals grad_norm_sq, Pohozaev)
     sobolev_threshold sqrt(3) * grad_norm_sq
     """
     if N != 3:
         raise InvalidParameterError("only dimension N = 3 is supported")
-    from scipy.integrate import quad
-
-    grad = FOUR_PI * quad(lambda r: r**2 * eval_w_deriv(r) ** 2, 0, np.inf, limit=200)[0]
-    pot = FOUR_PI * quad(lambda r: r**2 * eval_w(r) ** 6, 0, np.inf, limit=200)[0]
     return {
-        "grad_norm_sq": grad,
-        "energy_w": grad / 3.0,
-        "potential_w": pot,
-        "sobolev_threshold": 3.0**0.5 * grad,
+        "grad_norm_sq": _GRAD_W,
+        "energy_w": _GRAD_W / 3.0,
+        "potential_w": _GRAD_W,
+        "sobolev_threshold": 3.0**0.5 * _GRAD_W,
     }
 
 
-@lru_cache(maxsize=None)
 def w_exterior_grad(radius: float) -> float:
-    """int_{|x| >= radius} |grad W|^2, by adaptive quadrature."""
-    from scipy.integrate import quad
-
-    return FOUR_PI * quad(lambda r: r**2 * eval_w_deriv(r) ** 2, radius, np.inf, limit=200)[0]
+    """int_{|x| >= radius} |grad W|^2, in closed form; radius >= 0 and finite."""
+    if not (math.isfinite(radius) and radius >= 0.0):
+        raise InvalidParameterError("radius must be finite and non-negative")
+    # r = sqrt(3) t turns 4 pi r^2 W'(r)^2 dr into 4 pi sqrt(3) t^4 (1 + t^2)^-3 dt,
+    # whose tail from s is 4 pi sqrt(3) [(3/8) arccot s + s (5 s^2 + 3) / (8 (1 + s^2)^2)]
+    # (its s-derivative is -s^4 (1 + s^2)^-3 and it vanishes at infinity). As a
+    # fraction of the whole, 3 pi / 16 at s = 0, it is the bracket below.
+    s = radius / 3.0**0.5
+    return _GRAD_W * (
+        math.atan2(1.0, s) / (np.pi / 2.0) + s * (5.0 * s * s + 3.0) / (1.5 * np.pi * (1.0 + s * s) ** 2)
+    )
 
 
 @dataclass(frozen=True)

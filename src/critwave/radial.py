@@ -1,8 +1,9 @@
 """Closed-form radial profiles with adaptive-quadrature norms.
 
 Used wherever full-space integrals are needed to better accuracy than a
-truncated mesh can deliver (variational predicates, identity checks,
-reference constants).
+truncated mesh can deliver (variational predicates, identity checks).
+SciPy's `quad` is imported on the first use of a norm, so importing this
+module does not load SciPy.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 FOUR_PI = 4.0 * np.pi
 
@@ -40,6 +40,8 @@ class RadialProfile:
     du: Callable[[np.ndarray], np.ndarray] | None = None  # needed only to differentiate
 
     def _int(self, integrand, a=0.0, b=np.inf) -> float:
+        from scipy.integrate import quad
+
         val, _ = quad(integrand, a, b, **_QUAD_OPTS)
         return val
 

@@ -3,7 +3,10 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -657,3 +660,48 @@ def test_unread_flags_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+# Imports critwave.cli, checks that no scipy module came with it, then makes
+# every scipy import raise and runs each command; prints their exit codes.
+NO_SCIPY_SCRIPT = """
+import json, sys
+from pathlib import Path
+import critwave.cli
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+sys.modules["scipy"] = None
+tmp = Path(sys.argv[1])
+(tmp / "blowup.json").write_text(sys.argv[2])
+(tmp / "bump.json").write_text(sys.argv[3])
+main, run = critwave.cli.main, tmp / "run"
+codes = {"simulate": main(["simulate", "--config", str(tmp / "blowup.json"), "--out", str(run), "--quiet"])}
+t_est = json.loads((run / "report.json").read_text())["t_star"] + 0.002
+last = sorted((run / "snapshots").iterdir())[-1]
+codes["analyze"] = main(["analyze", str(run), "--out", str(tmp / "an"), "--t-est", repr(t_est),
+                         "--split-index", "15", "--quiet"])
+codes["profiles"] = main(["profiles", str(last), "--out", str(tmp / "prof"), "--quiet"])
+codes["dalembert"] = main(["dalembert", "check", "--n", "5", "--quiet"])
+codes["sweep"] = main(["sweep", "--config", str(tmp / "bump.json"), "--param", "data.amp=0.2,0.3",
+                       "--out", str(tmp / "sweep"), "--quiet"])
+outcome = json.loads((run / "report.json").read_text())["outcome"]
+print(json.dumps({"loaded": loaded, "outcome": outcome, "codes": codes}))
+"""
+
+
+def test_no_run_path_loads_scipy(tmp_path):
+    # SciPy is only for adaptive quadrature; no command may import it
+    blowup = (
+        '{"mesh": {"h": 0.02, "rmax": 8.0}, "t_end": 5.0, "output": {"every": 0.1},'
+        ' "data": {"family": "near_w", "delta": 0.05, "lambda": 1.0}}'
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path), blowup, BUMP_CFG],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["loaded"] == []
+    assert result["outcome"] == "BlowUpDetected"
+    assert result["codes"] == dict.fromkeys(["simulate", "analyze", "profiles", "dalembert", "sweep"], 0), proc.stderr

@@ -1,5 +1,8 @@
 """Ground state, meshes, energy functionals, and variational predicates."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -52,34 +55,24 @@ def _reference_eval_w_deriv(r, lam, iota, N=3):
     return val if val.ndim else float(val)
 
 
-def _reference_w_constants(N=3):
-    from math import gamma
-
-    from scipy.integrate import quad
-
-    p = (N - 2) / 2.0
-    omega = 2.0 * np.pi ** (N / 2.0) / gamma(N / 2.0)
-    w = lambda r: (1.0 + r * r / (N * (N - 2))) ** -p
-    dw = lambda r: -2.0 * p * r / (N * (N - 2)) * (1.0 + r * r / (N * (N - 2))) ** (-p - 1)
-    grad = omega * quad(lambda r: r ** (N - 1) * dw(r) ** 2, 0, np.inf, limit=200)[0]
-    pot = omega * quad(lambda r: r ** (N - 1) * w(r) ** (2 * N / (N - 2)), 0, np.inf, limit=200)[0]
-    return {
-        "grad_norm_sq": grad,
-        "energy_w": grad / N,
-        "potential_w": pot,
-        "sobolev_threshold": (N / (N - 2)) ** p * grad,
-    }
+def _mp_grad_tail(radius):
+    """4 pi int_radius^inf r^2 W'(r)^2 dr at 40 digits, by mpmath's own quadrature."""
+    with mpmath.workdps(40):
+        r0 = mpmath.mpf(radius)
+        f = lambda r: r**4 / 9 / (1 + r**2 / 3) ** 3
+        return 4 * mpmath.pi * mpmath.quad(f, [r0, r0 + 1, mpmath.inf])
 
 
-def _reference_w_exterior_grad(radius, N=3):
-    from math import gamma
+def _mp_potential():
+    """4 pi int_0^inf r^2 W(r)^6 dr at 40 digits."""
+    with mpmath.workdps(40):
+        return 4 * mpmath.pi * mpmath.quad(lambda r: r**2 / (1 + r**2 / 3) ** 3, [0, 1, mpmath.inf])
 
-    from scipy.integrate import quad
 
-    omega = 2.0 * np.pi ** (N / 2.0) / gamma(N / 2.0)
-    return omega * quad(
-        lambda r: r ** (N - 1) * _reference_eval_w_deriv(r, 1.0, 1, N) ** 2, radius, np.inf, limit=200
-    )[0]
+def _ulps(got, want):
+    """|got - want| in units in the last place of float(want)."""
+    with mpmath.workdps(40):
+        return float(abs(mpmath.mpf(got) - want) / math.ulp(float(want)))
 
 
 def _reference_integrate(mesh, values, run=slice(None)):
@@ -312,8 +305,26 @@ class TestGroundState:
     def test_exterior_grad_limits(self):
         c = w_constants(3)
         assert w_exterior_grad(0.0) == pytest.approx(c["grad_norm_sq"], rel=1e-10)
-        # far tail ~ 12 pi / R since W ~ sqrt(3)/r
-        assert w_exterior_grad(200.0) == pytest.approx(12.0 * np.pi / 200.0, rel=0.02)
+        # far tail ~ 12 pi / R since W ~ sqrt(3)/r, to 1e-15 against mpmath
+        for radius in (200.0, 1e6):
+            want = _mp_grad_tail(radius)
+            assert abs(w_exterior_grad(radius) - want) <= 1e-15 * want
+
+    def test_exterior_grad_decreasing(self):
+        # below r ~ 1e-2 the tail moves by less than its rounding (it is flat to O(r^5))
+        radii = np.geomspace(1e-2, 1e6, 400)
+        assert np.all(np.diff([w_exterior_grad(r) for r in radii]) < 0.0)
+
+    @pytest.mark.parametrize("radius", [-1.0, -1e-300, np.inf, -np.inf, np.nan])
+    def test_exterior_grad_bad_radius(self, radius):
+        with pytest.raises(InvalidParameterError):
+            w_exterior_grad(radius)
+
+    def test_constants_fresh_dict(self):
+        c = w_constants(3)
+        want = dict(c)
+        c["grad_norm_sq"] = 0.0
+        assert w_constants(3) == want
 
     def test_elliptic_residual_small(self):
         mesh = RadialMesh.uniform(0.01, 10.0)
@@ -429,15 +440,17 @@ class TestAgainstReference:
             assert type(got) is type(want)
             assert np.array_equal(got, want)
 
-    def test_constants_equal(self):
-        got, want = w_constants(3), _reference_w_constants()
-        assert got == want
-        assert all(type(got[k]) is type(want[k]) for k in want)
+    def test_constants_match_mpmath(self):
+        c = w_constants(3)
+        assert _ulps(c["grad_norm_sq"], _mp_grad_tail(0)) <= 1.0
+        assert _ulps(c["potential_w"], _mp_potential()) <= 1.0
+        assert abs(w_exterior_grad(0.0) - c["grad_norm_sq"]) <= math.ulp(c["grad_norm_sq"])
 
-    @settings(max_examples=25, deadline=None)
-    @given(radius=st.one_of(st.just(1.0), st.floats(0.0, 500.0)))
-    def test_exterior_grad_equal(self, radius):
-        assert w_exterior_grad(radius) == _reference_w_exterior_grad(radius)
+    @settings(max_examples=50, deadline=None)
+    @given(radius=st.one_of(st.sampled_from([0.0, 1.0, 1e6]), st.floats(0.0, 1e6)))
+    def test_exterior_grad_matches_mpmath(self, radius):
+        want = _mp_grad_tail(radius)
+        assert abs(w_exterior_grad(radius) - want) <= 1e-15 * want
 
     def test_other_dimensions_rejected(self):
         for N in (2, 4, 5):
