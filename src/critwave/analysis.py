@@ -236,7 +236,7 @@ def _g_r(field: FieldState, R: float) -> float:
     return 2.0 * FOUR_PI * field.mesh.integrate(r * r * field.u() * field.ut() * phi)
 
 
-def g_r_series(snapshots: list, R: float, grad_ref: float | None = None) -> GRSeries:
+def g_r_series(snapshots: list, R: float) -> GRSeries:
     """g_R(t) = 2 int u u_t phi(r/R), its derivative defect against d(t),
     and the exterior-tail bound on the remainder A_R."""
     if len(snapshots) < 3:
@@ -245,7 +245,7 @@ def g_r_series(snapshots: list, R: float, grad_ref: float | None = None) -> GRSe
     gs, ds, tails = [], [], []
     for s in snapshots:
         gs.append(_g_r(s, R))
-        ds.append(d_functional(s, grad_ref))
+        ds.append(d_functional(s))
         tails.append(tail_energy(s, min(R, s.mesh.rmax)))
     g = np.array(gs)
     d = np.array(ds)

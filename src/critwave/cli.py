@@ -2,7 +2,9 @@
 profile extraction, and parameter sweeps.
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 runtime
-failure, 4 channel-check violation (always an implementation bug).
+failure, 4 channel-check violation (always an implementation bug). A command
+returns the codes of the input checks it makes itself; `main` maps any other
+InvalidConfigError to 2, and any other OSError or CritwaveError to 3.
 """
 
 from __future__ import annotations
@@ -16,19 +18,13 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import (
-    CritwaveError,
-    DegenerateInputError,
-    InvalidConfigError,
-    InvalidDataError,
-    InvalidParameterError,
-)
+from .errors import CritwaveError, DegenerateInputError, InvalidConfigError, InvalidDataError, InvalidParameterError
 from . import analysis, dalembert, profiles, solver, table
 from .mesh import FieldState
 
@@ -41,19 +37,10 @@ EXIT_CHANNEL = 4
 # ----------------------------------------------------------------- manifest
 
 
-@dataclass
-class ExperimentManifest:
-    config_hash: str
-    version: str
-    started: str
-    finished: str
-    outcome: str
-    files: dict  # relative path -> row count
-
-    def write(self, path: Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def _write_json(payload, path: Path, sort_keys: bool = False) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
 
 
 def _config_hash(config: solver.RunConfig) -> str:
@@ -129,24 +116,12 @@ def _fan_out(fn, indices: range, rows: int):
 # ------------------------------------------------------------- simulate logic
 
 
-def _write_report(report: solver.RunReport, out: Path) -> None:
-    payload = {
-        "outcome": report.outcome,
-        "t_star": report.t_star,
-        "energy_drift": report.energy_drift,
-        "contamination_time": report.contamination_time,
-        "snapshot_times": [float(t) for t in report.times],
-        "final_time": float(report.times[-1]),
-        "config": asdict(report.config),
-    }
-    with open(out / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def _write_run_outputs(report: solver.RunReport, out: Path, ball_radii, g_radii):
-    """Write a run's snapshots, series.csv and report.json under out; returns
-    the manifest's {file: rows} and the diagnostics series written."""
+def _simulate_into(config: solver.RunConfig, out: Path, ball_radii, g_radii):
+    """Run config and write its run directory under out: the snapshots,
+    series.csv, report.json and manifest.json. Returns the report and the
+    diagnostics series written."""
+    started = _iso_now()
+    report = solver.run(config)
     out.mkdir(parents=True, exist_ok=True)
     snapdir = out / "snapshots"
     snapdir.mkdir(exist_ok=True)
@@ -163,41 +138,44 @@ def _write_run_outputs(report: solver.RunReport, out: Path, ball_radii, g_radii)
 
     series = analysis.diagnostics_series(report, ball_radii=tuple(ball_radii), g_radii=tuple(g_radii))
     series.to_csv(out / "series.csv")
-    files["series.csv"] = len(report.snapshots)
+    files["series.csv"] = len(snaps)
 
-    _write_report(report, out)
+    _write_json({
+        "outcome": report.outcome,
+        "t_star": report.t_star,
+        "energy_drift": report.energy_drift,
+        "contamination_time": report.contamination_time,
+        "snapshot_times": [float(t) for t in report.times],
+        "final_time": float(report.times[-1]),
+        "config": asdict(config),
+    }, out / "report.json")
     files["report.json"] = 1
-    return files, series
+
+    _write_json({
+        "config_hash": _config_hash(config),
+        "version": __version__,
+        "started": started,
+        "finished": _iso_now(),
+        "outcome": report.outcome,
+        "files": files,  # relative path -> row count
+    }, out / "manifest.json", sort_keys=True)
+    return report, series
+
+
+def _fit(series: analysis.DiagnosticsSeries, t_est: float):
+    """The exponent fit of the series' lambda1 against t_est, or None where
+    it cannot be made."""
+    try:
+        return analysis.fit_exponent(series.data["t"], series.data["lambda1"], t_est)
+    except CritwaveError:
+        return None
 
 
 def cmd_simulate(args) -> int:
-    if not args.config or not os.path.exists(args.config):
-        print("simulate: missing or unreadable config", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        config = solver.load_config(args.config)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-    except (InvalidConfigError, ValueError) as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out = _out_dir(args)
-    started = _iso_now()
-    try:
-        report = solver.run(config)
-        files, _ = _write_run_outputs(report, out, args.ball_radius, args.g_radius)
-        ExperimentManifest(
-            config_hash=_config_hash(config),
-            version=__version__,
-            started=started,
-            finished=_iso_now(),
-            outcome=report.outcome,
-            files=files,
-        ).write(out / "manifest.json")
-    except (OSError, CritwaveError) as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        # InvalidConfigError: a data.* value that make_initial_data cannot use
-        return EXIT_CONFIG if isinstance(exc, InvalidConfigError) else EXIT_RUNTIME
+    config = solver.load_config(args.config)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
+    report, _ = _simulate_into(config, _out_dir(args), args.ball_radius, args.g_radius)
     if not args.quiet:
         print(f"{report.outcome} t_star={report.t_star} drift={report.energy_drift:.3e}")
     return EXIT_OK
@@ -301,41 +279,31 @@ def cmd_analyze(args) -> int:
     if not (run_dir / "report.json").exists():
         print(f"analyze: {run_dir} is not a run directory", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        report = _load_run_dir(run_dir)
-        split = None
-        if args.split_index is not None:
-            n = len(report.snapshots)
-            if not 0 <= args.split_index < n:
-                print(f"analyze: --split-index {args.split_index} is outside [0, {n})", file=sys.stderr)
-                return EXIT_CONFIG
-            split = analysis.singular_part(report, args.t_est, t0_index=args.split_index)
-        series = analysis.diagnostics_series(
-            report,
-            ball_radii=tuple(args.ball_radius),
-            g_radii=tuple(args.g_radius),
-            split=split,
-        )
-        out = _out_dir(args)
-        out.mkdir(parents=True, exist_ok=True)
-        series.to_csv(out / "series.csv")
-        if args.t_est is not None:
-            try:
-                fit = analysis.fit_exponent(series.data["t"], series.data["lambda1"], args.t_est)
-                fit_payload = {
-                    "nu_hat": fit.nu_hat,
-                    "slope": fit.slope,
-                    "r_squared": fit.r_squared,
-                    "n_points": fit.n_points,
-                }
-            except CritwaveError:
-                fit_payload = None
-            with open(out / "fit.json", "w") as fh:
-                json.dump(fit_payload, fh, indent=2)
-                fh.write("\n")
-    except (OSError, CritwaveError) as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    report = _load_run_dir(run_dir)
+    split = None
+    if args.split_index is not None:
+        n = len(report.snapshots)
+        if not 0 <= args.split_index < n:
+            print(f"analyze: --split-index {args.split_index} is outside [0, {n})", file=sys.stderr)
+            return EXIT_CONFIG
+        t0 = float(report.snapshots[args.split_index].t)
+        if not args.t_est > t0:
+            print(f"analyze: --t-est {args.t_est!r} must exceed the restart time {t0!r} "
+                  f"of snapshot {args.split_index}", file=sys.stderr)
+            return EXIT_CONFIG
+        split = analysis.singular_part(report, args.t_est, t0_index=args.split_index)
+    series = analysis.diagnostics_series(
+        report,
+        ball_radii=tuple(args.ball_radius),
+        g_radii=tuple(args.g_radius),
+        split=split,
+    )
+    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
+    series.to_csv(out / "series.csv")
+    if args.t_est is not None:
+        fit = _fit(series, args.t_est)
+        _write_json(None if fit is None else asdict(fit), out / "fit.json")
     if not args.quiet:
         print(f"wrote {out / 'series.csv'}")
     return EXIT_OK
@@ -353,15 +321,11 @@ def cmd_profiles(args) -> int:
     except (OSError, CritwaveError) as exc:
         print(f"profiles: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        lam_range = None if args.lam_min is None else (args.lam_min, args.lam_max)
-        decomp = profiles.extract(state, max_bubbles=args.max_bubbles, lam_range=lam_range)
-        out = _out_dir(args)
-        out.mkdir(parents=True, exist_ok=True)
-        profiles.export_json(decomp, out / "decomposition.json")
-    except CritwaveError as exc:
-        print(f"profiles: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    lam_range = None if args.lam_min is None else (args.lam_min, args.lam_max)
+    decomp = profiles.extract(state, max_bubbles=args.max_bubbles, lam_range=lam_range)
+    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
+    profiles.export_json(decomp, out / "decomposition.json")
     if not args.quiet:
         py = profiles.pythagorean_check(decomp)
         print(f"bubbles={decomp.n_bubbles} relative_defect={py.relative_defect:.3e}")
@@ -376,30 +340,17 @@ def _sweep_cell(cell):
     cell_dir = Path(out) / f"cell_{index:03d}"
     try:
         config = solver.RunConfig.from_dict({**base, **overrides})
-        report = solver.run(config)
-        _, series = _write_run_outputs(report, cell_dir, (), ())
-        nu_hat = ""
-        if report.outcome == "BlowUpDetected" and report.t_star:
-            try:
-                fit = analysis.fit_exponent(series.data["t"], series.data["lambda1"], report.t_star)
-                nu_hat = repr(fit.nu_hat)
-            except CritwaveError:
-                nu_hat = ""
+        report, series = _simulate_into(config, cell_dir, (), ())
+        fit = _fit(series, report.t_star) if report.outcome == "BlowUpDetected" and report.t_star else None
+        nu_hat = "" if fit is None else repr(fit.nu_hat)
         return index, overrides, report.outcome, report.t_star, nu_hat, ""
     except Exception as exc:  # noqa: BLE001 - recorded per cell
         return index, overrides, "Failed", None, "", f"{type(exc).__name__}: {exc}"
 
 
 def cmd_sweep(args) -> int:
-    if not args.config or not os.path.exists(args.config):
-        print("sweep: missing or unreadable config", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        base = solver.read_config(args.config)
-        solver.RunConfig.from_dict(base)  # validates the template
-    except (InvalidConfigError, ValueError) as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    base = solver.read_config(args.config)
+    solver.RunConfig.from_dict(base)  # validates the template
 
     grids = []
     for spec in args.param:
@@ -460,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the solver, write snapshots and diagnostics")
     _add_common(p)
-    p.add_argument("--config", help="configuration file (JSON or key = value)")
+    p.add_argument("--config", required=True, help="configuration file (JSON or key = value)")
     p.add_argument("--seed", type=int, default=None, help="override the config's seed")
     p.add_argument("--ball-radius", type=float, action="append", default=[], metavar="R")
     p.add_argument("--g-radius", type=float, action="append", default=[], metavar="R")
@@ -496,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a parameter grid of simulations")
     _add_common(p)
-    p.add_argument("--config", help="configuration file (JSON or key = value)")
+    p.add_argument("--config", required=True, help="configuration file (JSON or key = value)")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--param", action="append", default=[], metavar="key=v1,v2,...")
     p.set_defaults(func=cmd_sweep)
@@ -505,10 +456,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except InvalidConfigError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (OSError, CritwaveError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except KeyboardInterrupt:
         return EXIT_RUNTIME
 

@@ -21,6 +21,7 @@ check.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -32,6 +33,21 @@ from .radial import RadialProfile, gaussian_bump, smoothstep_bump
 from .table import format_column, read_columns, write_columns
 
 CFL_MAX = 0.5
+
+
+# config key: (RunConfig field, the types it takes, how a message names them);
+# a bool is never a number
+_KEYS = {
+    "mesh.h": ("mesh_h", (int, float), "a number"),
+    "mesh.rmax": ("rmax", (int, float), "a number"),
+    "cfl": ("cfl", (int, float), "a number"),
+    "t_end": ("t_end", (int, float), "a number"),
+    "nonlinear": ("nonlinear", bool, "true or false"),
+    "blowup_threshold": ("blowup_threshold", (int, float), "a number"),
+    "output.every": ("output_every", (int, float), "a number"),
+    "seed": ("seed", (int, type(None)), "an integer"),
+    "data.family": ("family", str, "a string"),
+}
 
 
 @dataclass(frozen=True)
@@ -48,6 +64,10 @@ class RunConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        for key, (name, types, kind) in _KEYS.items():
+            value = getattr(self, name)
+            if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+                raise InvalidConfigError(f"{key} must be {kind}, got {value!r}")
         if self.cfl <= 0 or self.cfl > CFL_MAX:
             raise InvalidConfigError(f"cfl must be in (0, {CFL_MAX}]")
         if self.mesh_h <= 0 or self.rmax <= self.mesh_h or self.t_end <= 0:
@@ -60,33 +80,16 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        flat = _flatten(d)
-        known = {
-            "mesh.h": "mesh_h",
-            "mesh.rmax": "rmax",
-            "cfl": "cfl",
-            "t_end": "t_end",
-            "nonlinear": "nonlinear",
-            "blowup_threshold": "blowup_threshold",
-            "output.every": "output_every",
-            "seed": "seed",
-        }
         kwargs: dict = {}
         params: dict = {}
-        for key, val in flat.items():
-            if key in known:
-                kwargs[known[key]] = val
-            elif key == "data.family":
-                kwargs["family"] = str(val)
+        for key, val in _flatten(d).items():
+            if key in _KEYS:
+                kwargs[_KEYS[key][0]] = val
             elif key.startswith("data."):
                 params[key[5:]] = val
             else:
                 raise InvalidConfigError(f"unknown config key: {key}")
-        kwargs["params"] = params
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise InvalidConfigError(str(exc)) from exc
+        return cls(**kwargs, params=params)
 
 
 def _flatten(d: dict, prefix: str = "") -> dict:
@@ -102,13 +105,15 @@ def _flatten(d: dict, prefix: str = "") -> dict:
 
 def read_config(path) -> dict:
     """Read a config file, a JSON object or key = value lines, as a flat
-    dict from dotted keys to values."""
-    import json
-
-    with open(path) as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        return _flatten(json.loads(text))
+    dict from dotted keys to values. A file that is missing, unreadable or
+    not valid JSON raises InvalidConfigError naming the path."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        if text.lstrip().startswith("{"):
+            return _flatten(json.loads(text))
+    except (OSError, ValueError) as exc:
+        raise InvalidConfigError(f"cannot read config {path}: {exc}") from exc
     flat: dict = {}
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -285,8 +290,11 @@ class RunReport:
     config: RunConfig
 
 
-def support_radius(state: FieldState, tol: float = 1e-13) -> float:
-    big = np.maximum(np.abs(state.h), np.abs(state.hdot)) > tol
+_SUPPORT_TOL = 1e-13  # |h| or |hdot| above this counts as data
+
+
+def support_radius(state: FieldState) -> float:
+    big = np.maximum(np.abs(state.h), np.abs(state.hdot)) > _SUPPORT_TOL
     idx = np.nonzero(big)[0]
     if idx.size == 0:
         return 0.0

@@ -101,12 +101,22 @@ class TestSimulate:
         assert len(manifest["config_hash"]) == 64
         assert (out / "snapshots" / "snap_0000.csv").exists()
 
-    def test_missing_config_exit_2(self, tmp_path):
-        assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
-
     def test_invalid_config_exit_2(self, tmp_path):
         cfg = write(tmp_path / "c.json", '{"cfl": 0.9}')
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ('"nonlinear": "off"', "nonlinear must be true or false, got 'off'"),
+        ('"mesh": {"h": true, "rmax": 8.0}', "mesh.h must be a number, got True"),
+        ('"seed": "abc"', "seed must be an integer, got 'abc'"),
+        ('"mesh": {"h": "0.1", "rmax": 8.0}', "mesh.h must be a number, got '0.1'"),
+        ('"data": {"family": 5}', "data.family must be a string, got 5"),
+    ], ids=["nonlinear_string", "h_bool", "seed_string", "h_string", "family_number"])
+    def test_wrong_type_exit_2(self, tmp_path, capsys, text, message):
+        cfg = write(tmp_path / "c.json", '{"t_end": 1.0, %s}' % text)
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"simulate: {message}\n"
 
     @pytest.mark.parametrize("data, message", [
         ("data.family = csv\n", "data.family = csv needs data.path"),
@@ -193,13 +203,6 @@ class TestSimulate:
         cfg = write(tmp_path / "c.json", BUMP_CFG)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 0
         assert pool_pids() == []
-
-    def test_out_is_a_file_exit_3(self, tmp_path, capsys):
-        cfg = write(tmp_path / "c.json", BUMP_CFG)
-        out = tmp_path / "taken"
-        out.write_text("")
-        assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 3
-        assert str(out) in capsys.readouterr().err
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_snapshot_write_fails_exit_3(self, tmp_path, capsys, cpus, k):
@@ -409,6 +412,8 @@ class TestAnalyze:
         (["--t-est", "2.0", "--split-index", "99"], "--split-index 99 is outside [0, 5)"),
         (["--t-est", "2.0", "--split-index", "-2"], "--split-index -2 is outside [0, 5)"),
         (["--split-index", "0"], "give --split-index with --t-est"),
+        (["--t-est", "0.0", "--split-index", "0"], "--t-est 0.0 must exceed the restart time 0.0 of snapshot 0"),
+        (["--t-est", "-1.0", "--split-index", "0"], "--t-est -1.0 must exceed the restart time 0.0 of snapshot 0"),
     ])
     def test_bad_split_index_exit_2(self, tmp_path, capsys, flags, message):
         run_dir = tmp_path / "run"
@@ -574,6 +579,22 @@ class TestSweep:
             assert run_files(outs["2"] / cell) == run_files(outs["1"] / cell)
         assert (outs["2"] / "aggregate.csv").read_bytes() == (outs["1"] / "aggregate.csv").read_bytes()
 
+    def test_cell_is_a_simulate_run_directory(self, tmp_path):
+        # cell 0 sets data.amp = 0.2: simulate on that config writes the same
+        # files and the same manifest but for its timestamps
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--param", "data.amp=0.2,0.3", "--out", str(out), "--quiet"]) == 0
+        cell_cfg = write(tmp_path / "cell.json", BUMP_CFG.replace('"amp": 0.3', '"amp": 0.2'))
+        run_dir = tmp_path / "run"
+        assert main(["simulate", "--config", cell_cfg, "--out", str(run_dir), "--quiet"]) == 0
+        cell = out / "cell_000"
+        assert run_files(cell) == run_files(run_dir)
+        manifests = [json.loads((d / "manifest.json").read_text()) for d in (cell, run_dir)]
+        for m in manifests:
+            del m["started"], m["finished"]
+        assert manifests[0] == manifests[1]
+
     def test_bad_param_spec(self, tmp_path):
         cfg = write(tmp_path / "c.json", BUMP_CFG)
         assert main(["sweep", "--config", cfg, "--param", "oops", "--out", str(tmp_path), "--quiet"]) == 2
@@ -637,6 +658,41 @@ class TestSweep:
         cfg = write(tmp_path / "c.cfg", "mesh.h = 0.04\nmesh.rmax 8.0\n")
         assert main(["sweep", "--config", cfg, "--param", "t_end=0.5",
                      "--out", str(tmp_path / "sweep"), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "profiles", "dalembert_evolve", "sweep"])
+def test_out_is_a_file_exit_3(tmp_path, capsys, command):
+    cfg = write(tmp_path / "c.json", BUMP_CFG)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+    data = write(tmp_path / "data.csv", "s,f0,f1\n0.0,0.0,0.0\n1.0,0.5,1.0\n2.0,0.0,0.0\n")
+    argv = {
+        "simulate": ["simulate", "--config", cfg],
+        "analyze": ["analyze", str(run_dir)],
+        "profiles": ["profiles", str(run_dir / "snapshots" / "snap_0000.csv")],
+        "dalembert_evolve": ["dalembert", "evolve", "--data", data],
+        "sweep": ["sweep", "--config", cfg, "--param", "data.amp=0.2,0.3"],
+    }[command]
+    out = tmp_path / "taken"
+    out.write_text("")
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out), "--quiet"]) == 3
+    assert str(out) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["missing", "malformed", "directory"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_bad_config_file_exit_2(tmp_path, capsys, command, damage):
+    cfg = tmp_path / "c.json"
+    if damage == "malformed":
+        cfg.write_text('{"mesh": {"h": 0.04,}}')
+    elif damage == "directory":
+        cfg.mkdir()
+    extra = ["--param", "t_end=0.5"] if command == "sweep" else []
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), *extra, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"{command}: cannot read config {cfg}: ")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
