@@ -422,8 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=("check", "evolve"))
     p.add_argument("--seed", type=int, default=0, help="random seed for check")
     p.add_argument("--n", type=int, default=100, help="number of random channel checks")
-    p.add_argument("--r0", type=float, default=1.0)
-    p.add_argument("--r1", type=float, default=None)
+    p.add_argument("--r0", type=float, default=1.0, help="inner band radius for check")
+    p.add_argument("--r1", type=float, default=None,
+                   help="outer band radius for check (inf: the exterior; default half the data's support)")
     p.add_argument("--data", help="breakpoint CSV for evolve")
     p.add_argument("--t", type=float, default=1.0, help="evolution time for evolve")
     p.set_defaults(func=cmd_dalembert)

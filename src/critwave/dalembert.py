@@ -4,6 +4,16 @@ f solves the 1D wave equation with f(t,0) = 0 and has the closed form
 f(t,r) = F(t+r) - F(t-r).  With f0 piecewise-linear and f1
 piecewise-constant on the same breakpoints, F is exactly piecewise-linear,
 so evolution and all band energies are exact (no quadrature).
+
+Cost model: every band energy is a sum of integrals of F'^2 over windows
+[a, b], and `OneDWaveData.int_dF_sq` evaluates any number of windows in one
+windows x cells broadcast. `channel_check` gathers all of its windows (the
+band's two halves at t = 0, which are also each side's constant part, and
+every knot-crossing window, or the two windows of each grid time) into that
+one call, so a check costs O(windows x cells) array work and no Python loop
+over times. The broadcast runs in blocks of about `_BLOCK` elements, whole
+windows at a time, so each scratch array holds at most max(_BLOCK, cells)
+floats however many windows a fine `reduce`d datum has.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from .radial import RadialProfile
 from .table import format_column, read_columns, write_columns
 
 _MERGE_EPS = 1e-12
+_BLOCK = 1 << 14  # windows x cells elements per int_dF_sq broadcast block
 _CSV_COLUMNS = ("s", "f0", "f1")
 
 
@@ -92,14 +103,27 @@ class OneDWaveData:
         out = np.where(inside, self.dF[np.clip(idx, 0, self.dF.size - 1)], 0.0)
         return out if out.ndim else float(out)
 
-    def int_dF_sq(self, a: float, b: float) -> float:
-        """Exact integral of F'^2 over [a, b]."""
-        if b <= a:
-            return 0.0
-        lo = np.maximum(self.s[:-1], a)
-        hi = np.minimum(self.s[1:], b)
-        lengths = np.clip(hi - lo, 0.0, None)
-        return float(np.sum(self.dF**2 * lengths))
+    def int_dF_sq(self, a, b):
+        """Exact integral of F'^2 over [a, b], 0.0 where b <= a.
+
+        Elementwise over arrays of windows; scalar a and b give a float. Each
+        window's cells sum as one C-contiguous row, in the order of a 1-D
+        np.sum, whatever the block it falls in.
+        """
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        flat_a, flat_b = a.ravel(), b.ravel()
+        sq = self.dF**2
+        out = np.empty(flat_a.size)
+        rows = max(1, _BLOCK // sq.size)
+        for i in range(0, out.size, rows):
+            lo = np.maximum(self.s[:-1], flat_a[i : i + rows, None])
+            hi = np.minimum(self.s[1:], flat_b[i : i + rows, None])
+            hi -= lo
+            np.clip(hi, 0.0, None, out=hi)
+            hi *= sq
+            hi.sum(axis=-1, out=out[i : i + rows])
+        out[flat_b <= flat_a] = 0.0
+        return out.reshape(a.shape) if a.ndim else float(out[0])
 
     def total_energy(self) -> float:
         """int (d_r f)^2 + (d_t f)^2 dr over r > 0; constant in t."""
@@ -178,49 +202,56 @@ class ChannelReport:
     min_ratio_minus: float
 
 
-def _band_min_side(data: OneDWaveData, r0: float, r1: float, sign: int) -> float:
-    """Exact minimum of band energy over the half-line sign*t >= 0.
-
-    For t >= 0 the F'(t-r) contribution over the band is the constant
-    int_{-r1}^{-r0} F'^2 while the F'(t+r) window is [2t+r0, 2t+r1]; the
-    band energy is piecewise linear in t, so the minimum is attained at a
-    knot crossing or in the limit t -> infinity (symmetrically for t <= 0).
-    """
-    s = data.s
-    t_far = data.support_radius + r1 + 1.0
-    if sign > 0:
-        const = data.int_dF_sq(-r1, -r0)
-        ts = np.concatenate(((s - r0) / 2.0, (s - r1) / 2.0, [0.0, t_far]))
-        ts = ts[ts >= 0.0]
-        moving = min(data.int_dF_sq(2 * t + r0, 2 * t + r1) for t in ts)
-    else:
-        const = data.int_dF_sq(r0, r1)
-        ts = np.concatenate(((s + r1) / 2.0, (s + r0) / 2.0, [0.0, -t_far]))
-        ts = ts[ts <= 0.0]
-        moving = min(data.int_dF_sq(2 * t - r1, 2 * t - r0) for t in ts)
-    return 2.0 * (const + moving)
-
-
 def channel_check(
     data: OneDWaveData, r0: float, r1: float, t_grid: np.ndarray | None = None
 ) -> ChannelReport:
     """Which time half-line retains >= 1/2 of the initial band energy.
 
-    With t_grid=None the minima are exact (band energy is piecewise linear
-    in t with knots on the data's breakpoint lattice); an explicit grid
-    restricts the check to those times.
+    With t_grid=None the minima are exact. For t >= 0 the F'(t-r) part of
+    the band energy is the constant int_{-r1}^{-r0} F'^2 while the F'(t+r)
+    window is [2t+r0, 2t+r1]; the band energy is piecewise linear in t, so
+    its minimum is attained at a knot crossing or as t -> infinity
+    (symmetrically for t <= 0). An explicit grid restricts the check to its
+    times; NaN times belong to neither side, and a side with no time raises
+    InvalidParameterError.
+
+    Cost: one `int_dF_sq` call per check, over the two windows of the band
+    at t = 0 and every knot-crossing (or grid) window on both half-lines.
     """
-    e0 = band_energy(data, 0.0, r0, r1).value
+    if not (0 < r0 < r1):
+        raise InvalidParameterError("band needs 0 < r0 < r1")
+    if t_grid is None:
+        s = data.s
+        t_far = data.support_radius + r1 + 1.0
+        t_plus = np.concatenate(((s - r0) / 2.0, (s - r1) / 2.0, [0.0, t_far]))
+        t_plus = t_plus[t_plus >= 0.0]
+        t_minus = np.concatenate(((s + r1) / 2.0, (s + r0) / 2.0, [0.0, -t_far]))
+        t_minus = t_minus[t_minus <= 0.0]
+        lo = (2 * t_plus + r0, 2 * t_minus - r1)
+        hi = (2 * t_plus + r1, 2 * t_minus - r0)
+        n = t_plus.size
+    else:
+        t = np.asarray(t_grid, dtype=float).ravel()
+        a, b = r0 + np.abs(t), r1 + np.abs(t)
+        lo, hi = (t + a, t - b), (t + b, t - a)
+        n = t.size
+    # [0]: int_{r0}^{r1} F'^2 and [1]: int_{-r1}^{-r0} F'^2, the band at t = 0
+    sq = data.int_dF_sq(np.concatenate(([r0, -r1], *lo)), np.concatenate(([r1, -r0], *hi)))
+    e0 = 2.0 * (sq[0] + sq[1])
     if e0 <= 0.0:
         raise DegenerateInputError("zero initial band energy")
     if t_grid is None:
-        mn_plus = _band_min_side(data, r0, r1, +1) / e0
-        mn_minus = _band_min_side(data, r0, r1, -1) / e0
+        mn_plus = 2.0 * (sq[1] + min(sq[2 : 2 + n].tolist())) / e0
+        mn_minus = 2.0 * (sq[0] + min(sq[2 + n :].tolist())) / e0
     else:
-        t_grid = np.asarray(t_grid, dtype=float)
-        ratios = {t: band_energy(data, t, r0, r1).value / e0 for t in t_grid}
-        mn_plus = min(v for t, v in ratios.items() if t >= 0)
-        mn_minus = min(v for t, v in ratios.items() if t <= 0)
+        ratios = 2.0 * (sq[2 : 2 + n] + sq[2 + n :]) / e0
+        mins = []
+        for side, on_side in (("Plus side t >= 0", t >= 0), ("Minus side t <= 0", t <= 0)):
+            if not on_side.any():
+                raise InvalidParameterError(f"t_grid has no time on the {side}")
+            mins.append(min(ratios[on_side].tolist()))
+        mn_plus, mn_minus = mins
+    mn_plus, mn_minus = float(mn_plus), float(mn_minus)
     thresh = 0.5 - 1e-12
     if mn_plus >= thresh and mn_minus >= thresh:
         side = "Both"

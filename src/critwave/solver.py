@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -68,11 +70,15 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
                 raise InvalidConfigError(f"{key} must be {kind}, got {value!r}")
-        if self.cfl <= 0 or self.cfl > CFL_MAX:
+            # fails on NaN, +-inf and an int too large for a float
+            if types == (int, float) and not abs(value) <= sys.float_info.max:
+                raise InvalidConfigError(f"{key} must be finite, got {value!r}")
+        # written so that a NaN fails them too
+        if not 0 < self.cfl <= CFL_MAX:
             raise InvalidConfigError(f"cfl must be in (0, {CFL_MAX}]")
-        if self.mesh_h <= 0 or self.rmax <= self.mesh_h or self.t_end <= 0:
+        if not (0 < self.mesh_h < self.rmax and self.t_end > 0):
             raise InvalidConfigError("invalid mesh or time parameters")
-        if self.blowup_threshold <= 0 or self.output_every <= 0:
+        if not (self.blowup_threshold > 0 and self.output_every > 0):
             raise InvalidConfigError("thresholds and cadence must be positive")
 
     def mesh(self) -> RadialMesh:
@@ -173,11 +179,17 @@ def make_initial_data(mesh: RadialMesh, family: str, params: dict) -> FieldState
 
 def _number(params: dict, key: str, default: float) -> float:
     """params[key] as a float, or default where the key is absent; a value
-    that is not a number raises InvalidConfigError naming data.<key>."""
+    that is not a finite number raises InvalidConfigError naming data.<key>."""
+    raw = params.get(key, default)
     try:
-        return float(params.get(key, default))
+        value = float(raw)
     except (TypeError, ValueError) as exc:
-        raise InvalidConfigError(f"data.{key} must be a number, got {params[key]!r}") from exc
+        raise InvalidConfigError(f"data.{key} must be a number, got {raw!r}") from exc
+    except OverflowError:  # an int too large for a float
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidConfigError(f"data.{key} must be finite, got {raw!r}")
+    return value
 
 
 def _positive(params: dict, key: str, default: float) -> float:

@@ -135,6 +135,29 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert capsys.readouterr().err == f"simulate: {message}\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ('"blowup_threshold": NaN', "blowup_threshold must be finite, got nan"),
+        ('"t_end": NaN', "t_end must be finite, got nan"),
+        ('"cfl": NaN', "cfl must be finite, got nan"),
+        ('"mesh": {"h": NaN, "rmax": 8.0}', "mesh.h must be finite, got nan"),
+        ('"t_end": Infinity', "t_end must be finite, got inf"),
+        ('"output": {"every": Infinity}', "output.every must be finite, got inf"),
+        ('"data": {"family": "near_w", "delta": NaN}', "data.delta must be finite, got nan"),
+        ('"data": {"family": "near_w", "lambda": Infinity}', "data.lambda must be finite, got inf"),
+        # an int too large for a float
+        ('"t_end": 1%s' % ("0" * 400), "t_end must be finite, got 1%s" % ("0" * 400)),
+        ('"data": {"family": "bump", "amp": 1%s}' % ("0" * 400), "data.amp must be finite, got 1%s" % ("0" * 400)),
+    ], ids=["threshold_nan", "t_end_nan", "cfl_nan", "h_nan", "t_end_inf", "every_inf", "delta_nan",
+            "lambda_inf", "t_end_huge_int", "amp_huge_int"])
+    def test_non_finite_exit_2(self, tmp_path, capsys, text, message):
+        # Python's json reads NaN and Infinity
+        base = {"mesh": '"mesh": {"h": 0.04, "rmax": 8.0}', "t_end": '"t_end": 0.2'}
+        fields = [v for k, v in base.items() if f'"{k}"' not in text]
+        cfg = write(tmp_path / "c.json", "{%s}" % ", ".join([*fields, text]))
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"simulate: {message}\n"
+
     def test_unreadable_csv_data_exit_3(self, tmp_path, capsys):
         snap = write(tmp_path / "snap.csv", "r,u,ut\n0.0,1.0,0.0\n0.1,abc,0.0\n")
         cfg = write(tmp_path / "c.cfg", f"mesh.h = 0.04\nmesh.rmax = 8.0\ndata.family = csv\ndata.path = {snap}\n")
@@ -222,6 +245,9 @@ class TestDalembert:
         out = capsys.readouterr().out
         worst = float(out.strip().split("=")[-1])
         assert worst >= 0.5 - 1e-12
+
+    def test_check_exterior_band(self):
+        assert main(["dalembert", "check", "--n", "50", "--seed", "7", "--r1", "inf", "--quiet"]) == 0
 
     def test_check_vacuous(self):
         assert main(["dalembert", "check", "--n", "0", "--quiet"]) == 0

@@ -1,6 +1,7 @@
 """Exact piecewise solutions of the free radial wave equation."""
 
 import csv
+import functools
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critwave import dalembert as da
-from critwave.errors import DegenerateInputError, InvalidDataError
+from critwave.errors import DegenerateInputError, InvalidDataError, InvalidParameterError
 from critwave.radial import gaussian_bump
 from critwave.ground_state import w_profile
 from test_solver import ANY_FLOAT
@@ -96,6 +97,116 @@ class TestChannels:
         rep = da.channel_check(wave, 1.0, 2.5)
         assert rep.min_ratio >= 0.5 - 1e-12
         assert rep.min_ratio <= 1.0 + 1e-12
+
+
+def reference_int_dF_sq(wave, a, b):
+    """The scalar integral of F'^2 over [a, b] that `int_dF_sq` computed one
+    window at a time, kept as the reference for its sums."""
+    if b <= a:
+        return 0.0
+    lengths = np.clip(np.minimum(wave.s[1:], b) - np.maximum(wave.s[:-1], a), 0.0, None)
+    return float(np.sum(wave.dF**2 * lengths))
+
+
+def reference_channel_check(wave, r0, r1):
+    """The per-knot-crossing loop of scalar integrals that the one array
+    call in `channel_check` replaced, kept as the reference for its
+    reports."""
+    sq = functools.partial(reference_int_dF_sq, wave)
+
+    def side_min(sign):
+        s, t_far = wave.s, wave.support_radius + r1 + 1.0
+        if sign > 0:
+            const = sq(-r1, -r0)
+            ts = np.concatenate(((s - r0) / 2.0, (s - r1) / 2.0, [0.0, t_far]))
+            moving = min(sq(2 * t + r0, 2 * t + r1) for t in ts[ts >= 0.0])
+        else:
+            const = sq(r0, r1)
+            ts = np.concatenate(((s + r1) / 2.0, (s + r0) / 2.0, [0.0, -t_far]))
+            moving = min(sq(2 * t - r1, 2 * t - r0) for t in ts[ts <= 0.0])
+        return 2.0 * (const + moving)
+
+    e0 = 2.0 * (sq(r0, r1) + sq(-r1, -r0))
+    if e0 <= 0.0:
+        return None
+    plus, minus = side_min(+1) / e0, side_min(-1) / e0
+    thresh = 0.5 - 1e-12
+    side = "Both" if min(plus, minus) >= thresh else ("Plus" if plus >= minus else "Minus")
+    return da.ChannelReport(side, max(plus, minus), plus, minus)
+
+
+BANDS = [(1.0, 2.5), (1.0, np.inf), (0.2, 0.21), (3.0, 9.0)]
+
+
+class TestWindowSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_knots=st.integers(1, 24))
+    def test_reports_equal_scalar_reference(self, seed, n_knots):
+        wave = da.build_F(da.random_data(np.random.default_rng(seed), n_knots=n_knots))
+        for r0, r1 in BANDS:
+            want = reference_channel_check(wave, r0, r1)
+            if want is None:
+                with pytest.raises(DegenerateInputError):
+                    da.channel_check(wave, r0, r1)
+                continue
+            got = da.channel_check(wave, r0, r1)
+            assert got == want
+            assert all(type(x) is float for x in (got.min_ratio, got.min_ratio_plus, got.min_ratio_minus))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_int_dF_sq_elementwise(self, seed):
+        rng = np.random.default_rng(seed)
+        wave = da.build_F(da.random_data(rng))
+        a = rng.uniform(-8.0, 8.0, size=(5, 7))
+        b = a + rng.uniform(-3.0, 3.0, size=a.shape)
+        b[0, :3] = a[0, :3]  # empty windows
+        b[1, 0], a[1, 1], b[1, 2] = np.inf, -np.inf, np.inf
+        got = wave.int_dF_sq(a, b)
+        assert got.shape == a.shape
+        want = [[reference_int_dF_sq(wave, x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        assert got.tolist() == want
+        assert [[wave.int_dF_sq(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)] == want
+        assert np.all(got[b <= a] == 0.0)
+        assert type(wave.int_dF_sq(a[0, 0], b[0, 0])) is float
+
+    def test_fine_reduced_datum_spans_blocks(self):
+        grid = np.linspace(0.0, 8.0, 3001)
+        data = da.reduce(gaussian_bump(1.0, 0.8, 3.0), lambda r: 0.3 * np.exp(-((r - 2.0) ** 2)), grid)
+        wave = da.build_F(data)
+        # the knot-crossing windows alone fill many blocks of whole rows
+        assert wave.s.size > 10 * max(1, da._BLOCK // wave.dF.size)
+        assert da.channel_check(wave, 1.0, 2.5) == reference_channel_check(wave, 1.0, 2.5)
+        a = np.linspace(-9.0, 8.0, 40)
+        got = wave.int_dF_sq(a, a + 1.5)
+        assert got.tolist() == [reference_int_dF_sq(wave, x, x + 1.5) for x in a]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_grid_ratios_are_band_energies(self, seed):
+        rng = np.random.default_rng(seed)
+        wave = da.build_F(da.random_data(rng))
+        grid = np.concatenate(([np.nan, 0.0], rng.uniform(-12.0, 12.0, size=30)))
+        e0 = da.band_energy(wave, 0.0, 1.0, 2.5).value
+        ratios = [(t, da.band_energy(wave, t, 1.0, 2.5).value / e0) for t in grid]
+        rep = da.channel_check(wave, 1.0, 2.5, t_grid=grid)
+        assert rep.min_ratio_plus == min(v for t, v in ratios if t >= 0)
+        assert rep.min_ratio_minus == min(v for t, v in ratios if t <= 0)
+
+    @pytest.mark.parametrize("grid, side", [
+        ([], "Plus"), ([-1.0, -2.0], "Plus"), ([np.nan], "Plus"), ([1.0, 2.0], "Minus"),
+    ], ids=["empty", "all_negative", "nan", "all_positive"])
+    def test_grid_without_a_side(self, grid, side):
+        wave = da.build_F(step_velocity_data())
+        with pytest.raises(InvalidParameterError, match=f"no time on the {side} side"):
+            da.channel_check(wave, 1.0, 2.0, t_grid=np.array(grid))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_exterior_half_energy_retention(self, seed):
+        # the free-wave exterior channel r > 1 + |t|: at least half on one side
+        wave = da.build_F(da.random_data(np.random.default_rng(seed)))
+        assert da.channel_check(wave, 1.0, np.inf).min_ratio >= 0.5 - 1e-12
 
 
 class TestExteriorIdentity:
