@@ -5,15 +5,12 @@ f(t,r) = F(t+r) - F(t-r).  With f0 piecewise-linear and f1
 piecewise-constant on the same breakpoints, F is exactly piecewise-linear,
 so evolution and all band energies are exact (no quadrature).
 
-Cost model: every band energy is a sum of integrals of F'^2 over windows
-[a, b], and `OneDWaveData.int_dF_sq` evaluates any number of windows in one
-windows x cells broadcast. `channel_check` gathers all of its windows (the
-band's two halves at t = 0, which are also each side's constant part, and
-every knot-crossing window, or the two windows of each grid time) into that
-one call, so a check costs O(windows x cells) array work and no Python loop
-over times. The broadcast runs in blocks of about `_BLOCK` elements, whole
-windows at a time, so each scratch array holds at most max(_BLOCK, cells)
-floats however many windows a fine `reduce`d datum has.
+Channel minima in closed form: for t >= 0 the band energy over
+r0+|t| < r < r1+|t| is 2 int_{-r1}^{-r0} F'^2, which does not move, plus
+2 int_{2t+r0}^{2t+r1} F'^2, which is >= 0 and exactly 0 once the window
+passes the support of F'. So the minimum over t >= 0 is the constant half,
+the t -> +inf free channel, and symmetrically for t <= 0. `channel_check`
+costs two `OneDWaveData.int_dF_sq` window integrals, O(cells).
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from .radial import RadialProfile
 from .table import format_column, read_columns, write_columns
 
 _MERGE_EPS = 1e-12
-_BLOCK = 1 << 14  # windows x cells elements per int_dF_sq broadcast block
 _CSV_COLUMNS = ("s", "f0", "f1")
 
 
@@ -103,27 +99,12 @@ class OneDWaveData:
         out = np.where(inside, self.dF[np.clip(idx, 0, self.dF.size - 1)], 0.0)
         return out if out.ndim else float(out)
 
-    def int_dF_sq(self, a, b):
-        """Exact integral of F'^2 over [a, b], 0.0 where b <= a.
-
-        Elementwise over arrays of windows; scalar a and b give a float. Each
-        window's cells sum as one C-contiguous row, in the order of a 1-D
-        np.sum, whatever the block it falls in.
-        """
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-        flat_a, flat_b = a.ravel(), b.ravel()
-        sq = self.dF**2
-        out = np.empty(flat_a.size)
-        rows = max(1, _BLOCK // sq.size)
-        for i in range(0, out.size, rows):
-            lo = np.maximum(self.s[:-1], flat_a[i : i + rows, None])
-            hi = np.minimum(self.s[1:], flat_b[i : i + rows, None])
-            hi -= lo
-            np.clip(hi, 0.0, None, out=hi)
-            hi *= sq
-            hi.sum(axis=-1, out=out[i : i + rows])
-        out[flat_b <= flat_a] = 0.0
-        return out.reshape(a.shape) if a.ndim else float(out[0])
+    def int_dF_sq(self, a: float, b: float) -> float:
+        """Exact integral of F'^2 over [a, b], 0.0 where b <= a."""
+        if b <= a:
+            return 0.0
+        lengths = np.clip(np.minimum(self.s[1:], b) - np.maximum(self.s[:-1], a), 0.0, None)
+        return float(np.sum(self.dF**2 * lengths))
 
     def total_energy(self) -> float:
         """int (d_r f)^2 + (d_t f)^2 dr over r > 0; constant in t."""
@@ -202,56 +183,25 @@ class ChannelReport:
     min_ratio_minus: float
 
 
-def channel_check(
-    data: OneDWaveData, r0: float, r1: float, t_grid: np.ndarray | None = None
-) -> ChannelReport:
+def channel_check(data: OneDWaveData, r0: float, r1: float) -> ChannelReport:
     """Which time half-line retains >= 1/2 of the initial band energy.
 
-    With t_grid=None the minima are exact. For t >= 0 the F'(t-r) part of
-    the band energy is the constant int_{-r1}^{-r0} F'^2 while the F'(t+r)
-    window is [2t+r0, 2t+r1]; the band energy is piecewise linear in t, so
-    its minimum is attained at a knot crossing or as t -> infinity
-    (symmetrically for t <= 0). An explicit grid restricts the check to its
-    times; NaN times belong to neither side, and a side with no time raises
-    InvalidParameterError.
+    The minima are exact. With p = int_{-r1}^{-r0} F'^2 and
+    m = int_{r0}^{r1} F'^2, the band energy at t = 0 is e0 = 2(p + m). For
+    t >= 0 it is 2p plus 2 int_{2t+r0}^{2t+r1} F'^2, a window that is >= 0
+    and empty of F' for t large, so its minimum is 2p (the t -> +inf free
+    channel); for t <= 0 it is 2m. Since max(p, m) >= (p + m)/2, one side
+    always keeps half.
 
-    Cost: one `int_dF_sq` call per check, over the two windows of the band
-    at t = 0 and every knot-crossing (or grid) window on both half-lines.
+    Cost: two `int_dF_sq` calls per check, O(cells).
     """
     if not (0 < r0 < r1):
         raise InvalidParameterError("band needs 0 < r0 < r1")
-    if t_grid is None:
-        s = data.s
-        t_far = data.support_radius + r1 + 1.0
-        t_plus = np.concatenate(((s - r0) / 2.0, (s - r1) / 2.0, [0.0, t_far]))
-        t_plus = t_plus[t_plus >= 0.0]
-        t_minus = np.concatenate(((s + r1) / 2.0, (s + r0) / 2.0, [0.0, -t_far]))
-        t_minus = t_minus[t_minus <= 0.0]
-        lo = (2 * t_plus + r0, 2 * t_minus - r1)
-        hi = (2 * t_plus + r1, 2 * t_minus - r0)
-        n = t_plus.size
-    else:
-        t = np.asarray(t_grid, dtype=float).ravel()
-        a, b = r0 + np.abs(t), r1 + np.abs(t)
-        lo, hi = (t + a, t - b), (t + b, t - a)
-        n = t.size
-    # [0]: int_{r0}^{r1} F'^2 and [1]: int_{-r1}^{-r0} F'^2, the band at t = 0
-    sq = data.int_dF_sq(np.concatenate(([r0, -r1], *lo)), np.concatenate(([r1, -r0], *hi)))
-    e0 = 2.0 * (sq[0] + sq[1])
+    p, m = data.int_dF_sq(-r1, -r0), data.int_dF_sq(r0, r1)
+    e0 = 2.0 * (p + m)
     if e0 <= 0.0:
         raise DegenerateInputError("zero initial band energy")
-    if t_grid is None:
-        mn_plus = 2.0 * (sq[1] + min(sq[2 : 2 + n].tolist())) / e0
-        mn_minus = 2.0 * (sq[0] + min(sq[2 + n :].tolist())) / e0
-    else:
-        ratios = 2.0 * (sq[2 : 2 + n] + sq[2 + n :]) / e0
-        mins = []
-        for side, on_side in (("Plus side t >= 0", t >= 0), ("Minus side t <= 0", t <= 0)):
-            if not on_side.any():
-                raise InvalidParameterError(f"t_grid has no time on the {side}")
-            mins.append(min(ratios[on_side].tolist()))
-        mn_plus, mn_minus = mins
-    mn_plus, mn_minus = float(mn_plus), float(mn_minus)
+    mn_plus, mn_minus = 2.0 * p / e0, 2.0 * m / e0
     thresh = 0.5 - 1e-12
     if mn_plus >= thresh and mn_minus >= thresh:
         side = "Both"

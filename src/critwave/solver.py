@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import sys
 from dataclasses import dataclass, field as dc_field
 
@@ -35,6 +34,7 @@ from .radial import RadialProfile, gaussian_bump, smoothstep_bump
 from .table import format_column, read_columns, write_columns
 
 CFL_MAX = 0.5
+FAMILIES = ("near_w", "bump", "perturbed_w", "csv")
 
 
 # config key: (RunConfig field, the types it takes, how a message names them);
@@ -76,10 +76,12 @@ class RunConfig:
         # written so that a NaN fails them too
         if not 0 < self.cfl <= CFL_MAX:
             raise InvalidConfigError(f"cfl must be in (0, {CFL_MAX}]")
-        if not (0 < self.mesh_h < self.rmax and self.t_end > 0):
-            raise InvalidConfigError("invalid mesh or time parameters")
-        if not (self.blowup_threshold > 0 and self.output_every > 0):
-            raise InvalidConfigError("thresholds and cadence must be positive")
+        if not 0 < self.mesh_h < self.rmax:
+            raise InvalidConfigError(f"mesh.h must be in (0, mesh.rmax = {self.rmax!r}), got {self.mesh_h!r}")
+        for key in ("t_end", "blowup_threshold", "output.every"):
+            value = getattr(self, _KEYS[key][0])
+            if not value > 0:
+                raise InvalidConfigError(f"{key} must be positive, got {value!r}")
 
     def mesh(self) -> RadialMesh:
         return RadialMesh.uniform(self.mesh_h, self.rmax)
@@ -155,41 +157,45 @@ def parse_scalar(val: str):
 
 def make_initial_data(mesh: RadialMesh, family: str, params: dict) -> FieldState:
     r = mesh.nodes
-    if family == "near_w":
-        delta = _number(params, "delta", 0.0)
-        lam = _positive(params, "lambda", 1.0)
-        r_cut = _positive(params, "r_cut", mesh.rmax / 3.0)
-        u0 = (1.0 + delta) * eval_w(r, GroundStateParams(lam=lam)) * smoothstep_bump(r / r_cut)
-        return FieldState.from_u(mesh, u0, np.zeros_like(r))
-    if family == "bump":
-        return FieldState.from_u(mesh, _bump(params).u(r), np.zeros_like(r))
-    if family == "perturbed_w":
-        lam = _positive(params, "lambda", 1.0)
-        eps = _number(params, "eps", 0.0)
-        u0 = eval_w(r, GroundStateParams(lam=lam))
-        return FieldState.from_u(mesh, u0 + eps * _bump(params).u(r), np.zeros_like(r))
     if family == "csv":
         if "path" not in params:
             raise InvalidConfigError("data.family = csv needs data.path")
         if not isinstance(params["path"], str):
             raise InvalidConfigError(f"data.path must be a string, got {params['path']!r}")
         return load_snapshot(params["path"], mesh)
-    raise InvalidConfigError(f"unknown initial-data family: {family}")
+    # an extreme data.* number can overflow to inf or nan: refused below
+    with np.errstate(all="ignore"):
+        if family == "near_w":
+            delta = _number(params, "delta", 0.0)
+            lam = _positive(params, "lambda", 1.0)
+            r_cut = _positive(params, "r_cut", mesh.rmax / 3.0)
+            u0 = (1.0 + delta) * eval_w(r, GroundStateParams(lam=lam)) * smoothstep_bump(r / r_cut)
+        elif family == "bump":
+            u0 = _bump(params).u(r)
+        elif family == "perturbed_w":
+            lam = _positive(params, "lambda", 1.0)
+            eps = _number(params, "eps", 0.0)
+            u0 = eval_w(r, GroundStateParams(lam=lam)) + eps * _bump(params).u(r)
+        else:
+            raise InvalidConfigError(f"data.family must be one of {', '.join(FAMILIES)}, got {family!r}")
+    if not np.all(np.isfinite(u0)):
+        given = ", ".join(f"data.{key} = {value!r}" for key, value in sorted(params.items()))
+        raise InvalidConfigError(f"data.family = {family} with {given} gives initial data that is not finite")
+    return FieldState.from_u(mesh, u0, np.zeros_like(r))
 
 
 def _number(params: dict, key: str, default: float) -> float:
     """params[key] as a float, or default where the key is absent; a value
-    that is not a finite number raises InvalidConfigError naming data.<key>."""
+    that is not a finite int or float raises InvalidConfigError naming
+    data.<key>. As for RunConfig's keys, a bool is never a number and a
+    string is not read as one."""
     raw = params.get(key, default)
-    try:
-        value = float(raw)
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfigError(f"data.{key} must be a number, got {raw!r}") from exc
-    except OverflowError:  # an int too large for a float
-        value = math.inf
-    if not math.isfinite(value):
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        raise InvalidConfigError(f"data.{key} must be a number, got {raw!r}")
+    # fails on NaN, +-inf and an int too large for a float
+    if not abs(raw) <= sys.float_info.max:
         raise InvalidConfigError(f"data.{key} must be finite, got {raw!r}")
-    return value
+    return float(raw)
 
 
 def _positive(params: dict, key: str, default: float) -> float:

@@ -1,21 +1,27 @@
 """Command-line interface: exit codes, artifacts, determinism, sweeps."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from critwave import analysis, cli, table
 from critwave.cli import main
 from critwave.ground_state import GroundStateParams, eval_w
 from critwave.mesh import FieldState, RadialMesh
 from critwave import solver
+from critwave.errors import InvalidConfigError
+from test_solver import build_initial_data, configs
 
 
 BUMP_CFG = (
@@ -111,7 +117,14 @@ class TestSimulate:
         ('"seed": "abc"', "seed must be an integer, got 'abc'"),
         ('"mesh": {"h": "0.1", "rmax": 8.0}', "mesh.h must be a number, got '0.1'"),
         ('"data": {"family": 5}', "data.family must be a string, got 5"),
-    ], ids=["nonlinear_string", "h_bool", "seed_string", "h_string", "family_number"])
+        # data.* numbers follow the same rule: a bool is never a number, and a
+        # string is not read as one
+        ('"data": {"family": "near_w", "delta": true}', "data.delta must be a number, got True"),
+        ('"data": {"family": "near_w", "lambda": false}', "data.lambda must be a number, got False"),
+        ('"data": {"family": "bump", "amp": "0.3"}', "data.amp must be a number, got '0.3'"),
+        ('"data": {"family": "bump", "center": "inf"}', "data.center must be a number, got 'inf'"),
+    ], ids=["nonlinear_string", "h_bool", "seed_string", "h_string", "family_number", "delta_bool",
+            "lambda_bool", "amp_string", "center_string"])
     def test_wrong_type_exit_2(self, tmp_path, capsys, text, message):
         cfg = write(tmp_path / "c.json", '{"t_end": 1.0, %s}' % text)
         capsys.readouterr()
@@ -121,14 +134,17 @@ class TestSimulate:
     @pytest.mark.parametrize("data, message", [
         ("data.family = csv\n", "data.family = csv needs data.path"),
         ("data.family = bump\ndata.amp = big\n", "data.amp must be a number, got 'big'"),
-        ("data.family = nope\n", "unknown initial-data family: nope"),
+        ("data.family = nope\n", "data.family must be one of near_w, bump, perturbed_w, csv, got 'nope'"),
         ("data.family = near_w\ndata.lambda = 0\n", "data.lambda must be positive, got 0"),
         ("data.family = bump\ndata.sigma = 0\n", "data.sigma must be positive, got 0"),
         ("data.family = near_w\ndata.r_cut = 0\n", "data.r_cut must be positive, got 0"),
         # a number is not read as a file descriptor
         ("data.family = csv\ndata.path = 7\n", "data.path must be a string, got 7"),
+        # sigma**2 underflows to 0, and u0 at the center (r = 0) is 0/0
+        ("data.family = bump\ndata.sigma = 1e-300\n",
+         "data.family = bump with data.sigma = 1e-300 gives initial data that is not finite"),
     ], ids=["csv_without_path", "non_numeric_amp", "unknown_family", "zero_lambda", "zero_sigma",
-            "zero_r_cut", "path_not_string"])
+            "zero_r_cut", "path_not_string", "sigma_underflow"])
     def test_bad_initial_data_exit_2(self, tmp_path, capsys, data, message):
         cfg = write(tmp_path / "c.cfg", "mesh.h = 0.04\nmesh.rmax = 8.0\nt_end = 1.0\n" + data)
         capsys.readouterr()
@@ -157,6 +173,24 @@ class TestSimulate:
         capsys.readouterr()
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert capsys.readouterr().err == f"simulate: {message}\n"
+
+    @settings(max_examples=25, deadline=None)
+    @given(flat=configs())
+    def test_config_runs_or_exits_2(self, flat):
+        # the mesh and times are pinned small; every other key is as drawn,
+        # and the command exits as building the run in process says it must
+        flat = {**flat, "mesh.h": 0.5, "mesh.rmax": 4.0, "cfl": 0.5, "t_end": 0.5, "output.every": 0.5}
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                build_initial_data(flat, tmp)
+                want = (0, "")
+            except InvalidConfigError as exc:
+                want = (2, f"simulate: {exc}\n")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["simulate", "--config", str(Path(tmp, "config.json")),
+                             "--out", str(Path(tmp, "run")), "--quiet"])
+        assert (code, err.getvalue()) == want
 
     def test_unreadable_csv_data_exit_3(self, tmp_path, capsys):
         snap = write(tmp_path / "snap.csv", "r,u,ut\n0.0,1.0,0.0\n0.1,abc,0.0\n")

@@ -1,6 +1,7 @@
 """Time-domain solver: configs, stepping, conservation, blow-up handling."""
 
 import csv
+import json
 import tempfile
 import warnings
 from pathlib import Path
@@ -147,6 +148,72 @@ def reference_save_snapshot(state, path):
 SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-300, -1e300,
            1.7976931348623157e308, np.inf, -np.inf, np.nan]
 ANY_FLOAT = st.sampled_from(SPECIAL) | st.floats()
+
+
+# JSON values of every type: null, bools, ints too large for a float,
+# every float class (NaN and +-inf included), strings, lists and objects
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | ANY_FLOAT
+    | st.text(max_size=4) | st.sampled_from(["0.3", "nan", "inf"]),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+DATA_NUMBER = st.floats(-10.0, 10.0) | st.sampled_from([0.0, 0.5, 1.0, 3.0])
+# a value of its own kind for each config key
+CONFIG_VALUES = {
+    "mesh.h": st.sampled_from([0.25, 0.5]),
+    "mesh.rmax": st.sampled_from([4.0, 8.0]),
+    "cfl": st.sampled_from([0.25, 0.5]),
+    "t_end": st.sampled_from([0.25, 0.5]),
+    "nonlinear": st.booleans(),
+    "blowup_threshold": st.sampled_from([10.0, 1e6]),
+    "output.every": st.sampled_from([0.25, 0.5]),
+    "seed": st.integers(0, 99),
+    "data.family": st.sampled_from(solver.FAMILIES),
+    **{f"data.{k}": DATA_NUMBER for k in ("delta", "lambda", "r_cut", "amp", "sigma", "center", "eps")},
+}
+# keys that may draw any JSON value instead
+ANY_VALUE_KEYS = sorted([*CONFIG_VALUES, "data.path", "data.unread", "unknown"])
+
+
+@st.composite
+def configs(draw):
+    """A flat config of values of their own kind, with up to three keys set
+    to any JSON value (a data key that no family reads and a key that is not
+    a config key among them)."""
+    flat = draw(st.fixed_dictionaries({}, optional=CONFIG_VALUES))
+    for key in draw(st.lists(st.sampled_from(ANY_VALUE_KEYS), max_size=3, unique=True)):
+        value = JSON_VALUE
+        if key == "data.path":  # a string path names a file to read, not a value to check
+            value = value.filter(lambda v: not isinstance(v, str))
+        flat[key] = draw(value)
+    return flat
+
+
+TINY_MESH = RadialMesh.uniform(0.5, 4.0)
+
+
+def build_initial_data(flat: dict, directory) -> FieldState:
+    """Write `flat` as a JSON config under `directory`, read it back and
+    build its RunConfig and initial data on TINY_MESH."""
+    path = Path(directory, "config.json")
+    path.write_text(json.dumps(flat))
+    cfg = solver.RunConfig.from_dict(solver.read_config(path))
+    return solver.make_initial_data(TINY_MESH, cfg.family, cfg.params)
+
+
+class TestConfigSurface:
+    @settings(max_examples=300, deadline=None)
+    @given(flat=configs())
+    def test_builds_or_names_a_key(self, flat):
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                state = build_initial_data(flat, tmp)
+            except InvalidConfigError as exc:
+                read = solver.read_config(Path(tmp, "config.json"))
+                assert any(key in str(exc) for key in read), str(exc)
+            else:
+                assert np.all(np.isfinite(state.h)) and np.all(np.isfinite(state.hdot))
 
 
 class TestSnapshots:
