@@ -209,6 +209,9 @@ def cmd_dalembert(args) -> int:
         return EXIT_OK
 
     # evolve: breakpoint CSV in, exact solution at time t out
+    if not np.isfinite(args.t):
+        print(f"dalembert evolve: --t must be finite, got {args.t!r}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         data = dalembert.import_csv(args.data)
     except (OSError, TypeError, CritwaveError) as exc:
@@ -316,6 +319,11 @@ def cmd_profiles(args) -> int:
     if (args.lam_min is None) != (args.lam_max is None):
         print("profiles: give --lam-min and --lam-max together, or neither", file=sys.stderr)
         return EXIT_CONFIG
+    # written so that a NaN fails it too
+    if args.lam_min is not None and not 0 < args.lam_min < args.lam_max < np.inf:
+        print(f"profiles: need 0 < --lam-min < --lam-max < inf, got {args.lam_min!r} and {args.lam_max!r}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     try:
         state = solver.load_snapshot(args.snapshot)
     except (OSError, CritwaveError) as exc:
@@ -349,6 +357,9 @@ def _sweep_cell(cell):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        print(f"sweep: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_CONFIG
     base = solver.read_config(args.config)
     solver.RunConfig.from_dict(base)  # validates the template
 

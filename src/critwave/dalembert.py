@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidDataError, InvalidParameterError
-from .radial import RadialProfile
+from .radial import RadialProfile, half_line_integral
 from .table import format_column, read_columns, write_columns
 
 _MERGE_EPS = 1e-12
@@ -229,12 +229,8 @@ class ExteriorIdentity:
 
 
 def exterior_identity_check(u0: RadialProfile, R0: float = 0.0) -> ExteriorIdentity:
-    from scipy.integrate import quad
-
-    lhs = quad(
-        lambda r: (u0.u(r) + r * u0.du(r)) ** 2, R0, np.inf, limit=400, epsabs=1e-13
-    )[0]
-    rhs = quad(lambda r: r * r * u0.du(r) ** 2, R0, np.inf, limit=400, epsabs=1e-13)[0]
+    lhs = half_line_integral(lambda r: (u0.u(r) + r * u0.du(r)) ** 2, R0)
+    rhs = half_line_integral(lambda r: r * r * u0.du(r) ** 2, R0)
     boundary = R0 * float(u0.u(R0)) ** 2
     return ExteriorIdentity(lhs, rhs, boundary)
 

@@ -34,7 +34,14 @@ from .radial import RadialProfile, gaussian_bump, smoothstep_bump
 from .table import format_column, read_columns, write_columns
 
 CFL_MAX = 0.5
-FAMILIES = ("near_w", "bump", "perturbed_w", "csv")
+# each initial-data family and the data.* keys it reads
+FAMILIES = {
+    "near_w": ("delta", "lambda", "r_cut"),
+    "bump": ("amp", "sigma", "center"),
+    "perturbed_w": ("lambda", "eps", "amp", "sigma", "center"),
+    "csv": ("path",),
+}
+_MAX_NODES = 10**7  # more than 1000 times the largest mesh any run here uses
 
 
 # config key: (RunConfig field, the types it takes, how a message names them);
@@ -78,6 +85,10 @@ class RunConfig:
             raise InvalidConfigError(f"cfl must be in (0, {CFL_MAX}]")
         if not 0 < self.mesh_h < self.rmax:
             raise InvalidConfigError(f"mesh.h must be in (0, mesh.rmax = {self.rmax!r}), got {self.mesh_h!r}")
+        # round(rmax / h) + 1 <= _MAX_NODES; the quotient may overflow to inf
+        if not self.rmax / self.mesh_h < _MAX_NODES - 0.5:
+            raise InvalidConfigError(f"mesh.rmax / mesh.h gives more than {_MAX_NODES} nodes, "
+                                     f"got mesh.rmax = {self.rmax!r} and mesh.h = {self.mesh_h!r}")
         for key in ("t_end", "blowup_threshold", "output.every"):
             value = getattr(self, _KEYS[key][0])
             if not value > 0:
@@ -156,6 +167,12 @@ def parse_scalar(val: str):
 # ----------------------------------------------------------------- initial data
 
 def make_initial_data(mesh: RadialMesh, family: str, params: dict) -> FieldState:
+    if family not in FAMILIES:
+        raise InvalidConfigError(f"data.family must be one of {', '.join(FAMILIES)}, got {family!r}")
+    for key in params:
+        if key not in FAMILIES[family]:
+            reads = ", ".join(f"data.{k}" for k in FAMILIES[family])
+            raise InvalidConfigError(f"data.{key} is not read by data.family = {family}, which reads {reads}")
     r = mesh.nodes
     if family == "csv":
         if "path" not in params:
@@ -172,12 +189,10 @@ def make_initial_data(mesh: RadialMesh, family: str, params: dict) -> FieldState
             u0 = (1.0 + delta) * eval_w(r, GroundStateParams(lam=lam)) * smoothstep_bump(r / r_cut)
         elif family == "bump":
             u0 = _bump(params).u(r)
-        elif family == "perturbed_w":
+        else:  # perturbed_w
             lam = _positive(params, "lambda", 1.0)
             eps = _number(params, "eps", 0.0)
             u0 = eval_w(r, GroundStateParams(lam=lam)) + eps * _bump(params).u(r)
-        else:
-            raise InvalidConfigError(f"data.family must be one of {', '.join(FAMILIES)}, got {family!r}")
     if not np.all(np.isfinite(u0)):
         given = ", ".join(f"data.{key} = {value!r}" for key, value in sorted(params.items()))
         raise InvalidConfigError(f"data.family = {family} with {given} gives initial data that is not finite")

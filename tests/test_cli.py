@@ -143,8 +143,11 @@ class TestSimulate:
         # sigma**2 underflows to 0, and u0 at the center (r = 0) is 0/0
         ("data.family = bump\ndata.sigma = 1e-300\n",
          "data.family = bump with data.sigma = 1e-300 gives initial data that is not finite"),
+        # a typo is not run with the default it was meant to replace
+        ("data.family = bump\ndata.amplitude = 0.3\n",
+         "data.amplitude is not read by data.family = bump, which reads data.amp, data.sigma, data.center"),
     ], ids=["csv_without_path", "non_numeric_amp", "unknown_family", "zero_lambda", "zero_sigma",
-            "zero_r_cut", "path_not_string", "sigma_underflow"])
+            "zero_r_cut", "path_not_string", "sigma_underflow", "unread_key"])
     def test_bad_initial_data_exit_2(self, tmp_path, capsys, data, message):
         cfg = write(tmp_path / "c.cfg", "mesh.h = 0.04\nmesh.rmax = 8.0\nt_end = 1.0\n" + data)
         capsys.readouterr()
@@ -163,8 +166,14 @@ class TestSimulate:
         # an int too large for a float
         ('"t_end": 1%s' % ("0" * 400), "t_end must be finite, got 1%s" % ("0" * 400)),
         ('"data": {"family": "bump", "amp": 1%s}' % ("0" * 400), "data.amp must be finite, got 1%s" % ("0" * 400)),
+        # finite keys whose node count round(rmax / h) + 1 is too large to
+        # build, or not finite: rmax / h overflows to inf
+        ('"mesh": {"h": 1e-300, "rmax": 1.0}',
+         "mesh.rmax / mesh.h gives more than 10000000 nodes, got mesh.rmax = 1.0 and mesh.h = 1e-300"),
+        ('"mesh": {"h": 5e-324, "rmax": 1e308}',
+         "mesh.rmax / mesh.h gives more than 10000000 nodes, got mesh.rmax = 1e+308 and mesh.h = 5e-324"),
     ], ids=["threshold_nan", "t_end_nan", "cfl_nan", "h_nan", "t_end_inf", "every_inf", "delta_nan",
-            "lambda_inf", "t_end_huge_int", "amp_huge_int"])
+            "lambda_inf", "t_end_huge_int", "amp_huge_int", "mesh_too_large", "mesh_count_overflows"])
     def test_non_finite_exit_2(self, tmp_path, capsys, text, message):
         # Python's json reads NaN and Infinity
         base = {"mesh": '"mesh": {"h": 0.04, "rmax": 8.0}', "t_end": '"t_end": 0.2'}
@@ -778,12 +787,46 @@ def test_unread_flags_rejected(argv):
     assert exc.value.code == 2
 
 
+LAM_RANGE = "profiles: need 0 < --lam-min < --lam-max < inf, got "
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["profiles", "SNAP", "--lam-min", "0", "--lam-max", "1"], LAM_RANGE + "0.0 and 1.0"),
+    (["profiles", "SNAP", "--lam-min", "2", "--lam-max", "1"], LAM_RANGE + "2.0 and 1.0"),
+    (["profiles", "SNAP", "--lam-min", "nan", "--lam-max", "1"], LAM_RANGE + "nan and 1.0"),
+    (["profiles", "SNAP", "--lam-min", "1", "--lam-max", "inf"], LAM_RANGE + "1.0 and inf"),
+    (["dalembert", "evolve", "--data", "DATA", "--t", "nan"], "dalembert evolve: --t must be finite, got nan"),
+    (["dalembert", "evolve", "--data", "DATA", "--t", "inf"], "dalembert evolve: --t must be finite, got inf"),
+    (["sweep", "--config", "CONFIG", "--jobs", "0"], "sweep: --jobs must be >= 1, got 0"),
+    (["sweep", "--config", "CONFIG", "--jobs", "-3"], "sweep: --jobs must be >= 1, got -3"),
+], ids=["lam_min_zero", "lam_min_above_max", "lam_min_nan", "lam_max_inf", "t_nan", "t_inf", "jobs_zero",
+        "jobs_negative"])
+def test_argument_out_of_range_exit_2(tmp_path, capsys, argv, message):
+    # each command gets valid inputs, so only the argument is at fault
+    mesh = RadialMesh.graded(1e-6, 1e3, 60)
+    snap = tmp_path / "snap.csv"
+    solver.save_snapshot(FieldState.from_u(mesh, eval_w(mesh.nodes, GroundStateParams(lam=1e-3)),
+                                           np.zeros_like(mesh.nodes)), snap)
+    files = {"SNAP": str(snap),
+             "DATA": write(tmp_path / "data.csv", "s,f0,f1\n0.0,0.0,0.0\n1.0,0.5,1.0\n2.0,0.0,0.0\n"),
+             "CONFIG": write(tmp_path / "c.json", BUMP_CFG)}
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([files.get(a, a) for a in argv] + ["--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
 # Imports critwave.cli, checks that no scipy module came with it, then makes
-# every scipy import raise and runs each command; prints their exit codes.
+# every scipy import raise, runs each command and prints their exit codes,
+# and evaluates the closed-form profile integrals.
 NO_SCIPY_SCRIPT = """
 import json, sys
 from pathlib import Path
 import critwave.cli
+from critwave import dalembert as da
+from critwave.ground_state import energy_of_profile, variational_check, w_profile
+from critwave.radial import gaussian_bump
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 sys.modules["scipy"] = None
 tmp = Path(sys.argv[1])
@@ -800,12 +843,18 @@ codes["dalembert"] = main(["dalembert", "check", "--n", "5", "--quiet"])
 codes["sweep"] = main(["sweep", "--config", str(tmp / "bump.json"), "--param", "data.amp=0.2,0.3",
                        "--out", str(tmp / "sweep"), "--quiet"])
 outcome = json.loads((run / "report.json").read_text())["outcome"]
-print(json.dumps({"loaded": loaded, "outcome": outcome, "codes": codes}))
+integrals = {
+    "gradient_sq": energy_of_profile(w_profile()).gradient_sq,
+    "hypothesis_holds": variational_check(0.9 * w_profile()).hypothesis_holds,
+    "identity_defect": da.exterior_identity_check(gaussian_bump(1.3, 0.9, 1.5), 0.5).defect,
+}
+print(json.dumps({"loaded": loaded, "outcome": outcome, "codes": codes, "integrals": integrals}))
 """
 
 
 def test_no_run_path_loads_scipy(tmp_path):
-    # SciPy is only for adaptive quadrature; no command may import it
+    # SciPy is a test dependency only: no command and no profile integral
+    # may import it
     blowup = (
         '{"mesh": {"h": 0.02, "rmax": 8.0}, "t_end": 5.0, "output": {"every": 0.1},'
         ' "data": {"family": "near_w", "delta": 0.05, "lambda": 1.0}}'
@@ -821,3 +870,7 @@ def test_no_run_path_loads_scipy(tmp_path):
     assert result["loaded"] == []
     assert result["outcome"] == "BlowUpDetected"
     assert result["codes"] == dict.fromkeys(["simulate", "analyze", "profiles", "dalembert", "sweep"], 0), proc.stderr
+    integrals = result["integrals"]
+    assert integrals["gradient_sq"] == pytest.approx(3.0 * np.sqrt(3.0) * np.pi**2 / 4.0, rel=1e-13)
+    assert integrals["hypothesis_holds"] is True
+    assert integrals["identity_defect"] <= 1e-12

@@ -1,6 +1,10 @@
 """Ground state, meshes, energy functionals, and variational predicates."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -27,7 +31,8 @@ from critwave.ground_state import (
 )
 from critwave import mesh as mesh_module
 from critwave.mesh import FieldState, RadialMesh, Region
-from critwave.radial import FOUR_PI, gaussian_bump
+from critwave import radial
+from critwave.radial import FOUR_PI, gaussian_bump, half_line_integral
 
 # ----------------------------------------------------------------- references
 # The earlier general-dimension formulas (evaluated at N = 3) and the earlier
@@ -329,6 +334,40 @@ class TestGroundState:
     def test_elliptic_residual_small(self):
         mesh = RadialMesh.uniform(0.01, 10.0)
         assert elliptic_residual(w_field(mesh)) < 1e-4
+
+
+class TestHalfLineRule:
+    """`half_line_integral` and the profile norms against W's closed forms."""
+
+    GRAD_W = 3.0 * math.sqrt(3.0) * math.pi**2 / 4.0
+
+    def test_w_norms(self):
+        w = w_profile()
+        for got, want in ((w.grad_norm_sq(), self.GRAD_W), (w.l2p_norm(6), self.GRAD_W),
+                          (w.hardy_sq(), 2.0 * math.sqrt(3.0) * math.pi**2)):
+            assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 3.0, 10.0])
+    def test_exterior_grad(self, radius):
+        du = w_profile().du
+        got = FOUR_PI * half_line_integral(lambda r: r * r * du(r) ** 2, radius)
+        want = w_exterior_grad(radius)
+        assert abs(got - want) <= 1e-13 * want
+
+    @settings(max_examples=50, deadline=None)
+    @given(lam=st.floats(0.3, 3.0))
+    def test_scaled_w_grad_norm(self, lam):
+        assert abs(w_profile().scaled(lam).grad_norm_sq() - self.GRAD_W) <= 1e-13 * self.GRAD_W
+
+    def test_cli_import_builds_no_rule(self):
+        # building the rule costs about 13 ms, so the CLI's import must not
+        script = ("import critwave.cli, critwave.radial as radial; "
+                  "print(radial._half_line_rule.cache_info().currsize)")
+        src = str(Path(radial.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"]
 
 
 class TestEnergy:

@@ -117,6 +117,13 @@ class TestConfig:
         with pytest.raises(InvalidConfigError):
             solver.RunConfig.from_dict({"mesh": {"h": 0.1, "rmax": 5.0}, "wrong": 1})
 
+    def test_node_count_bound(self):
+        # round(rmax / h) + 1 nodes: 10**7 is the most a config may ask for
+        solver.RunConfig(mesh_h=1.0, rmax=float(10**7 - 1))
+        for h, rmax in ((1.0, float(10**7)), (1e-300, 1.0), (5e-324, 1e308)):
+            with pytest.raises(InvalidConfigError, match="mesh.rmax / mesh.h gives more than 10000000 nodes"):
+                solver.RunConfig(mesh_h=h, rmax=rmax)
+
     def test_unknown_family(self):
         cfg = solver.RunConfig(family="nope")
         with pytest.raises(InvalidConfigError):
@@ -127,6 +134,8 @@ class TestConfig:
         ("bump", {**BUMP, "amp": "big"}, "data.amp"),
         ("near_w", {"r_cut": [1.0]}, "data.r_cut"),
         ("perturbed_w", {"eps": "small"}, "data.eps"),
+        # a key that the family does not read, though another family does
+        ("near_w", {"amp": 0.3}, "data.amp is not read"),
     ])
     def test_bad_data_param_names_its_key(self, family, params, key):
         mesh = RadialMesh.uniform(0.1, 5.0)
@@ -169,19 +178,22 @@ CONFIG_VALUES = {
     "blowup_threshold": st.sampled_from([10.0, 1e6]),
     "output.every": st.sampled_from([0.25, 0.5]),
     "seed": st.integers(0, 99),
-    "data.family": st.sampled_from(solver.FAMILIES),
-    **{f"data.{k}": DATA_NUMBER for k in ("delta", "lambda", "r_cut", "amp", "sigma", "center", "eps")},
+    "data.family": st.sampled_from(list(solver.FAMILIES)),
 }
+DATA_NUMBER_KEYS = sorted({f"data.{k}" for keys in solver.FAMILIES.values() for k in keys} - {"data.path"})
 # keys that may draw any JSON value instead
-ANY_VALUE_KEYS = sorted([*CONFIG_VALUES, "data.path", "data.unread", "unknown"])
+ANY_VALUE_KEYS = sorted([*CONFIG_VALUES, *DATA_NUMBER_KEYS, "data.path", "data.unread", "unknown"])
 
 
 @st.composite
 def configs(draw):
-    """A flat config of values of their own kind, with up to three keys set
-    to any JSON value (a data key that no family reads and a key that is not
-    a config key among them)."""
+    """A flat config of values of their own kind, data.* numbers only among
+    the keys its family reads, with up to three keys set to any JSON value
+    (a data key that its family or every family does not read and a key
+    that is not a config key among them)."""
     flat = draw(st.fixed_dictionaries({}, optional=CONFIG_VALUES))
+    reads = [f"data.{k}" for k in solver.FAMILIES[flat.get("data.family", "bump")]]
+    flat.update(draw(st.fixed_dictionaries({}, optional={k: DATA_NUMBER for k in reads if k != "data.path"})))
     for key in draw(st.lists(st.sampled_from(ANY_VALUE_KEYS), max_size=3, unique=True)):
         value = JSON_VALUE
         if key == "data.path":  # a string path names a file to read, not a value to check
