@@ -108,7 +108,7 @@ def concentration_radii(u_field: FieldState, a_field: FieldState | None = None) 
     cum_a = _cumulative_energy(a_field)
     mu = _inf_radius(r, cum_a, 0.4 * g)
 
-    cum_u = _cumulative_energy(u_field)
+    cum_u = cum_a if a_field is u_field else _cumulative_energy(u_field)
     total = cum_u[-1]
     # exterior energy <= g/2  <=>  cumulative >= total - g/2
     nu = _inf_radius(r, cum_u, total - 0.5 * g) if total > 0.5 * g else float(r[0])
@@ -229,10 +229,9 @@ class GRSeries:
     tail_bound: np.ndarray
 
 
-def _g_r(field: FieldState, R: float) -> float:
-    """g_R = 2 int u u_t phi(r/R) of one field."""
+def _g_r(field: FieldState, phi: np.ndarray) -> float:
+    """g_R = 2 int u u_t phi of one field, phi = smoothstep_bump(r / R) at its nodes."""
     r = field.mesh.nodes
-    phi = smoothstep_bump(r / R)
     return 2.0 * FOUR_PI * field.mesh.integrate(r * r * field.u() * field.ut() * phi)
 
 
@@ -244,7 +243,7 @@ def g_r_series(snapshots: list, R: float) -> GRSeries:
     times = np.array([s.t for s in snapshots])
     gs, ds, tails = [], [], []
     for s in snapshots:
-        gs.append(_g_r(s, R))
+        gs.append(_g_r(s, smoothstep_bump(s.mesh.nodes / R)))
         ds.append(d_functional(s))
         tails.append(tail_energy(s, min(R, s.mesh.rmax)))
     g = np.array(gs)
@@ -373,11 +372,12 @@ def diagnostics_series(
     t0 = n if split is None else split.t0_index
     moments = []
 
-    d_ref = None
+    d_ref, bumps = None, {}
     if snaps:
         from .ground_state import w_field
 
         d_ref = _gradient_kinetic(w_field(snaps[0].mesh))[0]
+        bumps = {R: smoothstep_bump(snaps[0].mesh.nodes / R) for R in g_radii}
 
     for i, s in enumerate(snaps):
         frame = _Frame(s)
@@ -398,7 +398,7 @@ def diagnostics_series(
                 z = tuple(x - y for x, y in zip(z, _virial_z(split.v_fields[i])))
             moments.append(z)
             for R in g_radii:
-                data[f"g_{R:g}"][i] = _g_r(frame, R)
+                data[f"g_{R:g}"][i] = _g_r(frame, bumps[R])
 
     if n >= 3:
         z1, z2 = (np.array(col) for col in zip(*moments))

@@ -87,7 +87,8 @@ class _ScaleGrid:
     once and scored against any number of gradients. D is formed in row blocks
     of about _BLOCK_ELEMENTS elements (one row at a time on a mesh larger than
     that); it is kept when it is one block, and formed again at each scoring
-    when it is more."""
+    when it is more. x, a, nw and a kept D are read-only, so one grid can
+    serve every extract on its mesh (`_greedy_grid`)."""
 
     def __init__(self, mesh: RadialMesh, x: np.ndarray):
         r = mesh.nodes
@@ -99,6 +100,9 @@ class _ScaleGrid:
         if np.any(self.nw <= 0):
             raise DegenerateInputError("vanishing gradient norm")
         self._d = d if d.shape[0] == x.size else None
+        for kept in (x, self.a, self.nw, self._d):
+            if kept is not None:
+                kept.setflags(write=False)
 
     @classmethod
     def spanning(cls, mesh: RadialMesh, lo: float, hi: float) -> "_ScaleGrid":
@@ -125,6 +129,21 @@ class _ScaleGrid:
             for rows, d in self._blocks():
                 dots[rows] = d @ adu
         return np.abs(dots) / np.sqrt(nu * self.nw)
+
+
+# (mesh, (lo, hi), grid) of the last greedy search; holding the mesh keeps
+# its identity from being reused by another mesh
+_last_greedy: tuple = (None, None, None)
+
+
+def _greedy_grid(mesh: RadialMesh, lo: float, hi: float) -> _ScaleGrid:
+    """_ScaleGrid.spanning(mesh, lo, hi), built once per mesh and range."""
+    global _last_greedy
+    kept_mesh, kept_range, grid = _last_greedy  # one read: another thread may replace the entry
+    if kept_mesh is not mesh or kept_range != (lo, hi):
+        grid = _ScaleGrid.spanning(mesh, lo, hi)
+        _last_greedy = (mesh, (lo, hi), grid)
+    return grid
 
 
 def _best_scale(grid: _ScaleGrid, du: np.ndarray) -> tuple[float, float, float]:
@@ -182,6 +201,11 @@ def extract(
     With S = log(lam_max / lam_min), the greedy search covers log lam from
     log lam_min - (3/28) S to log lam_max + (3/28) S, so it also finds
     bubbles just outside lam_range (up to ~8e5 for lam_range=(1e-5, 1e5)).
+
+    The greedy grid depends only on the mesh and that range, so it is built
+    by the first extract on a mesh object and range and kept for the next
+    ones; an extract then forms only each search's Newton rows and, in the
+    back-fit, one 5-point grid per bubble and sweep.
     """
     mesh = field.mesh
     r = mesh.nodes
@@ -198,7 +222,7 @@ def extract(
     if total <= 0:
         raise DegenerateInputError("field has vanishing gradient energy")
 
-    greedy = _ScaleGrid.spanning(mesh, lo, hi)
+    greedy = _greedy_grid(mesh, lo, hi)
     bubbles = []
     du_res = du_field
     while len(bubbles) < max_bubbles:

@@ -42,6 +42,7 @@ FAMILIES = {
     "csv": ("path",),
 }
 _MAX_NODES = 10**7  # more than 1000 times the largest mesh any run here uses
+_MAX_STEPS = 10**8  # more than 600 times the 162k steps of ROADMAP item 1's finest graded-mesh run
 
 
 # config key: (RunConfig field, the types it takes, how a message names them);
@@ -93,6 +94,10 @@ class RunConfig:
             value = getattr(self, _KEYS[key][0])
             if not value > 0:
                 raise InvalidConfigError(f"{key} must be positive, got {value!r}")
+        # the step count ceil(t_end / (cfl h)) of `run`; cfl * h may underflow to 0
+        if not self.t_end / self.cfl / self.mesh_h <= _MAX_STEPS:
+            raise InvalidConfigError(f"t_end / (cfl * mesh.h) gives more than {_MAX_STEPS} steps, got t_end = "
+                                     f"{self.t_end!r}, cfl = {self.cfl!r} and mesh.h = {self.mesh_h!r}")
 
     def mesh(self) -> RadialMesh:
         return RadialMesh.uniform(self.mesh_h, self.rmax)

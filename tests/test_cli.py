@@ -172,8 +172,17 @@ class TestSimulate:
          "mesh.rmax / mesh.h gives more than 10000000 nodes, got mesh.rmax = 1.0 and mesh.h = 1e-300"),
         ('"mesh": {"h": 5e-324, "rmax": 1e308}',
          "mesh.rmax / mesh.h gives more than 10000000 nodes, got mesh.rmax = 1e+308 and mesh.h = 5e-324"),
+        # finite keys asking for more steps ceil(t_end / (cfl h)) than a run may take;
+        # in the last, cfl * h underflows to 0.0
+        ('"cfl": 1e-300', "t_end / (cfl * mesh.h) gives more than 100000000 steps, "
+                          "got t_end = 0.2, cfl = 1e-300 and mesh.h = 0.04"),
+        ('"t_end": 1e300', "t_end / (cfl * mesh.h) gives more than 100000000 steps, "
+                           "got t_end = 1e+300, cfl = 0.5 and mesh.h = 0.04"),
+        ('"mesh": {"h": 1e-30, "rmax": 1e-29}, "cfl": 1e-300',
+         "t_end / (cfl * mesh.h) gives more than 100000000 steps, got t_end = 0.2, cfl = 1e-300 and mesh.h = 1e-30"),
     ], ids=["threshold_nan", "t_end_nan", "cfl_nan", "h_nan", "t_end_inf", "every_inf", "delta_nan",
-            "lambda_inf", "t_end_huge_int", "amp_huge_int", "mesh_too_large", "mesh_count_overflows"])
+            "lambda_inf", "t_end_huge_int", "amp_huge_int", "mesh_too_large", "mesh_count_overflows",
+            "cfl_tiny", "t_end_huge", "step_size_underflows"])
     def test_non_finite_exit_2(self, tmp_path, capsys, text, message):
         # Python's json reads NaN and Infinity
         base = {"mesh": '"mesh": {"h": 0.04, "rmax": 8.0}', "t_end": '"t_end": 0.2'}

@@ -140,10 +140,12 @@ class TestExtract:
         d = profiles.extract(state, lam_range=(1e-3, 100.0))
         assert d.n_bubbles == 0
 
-    def test_newton_refine(self, mesh, monkeypatch):
+    def test_newton_refine(self, monkeypatch):
         # 3 greedy searches and 2 back-fit sweeps of 3, each returning
         # correlate_scale's values at its scale; the greedy grid's matrix is
-        # formed once and kept for all three greedy searches
+        # formed once and kept for all three greedy searches. A new mesh
+        # object, so that no earlier extract's grid is kept for this one
+        mesh = RadialMesh.graded(1e-6, 1e3, 60)
         searches, rows = [], []
         best_scale, w_deriv = profiles._best_scale, profiles._w_deriv
 
@@ -170,6 +172,54 @@ class TestExtract:
             assert abs(coeff - want_coeff) <= 1e-12 * abs(want_coeff)
         assert rows.count(scale_grid(lam_range).size) == 1
         assert len(rows) == 7  # the greedy grid and one per back-fit search
+
+    def test_grid_built_once_per_mesh_and_range(self, monkeypatch):
+        # one bubble, so no back-fit: the greedy grid is the only _w_deriv call
+        rows = []
+        w_deriv = profiles._w_deriv
+
+        def formed(r, lam):
+            rows.append(lam.size)
+            return w_deriv(r, lam)
+
+        monkeypatch.setattr(profiles, "_w_deriv", formed)
+        scales, lam_range = FIELDS[1]
+        wider = (lam_range[0] / 10.0, lam_range[1])
+        n, n_wider = scale_grid(lam_range).size, scale_grid(wider).size
+        mesh = RadialMesh.graded(1e-6, 1e3, 60)
+        profiles.extract(bubble_field(mesh, scales), lam_range=lam_range)
+        profiles.extract(bubble_field(mesh, scales, noise=1e-3), lam_range=lam_range)
+        assert rows == [n]
+        grid = profiles._last_greedy[2]
+        assert not any(v.flags.writeable for v in (grid.x, grid.a, grid.nw, grid._d))
+        equal = RadialMesh(mesh.nodes)  # the same nodes in a new mesh object
+        profiles.extract(bubble_field(equal, scales), lam_range=lam_range)
+        assert rows == [n, n]
+        profiles.extract(bubble_field(equal, scales), lam_range=wider)
+        assert rows == [n, n, n_wider]
+        # one grid is kept: going back to the first range builds it again
+        profiles.extract(bubble_field(equal, scales), lam_range=lam_range)
+        assert rows == [n, n, n_wider, n]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        # half-decade slots, each used once, so that no two bubbles cancel
+        bubbles=st.lists(st.tuples(st.integers(-6, 3), st.floats(0.0, 0.4), st.sampled_from([-1, 1])),
+                         min_size=1, max_size=3, unique_by=lambda b: b[0]),
+        noise=st.sampled_from([0.0, 1e-3]),
+    )
+    def test_warm_grid_equals_cold(self, mesh, bubbles, noise):
+        # cold: a new mesh object equal to the fixture's builds the grid;
+        # warm: the next extract on that mesh and range reads it back
+        scales = [(10.0 ** (k / 2.0 + jitter), iota) for k, jitter, iota in bubbles]
+        fresh = RadialMesh(mesh.nodes)
+        cold = profiles.extract(bubble_field(fresh, scales, noise), lam_range=(1e-4, 1e3))
+        warm = profiles.extract(bubble_field(fresh, scales, noise), lam_range=(1e-4, 1e3))
+        assert profiles._last_greedy[0] is fresh
+        assert warm.bubbles == cold.bubbles
+        assert warm.residual.h.tobytes() == cold.residual.h.tobytes()
+        assert warm.residual.hdot.tobytes() == cold.residual.hdot.tobytes()
+        assert (warm.total_grad_sq, warm.residual_grad_sq) == (cold.total_grad_sq, cold.residual_grad_sq)
 
     @settings(max_examples=40, deadline=None)
     @given(exponent=st.floats(-4.0, 4.0), iota=st.sampled_from([-1, 1]))
