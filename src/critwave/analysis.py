@@ -17,6 +17,7 @@ from .ground_state import (
     eval_w_deriv,
     w_constants,
     w_exterior_grad,
+    w_field,
 )
 from .mesh import FieldState, Region
 from .radial import FOUR_PI, smoothstep_bump, transition
@@ -374,8 +375,6 @@ def diagnostics_series(
 
     d_ref, bumps = None, {}
     if snaps:
-        from .ground_state import w_field
-
         d_ref = _gradient_kinetic(w_field(snaps[0].mesh))[0]
         bumps = {R: smoothstep_bump(snaps[0].mesh.nodes / R) for R in g_radii}
 

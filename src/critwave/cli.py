@@ -2,9 +2,13 @@
 profile extraction, and parameter sweeps.
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 runtime
-failure, 4 channel-check violation (always an implementation bug). A command
-returns the codes of the input checks it makes itself; `main` maps any other
-InvalidConfigError to 2, and any other OSError or CritwaveError to 3.
+failure, 4 channel-check violation (always an implementation bug). Every
+input check, a command's own included, raises InvalidConfigError, and only
+`main` turns it into exit 2 and the line `<command>: <message>`, where a
+d'Alembert mode's command is `dalembert check` or `dalembert evolve`. A file
+named on the command line that cannot be read is such an input; one inside a
+run directory that `analyze` reads is not. `main` maps any other OSError or
+CritwaveError to 3, under the top-level command's name.
 """
 
 from __future__ import annotations
@@ -184,39 +188,36 @@ def cmd_simulate(args) -> int:
 # ------------------------------------------------------------------ dalembert
 
 
-def cmd_dalembert(args) -> int:
-    if args.mode == "check":
-        if args.n < 0:
-            print("dalembert check: --n must be >= 0", file=sys.stderr)
-            return EXIT_CONFIG
-        rng = np.random.default_rng(args.seed)
-        worst = np.inf
-        try:
-            for _ in range(args.n):
-                data = dalembert.random_data(rng)
-                wave = dalembert.build_F(data)
-                r1 = args.r1 if args.r1 is not None else 0.5 * data.knots[-1]
-                rep = dalembert.channel_check(wave, args.r0, r1)
-                worst = min(worst, rep.min_ratio)
-        except (InvalidParameterError, DegenerateInputError) as exc:
-            print(f"dalembert check: {exc} (--r0 {args.r0}, --r1 {args.r1})", file=sys.stderr)
-            return EXIT_CONFIG
-        if not args.quiet:
-            print(f"checked {args.n} worst_min_ratio={worst if args.n else 'n/a'}")
-        if args.n and worst < 0.5 - 1e-12:
-            print("dalembert check: channel ratio below 1/2 (bug)", file=sys.stderr)
-            return EXIT_CHANNEL
-        return EXIT_OK
+def cmd_check(args) -> int:
+    if args.n < 0:
+        raise InvalidConfigError("--n must be >= 0")
+    rng = np.random.default_rng(args.seed)
+    worst = np.inf
+    try:
+        for _ in range(args.n):
+            data = dalembert.random_data(rng)
+            wave = dalembert.build_F(data)
+            r1 = args.r1 if args.r1 is not None else 0.5 * data.knots[-1]
+            rep = dalembert.channel_check(wave, args.r0, r1)
+            worst = min(worst, rep.min_ratio)
+    except (InvalidParameterError, DegenerateInputError) as exc:
+        raise InvalidConfigError(f"{exc} (--r0 {args.r0}, --r1 {args.r1})") from exc
+    if not args.quiet:
+        print(f"checked {args.n} worst_min_ratio={worst if args.n else 'n/a'}")
+    if args.n and worst < 0.5 - 1e-12:
+        print("dalembert check: channel ratio below 1/2 (bug)", file=sys.stderr)
+        return EXIT_CHANNEL
+    return EXIT_OK
 
-    # evolve: breakpoint CSV in, exact solution at time t out
+
+def cmd_evolve(args) -> int:
+    """Breakpoint CSV in, exact solution at time t out."""
     if not np.isfinite(args.t):
-        print(f"dalembert evolve: --t must be finite, got {args.t!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise InvalidConfigError(f"--t must be finite, got {args.t!r}")
     try:
         data = dalembert.import_csv(args.data)
     except (OSError, TypeError, CritwaveError) as exc:
-        print(f"dalembert evolve: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise InvalidConfigError(str(exc)) from exc
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"evolved_t{args.t:g}.csv"
@@ -276,24 +277,20 @@ def _load_run_dir(run_dir: Path) -> solver.RunReport:
 
 def cmd_analyze(args) -> int:
     if args.split_index is not None and args.t_est is None:
-        print("analyze: give --split-index with --t-est", file=sys.stderr)
-        return EXIT_CONFIG
+        raise InvalidConfigError("give --split-index with --t-est")
     run_dir = Path(args.run)
     if not (run_dir / "report.json").exists():
-        print(f"analyze: {run_dir} is not a run directory", file=sys.stderr)
-        return EXIT_CONFIG
+        raise InvalidConfigError(f"{run_dir} is not a run directory")
     report = _load_run_dir(run_dir)
     split = None
     if args.split_index is not None:
         n = len(report.snapshots)
         if not 0 <= args.split_index < n:
-            print(f"analyze: --split-index {args.split_index} is outside [0, {n})", file=sys.stderr)
-            return EXIT_CONFIG
+            raise InvalidConfigError(f"--split-index {args.split_index} is outside [0, {n})")
         t0 = float(report.snapshots[args.split_index].t)
         if not args.t_est > t0:
-            print(f"analyze: --t-est {args.t_est!r} must exceed the restart time {t0!r} "
-                  f"of snapshot {args.split_index}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise InvalidConfigError(f"--t-est {args.t_est!r} must exceed the restart time {t0!r} "
+                                     f"of snapshot {args.split_index}")
         split = analysis.singular_part(report, args.t_est, t0_index=args.split_index)
     series = analysis.diagnostics_series(
         report,
@@ -317,18 +314,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_profiles(args) -> int:
     if (args.lam_min is None) != (args.lam_max is None):
-        print("profiles: give --lam-min and --lam-max together, or neither", file=sys.stderr)
-        return EXIT_CONFIG
+        raise InvalidConfigError("give --lam-min and --lam-max together, or neither")
     # written so that a NaN fails it too
     if args.lam_min is not None and not 0 < args.lam_min < args.lam_max < np.inf:
-        print(f"profiles: need 0 < --lam-min < --lam-max < inf, got {args.lam_min!r} and {args.lam_max!r}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise InvalidConfigError(f"need 0 < --lam-min < --lam-max < inf, got {args.lam_min!r} and {args.lam_max!r}")
     try:
         state = solver.load_snapshot(args.snapshot)
     except (OSError, CritwaveError) as exc:
-        print(f"profiles: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise InvalidConfigError(str(exc)) from exc
     lam_range = None if args.lam_min is None else (args.lam_min, args.lam_max)
     decomp = profiles.extract(state, max_bubbles=args.max_bubbles, lam_range=lam_range)
     out = _out_dir(args)
@@ -358,16 +351,14 @@ def _sweep_cell(cell):
 
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
-        print(f"sweep: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise InvalidConfigError(f"--jobs must be >= 1, got {args.jobs}")
     base = solver.read_config(args.config)
     solver.RunConfig.from_dict(base)  # validates the template
 
     grids = []
     for spec in args.param:
         if "=" not in spec:
-            print(f"sweep: bad --param {spec!r} (want key=v1,v2,...)", file=sys.stderr)
-            return EXIT_CONFIG
+            raise InvalidConfigError(f"bad --param {spec!r} (want key=v1,v2,...)")
         key, vals = spec.split("=", 1)
         grids.append([(key, solver.parse_scalar(v)) for v in vals.split(",")])
     cells = [{}]
@@ -429,16 +420,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("dalembert", help="exact linear-solution checks and evolution")
+    modes = p.add_subparsers(dest="mode", required=True)
+    p = modes.add_parser("check", help="channel-of-energy retention on random data")
     _add_common(p)
-    p.add_argument("mode", choices=("check", "evolve"))
-    p.add_argument("--seed", type=int, default=0, help="random seed for check")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--n", type=int, default=100, help="number of random channel checks")
-    p.add_argument("--r0", type=float, default=1.0, help="inner band radius for check")
+    p.add_argument("--r0", type=float, default=1.0, help="inner band radius")
     p.add_argument("--r1", type=float, default=None,
-                   help="outer band radius for check (inf: the exterior; default half the data's support)")
-    p.add_argument("--data", help="breakpoint CSV for evolve")
-    p.add_argument("--t", type=float, default=1.0, help="evolution time for evolve")
-    p.set_defaults(func=cmd_dalembert)
+                   help="outer band radius (inf: the exterior; default half the data's support)")
+    p.set_defaults(func=cmd_check)
+    p = modes.add_parser("evolve", help="evolve breakpoint data exactly")
+    _add_common(p)
+    p.add_argument("--data", help="breakpoint CSV")
+    p.add_argument("--t", type=float, default=1.0, help="evolution time")
+    p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("analyze", help="recompute diagnostics from a run directory")
     _add_common(p)
@@ -472,7 +467,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except InvalidConfigError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
+        command = f"{args.command} {args.mode}" if "mode" in args else args.command
+        print(f"{command}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, CritwaveError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

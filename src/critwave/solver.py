@@ -34,30 +34,55 @@ from .radial import RadialProfile, gaussian_bump, smoothstep_bump
 from .table import format_column, read_columns, write_columns
 
 CFL_MAX = 0.5
-# each initial-data family and the data.* keys it reads
+# each initial-data family, the data.* keys it reads and the kind of value each takes
 FAMILIES = {
-    "near_w": ("delta", "lambda", "r_cut"),
-    "bump": ("amp", "sigma", "center"),
-    "perturbed_w": ("lambda", "eps", "amp", "sigma", "center"),
-    "csv": ("path",),
+    "near_w": {"delta": "number", "lambda": "positive", "r_cut": "positive"},
+    "bump": {"amp": "number", "sigma": "positive", "center": "number"},
+    "perturbed_w": {"lambda": "positive", "eps": "number", "amp": "number", "sigma": "positive", "center": "number"},
+    "csv": {"path": "string"},
 }
 _MAX_NODES = 10**7  # more than 1000 times the largest mesh any run here uses
 _MAX_STEPS = 10**8  # more than 600 times the 162k steps of ROADMAP item 1's finest graded-mesh run
 
 
-# config key: (RunConfig field, the types it takes, how a message names them);
-# a bool is never a number
+# config key: (RunConfig field, the kind of value it takes)
 _KEYS = {
-    "mesh.h": ("mesh_h", (int, float), "a number"),
-    "mesh.rmax": ("rmax", (int, float), "a number"),
-    "cfl": ("cfl", (int, float), "a number"),
-    "t_end": ("t_end", (int, float), "a number"),
-    "nonlinear": ("nonlinear", bool, "true or false"),
-    "blowup_threshold": ("blowup_threshold", (int, float), "a number"),
-    "output.every": ("output_every", (int, float), "a number"),
-    "seed": ("seed", (int, type(None)), "an integer"),
-    "data.family": ("family", str, "a string"),
+    "mesh.h": ("mesh_h", "number"),
+    "mesh.rmax": ("rmax", "number"),
+    "cfl": ("cfl", "number"),
+    "t_end": ("t_end", "number"),
+    "nonlinear": ("nonlinear", "bool"),
+    "blowup_threshold": ("blowup_threshold", "number"),
+    "output.every": ("output_every", "number"),
+    "seed": ("seed", "integer"),
+    "data.family": ("family", "string"),
 }
+
+# kind of value: (the types it takes, how a message names them); an unset
+# seed is None
+_KINDS = {
+    "number": ((int, float), "a number"),
+    "positive": ((int, float), "a number"),
+    "bool": (bool, "true or false"),
+    "integer": ((int, type(None)), "an integer"),
+    "string": (str, "a string"),
+}
+
+
+def _checked(key: str, value, kind: str):
+    """value, a number as a float, if it is of the kind that config key `key`
+    takes, else InvalidConfigError naming the key. A bool is never a number,
+    a string is not read as one, a number must be finite, and a positive one
+    above 0."""
+    types, name = _KINDS[kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+        raise InvalidConfigError(f"{key} must be {name}, got {value!r}")
+    # fails on NaN, +-inf and an int too large for a float
+    if types == (int, float) and not abs(value) <= sys.float_info.max:
+        raise InvalidConfigError(f"{key} must be finite, got {value!r}")
+    if kind == "positive" and not value > 0:
+        raise InvalidConfigError(f"{key} must be positive, got {value!r}")
+    return float(value) if types == (int, float) else value
 
 
 @dataclass(frozen=True)
@@ -74,13 +99,8 @@ class RunConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        for key, (name, types, kind) in _KEYS.items():
-            value = getattr(self, name)
-            if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
-                raise InvalidConfigError(f"{key} must be {kind}, got {value!r}")
-            # fails on NaN, +-inf and an int too large for a float
-            if types == (int, float) and not abs(value) <= sys.float_info.max:
-                raise InvalidConfigError(f"{key} must be finite, got {value!r}")
+        for key, (name, kind) in _KEYS.items():
+            _checked(key, getattr(self, name), kind)
         # written so that a NaN fails them too
         if not 0 < self.cfl <= CFL_MAX:
             raise InvalidConfigError(f"cfl must be in (0, {CFL_MAX}]")
@@ -91,9 +111,7 @@ class RunConfig:
             raise InvalidConfigError(f"mesh.rmax / mesh.h gives more than {_MAX_NODES} nodes, "
                                      f"got mesh.rmax = {self.rmax!r} and mesh.h = {self.mesh_h!r}")
         for key in ("t_end", "blowup_threshold", "output.every"):
-            value = getattr(self, _KEYS[key][0])
-            if not value > 0:
-                raise InvalidConfigError(f"{key} must be positive, got {value!r}")
+            _checked(key, getattr(self, _KEYS[key][0]), "positive")
         # the step count ceil(t_end / (cfl h)) of `run`; cfl * h may underflow to 0
         if not self.t_end / self.cfl / self.mesh_h <= _MAX_STEPS:
             raise InvalidConfigError(f"t_end / (cfl * mesh.h) gives more than {_MAX_STEPS} steps, got t_end = "
@@ -174,62 +192,42 @@ def parse_scalar(val: str):
 def make_initial_data(mesh: RadialMesh, family: str, params: dict) -> FieldState:
     if family not in FAMILIES:
         raise InvalidConfigError(f"data.family must be one of {', '.join(FAMILIES)}, got {family!r}")
+    kinds = FAMILIES[family]
     for key in params:
-        if key not in FAMILIES[family]:
-            reads = ", ".join(f"data.{k}" for k in FAMILIES[family])
+        if key not in kinds:
+            reads = ", ".join(f"data.{k}" for k in kinds)
             raise InvalidConfigError(f"data.{key} is not read by data.family = {family}, which reads {reads}")
+
+    def read(key: str, default):
+        # data.<key>, checked as FAMILIES says, or default where it is absent
+        return _checked(f"data.{key}", params[key], kinds[key]) if key in params else default
+
+    def bump() -> RadialProfile:
+        return gaussian_bump(read("amp", 1.0), read("sigma", 1.0), read("center", 0.0))
+
     r = mesh.nodes
     if family == "csv":
-        if "path" not in params:
+        path = read("path", None)
+        if path is None:
             raise InvalidConfigError("data.family = csv needs data.path")
-        if not isinstance(params["path"], str):
-            raise InvalidConfigError(f"data.path must be a string, got {params['path']!r}")
-        return load_snapshot(params["path"], mesh)
+        return load_snapshot(path, mesh)
     # an extreme data.* number can overflow to inf or nan: refused below
     with np.errstate(all="ignore"):
         if family == "near_w":
-            delta = _number(params, "delta", 0.0)
-            lam = _positive(params, "lambda", 1.0)
-            r_cut = _positive(params, "r_cut", mesh.rmax / 3.0)
+            delta = read("delta", 0.0)
+            lam = read("lambda", 1.0)
+            r_cut = read("r_cut", mesh.rmax / 3.0)
             u0 = (1.0 + delta) * eval_w(r, GroundStateParams(lam=lam)) * smoothstep_bump(r / r_cut)
         elif family == "bump":
-            u0 = _bump(params).u(r)
+            u0 = bump().u(r)
         else:  # perturbed_w
-            lam = _positive(params, "lambda", 1.0)
-            eps = _number(params, "eps", 0.0)
-            u0 = eval_w(r, GroundStateParams(lam=lam)) + eps * _bump(params).u(r)
+            lam = read("lambda", 1.0)
+            eps = read("eps", 0.0)
+            u0 = eval_w(r, GroundStateParams(lam=lam)) + eps * bump().u(r)
     if not np.all(np.isfinite(u0)):
         given = ", ".join(f"data.{key} = {value!r}" for key, value in sorted(params.items()))
         raise InvalidConfigError(f"data.family = {family} with {given} gives initial data that is not finite")
     return FieldState.from_u(mesh, u0, np.zeros_like(r))
-
-
-def _number(params: dict, key: str, default: float) -> float:
-    """params[key] as a float, or default where the key is absent; a value
-    that is not a finite int or float raises InvalidConfigError naming
-    data.<key>. As for RunConfig's keys, a bool is never a number and a
-    string is not read as one."""
-    raw = params.get(key, default)
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-        raise InvalidConfigError(f"data.{key} must be a number, got {raw!r}")
-    # fails on NaN, +-inf and an int too large for a float
-    if not abs(raw) <= sys.float_info.max:
-        raise InvalidConfigError(f"data.{key} must be finite, got {raw!r}")
-    return float(raw)
-
-
-def _positive(params: dict, key: str, default: float) -> float:
-    """`_number`, and a value that is not positive raises InvalidConfigError
-    naming data.<key>."""
-    value = _number(params, key, default)
-    if not value > 0.0:
-        raise InvalidConfigError(f"data.{key} must be positive, got {params[key]!r}")
-    return value
-
-
-def _bump(params: dict) -> RadialProfile:
-    """The Gaussian bump of the config's data.amp, data.sigma and data.center."""
-    return gaussian_bump(_number(params, "amp", 1.0), _positive(params, "sigma", 1.0), _number(params, "center", 0.0))
 
 
 def load_snapshot(path, mesh: RadialMesh | None = None) -> FieldState:

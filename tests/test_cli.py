@@ -786,6 +786,8 @@ def test_bad_config_file_exit_2(tmp_path, capsys, command, damage):
         ["profiles", "snap.csv", "--jobs", "2"],
         ["profiles", "snap.csv", "--seed", "1"],
         ["sweep", "--config", "c.json", "--seed", "1"],
+        ["dalembert", "evolve", "--data", "d.csv", "--n", "1000", "--r0", "7", "--seed", "3"],
+        ["dalembert", "check", "--n", "3", "--t", "99", "--data", "nonexistent.csv"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )
@@ -808,8 +810,19 @@ LAM_RANGE = "profiles: need 0 < --lam-min < --lam-max < inf, got "
     (["dalembert", "evolve", "--data", "DATA", "--t", "inf"], "dalembert evolve: --t must be finite, got inf"),
     (["sweep", "--config", "CONFIG", "--jobs", "0"], "sweep: --jobs must be >= 1, got 0"),
     (["sweep", "--config", "CONFIG", "--jobs", "-3"], "sweep: --jobs must be >= 1, got -3"),
+    (["profiles", "SNAP", "--lam-min", "10"], "profiles: give --lam-min and --lam-max together, or neither"),
+    (["profiles", "nothere.csv"], "profiles: [Errno 2] No such file or directory: 'nothere.csv'"),
+    (["dalembert", "check", "--n", "-1"], "dalembert check: --n must be >= 0"),
+    # --r1 defaults to half the data's support, 2.5 at most
+    (["dalembert", "check", "--n", "3", "--r0", "3"], "dalembert check: band needs 0 < r0 < r1 (--r0 3.0, --r1 None)"),
+    (["dalembert", "evolve", "--data", "nothere.csv"],
+     "dalembert evolve: [Errno 2] No such file or directory: 'nothere.csv'"),
+    (["dalembert", "evolve", "--data", "/dev/null"], "dalembert evolve: /dev/null: expected header s,f0,f1"),
+    (["analyze", "/"], "analyze: / is not a run directory"),
+    (["sweep", "--config", "CONFIG", "--param", "oops"], "sweep: bad --param 'oops' (want key=v1,v2,...)"),
 ], ids=["lam_min_zero", "lam_min_above_max", "lam_min_nan", "lam_max_inf", "t_nan", "t_inf", "jobs_zero",
-        "jobs_negative"])
+        "jobs_negative", "lone_lam_min", "snapshot_missing", "n_negative", "band_empty", "data_missing",
+        "data_malformed", "no_report", "param_without_equals"])
 def test_argument_out_of_range_exit_2(tmp_path, capsys, argv, message):
     # each command gets valid inputs, so only the argument is at fault
     mesh = RadialMesh.graded(1e-6, 1e3, 60)
