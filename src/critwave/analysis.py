@@ -19,7 +19,7 @@ from .ground_state import (
     w_exterior_grad,
     w_field,
 )
-from .mesh import FieldState, Region
+from .mesh import FieldState, RadialMesh, Region
 from .radial import FOUR_PI, smoothstep_bump, transition
 from .solver import RunReport, run
 from .table import format_column, write_columns
@@ -61,7 +61,7 @@ def singular_part(report: RunReport, T_est: float, t0_index: int = 0) -> Singula
     chi = transition(mesh.nodes, r_cone, r_cone + margin)
     v0 = FieldState(mesh, base.t, chi * base.h, chi * base.hdot)
 
-    v_run = run(report.config, initial=v0, times=[s.t for s in report.snapshots[t0_index + 1 :]])
+    v_run = run(report.config, initial=v0, times=report.times[t0_index + 1 :].tolist())
     if v_run.outcome == "BlowUpDetected":
         raise DegenerateInputError(f"the regular part v restarted at snapshot index {t0_index} "
                                    f"(t = {base.t:.6g}) blew up at t = {v_run.t_star:.6g}")
@@ -324,16 +324,17 @@ class DiagnosticsSeries:
 
 
 class _Frame(FieldState):
-    """A snapshot whose u, u_t and d_r u are computed once, at construction.
+    """A snapshot whose u, u_t (the field's own) and d_r u are computed once,
+    at construction.
 
-    `diagnostics_series` builds one per snapshot and drops it after the
-    snapshot's row, so a report never holds the derived arrays.
+    A row function builds one per snapshot and drops it with the snapshot's
+    row, so a report never holds the derived arrays.
     """
 
     def __init__(self, field: FieldState):
         super().__init__(field.mesh, field.t, field.h, field.hdot)
-        object.__setattr__(self, "_u", super().u())
-        object.__setattr__(self, "_ut", super().ut())
+        object.__setattr__(self, "_u", field.u())
+        object.__setattr__(self, "_ut", field.ut())
         object.__setattr__(self, "_du_dr", super().du_dr())  # reads the cached u
 
     def u(self) -> np.ndarray:
@@ -346,6 +347,67 @@ class _Frame(FieldState):
         return self._du_dr
 
 
+def row_function(mesh: RadialMesh, ball_radii: tuple = (), g_radii: tuple = (), split: SingularSplit | None = None):
+    """The per-frame part of `diagnostics_series` on snapshots on `mesh`:
+    row(i, field) gives snapshot i's mu, nu, lambda1, f, z1, z2, d, ball
+    energies and g_R values as a tuple of floats (NaN where a radius is not
+    reached), reading nothing but that one field and the split.
+
+    a = u - v from the split's restart on, u before it; z1 and z2 subtract
+    v's moments when v covers the run (a split at index 0). The d column
+    uses the mesh-truncated gradient norm of W as reference, so a stationary
+    sampled W reads d = 0 without a truncation offset.
+    """
+    t0 = np.inf if split is None else split.t0_index
+    d_ref = _gradient_kinetic(w_field(mesh))[0]
+    bumps = [smoothstep_bump(mesh.nodes / R) for R in g_radii]
+
+    def row(i: int, s: FieldState) -> tuple:
+        frame = _Frame(s)
+        a = frame if i < t0 else _Frame(s - split.v_fields[i - t0])
+        radii = concentration_radii(frame, a)
+        mu, nu, lam1 = (np.nan if x is None else x for x in (radii.mu, radii.nu, radii.lambda1))
+        f = np.nan if radii.lambda1 is None else sign_projection(a, radii.lambda1)
+        z1, z2 = _virial_z(frame)
+        if t0 == 0:
+            v1, v2 = _virial_z(split.v_fields[i])
+            z1, z2 = z1 - v1, z2 - v2
+        d = d_functional(frame, grad_ref=d_ref)
+        balls = []
+        for rho in ball_radii:
+            gradient_sq, kinetic_sq = _gradient_kinetic(frame, Region.ball(min(rho, mesh.rmax)))
+            balls.append(gradient_sq + kinetic_sq)
+        return (mu, nu, lam1, f, z1, z2, d, *balls, *(_g_r(frame, bump) for bump in bumps))
+
+    return row
+
+
+def assemble_series(report: RunReport, rows, ball_radii: tuple = (), g_radii: tuple = ()) -> DiagnosticsSeries:
+    """The series of `report`'s scalars and the rows of `row_function`, one
+    per snapshot in order: t, E and sup_u from the report, Z = z1/2 + z2,
+    and z1, z2, Z and g_R NaN for fewer than 3 snapshots, as in
+    virial_series and g_r_series. `rows` may be any iterable; each row is
+    stored as it arrives.
+    """
+    n = report.times.size
+    g_cols = [f"g_{R:g}" for R in g_radii]
+    row_cols = ["mu", "nu", "lambda1", "f", "z1", "z2", "d", *(f"E_ball_{rho:g}" for rho in ball_radii), *g_cols]
+    table = np.full((len(row_cols), n), np.nan)
+    for i, row in enumerate(rows):
+        table[:, i] = row
+    data = dict(zip(row_cols, table))
+    data["t"] = report.times.copy()
+    data["E"] = report.energies.copy()
+    data["sup_u"] = report.sup_history.copy()
+    if n >= 3:
+        data["Z"] = 0.5 * data["z1"] + data["z2"]
+    else:
+        for c in ["z1", "z2", "Z", *g_cols]:
+            data[c] = np.full(n, np.nan)
+    cols = ["t", "E", "sup_u", *row_cols[:6], "Z", *row_cols[6:]]
+    return DiagnosticsSeries(columns=cols, data=data)
+
+
 def diagnostics_series(
     report: RunReport,
     ball_radii: tuple = (),
@@ -353,54 +415,9 @@ def diagnostics_series(
     split: SingularSplit | None = None,
 ) -> DiagnosticsSeries:
     """Assemble the standard series: t,E,sup_u,mu,nu,lambda1,f,z1,z2,Z,d
-    plus configured ball energies and g_R columns.
-
-    The d column uses the mesh-truncated gradient norm of W as reference,
-    so a stationary sampled W reads d = 0 without a truncation offset.
+    plus configured ball energies and g_R columns, one `row_function` row
+    per snapshot, one snapshot at a time.
     """
     snaps = report.snapshots
-    n = len(snaps)
-    cols = ["t", "E", "sup_u", "mu", "nu", "lambda1", "f", "z1", "z2", "Z", "d"]
-    cols += [f"E_ball_{rho:g}" for rho in ball_radii] + [f"g_{R:g}" for R in g_radii]
-    data: dict = {c: np.full(n, np.nan) for c in cols}
-    data["t"] = report.times.copy()
-    data["E"] = report.energies.copy()
-    data["sup_u"] = report.sup_history.copy()
-
-    # a = u - v from the split's restart on, u before it; z1 and z2 subtract
-    # v's moments when v covers the run (a split at index 0). They and g_R
-    # need 3 snapshots, as in virial_series and g_r_series
-    t0 = n if split is None else split.t0_index
-    moments = []
-
-    d_ref, bumps = None, {}
-    if snaps:
-        d_ref = _gradient_kinetic(w_field(snaps[0].mesh))[0]
-        bumps = {R: smoothstep_bump(snaps[0].mesh.nodes / R) for R in g_radii}
-
-    for i, s in enumerate(snaps):
-        frame = _Frame(s)
-        a = frame if i < t0 else _Frame(s - split.v_fields[i - t0])
-        radii = concentration_radii(frame, a)
-        data["mu"][i] = np.nan if radii.mu is None else radii.mu
-        data["nu"][i] = np.nan if radii.nu is None else radii.nu
-        data["lambda1"][i] = np.nan if radii.lambda1 is None else radii.lambda1
-        if radii.lambda1 is not None:
-            data["f"][i] = sign_projection(a, radii.lambda1)
-        data["d"][i] = d_functional(frame, grad_ref=d_ref)
-        for rho in ball_radii:
-            gradient_sq, kinetic_sq = _gradient_kinetic(frame, Region.ball(min(rho, s.mesh.rmax)))
-            data[f"E_ball_{rho:g}"][i] = gradient_sq + kinetic_sq
-        if n >= 3:
-            z = _virial_z(frame)
-            if t0 == 0:
-                z = tuple(x - y for x, y in zip(z, _virial_z(split.v_fields[i])))
-            moments.append(z)
-            for R in g_radii:
-                data[f"g_{R:g}"][i] = _g_r(frame, bumps[R])
-
-    if n >= 3:
-        z1, z2 = (np.array(col) for col in zip(*moments))
-        data["z1"], data["z2"], data["Z"] = z1, z2, 0.5 * z1 + z2
-
-    return DiagnosticsSeries(columns=cols, data=data)
+    row = row_function(snaps[0].mesh, ball_radii, g_radii, split) if snaps else None
+    return assemble_series(report, (row(i, s) for i, s in enumerate(snaps)), ball_radii, g_radii)

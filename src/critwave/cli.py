@@ -4,11 +4,11 @@ profile extraction, and parameter sweeps.
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 runtime
 failure, 4 channel-check violation (always an implementation bug). Every
 input check, a command's own included, raises InvalidConfigError, and only
-`main` turns it into exit 2 and the line `<command>: <message>`, where a
-d'Alembert mode's command is `dalembert check` or `dalembert evolve`. A file
+`main` turns it into exit 2 and the line `<command>: <message>`. A file
 named on the command line that cannot be read is such an input; one inside a
 run directory that `analyze` reads is not. `main` maps any other OSError or
-CritwaveError to 3, under the top-level command's name.
+CritwaveError to 3 and the same line. A d'Alembert mode's command is
+`dalembert check` or `dalembert evolve` in both.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import multiprocessing
 import os
 import sys
 import time
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -58,10 +59,16 @@ def _iso_now() -> str:
 
 # ---------------------------------------------------------- snapshot fan-out
 
-# Fanning out costs a run about 20-30 ms whatever its size. End to end on
-# a 2-CPU host, simulate then analyze on 2401-node runs, fanned out against
-# serial over 15 alternating pairs: 50421 rows lost 60 ms (0/15 pairs won),
-# 60025 rows won 39 ms (11/15) and 69629 rows won 96 ms (14/15). Runs of
+# Fanning out costs a run about 20-40 ms whatever its size. End to end on
+# a shared 2-vCPU host, simulate then analyze of 2401-node runs in a fresh
+# process, fanned out against serial (analyze's workers returning rows), in
+# four sessions of 10-12 alternating pairs, median saving (pairs won):
+#    60025 rows  -39 ms (2/12), -36 ms (0/12), -64 ms (1/10)
+#    69629 rows  -51 ms (0/12), +55 ms (8/10), -32 ms (2/12)
+#    84035 rows  -59 ms (0/10);  108045 rows  -22 ms (3/10)
+#   144060 rows  +63 ms (8/10);  288120 rows  +307 ms (10/10)
+# The sessions disagree below ~110000 rows, so the cut-off stays where an
+# earlier 15-pair measurement put it (60025 rows won 39 ms, 11/15). Runs of
 # fewer rows stay serial. Hosts with more than 2 CPUs have not been measured.
 _FAN_OUT_MIN_ROWS = 60_000
 
@@ -87,7 +94,10 @@ def _fan_out(fn, indices: range, rows: int):
     forks all of its workers at its first task, before it starts its own
     thread. The workers inherit fn, and all that it reads, from this
     process's memory, so a task sends only its index and a result comes
-    back one call at a time. An exception that fn raises in a worker is
+    back one call at a time. simulate's fn writes snapshot i and returns
+    nothing; analyze's parses snapshot i and returns its diagnostics row, a
+    dozen floats, so every process holds one frame at a time and none holds
+    a run's frames. An exception that fn raises in a worker is
     raised here when its result is reached; the tasks not yet started are
     then cancelled.
 
@@ -216,7 +226,7 @@ def cmd_evolve(args) -> int:
         raise InvalidConfigError(f"--t must be finite, got {args.t!r}")
     try:
         data = dalembert.import_csv(args.data)
-    except (OSError, TypeError, CritwaveError) as exc:
+    except (OSError, CritwaveError) as exc:
         raise InvalidConfigError(str(exc)) from exc
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
@@ -231,10 +241,48 @@ def cmd_evolve(args) -> int:
 # -------------------------------------------------------------------- analyze
 
 
+class _Snapshot(FieldState):
+    """A snapshot as its file holds it: u and ut are the parsed columns,
+    which h / r of h = r u need not give back bit for bit (at the origin, u
+    is a slope of h), so that its diagnostics are the ones simulate wrote."""
+
+    def __init__(self, mesh, t: float, u: np.ndarray, ut: np.ndarray):
+        super().__init__(mesh, t, mesh.nodes * u, mesh.nodes * ut)
+        object.__setattr__(self, "_u", u)
+        object.__setattr__(self, "_ut", ut)
+
+    def u(self) -> np.ndarray:
+        return self._u
+
+    def ut(self) -> np.ndarray:
+        return self._ut
+
+
+class _RunSnapshots(Sequence):
+    """A run directory's snapshots by index, each parsed from its file onto
+    snapshot 0's mesh when it is indexed and not kept."""
+
+    def __init__(self, snapdir: Path, times: list):
+        self.snapdir = snapdir
+        self.times = times
+        self.mesh = solver.load_snapshot(snapdir / "snap_0000.csv").mesh
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, i: int) -> _Snapshot:
+        i = range(len(self.times))[i]  # IndexError past either end
+        path = self.snapdir / f"snap_{i:04d}.csv"
+        r, u, ut = table.read_columns(path, ("r", "u", "ut"))
+        if not np.array_equal(r, self.mesh.nodes):
+            raise InvalidDataError(f"{path}: r column differs from snapshot 0's mesh")
+        return _Snapshot(self.mesh, self.times[i], u, ut)
+
+
 def _load_run_dir(run_dir: Path) -> solver.RunReport:
     """The report of a run directory: its config (`RunConfig()` when
-    report.json predates the key), its snapshots on snapshot 0's mesh, and
-    E and sup_u from its series.csv."""
+    report.json predates the key), E and sup_u from its series.csv, and its
+    snapshots, of which only snapshot 0's mesh is read here."""
     path = run_dir / "report.json"
     with open(path) as fh:
         try:
@@ -248,27 +296,13 @@ def _load_run_dir(run_dir: Path) -> solver.RunReport:
     _, energies, sups = table.read_columns(series, ("t", "E", "sup_u"))
     if energies.size != len(times):
         raise InvalidDataError(f"{series}: {energies.size} rows, but report.json lists {len(times)} snapshots")
-    snapdir = run_dir / "snapshots"
-    first = solver.load_snapshot(snapdir / "snap_0000.csv")
-    nodes = first.mesh.nodes
-
-    def parse(i):
-        # (h, hdot) as FieldState.from_u forms them, on snapshot 0's mesh
-        path = snapdir / f"snap_{i:04d}.csv"
-        r, u, ut = table.read_columns(path, ("r", "u", "ut"))
-        if not np.array_equal(r, nodes):
-            raise InvalidDataError(f"{path}: r column differs from snapshot 0's")
-        return nodes * u, nodes * ut
-
-    rest = _fan_out(parse, range(1, len(times)), nodes.size * len(times))
-    snaps = [FieldState(first.mesh, t, h, hdot) for t, (h, hdot) in zip(times, [(first.h, first.hdot), *rest])]
     return solver.RunReport(
         outcome=outcome,
         t_star=t_star,
         times=np.asarray(times, float),
         energies=energies,
         sup_history=sups,
-        snapshots=snaps,
+        snapshots=_RunSnapshots(run_dir / "snapshots", times),
         contamination_time=rep.get("contamination_time", 0.0),
         energy_drift=rep.get("energy_drift", 0.0),
         config=config,
@@ -282,22 +316,23 @@ def cmd_analyze(args) -> int:
     if not (run_dir / "report.json").exists():
         raise InvalidConfigError(f"{run_dir} is not a run directory")
     report = _load_run_dir(run_dir)
+    snaps = report.snapshots
+    n = len(snaps)
     split = None
     if args.split_index is not None:
-        n = len(report.snapshots)
         if not 0 <= args.split_index < n:
             raise InvalidConfigError(f"--split-index {args.split_index} is outside [0, {n})")
-        t0 = float(report.snapshots[args.split_index].t)
+        t0 = float(report.times[args.split_index])
         if not args.t_est > t0:
             raise InvalidConfigError(f"--t-est {args.t_est!r} must exceed the restart time {t0!r} "
                                      f"of snapshot {args.split_index}")
+        # before the fan-out, so that its workers inherit v
         split = analysis.singular_part(report, args.t_est, t0_index=args.split_index)
-    series = analysis.diagnostics_series(
-        report,
-        ball_radii=tuple(args.ball_radius),
-        g_radii=tuple(args.g_radius),
-        split=split,
-    )
+    radii = tuple(args.ball_radius), tuple(args.g_radius)
+    mesh = snaps.mesh
+    row = analysis.row_function(mesh, *radii, split)
+    rows = _fan_out(lambda i: row(i, snaps[i]), range(n), mesh.nodes.size * n)
+    series = analysis.assemble_series(report, rows, *radii)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     series.to_csv(out / "series.csv")
@@ -431,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
     p = modes.add_parser("evolve", help="evolve breakpoint data exactly")
     _add_common(p)
-    p.add_argument("--data", help="breakpoint CSV")
+    p.add_argument("--data", required=True, help="breakpoint CSV")
     p.add_argument("--t", type=float, default=1.0, help="evolution time")
     p.set_defaults(func=cmd_evolve)
 
@@ -464,14 +499,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = f"{args.command} {args.mode}" if "mode" in args else args.command
     try:
         return args.func(args)
     except InvalidConfigError as exc:
-        command = f"{args.command} {args.mode}" if "mode" in args else args.command
         print(f"{command}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, CritwaveError) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
+        print(f"{command}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except KeyboardInterrupt:
         return EXIT_RUNTIME

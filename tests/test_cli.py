@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -70,6 +71,16 @@ def cpus(monkeypatch, tmp_path):
         return [int(pid) for pid in log.read_text().split()] if log.exists() else []
 
     return set_cpus, pool_pids
+
+
+@pytest.fixture(scope="module")
+def long_run(tmp_path_factory):
+    """A run directory of 401 snapshots on 1601 nodes."""
+    tmp = tmp_path_factory.mktemp("long")
+    cfg = write(tmp / "c.json", BUMP_CFG.replace('"h": 0.04', '"h": 0.005')
+                .replace('"every": 0.25', '"every": 0.0025'))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp / "run"), "--quiet"]) == 0
+    return tmp / "run"
 
 
 class TestFanOut:
@@ -353,6 +364,20 @@ class TestDalembert:
         assert src in capsys.readouterr().err
         assert not out.exists()
 
+    def test_evolve_without_data_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dalembert", "evolve", "--t", "1.0", "--out", str(tmp_path), "--quiet"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --data" in capsys.readouterr().err
+
+    def test_exit_3_line_names_the_mode(self, tmp_path, capsys):
+        data = write(tmp_path / "data.csv", "s,f0,f1\n0.0,0.0,0.0\n1.0,0.5,1.0\n2.0,0.0,0.0\n")
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        capsys.readouterr()
+        assert main(["dalembert", "evolve", "--data", data, "--out", str(taken / "x"), "--quiet"]) == 3
+        assert capsys.readouterr().err.startswith(f"dalembert evolve: [Errno 20] Not a directory: '{taken}")
+
 
 class TestAnalyze:
     def test_stationary_w_d_column(self, tmp_path):
@@ -376,42 +401,74 @@ class TestAnalyze:
     def test_one_mesh_and_simulate_columns(self, tmp_path, monkeypatch):
         run_dir = tmp_path / "run"
         cfg = write(tmp_path / "c.json", BUMP_CFG)
-        assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+        radii = ["--ball-radius", "2", "--g-radius", "4", "--quiet"]
+        assert main(["simulate", "--config", cfg, "--out", str(run_dir), *radii]) == 0
         built = []
         post_init = RadialMesh.__post_init__
         monkeypatch.setattr(RadialMesh, "__post_init__", lambda self: built.append(1) or post_init(self))
-        report = cli._load_run_dir(run_dir)  # 1005 rows: parsed serially, in this process
-        assert len(built) == 1
-        assert len(report.snapshots) == 5
-        assert all(s.mesh is report.snapshots[0].mesh for s in report.snapshots)
+        snaps = cli._load_run_dir(run_dir).snapshots
+        assert len(built) == 1 and len(snaps) == 5
+        assert all(s.mesh is snaps[0].mesh for s in snaps)
         out = tmp_path / "an"
-        assert main(["analyze", str(run_dir), "--out", str(out), "--quiet"]) == 0
+        assert main(["analyze", str(run_dir), "--out", str(out), *radii]) == 0  # 1005 rows: serial
+        assert len(built) == 2  # analyze's own load
+        assert (out / "series.csv").read_bytes() == (run_dir / "series.csv").read_bytes()
 
-        def columns(path):
-            with open(path, newline="") as fh:
-                return [row[1:3] for row in csv.reader(fh)]
-
-        assert columns(out / "series.csv") == columns(run_dir / "series.csv")
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_series_equals_simulates_on_any_cpu_count(self, tmp_path, cpus, k):
+        # on this run, h = r u of the parsed u gives back another u at the
+        # origin, and with it another lambda1 on the blow-up frame: analyze
+        # reads u as the files hold it
+        set_cpus, pool_pids = cpus
+        set_cpus(1)
+        run_dir = tmp_path / "run"
+        cfg = write(tmp_path / "c.json", NEAR_W_CFG.replace('"every": 0.25', '"every": 0.1') % "0.05")
+        radii = ["--ball-radius", "1", "--ball-radius", "50", "--g-radius", "4", "--quiet"]
+        assert main(["simulate", "--config", cfg, "--out", str(run_dir), *radii]) == 0
+        set_cpus(k)
+        out = tmp_path / "an"
+        assert main(["analyze", str(run_dir), "--out", str(out), *radii]) == 0
+        assert len(pool_pids()) == (k > 1)
+        assert (out / "series.csv").read_bytes() == (run_dir / "series.csv").read_bytes()
 
     def test_load_equal_on_any_cpu_count(self, tmp_path, cpus):
+        # the split's v, made before the fan-out, is read by forked workers
         set_cpus, pool_pids = cpus
         set_cpus(1)
         run_dir = tmp_path / "run"
         cfg = write(tmp_path / "c.json", BUMP_CFG.replace('"every": 0.25', '"every": 0.1'))
         assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
-        reports = []
+        written = []
         for k in (1, 2):
             set_cpus(k)
-            reports.append(cli._load_run_dir(run_dir))
-        assert len(pool_pids()) == 1  # the load under 2 CPUs forked
-        one, two = reports
-        assert one.times.tobytes() == two.times.tobytes()
-        assert len(one.snapshots) == len(two.snapshots) == 11
-        for a, b in zip(one.snapshots, two.snapshots):
-            assert a.t == b.t
-            assert a.h.tobytes() == b.h.tobytes() and a.hdot.tobytes() == b.hdot.tobytes()
-        for rep in reports:
-            assert all(s.mesh is rep.snapshots[0].mesh for s in rep.snapshots)
+            for split in ("0", "3"):
+                out = tmp_path / f"an{k}_{split}"
+                assert main(["analyze", str(run_dir), "--out", str(out), "--quiet", "--g-radius", "4",
+                             "--t-est", "3.0", "--split-index", split]) == 0
+                written.append((out / "series.csv").read_bytes())
+        assert len(pool_pids()) == 2  # the two analyses under 2 CPUs forked
+        assert written[:2] == written[2:]
+        assert written[0] != written[1]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_peak_memory_is_not_the_runs_frames(self, long_run, cpus, k):
+        # every process holds one frame at a time: the peak is one frame's
+        # working set, on 1601 nodes, plus the written series' text, on 11
+        # columns; a list of the run's frames would hold them all
+        set_cpus, pool_pids = cpus
+        set_cpus(k)
+        frames = len(list((long_run / "snapshots").iterdir()))
+        frame_bytes = frames * 2 * 1601 * 8
+        assert frames >= 400
+        out = long_run.parent / f"an{k}"
+        tracemalloc.start()
+        try:
+            assert main(["analyze", str(long_run), "--out", str(out), "--quiet"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pool_pids()) == (k > 1)
+        assert peak < 0.1 * frame_bytes, (peak, frame_bytes)
 
     @pytest.mark.parametrize("damage", ["missing", "malformed", "other_mesh", "no_origin_row"])
     def test_bad_snapshot_in_workers_half_exit_3(self, tmp_path, capsys, cpus, damage):
