@@ -22,7 +22,7 @@ from .ground_state import (
 from .mesh import FieldState, RadialMesh, Region
 from .radial import FOUR_PI, smoothstep_bump, transition
 from .solver import RunReport, run
-from .table import format_column, write_columns
+from .table import write_columns
 
 
 # ------------------------------------------------------------- singular part
@@ -320,7 +320,7 @@ class DiagnosticsSeries:
     data: dict  # column -> np.ndarray
 
     def to_csv(self, path) -> None:
-        write_columns(path, self.columns, [format_column(self.data[c]) for c in self.columns])
+        write_columns(path, self.columns, [self.data[c] for c in self.columns])
 
 
 class _Frame(FieldState):

@@ -9,6 +9,12 @@ named on the command line that cannot be read is such an input; one inside a
 run directory that `analyze` reads is not. `main` maps any other OSError or
 CritwaveError to 3 and the same line. A d'Alembert mode's command is
 `dalembert check` or `dalembert evolve` in both.
+
+`simulate` and `analyze` split a run's frames over the CPUs of the process's
+affinity mask with `_in_parallel`: each process writes or parses its own
+share of the snapshot files and reduces each frame to its diagnostics row as
+it goes, so no process holds a run's frames. `simulate`'s processes each run
+the deterministic solve themselves, and a worker whose run differs exits 3.
 """
 
 from __future__ import annotations
@@ -57,22 +63,20 @@ def _iso_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
 
-# ---------------------------------------------------------- snapshot fan-out
+# ------------------------------------------------------------ snapshot shares
 
-# Fanning out costs a run about 20-40 ms whatever its size. End to end on
-# a shared 2-vCPU host, simulate then analyze of 2401-node runs in a fresh
-# process, fanned out against serial (analyze's workers returning rows), in
-# four sessions of 10-12 alternating pairs, median saving (pairs won):
-#    60025 rows  -39 ms (2/12), -36 ms (0/12), -64 ms (1/10)
-#    69629 rows  -51 ms (0/12), +55 ms (8/10), -32 ms (2/12)
-#    84035 rows  -59 ms (0/10);  108045 rows  -22 ms (3/10)
-#   144060 rows  +63 ms (8/10);  288120 rows  +307 ms (10/10)
-# The sessions disagree below ~110000 rows, so the cut-off stays where an
-# earlier 15-pair measurement put it (60025 rows won 39 ms, 11/15). Runs of
-# fewer rows stay serial. Hosts with more than 2 CPUs have not been measured.
+# End to end on a shared 2-vCPU host, simulate then analyze of 2401-node
+# runs in a fresh process, one `_in_parallel` call per process against
+# serial, in two sessions of 10 alternating pairs, median saving (pairs won):
+#    16807 rows  -49 ms (0/10)
+#    31213 rows  +18 ms (7/10),  -38 ms (4/10)
+#    60025 rows  +57 ms (8/10),  +82 ms (10/10)
+#   110446 rows +120 ms (8/10), +196 ms (10/10)
+# Runs of fewer rows stay serial. Hosts with more than 2 CPUs have not been
+# measured.
 _FAN_OUT_MIN_ROWS = 60_000
 
-_forked_fn = None  # the fan-out's fn, set in its worker processes only
+_forked_fn = None  # _in_parallel's fn, set in its worker processes only
 
 
 def _set_forked_fn(fn) -> None:
@@ -80,51 +84,51 @@ def _set_forked_fn(fn) -> None:
     _forked_fn = fn
 
 
-def _call_forked_fn(i):
-    return _forked_fn(i)
+def _call_forked_fn(j: int, k: int):
+    return _forked_fn(j, k)
 
 
-def _fan_out(fn, indices: range, rows: int):
-    """Yield fn(i) for i in indices, in order, with the calls split over
-    the k CPUs of this process's affinity mask.
+def _in_parallel(fn, rows: int, items: int) -> list:
+    """[fn(0, k), ..., fn(k - 1, k)], one call in each of k processes: this
+    process makes fn(0, k) while k - 1 forked workers make one call each.
 
-    This process calls fn on the first ceil(len/k) indices itself while
-    forked workers take the rest, one index per task: k - 1 workers, or
-    one per remaining index if that is fewer, since a fork-context pool
-    forks all of its workers at its first task, before it starts its own
-    thread. The workers inherit fn, and all that it reads, from this
-    process's memory, so a task sends only its index and a result comes
-    back one call at a time. simulate's fn writes snapshot i and returns
-    nothing; analyze's parses snapshot i and returns its diagnostics row, a
-    dozen floats, so every process holds one frame at a time and none holds
-    a run's frames. An exception that fn raises in a worker is
-    raised here when its result is reached; the tasks not yet started are
-    then cancelled.
+    The calls share out `items` things, call j taking items j, j + k,
+    j + 2k, ...; k is the number of CPUs in this process's affinity mask, or
+    `items` if that is fewer. The workers inherit fn, and all that it reads,
+    from this process's memory (a fork-context pool forks all of its workers
+    at its first task, before it starts its own thread), so a task sends
+    only (j, k) and only fn's result comes back. One call per process, not
+    one task per item: a task per item has the pool's feeder thread wait for
+    the GIL that this process's own calls hold, and the workers wait to be
+    fed. An exception that fn raises in a worker is raised here once this
+    process's own call has returned.
 
-    Runs serially under `_FAN_OUT_MIN_ROWS` rows of work, where the mask
-    cannot be read, and inside a worker process (a sweep cell), so that
-    pools never nest.
+    k is 1 under `_FAN_OUT_MIN_ROWS` rows of work, where the mask cannot be
+    read, and inside a worker process (a sweep cell), so that pools never
+    nest.
     """
     k = 1
     if rows >= _FAN_OUT_MIN_ROWS and hasattr(os, "sched_getaffinity"):
         if multiprocessing.parent_process() is None:
-            k = len(os.sched_getaffinity(0))
-    own = -(-len(indices) // k)
-    if own >= len(indices):
-        yield from map(fn, indices)
-        return
+            k = min(len(os.sched_getaffinity(0)), items)
+    if k <= 1:
+        return [fn(0, 1)]
     with ProcessPoolExecutor(
-        max_workers=min(k - 1, len(indices) - own),
+        max_workers=k - 1,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_set_forked_fn,
         initargs=(fn,),
     ) as pool:
-        try:
-            results = pool.map(_call_forked_fn, indices[own:])
-            yield from map(fn, indices[:own])
-            yield from results
-        finally:
-            pool.shutdown(cancel_futures=True)
+        futures = [pool.submit(_call_forked_fn, j, k) for j in range(1, k)]
+        return [fn(0, k), *(f.result() for f in futures)]
+
+
+def _interleaved(shares: list) -> list:
+    """The items of k shares, share j holding items j, j + k, ..., in order."""
+    items = [None] * sum(map(len, shares))
+    for j, share in enumerate(shares):
+        items[j::len(shares)] = share
+    return items
 
 
 # ------------------------------------------------------------- simulate logic
@@ -132,27 +136,49 @@ def _fan_out(fn, indices: range, rows: int):
 
 def _simulate_into(config: solver.RunConfig, out: Path, ball_radii, g_radii):
     """Run config and write its run directory under out: the snapshots,
-    series.csv, report.json and manifest.json. Returns the report and the
-    diagnostics series written."""
+    series.csv, report.json and manifest.json. Returns the report, which
+    keeps no snapshots, and the diagnostics series written.
+
+    Each of `_in_parallel`'s processes runs the solve itself and, of its
+    frames, writes only its own share and reduces each to its diagnostics
+    row as it is made, so no process holds more than one frame. The solve is
+    deterministic: a worker whose run differs from this process's raises
+    CritwaveError.
+    """
     started = _iso_now()
-    report = solver.run(config)
     out.mkdir(parents=True, exist_ok=True)
     snapdir = out / "snapshots"
     snapdir.mkdir(exist_ok=True)
-    snaps = report.snapshots
-    files = {f"snapshots/snap_{i:04d}.csv": s.mesh.nodes.size for i, s in enumerate(snaps)}
+    radii = tuple(ball_radii), tuple(g_radii)
 
-    def save(i):
-        solver.save_snapshot(snaps[i], snapdir / f"snap_{i:04d}.csv")
+    def share(j, k):
+        rows, row = [], None
 
-    # snapshot 0 first, so the forked writers inherit its formatted r column
-    save(0)
-    for _ in _fan_out(save, range(1, len(snaps)), sum(files.values())):
-        pass
+        def on_frame(i, state):
+            nonlocal row
+            if i == 0:  # every frame is on the run's mesh
+                row = analysis.row_function(state.mesh, *radii)
+            if i % k == j:
+                solver.save_snapshot(state, snapdir / f"snap_{i:04d}.csv")
+                rows.append(row(i, state))
 
-    series = analysis.diagnostics_series(report, ball_radii=tuple(ball_radii), g_radii=tuple(g_radii))
+        return solver.run(config, on_frame=on_frame), rows
+
+    frames = int(config.t_end / config.output_every + 1)  # to t_end at the output cadence
+    nodes = config.mesh().nodes.size
+    (report, rows), *workers = _in_parallel(share, nodes * frames, frames)
+    for j, (replay, _) in enumerate(workers, 1):
+        differ = [name for name, same in (("times", np.array_equal(replay.times, report.times)),
+                                          ("outcome", replay.outcome == report.outcome),
+                                          ("t_star", replay.t_star == report.t_star)) if not same]
+        if differ:
+            raise CritwaveError(f"the run replayed by snapshot writer {j} of {len(workers) + 1} differs "
+                                f"from this process's in its {' and '.join(differ)}")
+    series = analysis.assemble_series(report, _interleaved([rows, *(r for _, r in workers)]), *radii)
     series.to_csv(out / "series.csv")
-    files["series.csv"] = len(snaps)
+    n = report.times.size
+    files = {f"snapshots/snap_{i:04d}.csv": nodes for i in range(n)}
+    files["series.csv"] = n
 
     _write_json({
         "outcome": report.outcome,
@@ -326,13 +352,13 @@ def cmd_analyze(args) -> int:
         if not args.t_est > t0:
             raise InvalidConfigError(f"--t-est {args.t_est!r} must exceed the restart time {t0!r} "
                                      f"of snapshot {args.split_index}")
-        # before the fan-out, so that its workers inherit v
+        # before the workers fork, so that they inherit v
         split = analysis.singular_part(report, args.t_est, t0_index=args.split_index)
     radii = tuple(args.ball_radius), tuple(args.g_radius)
     mesh = snaps.mesh
     row = analysis.row_function(mesh, *radii, split)
-    rows = _fan_out(lambda i: row(i, snaps[i]), range(n), mesh.nodes.size * n)
-    series = analysis.assemble_series(report, rows, *radii)
+    shares = _in_parallel(lambda j, k: [row(i, snaps[i]) for i in range(j, n, k)], mesh.nodes.size * n, n)
+    series = analysis.assemble_series(report, _interleaved(shares), *radii)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     series.to_csv(out / "series.csv")

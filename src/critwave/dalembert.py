@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidDataError, InvalidParameterError
 from .radial import RadialProfile, half_line_integral
-from .table import format_column, read_columns, write_columns
+from .table import read_columns, write_columns
 
 _MERGE_EPS = 1e-12
 _CSV_COLUMNS = ("s", "f0", "f1")
@@ -238,7 +238,7 @@ def exterior_identity_check(u0: RadialProfile, R0: float = 0.0) -> ExteriorIdent
 def export_csv(data: RadialData | None, path) -> None:
     """Write knots as rows s,f0,f1 (f1 applies to [s_i, s_{i+1})); None writes the header alone."""
     columns = [] if data is None else [data.knots, data.f0, np.append(data.f1, 0.0)]
-    write_columns(path, _CSV_COLUMNS, [format_column(c) for c in columns])
+    write_columns(path, _CSV_COLUMNS, columns)
 
 
 def import_csv(path) -> RadialData | None:

@@ -211,7 +211,8 @@ def make_initial_data(mesh: RadialMesh, family: str, params: dict) -> FieldState
         if path is None:
             raise InvalidConfigError("data.family = csv needs data.path")
         return load_snapshot(path, mesh)
-    # an extreme data.* number can overflow to inf or nan: refused below
+    # an extreme data.* number can overflow u, or h = r u, to inf or nan:
+    # refused below
     with np.errstate(all="ignore"):
         if family == "near_w":
             delta = read("delta", 0.0)
@@ -224,7 +225,8 @@ def make_initial_data(mesh: RadialMesh, family: str, params: dict) -> FieldState
             lam = read("lambda", 1.0)
             eps = read("eps", 0.0)
             u0 = eval_w(r, GroundStateParams(lam=lam)) + eps * bump().u(r)
-    if not np.all(np.isfinite(u0)):
+        finite = np.all(np.isfinite(r * u0))  # nan at the origin where u0 is not finite
+    if not finite:
         given = ", ".join(f"data.{key} = {value!r}" for key, value in sorted(params.items()))
         raise InvalidConfigError(f"data.family = {family} with {given} gives initial data that is not finite")
     return FieldState.from_u(mesh, u0, np.zeros_like(r))
@@ -250,12 +252,13 @@ def load_snapshot(path, mesh: RadialMesh | None = None) -> FieldState:
 def save_snapshot(state: FieldState, path) -> None:
     """Write the snapshot as an r,u,ut table; the r column's text is kept per
     mesh (`_r_column`), so a run's snapshots format only u and ut."""
-    columns = [_r_column(state.mesh), format_column(state.u()), format_column(state.ut())]
-    write_columns(path, ["r", "u", "ut"], columns)
+    write_columns(path, ["r", "u", "ut"], [_r_column(state.mesh), state.u(), state.ut()])
 
 
-# (mesh, repr text of its nodes) of the last snapshot saved; holding the
-# mesh keeps its identity from being reused by another mesh
+# (mesh, repr text of its nodes) of the last snapshot saved in this process;
+# holding the mesh keeps its identity from being reused by another mesh. A
+# run's frames share its mesh, so each process that writes a share of a
+# run's snapshots formats r once
 _last_r_column: tuple = (None, [])
 
 
@@ -337,12 +340,18 @@ def support_radius(state: FieldState) -> float:
     return float(state.mesh.nodes[idx[-1]])
 
 
-def run(config: RunConfig, initial: FieldState | None = None, times: list | None = None) -> RunReport:
+def run(config: RunConfig, initial: FieldState | None = None, times: list | None = None,
+        on_frame=None) -> RunReport:
     """Integrate until t_end or blow-up; snapshot at the output cadence.
 
     With `times`, increasing output times after the initial state's, the run
     ends at the last of them instead and keeps a frame at the first step
     that reaches each; t_end and output_every are then not read.
+
+    With `on_frame`, frame i goes to on_frame(i, state) when it is recorded
+    and is not kept: the report's snapshots are empty, and its times,
+    energies and sup_u history are those of the frames passed. A step never
+    writes into an earlier state's arrays, so on_frame may keep the state.
     """
     mesh = config.mesh()
     if initial is None:
@@ -356,8 +365,11 @@ def run(config: RunConfig, initial: FieldState | None = None, times: list | None
     frame_t, snapshots, energies, sups = [], [], [], []
 
     def record(state: FieldState) -> None:
+        if on_frame is None:
+            snapshots.append(state)
+        else:
+            on_frame(len(frame_t), state)
         frame_t.append(state.t)
-        snapshots.append(state)
         energies.append(energy(state).total_energy if config.nonlinear else _linear_energy(state))
         sups.append(state.sup_u())
 

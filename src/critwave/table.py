@@ -17,12 +17,23 @@ def format_column(column) -> list:
     return list(map(repr, np.asarray(column, dtype=float).tolist()))
 
 
+# rows formatted and written at a time: a 2401-row snapshot is one chunk, and
+# a longer table's text is held one chunk at a time
+_CHUNK_ROWS = 2500
+
+
 def write_columns(path, header, columns) -> None:
-    """Write equal-length columns of text, as `format_column` gives it, under
-    the header names (which need no quoting); the file is written at once."""
-    lines = [",".join(header), *map(",".join, zip(*columns))]
+    """Write equal-length columns under the header names (which need no
+    quoting). A column is a float array, formatted here `_CHUNK_ROWS` rows at
+    a time, or a list of its text as `format_column` gives it."""
+    n = len(columns[0]) if columns else 0
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n, _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            cells = [c[rows] if isinstance(c, list) else format_column(c[rows]) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))))
+            fh.write("\r\n")
 
 
 def read_columns(path, names) -> list:

@@ -2,11 +2,13 @@
 
 import csv
 import dataclasses
+import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from critwave import analysis
+from critwave import analysis, table
 from critwave.errors import DegenerateInputError, InvalidParameterError
 from critwave.ground_state import GroundStateParams, energy, eval_w, w_constants, w_field
 from critwave.mesh import FieldState, RadialMesh, Region
@@ -200,6 +202,32 @@ class TestSeries:
         series.to_csv(out)
         header = out.read_text().splitlines()[0]
         assert header == ",".join(series.columns)
+
+    def test_csv_text_held_one_chunk_at_a_time(self, tmp_path):
+        # the text of a 4000-row series is made and written a chunk of rows
+        # at a time, so writing it takes no more memory than writing one
+        # chunk's rows; the bytes are those csv.writer writes for the rows
+        rng = np.random.default_rng(0)
+        columns = ["t", "E", "sup_u", "mu", "nu", "lambda1", "f", "z1", "z2", "Z", "d"]
+        out = tmp_path / "series.csv"
+
+        def peak(rows: int) -> int:
+            series = analysis.DiagnosticsSeries(columns, {c: rng.standard_normal(rows) for c in columns})
+            tracemalloc.start()
+            try:
+                series.to_csv(out)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_chunk = peak(table._CHUNK_ROWS)
+        series = analysis.DiagnosticsSeries(columns, {c: rng.standard_normal(4000) for c in columns})
+        text = io.StringIO(newline="")
+        rows = zip(*(series.data[c].tolist() for c in columns))
+        csv.writer(text).writerows([columns, *(map(repr, row) for row in rows)])
+        assert peak(4000) < 1.1 * one_chunk
+        series.to_csv(out)
+        assert out.read_bytes() == text.getvalue().encode()
 
     def test_stationary_w_d_column_near_zero(self):
         cfg = solver.RunConfig(

@@ -86,8 +86,8 @@ def long_run(tmp_path_factory):
 class TestFanOut:
     @pytest.mark.parametrize("rows", [FAN_OUT_MIN_ROWS - 1, FAN_OUT_MIN_ROWS])
     def test_cut_off_and_pool_size(self, monkeypatch, rows):
-        # 8 CPUs and 3 indices: this process takes index 0, so a fanned-out
-        # call forks 2 workers, not 7
+        # 8 CPUs and 3 items: this process makes call 0, so a call in
+        # parallel forks 2 workers, not 7
         sizes = []
 
         class SizedPool(ProcessPoolExecutor):
@@ -97,13 +97,16 @@ class TestFanOut:
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SizedPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        got = list(cli._fan_out(lambda i: (i * i, os.getpid()), range(3), rows))
-        assert [square for square, _ in got] == [0, 1, 4]
-        forked = [pid != os.getpid() for _, pid in got]
+        got = cli._in_parallel(lambda j, k: (j, k, os.getpid()), rows, 3)
+        forked = [pid != os.getpid() for *_, pid in got]
         if rows < FAN_OUT_MIN_ROWS:
-            assert sizes == [] and forked == [False, False, False]
+            assert sizes == [] and [(j, k) for j, k, _ in got] == [(0, 1)] and forked == [False]
         else:
-            assert sizes == [2] and forked == [False, True, True]
+            assert sizes == [2] and [(j, k) for j, k, _ in got] == [(0, 3), (1, 3), (2, 3)]
+            assert forked == [False, True, True]
+
+    def test_interleaved(self):
+        assert cli._interleaved([[0, 3, 6], [1, 4], [2, 5]]) == list(range(7))
 
 
 class TestSimulate:
@@ -292,14 +295,57 @@ class TestSimulate:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_snapshot_write_fails_exit_3(self, tmp_path, capsys, cpus, k):
-        # 5 snapshots: under 2 CPUs snapshot 4 is a forked writer's
+        # 5 snapshots: under 2 CPUs the forked writer writes snapshots 1 and 3
         set_cpus, _ = cpus
         set_cpus(k)
         cfg = write(tmp_path / "c.json", BUMP_CFG)
-        blocked = tmp_path / "run" / "snapshots" / "snap_0004.csv"
+        blocked = tmp_path / "run" / "snapshots" / "snap_0003.csv"
         blocked.mkdir(parents=True)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 3
         assert str(blocked) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["times", "outcome", "t_star"])
+    def test_worker_run_that_differs_exit_3(self, tmp_path, capsys, cpus, monkeypatch, field):
+        set_cpus, pool_pids = cpus
+        set_cpus(2)
+        parent, run = os.getpid(), solver.run
+
+        def replay(config, **kwargs):
+            report = run(config, **kwargs)
+            if os.getpid() != parent:  # the forked writer's run
+                report.times = report.times + 1e-9 if field == "times" else report.times
+                report.outcome = "BlowUpDetected" if field == "outcome" else report.outcome
+                report.t_star = 0.5 if field == "t_star" else report.t_star
+            return report
+
+        monkeypatch.setattr(solver, "run", replay)
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            f"simulate: the run replayed by snapshot writer 1 of 2 differs from this process's in its {field}\n")
+        assert len(pool_pids()) == 1
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_simulate_peak_memory_is_not_the_runs_frames(self, long_run, cpus, k):
+        # every process holds one frame at a time and writes its share of
+        # the snapshots as the solve makes them: the peak is one frame's
+        # working set and text, on 1601 nodes, plus the series' rows; a
+        # report of the run's frames would hold them all
+        set_cpus, pool_pids = cpus
+        set_cpus(k)
+        frames = len(list((long_run / "snapshots").iterdir()))
+        frame_bytes = frames * 2 * 1601 * 8
+        assert frames >= 400
+        out = long_run.parent / f"sim{k}"
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(long_run.parent / "c.json"), "--out", str(out), "--quiet"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pool_pids()) == (k > 1)
+        assert run_files(out) == run_files(long_run)
+        assert peak < 0.1 * frame_bytes, (peak, frame_bytes)
 
 
 class TestDalembert:
@@ -472,13 +518,13 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("damage", ["missing", "malformed", "other_mesh", "no_origin_row"])
     def test_bad_snapshot_in_workers_half_exit_3(self, tmp_path, capsys, cpus, damage):
-        # 5 snapshots: under 2 CPUs snapshot 4 is parsed by a forked worker
+        # 5 snapshots: under 2 CPUs snapshot 3 is parsed by a forked worker
         set_cpus, pool_pids = cpus
         set_cpus(1)
         run_dir = tmp_path / "run"
         cfg = write(tmp_path / "c.json", BUMP_CFG)
         assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
-        snap = run_dir / "snapshots" / "snap_0004.csv"
+        snap = run_dir / "snapshots" / "snap_0003.csv"
         if damage == "missing":
             snap.unlink()
         elif damage == "malformed":
@@ -681,13 +727,13 @@ class TestSweep:
     def test_one_series_per_cell(self, tmp_path, monkeypatch):
         # a blow-up cell's nu_hat reads the series its series.csv was written from
         calls = []
-        diagnostics_series = cli.analysis.diagnostics_series
+        assemble_series = cli.analysis.assemble_series
 
         def counted(report, *args, **kwargs):
             calls.append(report.outcome)
-            return diagnostics_series(report, *args, **kwargs)
+            return assemble_series(report, *args, **kwargs)
 
-        monkeypatch.setattr(cli.analysis, "diagnostics_series", counted)
+        monkeypatch.setattr(cli.analysis, "assemble_series", counted)
         cfg = write(tmp_path / "c.json", NEAR_W_CFG.replace('"every": 0.25', '"every": 0.05') % "0.0")
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", cfg, "--param", "data.delta=0.0,0.1",

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,7 +16,7 @@ from critwave.errors import InvalidConfigError
 from critwave.ground_state import energy
 from critwave.mesh import FieldState, RadialMesh
 from critwave.radial import gaussian_bump
-from critwave import solver
+from critwave import solver, table
 from critwave.table import read_columns
 
 
@@ -217,6 +217,8 @@ def build_initial_data(flat: dict, directory) -> FieldState:
 class TestConfigSurface:
     @settings(max_examples=300, deadline=None)
     @given(flat=configs())
+    # u finite but h = r u not: the largest float times a bump past r = 1
+    @example(flat={"data.center": 1.0, "data.amp": 1.7976931348623157e308})
     def test_builds_or_names_a_key(self, flat):
         with tempfile.TemporaryDirectory() as tmp:
             try:
@@ -245,6 +247,16 @@ class TestSnapshots:
             solver.save_snapshot(state, got)
             reference_save_snapshot(state, want)
             assert got.read_bytes() == want.read_bytes()
+
+    def test_bytes_match_csv_writer_over_chunks(self, tmp_path):
+        # more rows than one chunk of text, the r column's cached text included
+        mesh = RadialMesh.uniform(1e-3, 6.0)
+        assert mesh.nodes.size > 2 * table._CHUNK_ROWS
+        state = solver.make_initial_data(mesh, "bump", BUMP)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        solver.save_snapshot(state, got)
+        reference_save_snapshot(state, want)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_csv_family_resamples_onto_the_run_mesh(self, tmp_path):
         # a bump run's last snapshot restarts on a finer and a longer mesh:
@@ -288,6 +300,21 @@ class TestRun:
         a, b = solver.run(cfg), solver.run(cfg)
         assert np.array_equal(a.snapshots[-1].h, b.snapshots[-1].h)
         assert np.array_equal(a.energies, b.energies)
+
+    def test_on_frame_gets_every_frame_and_keeps_none(self):
+        # a blow-up run, whose last frame is its last stable state
+        cfg = solver.RunConfig(mesh_h=0.05, rmax=15.0, t_end=3.0, output_every=0.25, family="near_w",
+                               params={"delta": 0.1, "lambda": 0.5, "r_cut": 6.0})
+        kept = solver.run(cfg)
+        frames = []
+        streamed = solver.run(cfg, on_frame=lambda i, s: frames.append((i, s)))
+        assert kept.outcome == "BlowUpDetected" and streamed.snapshots == []
+        assert [i for i, _ in frames] == list(range(len(kept.snapshots)))
+        for (_, s), k in zip(frames, kept.snapshots):
+            assert s.t == k.t and s.h.tobytes() == k.h.tobytes() and s.hdot.tobytes() == k.hdot.tobytes()
+        for name in ("times", "energies", "sup_history"):
+            assert getattr(streamed, name).tobytes() == getattr(kept, name).tobytes()
+        assert (streamed.t_star, streamed.energy_drift) == (kept.t_star, kept.energy_drift)
 
     def test_fine_linspace_mesh_is_uniform(self):
         # 13001 linspace nodes: spacings differ by ~ulp(rmax), above 1e-12 relative
