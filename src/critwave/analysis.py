@@ -324,17 +324,17 @@ class DiagnosticsSeries:
 
 
 class _Frame(FieldState):
-    """A snapshot whose u, u_t (the field's own) and d_r u are computed once,
-    at construction.
+    """A snapshot whose u, u_t (the field's own unless given, as a snapshot
+    file's parsed columns are) and d_r u are computed once, at construction.
 
     A row function builds one per snapshot and drops it with the snapshot's
     row, so a report never holds the derived arrays.
     """
 
-    def __init__(self, field: FieldState):
+    def __init__(self, field: FieldState, u: np.ndarray | None = None, ut: np.ndarray | None = None):
         super().__init__(field.mesh, field.t, field.h, field.hdot)
-        object.__setattr__(self, "_u", field.u())
-        object.__setattr__(self, "_ut", field.ut())
+        object.__setattr__(self, "_u", field.u() if u is None else u)
+        object.__setattr__(self, "_ut", field.ut() if ut is None else ut)
         object.__setattr__(self, "_du_dr", super().du_dr())  # reads the cached u
 
     def u(self) -> np.ndarray:
@@ -363,7 +363,7 @@ def row_function(mesh: RadialMesh, ball_radii: tuple = (), g_radii: tuple = (), 
     bumps = [smoothstep_bump(mesh.nodes / R) for R in g_radii]
 
     def row(i: int, s: FieldState) -> tuple:
-        frame = _Frame(s)
+        frame = s if isinstance(s, _Frame) else _Frame(s)
         a = frame if i < t0 else _Frame(s - split.v_fields[i - t0])
         radii = concentration_radii(frame, a)
         mu, nu, lam1 = (np.nan if x is None else x for x in (radii.mu, radii.nu, radii.lambda1))

@@ -10,11 +10,13 @@ run directory that `analyze` reads is not. `main` maps any other OSError or
 CritwaveError to 3 and the same line. A d'Alembert mode's command is
 `dalembert check` or `dalembert evolve` in both.
 
-`simulate` and `analyze` split a run's frames over the CPUs of the process's
-affinity mask with `_in_parallel`: each process writes or parses its own
-share of the snapshot files and reduces each frame to its diagnostics row as
-it goes, so no process holds a run's frames. `simulate`'s processes each run
-the deterministic solve themselves, and a worker whose run differs exits 3.
+One pool, `_in_parallel`, spreads every command's work over the CPUs of the
+process's affinity mask. `simulate` and `analyze` split a run's frames: each
+process writes or parses its own share of the snapshot files and reduces
+each frame to its diagnostics row as it goes, so no process holds a run's
+frames. `simulate`'s processes each run the deterministic solve themselves,
+and a worker whose run differs exits 3. `sweep` splits small cells, and runs
+larger ones in order, each splitting its own frames.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -76,12 +79,7 @@ def _iso_now() -> str:
 # measured.
 _FAN_OUT_MIN_ROWS = 60_000
 
-_forked_fn = None  # _in_parallel's fn, set in its worker processes only
-
-
-def _set_forked_fn(fn) -> None:
-    global _forked_fn
-    _forked_fn = fn
+_forked_fn = None  # _in_parallel's fn while it fans out, here and in its workers
 
 
 def _call_forked_fn(j: int, k: int):
@@ -104,23 +102,22 @@ def _in_parallel(fn, rows: int, items: int) -> list:
     process's own call has returned.
 
     k is 1 under `_FAN_OUT_MIN_ROWS` rows of work, where the mask cannot be
-    read, and inside a worker process (a sweep cell), so that pools never
-    nest.
+    read, and inside any call made during a fan-out, in a worker or in this
+    process's own share (a sweep cell), so that pools never nest.
     """
+    global _forked_fn
     k = 1
-    if rows >= _FAN_OUT_MIN_ROWS and hasattr(os, "sched_getaffinity"):
-        if multiprocessing.parent_process() is None:
-            k = min(len(os.sched_getaffinity(0)), items)
+    if _forked_fn is None and rows >= _FAN_OUT_MIN_ROWS and hasattr(os, "sched_getaffinity"):
+        k = min(len(os.sched_getaffinity(0)), items)
     if k <= 1:
         return [fn(0, 1)]
-    with ProcessPoolExecutor(
-        max_workers=k - 1,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_set_forked_fn,
-        initargs=(fn,),
-    ) as pool:
-        futures = [pool.submit(_call_forked_fn, j, k) for j in range(1, k)]
-        return [fn(0, k), *(f.result() for f in futures)]
+    _forked_fn = fn  # before the pool forks, so that its workers inherit it
+    try:
+        with ProcessPoolExecutor(max_workers=k - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_call_forked_fn, j, k) for j in range(1, k)]
+            return [fn(0, k), *(f.result() for f in futures)]
+    finally:
+        _forked_fn = None
 
 
 def _interleaved(shares: list) -> list:
@@ -132,6 +129,15 @@ def _interleaved(shares: list) -> list:
 
 
 # ------------------------------------------------------------- simulate logic
+
+
+def _run_size(config: solver.RunConfig) -> tuple[int, int]:
+    """(frames, nodes) of config's run, with no mesh built: its frames to
+    t_end at the output cadence, at most one a step, and its mesh's nodes as
+    `RadialMesh.uniform` counts them. Their product is the run's snapshot
+    rows."""
+    steps = config.t_end / (config.cfl * config.mesh_h)
+    return int(min(config.t_end / config.output_every, steps) + 1), int(round(config.rmax / config.mesh_h)) + 1
 
 
 def _simulate_into(config: solver.RunConfig, out: Path, ball_radii, g_radii):
@@ -164,8 +170,7 @@ def _simulate_into(config: solver.RunConfig, out: Path, ball_radii, g_radii):
 
         return solver.run(config, on_frame=on_frame), rows
 
-    frames = int(config.t_end / config.output_every + 1)  # to t_end at the output cadence
-    nodes = config.mesh().nodes.size
+    frames, nodes = _run_size(config)
     (report, rows), *workers = _in_parallel(share, nodes * frames, frames)
     for j, (replay, _) in enumerate(workers, 1):
         differ = [name for name, same in (("times", np.array_equal(replay.times, report.times)),
@@ -267,26 +272,12 @@ def cmd_evolve(args) -> int:
 # -------------------------------------------------------------------- analyze
 
 
-class _Snapshot(FieldState):
-    """A snapshot as its file holds it: u and ut are the parsed columns,
-    which h / r of h = r u need not give back bit for bit (at the origin, u
-    is a slope of h), so that its diagnostics are the ones simulate wrote."""
-
-    def __init__(self, mesh, t: float, u: np.ndarray, ut: np.ndarray):
-        super().__init__(mesh, t, mesh.nodes * u, mesh.nodes * ut)
-        object.__setattr__(self, "_u", u)
-        object.__setattr__(self, "_ut", ut)
-
-    def u(self) -> np.ndarray:
-        return self._u
-
-    def ut(self) -> np.ndarray:
-        return self._ut
-
-
 class _RunSnapshots(Sequence):
     """A run directory's snapshots by index, each parsed from its file onto
-    snapshot 0's mesh when it is indexed and not kept."""
+    snapshot 0's mesh when it is indexed and not kept. A snapshot's u and u_t
+    are its file's columns, which h / r of h = r u need not give back bit for
+    bit (at the origin, u is a slope of h), so that its diagnostics are the
+    ones simulate wrote."""
 
     def __init__(self, snapdir: Path, times: list):
         self.snapdir = snapdir
@@ -296,13 +287,13 @@ class _RunSnapshots(Sequence):
     def __len__(self) -> int:
         return len(self.times)
 
-    def __getitem__(self, i: int) -> _Snapshot:
+    def __getitem__(self, i: int) -> analysis._Frame:
         i = range(len(self.times))[i]  # IndexError past either end
         path = self.snapdir / f"snap_{i:04d}.csv"
         r, u, ut = table.read_columns(path, ("r", "u", "ut"))
         if not np.array_equal(r, self.mesh.nodes):
             raise InvalidDataError(f"{path}: r column differs from snapshot 0's mesh")
-        return _Snapshot(self.mesh, self.times[i], u, ut)
+        return analysis._Frame(FieldState.from_u(self.mesh, u, ut, self.times[i]), u, ut)
 
 
 def _load_run_dir(run_dir: Path) -> solver.RunReport:
@@ -411,8 +402,6 @@ def _sweep_cell(cell):
 
 
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise InvalidConfigError(f"--jobs must be >= 1, got {args.jobs}")
     base = solver.read_config(args.config)
     solver.RunConfig.from_dict(base)  # validates the template
 
@@ -429,17 +418,22 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     work = [(i, overrides, base, str(out)) for i, overrides in enumerate(cells)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_cell, work))
-    else:
-        results = [_sweep_cell(c) for c in work]
+    rows = []  # of each cell's run; a cell whose config does not build fails at once
+    for overrides in cells:
+        try:
+            rows.append(math.prod(_run_size(solver.RunConfig.from_dict({**base, **overrides}))))
+        except InvalidConfigError:
+            rows.append(0)
+    # cells under the cut-off are split over the CPUs; once one cell alone
+    # reaches it, the cells run in order here and each splits its own frames
+    results = _interleaved(_in_parallel(lambda j, k: [_sweep_cell(c) for c in work[j::k]],
+                                        sum(rows) if max(rows) < _FAN_OUT_MIN_ROWS else 0, len(work)))
 
     param_keys = sorted({k for g in grids for k, _ in g})
     with open(out / "aggregate.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["cell", *param_keys, "outcome", "t_star", "nu_hat", "error"])
-        for index, overrides, outcome, t_star, nu_hat, err in sorted(results):
+        for index, overrides, outcome, t_star, nu_hat, err in results:
             row = [index]
             vals = [overrides[k] for k in param_keys]  # every cell sets every key
             row += [repr(float(v)) if isinstance(v, (int, float, bool)) else str(v) for v in vals]
@@ -516,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a parameter grid of simulations")
     _add_common(p)
     p.add_argument("--config", required=True, help="configuration file (JSON or key = value)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--param", action="append", default=[], metavar="key=v1,v2,...")
     p.set_defaults(func=cmd_sweep)
 

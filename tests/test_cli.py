@@ -105,6 +105,26 @@ class TestFanOut:
             assert sizes == [2] and [(j, k) for j, k, _ in got] == [(0, 3), (1, 3), (2, 3)]
             assert forked == [False, True, True]
 
+    def test_no_pool_inside_a_fan_out(self, monkeypatch):
+        # a call made during a fan-out, in this process's own share or in a
+        # worker, runs alone in its process: one pool, never nested
+        sizes = []
+
+        class SizedPool(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SizedPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+
+        def inner(j, k):
+            return j, k, [(jj, kk) for jj, kk, _ in cli._in_parallel(lambda *a: (*a, 0), FAN_OUT_MIN_ROWS, 3)]
+
+        got = cli._in_parallel(inner, FAN_OUT_MIN_ROWS, 3)
+        assert sizes == [2] and got == [(j, 3, [(0, 1)]) for j in range(3)]
+        assert cli._in_parallel(lambda j, k: (j, k), FAN_OUT_MIN_ROWS, 2) == [(0, 2), (1, 2)]  # reset after
+
     def test_interleaved(self):
         assert cli._interleaved([[0, 3, 6], [1, 4], [2, 5]]) == list(range(7))
 
@@ -271,7 +291,7 @@ class TestSimulate:
         assert ma["config_hash"] == mb["config_hash"]
 
     def test_same_bytes_on_any_cpu_count(self, tmp_path, cpus):
-        # 11 snapshots: 3 CPUs split the 10 after snapshot 0 as 4 + 3 + 3
+        # 11 snapshots: 3 CPUs split them by i mod 3 as 4 + 4 + 3
         set_cpus, pool_pids = cpus
         cfg = write(tmp_path / "c.json", BUMP_CFG.replace('"every": 0.25', '"every": 0.1'))
         runs = {}
@@ -284,6 +304,13 @@ class TestSimulate:
             assert len(pool_pids()) == k - 1  # one pool per fanned-out simulate
         assert len(runs[1]) == 11 + 2
         assert runs[2] == runs[1] and runs[3] == runs[1]
+
+    def test_output_finer_than_a_step(self, tmp_path):
+        # a frame at most every step, 50 steps here: the cadence's own frame
+        # count t_end / every overflows
+        cfg = write(tmp_path / "c.json", BUMP_CFG.replace('"every": 0.25', '"every": 5e-324'))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 0
+        assert len(list((tmp_path / "run" / "snapshots").iterdir())) == 51
 
     def test_small_run_stays_serial(self, tmp_path, cpus, monkeypatch):
         set_cpus, pool_pids = cpus
@@ -718,7 +745,7 @@ class TestSweep:
         cfg = write(tmp_path / "c.json", NEAR_W_CFG % "0.0")
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", cfg, "--param", "data.delta=-0.1,0.0,0.1",
-                     "--out", str(out), "--jobs", "3", "--quiet"]) == 0
+                     "--out", str(out), "--quiet"]) == 0
         with open(out / "aggregate.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["outcome"] for row in rows] == ["Completed", "Completed", "BlowUpDetected"]
@@ -743,22 +770,37 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert rows[0]["nu_hat"] == "" and rows[1]["nu_hat"] != ""
 
-    def test_cells_write_serially_in_workers(self, tmp_path, cpus):
+    def test_cells_write_serially_in_workers(self, tmp_path, cpus, monkeypatch):
+        # two cells of 1005 rows: each is under the cut-off and both reach it,
+        # so under 2 CPUs the cells are shared out and none forks its own pool
         set_cpus, pool_pids = cpus
-        set_cpus(2)
+        monkeypatch.setattr(cli, "_FAN_OUT_MIN_ROWS", 2 * 1005)
         cfg = write(tmp_path / "c.json", BUMP_CFG)
         outs = {}
-        for jobs in ("2", "1"):
-            out = tmp_path / f"jobs{jobs}"
+        for k in (2, 1):
+            set_cpus(k)
+            outs[k] = tmp_path / f"cpus{k}"
             assert main(["sweep", "--config", cfg, "--param", "data.amp=0.2,0.3",
-                         "--out", str(out), "--jobs", jobs, "--quiet"]) == 0
-            outs[jobs] = out
-            if jobs == "2":
-                assert pool_pids() == [os.getpid()]  # the sweep's pool, none nested in a cell
-        assert len(pool_pids()) == 3  # --jobs 1: each cell's snapshots fan out here
+                         "--out", str(outs[k]), "--quiet"]) == 0
+            assert pool_pids() == [os.getpid()]  # the sweep's pool, none nested in a cell
         for cell in ("cell_000", "cell_001"):
-            assert run_files(outs["2"] / cell) == run_files(outs["1"] / cell)
-        assert (outs["2"] / "aggregate.csv").read_bytes() == (outs["1"] / "aggregate.csv").read_bytes()
+            assert run_files(outs[2] / cell) == run_files(outs[1] / cell)
+        assert (outs[2] / "aggregate.csv").read_bytes() == (outs[1] / "aggregate.csv").read_bytes()
+
+    def test_cells_at_the_cut_off_fan_out_their_own_frames(self, tmp_path, cpus, monkeypatch):
+        # each of the two cells reaches the cut-off: they run in order in
+        # this process, and each shares out its own frames in its own pool
+        set_cpus, pool_pids = cpus
+        set_cpus(2)
+        monkeypatch.setattr(cli, "_FAN_OUT_MIN_ROWS", 1005)
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--param", "data.amp=0.2,0.3", "--out", str(out), "--quiet"]) == 0
+        assert pool_pids() == [os.getpid(), os.getpid()]
+        cell_cfg = write(tmp_path / "cell.json", BUMP_CFG.replace('"amp": 0.3', '"amp": 0.2'))
+        set_cpus(1)
+        assert main(["simulate", "--config", cell_cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 0
+        assert run_files(out / "cell_000") == run_files(tmp_path / "run")
 
     def test_cell_is_a_simulate_run_directory(self, tmp_path):
         # cell 0 sets data.amp = 0.2: simulate on that config writes the same
@@ -889,6 +931,7 @@ def test_bad_config_file_exit_2(tmp_path, capsys, command, damage):
         ["profiles", "snap.csv", "--jobs", "2"],
         ["profiles", "snap.csv", "--seed", "1"],
         ["sweep", "--config", "c.json", "--seed", "1"],
+        ["sweep", "--config", "c.json", "--jobs", "2"],
         ["dalembert", "evolve", "--data", "d.csv", "--n", "1000", "--r0", "7", "--seed", "3"],
         ["dalembert", "check", "--n", "3", "--t", "99", "--data", "nonexistent.csv"],
     ],
@@ -911,8 +954,6 @@ LAM_RANGE = "profiles: need 0 < --lam-min < --lam-max < inf, got "
     (["profiles", "SNAP", "--lam-min", "1", "--lam-max", "inf"], LAM_RANGE + "1.0 and inf"),
     (["dalembert", "evolve", "--data", "DATA", "--t", "nan"], "dalembert evolve: --t must be finite, got nan"),
     (["dalembert", "evolve", "--data", "DATA", "--t", "inf"], "dalembert evolve: --t must be finite, got inf"),
-    (["sweep", "--config", "CONFIG", "--jobs", "0"], "sweep: --jobs must be >= 1, got 0"),
-    (["sweep", "--config", "CONFIG", "--jobs", "-3"], "sweep: --jobs must be >= 1, got -3"),
     (["profiles", "SNAP", "--lam-min", "10"], "profiles: give --lam-min and --lam-max together, or neither"),
     (["profiles", "nothere.csv"], "profiles: [Errno 2] No such file or directory: 'nothere.csv'"),
     (["dalembert", "check", "--n", "-1"], "dalembert check: --n must be >= 0"),
@@ -923,9 +964,9 @@ LAM_RANGE = "profiles: need 0 < --lam-min < --lam-max < inf, got "
     (["dalembert", "evolve", "--data", "/dev/null"], "dalembert evolve: /dev/null: expected header s,f0,f1"),
     (["analyze", "/"], "analyze: / is not a run directory"),
     (["sweep", "--config", "CONFIG", "--param", "oops"], "sweep: bad --param 'oops' (want key=v1,v2,...)"),
-], ids=["lam_min_zero", "lam_min_above_max", "lam_min_nan", "lam_max_inf", "t_nan", "t_inf", "jobs_zero",
-        "jobs_negative", "lone_lam_min", "snapshot_missing", "n_negative", "band_empty", "data_missing",
-        "data_malformed", "no_report", "param_without_equals"])
+], ids=["lam_min_zero", "lam_min_above_max", "lam_min_nan", "lam_max_inf", "t_nan", "t_inf", "lone_lam_min",
+        "snapshot_missing", "n_negative", "band_empty", "data_missing", "data_malformed", "no_report",
+        "param_without_equals"])
 def test_argument_out_of_range_exit_2(tmp_path, capsys, argv, message):
     # each command gets valid inputs, so only the argument is at fault
     mesh = RadialMesh.graded(1e-6, 1e3, 60)
