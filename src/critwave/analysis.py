@@ -53,8 +53,8 @@ def singular_part(report: RunReport, T_est: float, t0_index: int = 0) -> Singula
     """
     base = report.snapshots[t0_index]
     mesh = base.mesh
-    if not (base.t < T_est):
-        raise InvalidParameterError("T_est must exceed the restart time")
+    if not base.t < T_est < np.inf:
+        raise InvalidParameterError("T_est must be finite and exceed the restart time")
     dr = mesh.spacing
     margin = 2.0 * dr + 2.0 * report.config.cfl * dr
     r_cone = T_est - base.t
@@ -294,7 +294,9 @@ class ExponentFit:
 
 
 def fit_exponent(times: np.ndarray, lam1: np.ndarray, T_est: float) -> ExponentFit:
-    """Least-squares slope of log lam1 against log(T_est - t)."""
+    """Least-squares slope of log lam1 against log(T_est - t), for a finite T_est."""
+    if not np.isfinite(T_est):
+        raise InvalidParameterError(f"T_est must be finite, got {T_est!r}")
     times = np.asarray(times, dtype=float)
     lam1 = np.asarray(lam1, dtype=float)
     ok = np.isfinite(lam1) & (lam1 > 0) & (times < T_est)
@@ -349,9 +351,12 @@ class _Frame(FieldState):
 
 def row_function(mesh: RadialMesh, ball_radii: tuple = (), g_radii: tuple = (), split: SingularSplit | None = None):
     """The per-frame part of `diagnostics_series` on snapshots on `mesh`:
-    row(i, field) gives snapshot i's mu, nu, lambda1, f, z1, z2, d, ball
-    energies and g_R values as a tuple of floats (NaN where a radius is not
-    reached), reading nothing but that one field and the split.
+    row(i, field) gives snapshot i's row, a dict from column name to float
+    in series order: mu, nu, lambda1, f, z1, z2, Z = z1/2 + z2, d, then
+    E_ball_<rho> for each ball radius and g_<R> for each g radius (NaN where
+    a radius is not reached). It reads nothing but that one field and the
+    split, so z1, z2, Z and g_R are the frame's own integrals on a run of
+    any length.
 
     a = u - v from the split's restart on, u before it; z1 and z2 subtract
     v's moments when v covers the run (a split at index 0). The d column
@@ -360,9 +365,10 @@ def row_function(mesh: RadialMesh, ball_radii: tuple = (), g_radii: tuple = (), 
     """
     t0 = np.inf if split is None else split.t0_index
     d_ref = _gradient_kinetic(w_field(mesh))[0]
-    bumps = [smoothstep_bump(mesh.nodes / R) for R in g_radii]
+    balls = {f"E_ball_{rho:g}": Region.ball(min(rho, mesh.rmax)) for rho in ball_radii}
+    bumps = {f"g_{R:g}": smoothstep_bump(mesh.nodes / R) for R in g_radii}
 
-    def row(i: int, s: FieldState) -> tuple:
+    def row(i: int, s: FieldState) -> dict:
         frame = s if isinstance(s, _Frame) else _Frame(s)
         a = frame if i < t0 else _Frame(s - split.v_fields[i - t0])
         radii = concentration_radii(frame, a)
@@ -372,40 +378,32 @@ def row_function(mesh: RadialMesh, ball_radii: tuple = (), g_radii: tuple = (), 
         if t0 == 0:
             v1, v2 = _virial_z(split.v_fields[i])
             z1, z2 = z1 - v1, z2 - v2
-        d = d_functional(frame, grad_ref=d_ref)
-        balls = []
-        for rho in ball_radii:
-            gradient_sq, kinetic_sq = _gradient_kinetic(frame, Region.ball(min(rho, mesh.rmax)))
-            balls.append(gradient_sq + kinetic_sq)
-        return (mu, nu, lam1, f, z1, z2, d, *balls, *(_g_r(frame, bump) for bump in bumps))
+        values = {"mu": mu, "nu": nu, "lambda1": lam1, "f": f, "z1": z1, "z2": z2, "Z": 0.5 * z1 + z2,
+                  "d": d_functional(frame, grad_ref=d_ref)}
+        for name, ball in balls.items():
+            gradient_sq, kinetic_sq = _gradient_kinetic(frame, ball)
+            values[name] = gradient_sq + kinetic_sq
+        values.update((name, _g_r(frame, bump)) for name, bump in bumps.items())
+        return values
 
     return row
 
 
-def assemble_series(report: RunReport, rows, ball_radii: tuple = (), g_radii: tuple = ()) -> DiagnosticsSeries:
-    """The series of `report`'s scalars and the rows of `row_function`, one
-    per snapshot in order: t, E and sup_u from the report, Z = z1/2 + z2,
-    and z1, z2, Z and g_R NaN for fewer than 3 snapshots, as in
-    virial_series and g_r_series. `rows` may be any iterable; each row is
-    stored as it arrives.
+def assemble_series(report: RunReport, rows) -> DiagnosticsSeries:
+    """The series of `report`'s t, E and sup_u and the rows of
+    `row_function`, one per snapshot in order, whose names and order are the
+    columns that follow. `rows` may be any iterable; the table is allocated
+    at the first row and each row is stored as it arrives.
     """
     n = report.times.size
-    g_cols = [f"g_{R:g}" for R in g_radii]
-    row_cols = ["mu", "nu", "lambda1", "f", "z1", "z2", "d", *(f"E_ball_{rho:g}" for rho in ball_radii), *g_cols]
-    table = np.full((len(row_cols), n), np.nan)
+    data = {"t": report.times.copy(), "E": report.energies.copy(), "sup_u": report.sup_history.copy()}
+    names, table = [], ()
     for i, row in enumerate(rows):
-        table[:, i] = row
-    data = dict(zip(row_cols, table))
-    data["t"] = report.times.copy()
-    data["E"] = report.energies.copy()
-    data["sup_u"] = report.sup_history.copy()
-    if n >= 3:
-        data["Z"] = 0.5 * data["z1"] + data["z2"]
-    else:
-        for c in ["z1", "z2", "Z", *g_cols]:
-            data[c] = np.full(n, np.nan)
-    cols = ["t", "E", "sup_u", *row_cols[:6], "Z", *row_cols[6:]]
-    return DiagnosticsSeries(columns=cols, data=data)
+        if i == 0:
+            names, table = list(row), np.full((len(row), n), np.nan)
+        table[:, i] = [row[c] for c in names]
+    data.update(zip(names, table))
+    return DiagnosticsSeries(columns=list(data), data=data)
 
 
 def diagnostics_series(
@@ -414,10 +412,10 @@ def diagnostics_series(
     g_radii: tuple = (),
     split: SingularSplit | None = None,
 ) -> DiagnosticsSeries:
-    """Assemble the standard series: t,E,sup_u,mu,nu,lambda1,f,z1,z2,Z,d
-    plus configured ball energies and g_R columns, one `row_function` row
-    per snapshot, one snapshot at a time.
+    """The standard series, t, E and sup_u of the report and then the
+    columns of `row_function`'s rows, one row per snapshot, made one
+    snapshot at a time.
     """
     snaps = report.snapshots
     row = row_function(snaps[0].mesh, ball_radii, g_radii, split) if snaps else None
-    return assemble_series(report, (row(i, s) for i, s in enumerate(snaps)), ball_radii, g_radii)
+    return assemble_series(report, (row(i, s) for i, s in enumerate(snaps)))

@@ -155,7 +155,6 @@ def _simulate_into(config: solver.RunConfig, out: Path, ball_radii, g_radii):
     out.mkdir(parents=True, exist_ok=True)
     snapdir = out / "snapshots"
     snapdir.mkdir(exist_ok=True)
-    radii = tuple(ball_radii), tuple(g_radii)
 
     def share(j, k):
         rows, row = [], None
@@ -163,7 +162,7 @@ def _simulate_into(config: solver.RunConfig, out: Path, ball_radii, g_radii):
         def on_frame(i, state):
             nonlocal row
             if i == 0:  # every frame is on the run's mesh
-                row = analysis.row_function(state.mesh, *radii)
+                row = analysis.row_function(state.mesh, tuple(ball_radii), tuple(g_radii))
             if i % k == j:
                 solver.save_snapshot(state, snapdir / f"snap_{i:04d}.csv")
                 rows.append(row(i, state))
@@ -179,7 +178,7 @@ def _simulate_into(config: solver.RunConfig, out: Path, ball_radii, g_radii):
         if differ:
             raise CritwaveError(f"the run replayed by snapshot writer {j} of {len(workers) + 1} differs "
                                 f"from this process's in its {' and '.join(differ)}")
-    series = analysis.assemble_series(report, _interleaved([rows, *(r for _, r in workers)]), *radii)
+    series = analysis.assemble_series(report, _interleaved([rows, *(r for _, r in workers)]))
     series.to_csv(out / "series.csv")
     n = report.times.size
     files = {f"snapshots/snap_{i:04d}.csv": nodes for i in range(n)}
@@ -297,16 +296,16 @@ class _RunSnapshots(Sequence):
 
 
 def _load_run_dir(run_dir: Path) -> solver.RunReport:
-    """The report of a run directory: its config (`RunConfig()` when
-    report.json predates the key), E and sup_u from its series.csv, and its
-    snapshots, of which only snapshot 0's mesh is read here."""
+    """The report of a run directory: its config (None when report.json
+    predates the key), E and sup_u from its series.csv, and its snapshots,
+    of which only snapshot 0's mesh is read here."""
     path = run_dir / "report.json"
     with open(path) as fh:
         try:
             rep = json.load(fh)
             times = [float(t) for t in rep["snapshot_times"]]
             outcome, t_star = rep["outcome"], rep["t_star"]
-            config = solver.RunConfig(**rep["config"]) if "config" in rep else solver.RunConfig()
+            config = solver.RunConfig(**rep["config"]) if "config" in rep else None
         except (ValueError, KeyError, TypeError) as exc:
             raise InvalidDataError(f"{path}: malformed report ({exc!r})") from exc
     series = run_dir / "series.csv"
@@ -329,6 +328,8 @@ def _load_run_dir(run_dir: Path) -> solver.RunReport:
 def cmd_analyze(args) -> int:
     if args.split_index is not None and args.t_est is None:
         raise InvalidConfigError("give --split-index with --t-est")
+    if args.t_est is not None and not np.isfinite(args.t_est):
+        raise InvalidConfigError(f"--t-est must be finite, got {args.t_est!r}")
     run_dir = Path(args.run)
     if not (run_dir / "report.json").exists():
         raise InvalidConfigError(f"{run_dir} is not a run directory")
@@ -343,13 +344,14 @@ def cmd_analyze(args) -> int:
         if not args.t_est > t0:
             raise InvalidConfigError(f"--t-est {args.t_est!r} must exceed the restart time {t0!r} "
                                      f"of snapshot {args.split_index}")
+        if report.config is None:  # v is evolved under the run's own config
+            raise InvalidDataError(f"{run_dir / 'report.json'}: no config to evolve the split's regular part under")
         # before the workers fork, so that they inherit v
         split = analysis.singular_part(report, args.t_est, t0_index=args.split_index)
-    radii = tuple(args.ball_radius), tuple(args.g_radius)
     mesh = snaps.mesh
-    row = analysis.row_function(mesh, *radii, split)
+    row = analysis.row_function(mesh, tuple(args.ball_radius), tuple(args.g_radius), split)
     shares = _in_parallel(lambda j, k: [row(i, snaps[i]) for i in range(j, n, k)], mesh.nodes.size * n, n)
-    series = analysis.assemble_series(report, _interleaved(shares), *radii)
+    series = analysis.assemble_series(report, _interleaved(shares))
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     series.to_csv(out / "series.csv")

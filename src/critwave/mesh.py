@@ -44,7 +44,7 @@ def _weights(nodes: np.ndarray, dr: float | None) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialMesh:
     """Strictly increasing radial nodes with r[0] = 0.
 
@@ -52,7 +52,8 @@ class RadialMesh:
     time-domain solver; analysis and profile extraction accept arbitrary
     strictly increasing nodes (e.g. ``RadialMesh.graded`` log spacing).
     The uniform spacing and the quadrature weights (`weights`) are found
-    once, at construction.
+    once, at construction. A mesh compares and hashes by identity, so that
+    a cache can key on it.
     """
 
     nodes: np.ndarray

@@ -7,6 +7,7 @@ parameter, and checks the Pythagorean splitting of the gradient energy.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -131,19 +132,10 @@ class _ScaleGrid:
         return np.abs(dots) / np.sqrt(nu * self.nw)
 
 
-# (mesh, (lo, hi), grid) of the last greedy search; holding the mesh keeps
-# its identity from being reused by another mesh
-_last_greedy: tuple = (None, None, None)
-
-
+@functools.lru_cache(maxsize=1)
 def _greedy_grid(mesh: RadialMesh, lo: float, hi: float) -> _ScaleGrid:
     """_ScaleGrid.spanning(mesh, lo, hi), built once per mesh and range."""
-    global _last_greedy
-    kept_mesh, kept_range, grid = _last_greedy  # one read: another thread may replace the entry
-    if kept_mesh is not mesh or kept_range != (lo, hi):
-        grid = _ScaleGrid.spanning(mesh, lo, hi)
-        _last_greedy = (mesh, (lo, hi), grid)
-    return grid
+    return _ScaleGrid.spanning(mesh, lo, hi)
 
 
 def _best_scale(grid: _ScaleGrid, du: np.ndarray) -> tuple[float, float, float]:

@@ -20,6 +20,7 @@ check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import sys
@@ -255,19 +256,12 @@ def save_snapshot(state: FieldState, path) -> None:
     write_columns(path, ["r", "u", "ut"], [_r_column(state.mesh), state.u(), state.ut()])
 
 
-# (mesh, repr text of its nodes) of the last snapshot saved in this process;
-# holding the mesh keeps its identity from being reused by another mesh. A
-# run's frames share its mesh, so each process that writes a share of a
+# a run's frames share its mesh, so each process that writes a share of a
 # run's snapshots formats r once
-_last_r_column: tuple = (None, [])
-
-
+@functools.lru_cache(maxsize=1)
 def _r_column(mesh: RadialMesh) -> list:
     """The repr text of the mesh's nodes, formatted once per mesh."""
-    global _last_r_column
-    if _last_r_column[0] is not mesh:
-        _last_r_column = (mesh, format_column(mesh.nodes))
-    return _last_r_column[1]
+    return format_column(mesh.nodes)
 
 
 # ----------------------------------------------------------------- time stepping
@@ -326,7 +320,7 @@ class RunReport:
     snapshots: list
     contamination_time: float  # rmax minus the initial support radius
     energy_drift: float
-    config: RunConfig
+    config: RunConfig | None  # None for a run directory whose report.json predates the key
 
 
 _SUPPORT_TOL = 1e-13  # |h| or |hdot| above this counts as data

@@ -118,8 +118,9 @@ class TestSingularPart:
         assert np.max(np.abs(u0.h[mask] - v0.h[mask])) == 0.0
 
     def test_rejects_past_t_est(self, bump_run):
-        with pytest.raises(InvalidParameterError):
-            analysis.singular_part(bump_run, T_est=-1.0)
+        for T_est in (-1.0, np.inf, np.nan):
+            with pytest.raises(InvalidParameterError, match="T_est must be finite and exceed the restart time"):
+                analysis.singular_part(bump_run, T_est=T_est)
 
     @pytest.mark.parametrize("changes", [{"nonlinear": False, "params": {**BUMP, "amp": 0.8}}, {"cfl": 0.25}])
     def test_v_evolves_under_the_runs_config(self, changes):
@@ -184,6 +185,11 @@ class TestFitExponent:
         with pytest.raises(DegenerateInputError):
             analysis.fit_exponent(np.arange(5.0), np.ones(5), 10.0)
 
+    @pytest.mark.parametrize("T", [np.inf, -np.inf, np.nan])
+    def test_non_finite_t_est(self, T):
+        with pytest.raises(InvalidParameterError, match="T_est must be finite"):
+            analysis.fit_exponent(np.linspace(0.0, 1.0, 30), np.full(30, 0.4), T)
+
     def test_nan_points_dropped(self):
         T = 1.0
         ts = np.linspace(0.0, 0.9, 40)
@@ -242,7 +248,8 @@ class TestSeries:
 def reference_diagnostics_series(report, ball_radii=(), g_radii=(), split=None):
     """The multi-pass `diagnostics_series` that the one-pass version
     replaced, kept as its reference: every diagnostic recomputes u, u_t and
-    d_r u, and the virial and g_R columns come from whole-run series."""
+    d_r u, and the virial columns come from `virial_series`, or on a run
+    too short for it (under 3 snapshots) from each frame's integrals."""
     snaps = report.snapshots
     n = len(snaps)
     cols = ["t", "E", "sup_u", "mu", "nu", "lambda1", "f", "z1", "z2", "Z", "d"]
@@ -265,6 +272,12 @@ def reference_diagnostics_series(report, ball_radii=(), g_radii=(), split=None):
         v_snaps = split.v_fields if t0 == 0 else None
         vs = analysis.virial_series(snaps, v_snaps)
         data["z1"], data["z2"], data["Z"] = vs.z1, vs.z2, vs.Z
+    else:  # the short case is never split
+        for i, s in enumerate(snaps):
+            r = s.mesh.nodes
+            data["z1"][i] = FOUR_PI * s.mesh.integrate(r * r * s.u() * s.ut())
+            data["z2"][i] = FOUR_PI * s.mesh.integrate(r * r * r * s.du_dr() * s.ut())
+        data["Z"] = 0.5 * data["z1"] + data["z2"]
     for rho in ball_radii:
         col = f"E_ball_{rho:g}"
         cols.append(col)
@@ -280,7 +293,7 @@ def reference_diagnostics_series(report, ball_radii=(), g_radii=(), split=None):
         for s in snaps:
             r = s.mesh.nodes
             g.append(2.0 * FOUR_PI * s.mesh.integrate(r * r * s.u() * s.ut() * smoothstep_bump(r / R)))
-        data[col] = np.array(g) if n >= 3 else np.full(n, np.nan)
+        data[col] = np.array(g)
     return cols, data
 
 
@@ -316,8 +329,8 @@ class TestOnePassSeries:
         assert got.columns == cols
         for c in cols:
             assert got.data[c].dtype == want[c].dtype and got.data[c].tobytes() == want[c].tobytes(), c
-        if case == "two_snapshots":
-            assert all(np.isnan(got.data[c]).all() for c in ("z1", "z2", "Z", "g_4", "g_2"))
+        if case == "two_snapshots":  # each frame's own integrals, as on a longer run
+            assert all(np.isfinite(got.data[c]).all() for c in ("z1", "z2", "Z", "g_4", "g_2"))
         a, b = tmp_path / "got.csv", tmp_path / "want.csv"
         got.to_csv(a)
         reference_to_csv(got, b)

@@ -491,18 +491,25 @@ class TestAnalyze:
     def test_series_equals_simulates_on_any_cpu_count(self, tmp_path, cpus, k):
         # on this run, h = r u of the parsed u gives back another u at the
         # origin, and with it another lambda1 on the blow-up frame: analyze
-        # reads u as the files hold it
+        # reads u as the files hold it. A run of 2 frames, its t_end under
+        # the output cadence, has its virial and g_R values from each frame
         set_cpus, pool_pids = cpus
-        set_cpus(1)
-        run_dir = tmp_path / "run"
-        cfg = write(tmp_path / "c.json", NEAR_W_CFG.replace('"every": 0.25', '"every": 0.1') % "0.05")
         radii = ["--ball-radius", "1", "--ball-radius", "50", "--g-radius", "4", "--quiet"]
-        assert main(["simulate", "--config", cfg, "--out", str(run_dir), *radii]) == 0
-        set_cpus(k)
-        out = tmp_path / "an"
-        assert main(["analyze", str(run_dir), "--out", str(out), *radii]) == 0
-        assert len(pool_pids()) == (k > 1)
-        assert (out / "series.csv").read_bytes() == (run_dir / "series.csv").read_bytes()
+        configs = {"run": NEAR_W_CFG.replace('"every": 0.25', '"every": 0.1') % "0.05",
+                   "two_frames": NEAR_W_CFG.replace('"t_end": 3.0', '"t_end": 0.2') % "0.05"}
+        for name, text in configs.items():
+            set_cpus(1)
+            run_dir = tmp_path / name
+            cfg = write(tmp_path / f"{name}.json", text)
+            assert main(["simulate", "--config", cfg, "--out", str(run_dir), *radii]) == 0
+            set_cpus(k)
+            out = tmp_path / f"{name}_an"
+            assert main(["analyze", str(run_dir), "--out", str(out), *radii]) == 0
+            assert (out / "series.csv").read_bytes() == (run_dir / "series.csv").read_bytes()
+        assert len(pool_pids()) == 2 * (k > 1)
+        with open(tmp_path / "two_frames" / "series.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 and all(np.isfinite(float(row[c])) for row in rows for c in ("z1", "z2", "Z", "g_4"))
 
     def test_load_equal_on_any_cpu_count(self, tmp_path, cpus):
         # the split's v, made before the fan-out, is read by forked workers
@@ -622,6 +629,9 @@ class TestAnalyze:
         (["--split-index", "0"], "give --split-index with --t-est"),
         (["--t-est", "0.0", "--split-index", "0"], "--t-est 0.0 must exceed the restart time 0.0 of snapshot 0"),
         (["--t-est", "-1.0", "--split-index", "0"], "--t-est -1.0 must exceed the restart time 0.0 of snapshot 0"),
+        *((flags, f"--t-est must be finite, got {t_est}")
+          for t_est in ("inf", "-inf", "nan")
+          for flags in ([f"--t-est={t_est}"], [f"--t-est={t_est}", "--split-index", "0"])),
     ])
     def test_bad_split_index_exit_2(self, tmp_path, capsys, flags, message):
         run_dir = tmp_path / "run"
@@ -630,19 +640,27 @@ class TestAnalyze:
         capsys.readouterr()
         assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet", *flags]) == 2
         assert capsys.readouterr().err == f"analyze: {message}\n"
+        assert not (tmp_path / "an").exists()
 
-    def test_config_roundtrip(self, tmp_path):
+    def test_config_roundtrip(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         cfg = write(tmp_path / "c.json", NEAR_W_CFG % "0.1")
         assert main(["simulate", "--config", cfg, "--seed", "7", "--out", str(run_dir), "--quiet"]) == 0
         config = cli._load_run_dir(run_dir).config
         assert config == solver.RunConfig.from_dict({**json.loads(NEAR_W_CFG % "0.1"), "seed": 7})
-        # a run directory from before report.json carried its config
+        # a run directory from before report.json carried its config: its
+        # analysis needs none, but its split evolves v under it
         report = run_dir / "report.json"
         rep = json.loads(report.read_text())
         del rep["config"]
         report.write_text(json.dumps(rep))
-        assert cli._load_run_dir(run_dir).config == solver.RunConfig()
+        assert cli._load_run_dir(run_dir).config is None
+        assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(run_dir), "--out", str(tmp_path / "split"), "--quiet",
+                     "--t-est", "2.5", "--split-index", "0"]) == 3
+        assert capsys.readouterr().err == (f"analyze: {report}: no config to evolve the split's "
+                                           "regular part under\n")
 
     @pytest.mark.parametrize("damage", ["missing", "short", "no_E"])
     def test_bad_series_exit_3(self, tmp_path, capsys, damage):

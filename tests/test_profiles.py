@@ -183,6 +183,9 @@ class TestExtract:
             return w_deriv(r, lam)
 
         monkeypatch.setattr(profiles, "_w_deriv", formed)
+        greedy, grids = profiles._greedy_grid, []
+        monkeypatch.setattr(profiles, "_greedy_grid", lambda *args: grids.append(greedy(*args)) or grids[-1])
+        greedy.cache_clear()
         scales, lam_range = FIELDS[1]
         wider = (lam_range[0] / 10.0, lam_range[1])
         n, n_wider = scale_grid(lam_range).size, scale_grid(wider).size
@@ -190,7 +193,9 @@ class TestExtract:
         profiles.extract(bubble_field(mesh, scales), lam_range=lam_range)
         profiles.extract(bubble_field(mesh, scales, noise=1e-3), lam_range=lam_range)
         assert rows == [n]
-        grid = profiles._last_greedy[2]
+        assert (greedy.cache_info().misses, greedy.cache_info().hits) == (1, 1)
+        grid = grids[0]
+        assert grids[1] is grid
         assert not any(v.flags.writeable for v in (grid.x, grid.a, grid.nw, grid._d))
         equal = RadialMesh(mesh.nodes)  # the same nodes in a new mesh object
         profiles.extract(bubble_field(equal, scales), lam_range=lam_range)
@@ -200,6 +205,7 @@ class TestExtract:
         # one grid is kept: going back to the first range builds it again
         profiles.extract(bubble_field(equal, scales), lam_range=lam_range)
         assert rows == [n, n, n_wider, n]
+        assert (greedy.cache_info().misses, greedy.cache_info().hits) == (4, 1)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -213,9 +219,11 @@ class TestExtract:
         # warm: the next extract on that mesh and range reads it back
         scales = [(10.0 ** (k / 2.0 + jitter), iota) for k, jitter, iota in bubbles]
         fresh = RadialMesh(mesh.nodes)
+        before = profiles._greedy_grid.cache_info()
         cold = profiles.extract(bubble_field(fresh, scales, noise), lam_range=(1e-4, 1e3))
         warm = profiles.extract(bubble_field(fresh, scales, noise), lam_range=(1e-4, 1e3))
-        assert profiles._last_greedy[0] is fresh
+        after = profiles._greedy_grid.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
         assert warm.bubbles == cold.bubbles
         assert warm.residual.h.tobytes() == cold.residual.h.tobytes()
         assert warm.residual.hdot.tobytes() == cold.residual.hdot.tobytes()
