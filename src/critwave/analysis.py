@@ -349,14 +349,31 @@ class _Frame(FieldState):
         return self._du_dr
 
 
+def radius_columns(ball_radii: tuple = (), g_radii: tuple = ()) -> tuple[dict, dict]:
+    """The E_ball_<rho> and g_<R> columns of the radii, each a dict from
+    column name to radius in the order given. A repeated radius keeps its
+    one column; two distinct radii whose names coincide (`:g` keeps 6
+    significant digits) raise InvalidParameterError naming both."""
+    columns = []
+    for kind, prefix, radii in (("ball", "E_ball_", ball_radii), ("g", "g_", g_radii)):
+        named = {}
+        for rho in radii:
+            name = f"{prefix}{rho:g}"
+            first = named.setdefault(name, rho)
+            if float(first).hex() != float(rho).hex():  # equal values, NaN included
+                raise InvalidParameterError(f"{kind} radii {first!r} and {rho!r} both name the column {name}")
+        columns.append(named)
+    return columns[0], columns[1]
+
+
 def row_function(mesh: RadialMesh, ball_radii: tuple = (), g_radii: tuple = (), split: SingularSplit | None = None):
     """The per-frame part of `diagnostics_series` on snapshots on `mesh`:
     row(i, field) gives snapshot i's row, a dict from column name to float
     in series order: mu, nu, lambda1, f, z1, z2, Z = z1/2 + z2, d, then
-    E_ball_<rho> for each ball radius and g_<R> for each g radius (NaN where
-    a radius is not reached). It reads nothing but that one field and the
-    split, so z1, z2, Z and g_R are the frame's own integrals on a run of
-    any length.
+    E_ball_<rho> for each ball radius and g_<R> for each g radius as
+    `radius_columns` names them (NaN where a radius is not reached). It
+    reads nothing but that one field and the split, so z1, z2, Z and g_R
+    are the frame's own integrals on a run of any length.
 
     a = u - v from the split's restart on, u before it; z1 and z2 subtract
     v's moments when v covers the run (a split at index 0). The d column
@@ -365,8 +382,9 @@ def row_function(mesh: RadialMesh, ball_radii: tuple = (), g_radii: tuple = (), 
     """
     t0 = np.inf if split is None else split.t0_index
     d_ref = _gradient_kinetic(w_field(mesh))[0]
-    balls = {f"E_ball_{rho:g}": Region.ball(min(rho, mesh.rmax)) for rho in ball_radii}
-    bumps = {f"g_{R:g}": smoothstep_bump(mesh.nodes / R) for R in g_radii}
+    ball_columns, g_columns = radius_columns(ball_radii, g_radii)
+    balls = {name: Region.ball(min(rho, mesh.rmax)) for name, rho in ball_columns.items()}
+    bumps = {name: smoothstep_bump(mesh.nodes / R) for name, R in g_columns.items()}
 
     def row(i: int, s: FieldState) -> dict:
         frame = s if isinstance(s, _Frame) else _Frame(s)

@@ -215,7 +215,17 @@ def _fit(series: analysis.DiagnosticsSeries, t_est: float):
         return None
 
 
+def _check_radii(args) -> None:
+    """Refuse --ball-radius or --g-radius values that would name one column
+    twice, before anything is read or written."""
+    try:
+        analysis.radius_columns(args.ball_radius, args.g_radius)
+    except InvalidParameterError as exc:
+        raise InvalidConfigError(str(exc)) from exc
+
+
 def cmd_simulate(args) -> int:
+    _check_radii(args)
     config = solver.load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -330,6 +340,7 @@ def cmd_analyze(args) -> int:
         raise InvalidConfigError("give --split-index with --t-est")
     if args.t_est is not None and not np.isfinite(args.t_est):
         raise InvalidConfigError(f"--t-est must be finite, got {args.t_est!r}")
+    _check_radii(args)
     run_dir = Path(args.run)
     if not (run_dir / "report.json").exists():
         raise InvalidConfigError(f"{run_dir} is not a run directory")

@@ -193,6 +193,15 @@ class FieldState:
         object.__setattr__(self, "hdot", hdot)
 
     @classmethod
+    def _unchecked(cls, mesh: RadialMesh, t: float, h: np.ndarray, hdot: np.ndarray) -> "FieldState":
+        """The state of float arrays that already match the mesh and vanish
+        at the origin, as `solver.step` makes them: kept as given, with no
+        check or conversion."""
+        state = object.__new__(cls)
+        state.__dict__.update(mesh=mesh, t=t, h=h, hdot=hdot)
+        return state
+
+    @classmethod
     def from_u(cls, mesh: RadialMesh, u: np.ndarray, ut: np.ndarray, t: float = 0.0) -> "FieldState":
         r = mesh.nodes
         return cls(mesh, t, r * np.asarray(u, float), r * np.asarray(ut, float))

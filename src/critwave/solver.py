@@ -13,9 +13,13 @@ NumPy operations on the new h and v arrays and one interior scratch array.
 The two drifts are 4 operations, the stencil 4, the kick 2 and, when
 nonlinear, r u^5 = (u^2)^2 h (u = h/r, products rather than pow, 1/r
 kept on the mesh) 5 more: 15 array operations per step (10 linear), plus
-scalar writes at the two boundaries. The spacing is read from the mesh,
-which checks uniformity once at construction, so a step does no mesh
-check.
+the outer row in Python floats and scalar writes at the two boundaries.
+The spacing is read from the mesh, which checks uniformity once at
+construction, and the new state is built without validation, so a step
+does no check. `run` adds 2 passes a step for its blow-up test, |h| into a
+buffer of the run and its max against a bound fixed once per run; only a
+step past that bound takes the exact divide/max/min scan. The loop enters
+one NumPy error state per run, not per step.
 """
 
 from __future__ import annotations
@@ -298,16 +302,18 @@ def step(state: FieldState, dt: float, nonlinear: bool = True) -> FieldState:
     force *= dt
     force += v[1:-1]
     new_v[0] = 0.0
-    # outer boundary: d_t v = -d_r v, Crank-Nicolson on (3 v_N - 4 v_N-1 + v_N-2) / 2 dr
+    # outer boundary: d_t v = -d_r v, Crank-Nicolson on (3 v_N - 4 v_N-1 + v_N-2) / 2 dr,
+    # in Python floats: the same double arithmetic as on NumPy scalars
+    v3, v2, v1 = v[-3:].tolist()
+    w3, w2 = new_v[-3:-1].tolist()
     a = dt / (2.0 * dr)
-    new_v[-1] = (
-        v[-1] - a * (1.5 * v[-1] - 2.0 * (v[-2] + new_v[-2]) + 0.5 * (v[-3] + new_v[-3]))
-    ) / (1.0 + 1.5 * a)
+    w1 = (v1 - a * (1.5 * v1 - 2.0 * (v2 + w2) + 0.5 * (v3 + w3))) / (1.0 + 1.5 * a)
+    new_v[-1] = w1
     np.multiply(new_v[1:-1], 0.5 * dt, out=tmp)
     hi += tmp
-    new_h[-1] += 0.5 * dt * new_v[-1]
+    new_h[-1] += 0.5 * dt * w1
     new_h[0] = 0.0
-    return FieldState(mesh, state.t + dt, new_h, new_v)
+    return FieldState._unchecked(mesh, state.t + dt, new_h, new_v)
 
 
 @dataclass
@@ -346,6 +352,8 @@ def run(config: RunConfig, initial: FieldState | None = None, times: list | None
     and is not kept: the report's snapshots are empty, and its times,
     energies and sup_u history are those of the frames passed. A step never
     writes into an earlier state's arrays, so on_frame may keep the state.
+    on_frame, like each frame's energy, runs under the caller's NumPy error
+    state; only the steps and the blow-up test ignore overflow.
     """
     mesh = config.mesh()
     if initial is None:
@@ -357,15 +365,18 @@ def run(config: RunConfig, initial: FieldState | None = None, times: list | None
     contamination = mesh.rmax - support_radius(state)
 
     frame_t, snapshots, energies, sups = [], [], [], []
+    caller_err = np.geterr()
 
     def record(state: FieldState) -> None:
-        if on_frame is None:
-            snapshots.append(state)
-        else:
-            on_frame(len(frame_t), state)
-        frame_t.append(state.t)
-        energies.append(energy(state).total_energy if config.nonlinear else _linear_energy(state))
-        sups.append(state.sup_u())
+        # under the caller's error state, not the loop's
+        with np.errstate(**caller_err):
+            if on_frame is None:
+                snapshots.append(state)
+            else:
+                on_frame(len(frame_t), state)
+            frame_t.append(state.t)
+            energies.append(energy(state).total_energy if config.nonlinear else _linear_energy(state))
+            sups.append(state.sup_u())
 
     record(state)
     outcome = "Completed"
@@ -385,26 +396,31 @@ def run(config: RunConfig, initial: FieldState | None = None, times: list | None
     next_out = next(outputs, np.inf)
     r = mesh.nodes[1:]
     u = np.empty_like(r)
-    for i in range(n_steps):
-        # the last step ends on t_final, shortened or stretched to it
-        tau = t_final - state.t if i == n_steps - 1 else dt
-        # sup|h/r| over r > 0 above the threshold, or not finite (near
-        # blow-up the force h^5/r^4 can overflow, silently here), ends the
-        # run; a NaN makes both max and min NaN
-        with np.errstate(over="ignore", invalid="ignore"):
+    abs_h = np.empty_like(mesh.nodes)
+    safe = _safe_bound(config.blowup_threshold, float(r[0]))
+    # near blow-up the force h^5/r^4 can overflow, silently here
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            # the last step ends on t_final, shortened or stretched to it
+            tau = t_final - state.t if i == n_steps - 1 else dt
             new = step(state, tau, config.nonlinear)
-            np.divide(new.h[1:], r, out=u)
-            amp = max(u.max(), -u.min())
-        if not (np.isfinite(amp) and amp <= config.blowup_threshold):
-            outcome = "BlowUpDetected"
-            t_star = state.t
-            if frame_t[-1] < state.t:  # keep the last stable state
+            # sup|h/r| over r > 0 above the threshold, or not finite, ends
+            # the run; max|h| within `safe` settles that it is neither, and
+            # any other step takes the exact scan, in which a NaN makes both
+            # max and min NaN
+            if not np.abs(new.h, out=abs_h).max() <= safe:
+                np.divide(new.h[1:], r, out=u)
+                amp = max(u.max(), -u.min())
+                if not (np.isfinite(amp) and amp <= config.blowup_threshold):
+                    outcome = "BlowUpDetected"
+                    t_star = state.t
+                    if frame_t[-1] < state.t:  # keep the last stable state
+                        record(state)
+                    break
+            state = new
+            if state.t >= next_out - 1e-9 or i == n_steps - 1:
                 record(state)
-            break
-        state = new
-        if state.t >= next_out - 1e-9 or i == n_steps - 1:
-            record(state)
-            next_out = next(outputs, np.inf)
+                next_out = next(outputs, np.inf)
 
     times_a = np.asarray(frame_t)
     energies_a = np.asarray(energies)
@@ -423,6 +439,20 @@ def run(config: RunConfig, initial: FieldState | None = None, times: list | None
         energy_drift=drift,
         config=config,
     )
+
+
+def _safe_bound(threshold: float, r1: float) -> float:
+    """A bound on max|h| within which sup|h/r| over nodes r >= r1 > 0 is
+    finite and at most `threshold`, for the quotients as rounded:
+    threshold r1 (1 - 1e-12), whose margin covers the rounding of the
+    products. It is 0 where threshold r1 is below the smallest normal double
+    (the margin would not cover rounding there), and the largest finite
+    double where it overflows (r1 > 1, so every |h/r| < |h|), so that +-inf
+    and NaN never pass it."""
+    bound = threshold * r1
+    if bound < sys.float_info.min:
+        return 0.0
+    return min(bound * (1.0 - 1e-12), sys.float_info.max)
 
 
 def _linear_energy(state: FieldState) -> float:

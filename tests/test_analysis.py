@@ -336,6 +336,16 @@ class TestOnePassSeries:
         reference_to_csv(got, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_radius_columns(self):
+        # a repeated radius (an int and its float, NaN included) keeps one
+        # column; distinct radii that format alike are refused, naming both
+        balls, gs = analysis.radius_columns((1.0, 2, 2.0), (np.nan, np.nan))
+        assert balls == {"E_ball_1": 1.0, "E_ball_2": 2} and list(gs) == ["g_nan"]
+        with pytest.raises(InvalidParameterError, match=r"ball radii 2.0000001 and 2.0000002 both name the column "):
+            analysis.radius_columns((2.0000001, 2.0000002))
+        with pytest.raises(InvalidParameterError, match=r"g radii 4 and 4.000001 both name the column g_4$"):
+            analysis.radius_columns((), (4, 4.000001))
+
     def test_one_gradient_per_snapshot(self, bump_run, monkeypatch):
         calls = []
         gradient = np.gradient

@@ -468,6 +468,27 @@ class TestAnalyze:
         d_vals = [abs(float(row["d"])) for row in rows]
         assert max(d_vals) < 1e-2
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--ball-radius", "ball radii 2.0000001 and 2.0 both name the column E_ball_2"),
+        ("--g-radius", "g radii 2.0000001 and 2.0 both name the column g_2"),
+    ])
+    def test_radii_of_one_column_exit_2(self, tmp_path, capsys, flag, message):
+        # two distinct radii that format alike would write one column for
+        # both; an exactly repeated radius keeps its one column
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        colliding = [flag, "2.0000001", flag, "2", "--quiet"]
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "bad"), *colliding]) == 2
+        assert capsys.readouterr().err == f"simulate: {message}\n"
+        assert not (tmp_path / "bad").exists()
+        run_dir = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(run_dir), flag, "2", flag, "2", "--quiet"]) == 0
+        assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), *colliding]) == 2
+        assert capsys.readouterr().err == f"analyze: {message}\n"
+        assert not (tmp_path / "an").exists()
+        with open(run_dir / "series.csv") as fh:
+            header = next(csv.reader(fh))
+        assert header[-1] == message.rsplit(" ", 1)[1] and header.count(header[-1]) == 1
+
     def test_not_a_run_dir(self, tmp_path):
         assert main(["analyze", str(tmp_path), "--out", str(tmp_path), "--quiet"]) == 2
 

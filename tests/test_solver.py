@@ -2,6 +2,7 @@
 
 import csv
 import json
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -286,7 +287,138 @@ class TestSnapshots:
         assert np.array_equal(back.hdot, state.hdot)
 
 
+def scan_verdicts(h, r1, threshold):
+    """(max|h| within `solver.run`'s bound, the divide scan's verdict) on h
+    over the nodes r = r1 * (0, 1, 2, ...): the divide scan passes where
+    sup|h/r| over r > 0 is finite and at most threshold, a NaN making both
+    max and min NaN."""
+    r = r1 * np.arange(h.size)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        u = h[1:] / r[1:]
+        amp = max(u.max(), -u.min())
+        within = bool(np.abs(h).max() <= solver._safe_bound(threshold, r1))
+    return within, bool(np.isfinite(amp) and amp <= threshold)
+
+
+THRESHOLDS = st.floats(5e-324, 1.79e308)
+FIRST_NODES = st.floats(1e-8, 10.0)
+
+
+@st.composite
+def near_bound_fields(draw, threshold, r1):
+    """h(0) = 0 and then, at each node r_i = i r1, a value within a few ulps
+    of +-threshold r_i or of +-threshold r_i (1 - 1e-12), +-inf, NaN, a
+    subnormal or any float."""
+    n = draw(st.integers(2, 12))
+    h = np.zeros(n)
+    for i in range(1, n):
+        with np.errstate(over="ignore", under="ignore"):
+            edge = threshold * (r1 * i) * draw(st.sampled_from([1.0, 1.0 - 1e-12]))
+            near = edge * (1.0 + draw(st.integers(-4, 4)) * 2.0**-52)
+        h[i] = draw(st.sampled_from([1.0, -1.0])) * draw(
+            st.just(near) | st.sampled_from([np.inf, np.nan, 5e-324, 2.2e-310, 0.0]) | st.floats())
+    return h
+
+
+class TestBlowUpScan:
+    @settings(max_examples=500, deadline=None)
+    @given(threshold=THRESHOLDS, r1=FIRST_NODES, data=st.data())
+    def test_bound_implies_the_divide_scan(self, threshold, r1, data):
+        # a step within the bound is one the divide scan passes, and every
+        # other step takes that scan, so run decides as the scan does
+        h = data.draw(near_bound_fields(threshold, r1))
+        within, scan = scan_verdicts(h, r1, threshold)
+        assert (within or scan) == scan
+        if not np.all(np.isfinite(h)):
+            assert not within
+
+    @pytest.mark.parametrize("threshold, r1, tail, bound, within, scan", [
+        # threshold r1 below the smallest normal double: the bound is 0
+        (1e-320, 1.0, [5e-324], 0.0, False, True),
+        (1e-320, 1.0, [0.0, -0.0], 0.0, True, True),
+        (1e-320, 1.0, [1e-319], 0.0, False, False),
+        (5e-324, 10.0, [np.inf], 0.0, False, False),
+        # threshold r1 overflows: the bound is the largest finite double
+        (1.79e308, 10.0, [1.7e308, -1.7e308], sys.float_info.max, True, True),
+        (1.79e308, 10.0, [np.inf], sys.float_info.max, False, False),
+        (1.79e308, 10.0, [-np.inf], sys.float_info.max, False, False),
+        (1.79e308, 10.0, [np.nan], sys.float_info.max, False, False),
+    ])
+    def test_bound_at_the_ends_of_the_float_range(self, threshold, r1, tail, bound, within, scan):
+        assert solver._safe_bound(threshold, r1) == bound
+        assert scan_verdicts(np.array([0.0, *tail]), r1, threshold) == (within, scan)
+
+
+def reference_run(config):
+    """`solver.run` with no output `times` or `on_frame`, written as a plain
+    loop over `solver.step`, the divide scan and the last-stable-state rule:
+    (times, energies, sup_u, frames, outcome, t_star)."""
+    state = solver.make_initial_data(config.mesh(), config.family, config.params)
+    r = state.mesh.nodes[1:]
+    dt = config.cfl * state.mesh.spacing
+    n_steps = int(np.ceil((config.t_end - 1e-12) / dt))
+    t_final = state.t + config.t_end
+    next_out = state.t + config.output_every
+    frames, outcome, t_star = [state], "Completed", None
+    for i in range(n_steps):
+        tau = t_final - state.t if i == n_steps - 1 else dt
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = solver.step(state, tau, config.nonlinear)
+            u = new.h[1:] / r
+            amp = max(u.max(), -u.min())
+        if not (np.isfinite(amp) and amp <= config.blowup_threshold):
+            outcome, t_star = "BlowUpDetected", state.t
+            if frames[-1].t < state.t:
+                frames.append(state)
+            break
+        state = new
+        if state.t >= next_out - 1e-9 or i == n_steps - 1:
+            frames.append(state)
+            next_out += config.output_every
+    energies = [energy(s).total_energy if config.nonlinear else solver._linear_energy(s) for s in frames]
+    return [s.t for s in frames], energies, [s.sup_u() for s in frames], frames, outcome, t_star
+
+
 class TestRun:
+    @pytest.mark.parametrize("params, outcome", [
+        ({"nonlinear": True, "family": "bump", "params": BUMP}, "Completed"),
+        ({"nonlinear": False, "family": "bump", "params": BUMP}, "Completed"),
+        ({"rmax": 15.0, "t_end": 3.0, "family": "near_w", "params": {"delta": 0.1, "lambda": 0.5, "r_cut": 6.0}},
+         "BlowUpDetected"),
+        # threshold r1 is subnormal, so the bound is 0 and every step takes
+        # the divide scan; the first one fails it
+        ({"family": "bump", "params": BUMP, "blowup_threshold": 1e-320}, "BlowUpDetected"),
+    ])
+    def test_equals_a_plain_step_loop(self, params, outcome):
+        cfg = solver.RunConfig(**{"mesh_h": 0.05, "rmax": 8.0, "t_end": 1.0, "output_every": 0.25, **params})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solver.run(cfg)
+        times, energies, sups, frames, want_outcome, t_star = reference_run(cfg)
+        assert rep.times.tolist() == times
+        assert rep.energies.tolist() == energies
+        assert rep.sup_history.tolist() == sups
+        assert len(rep.snapshots) == len(frames)
+        for got, want in zip(rep.snapshots, frames):
+            assert got.t == want.t
+            assert got.h.tobytes() == want.h.tobytes() and got.hdot.tobytes() == want.hdot.tobytes()
+        assert (rep.outcome, rep.t_star) == (want_outcome, t_star)
+        assert rep.outcome == outcome
+        if cfg.blowup_threshold == 1e-320:
+            assert rep.t_star == 0.0 and rep.times.tolist() == [0.0]
+
+    def test_on_frame_runs_under_the_callers_error_state(self):
+        # the loop ignores overflow in its steps, but not in a frame's callback
+        def on_frame(i, state):
+            if i == 2:
+                np.array([1e308]) * 10.0
+
+        cfg = solver.RunConfig(mesh_h=0.05, rmax=8.0, t_end=1.0, output_every=0.25, family="bump", params=BUMP)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                solver.run(cfg, on_frame=on_frame)
+
     def test_linear_energy_conserved(self):
         cfg = solver.RunConfig(
             mesh_h=0.02, rmax=10.0, t_end=1.0, nonlinear=False, family="bump", params=BUMP
