@@ -268,11 +268,15 @@ def cmd_evolve(args) -> int:
         data = dalembert.import_csv(args.data)
     except (OSError, CritwaveError) as exc:
         raise InvalidConfigError(str(exc)) from exc
+    try:
+        # a header-only file holds no data (None) and evolves to a header-only file
+        evolved = None if data is None else dalembert.evolve(dalembert.build_F(data), args.t)
+    except InvalidParameterError as exc:
+        raise InvalidConfigError(f"--t: {exc}") from exc
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"evolved_t{args.t:g}.csv"
-    # a header-only file holds no data (None) and evolves to a header-only file
-    dalembert.export_csv(None if data is None else dalembert.evolve(dalembert.build_F(data), args.t), path)
+    dalembert.export_csv(evolved, path)
     if not args.quiet:
         print(f"wrote {path}")
     return EXIT_OK

@@ -11,6 +11,11 @@ r0+|t| < r < r1+|t| is 2 int_{-r1}^{-r0} F'^2, which does not move, plus
 passes the support of F'. So the minimum over t >= 0 is the constant half,
 the t -> +inf free channel, and symmetrically for t <= 0. `channel_check`
 costs two `OneDWaveData.int_dF_sq` window integrals, O(cells).
+
+`evolve` costs one stable sort of the sorted breakpoint runs s - t and
+t - s, one `F_knots` and O(n) work after that. It merges breakpoints closer
+than 1e-12 * max(1, |t| + support), and refuses a t whose tolerance is half
+the data's smallest cell or more, where the merge would drop the data.
 """
 
 from __future__ import annotations
@@ -94,17 +99,16 @@ class OneDWaveData:
     def dF_at(self, x):
         """F' evaluated cellwise (value at knots is the right cell's)."""
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.s, x, side="right") - 1
-        inside = (idx >= 0) & (idx < self.dF.size)
-        out = np.where(inside, self.dF[np.clip(idx, 0, self.dF.size - 1)], 0.0)
+        out = np.concatenate(([0.0], self.dF, [0.0]))[np.searchsorted(self.s, x, side="right")]
         return out if out.ndim else float(out)
 
     def int_dF_sq(self, a: float, b: float) -> float:
         """Exact integral of F'^2 over [a, b], 0.0 where b <= a."""
         if b <= a:
             return 0.0
-        lengths = np.clip(np.minimum(self.s[1:], b) - np.maximum(self.s[:-1], a), 0.0, None)
-        return float(np.sum(self.dF**2 * lengths))
+        lengths = np.minimum(self.s[1:], b)
+        lengths -= np.maximum(self.s[:-1], a)
+        return float((self.dF**2 * np.maximum(lengths, 0.0, out=lengths)).sum())
 
     def total_energy(self) -> float:
         """int (d_r f)^2 + (d_t f)^2 dr over r > 0; constant in t."""
@@ -122,21 +126,19 @@ def build_F(data: RadialData) -> OneDWaveData:
     F(s) = -f0(-s)/2 + (1/2) int_0^{-s} f1 for s < 0.
     """
     k = data.knots
-    dk = np.diff(k)
-    slopes = np.diff(data.f0) / dk
-    # positive cells (k_i, k_{i+1}): F' = slope/2 + f1/2
-    pos = 0.5 * slopes + 0.5 * data.f1
-    # negative cells (-k_{i+1}, -k_i): F' = slope/2 - f1/2, reversed order
-    neg = (0.5 * slopes - 0.5 * data.f1)[::-1]
+    dk = k[1:] - k[:-1]
+    half_slopes = 0.5 * ((data.f0[1:] - data.f0[:-1]) / dk)
+    half_f1 = 0.5 * data.f1
     s = np.concatenate((-k[:0:-1], k))
-    dF = np.concatenate((neg, pos))
-    f1_int = float(np.sum(data.f1 * dk))
-    F_left = -0.5 * data.f0[-1] + 0.5 * f1_int
+    # negative cells (-k_{i+1}, -k_i): F' = slope/2 - f1/2, reversed order;
+    # positive cells (k_i, k_{i+1}): F' = slope/2 + f1/2
+    dF = np.concatenate(((half_slopes - half_f1)[::-1], half_slopes + half_f1))
+    F_left = -0.5 * data.f0[-1] + 0.5 * float(np.add.reduce(data.f1 * dk))
     return OneDWaveData(s, dF, F_left)
 
 
-def _merge_knots(values: np.ndarray) -> np.ndarray:
-    v = np.unique(values)
+def _merge_knots(v: np.ndarray) -> np.ndarray:
+    """Sorted v less each entry within 1e-12 * max(1, |v[-1]|) of the one before."""
     if v.size <= 1:
         return v
     scale = max(1.0, float(abs(v[-1])))
@@ -145,16 +147,24 @@ def _merge_knots(values: np.ndarray) -> np.ndarray:
 
 
 def evolve(data: OneDWaveData, t: float) -> RadialData:
-    """Exact solution at time t as a new piecewise pair (f(t), d_t f(t))."""
+    """Exact solution at time t as a new piecewise pair (f(t), d_t f(t));
+    InvalidParameterError where the breakpoint merge would drop the data."""
     s = data.s
-    cand = np.concatenate((s - t, t - s, [0.0]))
-    knots = _merge_knots(cand[cand >= 0.0])
+    tol = _MERGE_EPS * max(1.0, abs(t) + data.support_radius)
+    cell = float((s[1:] - s[:-1]).min())
+    if 2.0 * tol >= cell:
+        raise InvalidParameterError(
+            f"|t| = {abs(t):g} merges breakpoints up to {tol:.3g} apart, half the data's smallest cell {cell:.3g} or more")
+    # the candidates s - t >= 0 and t - s >= 0 are sorted runs, which a stable sort merges
+    i, j = np.searchsorted(s, t), np.searchsorted(s, t, side="right")
+    knots = _merge_knots(np.sort(np.concatenate((s[i:] - t, (t - s[:j])[::-1], [0.0])), kind="stable"))
     if knots[0] != 0.0:
         knots = np.concatenate(([0.0], knots))
-    f = data.F(t + knots) - data.F(t - knots)
+    F_knots = data.F_knots
+    f = np.interp(t + knots, s, F_knots) - np.interp(t - knots, s, F_knots)
     f[0] = 0.0
     mid = 0.5 * (knots[1:] + knots[:-1])
-    ft = data.dF_at(t + mid) - data.dF_at(t - mid)
+    ft = data.dF_at(t + mid) - data.dF_at(t - mid[::-1])[::-1]  # increasing keys search faster
     return RadialData(knots, f, ft)
 
 

@@ -413,6 +413,14 @@ class TestDalembert:
         assert rows[0] == "s,f0,f1"
         assert len(rows) > 1
 
+    def test_evolve_far_time_exact(self, tmp_path):
+        # at t = 1000 the breakpoint merge leaves the unit cells alone: the pulse is exact
+        src = write(tmp_path / "data.csv", "s,f0,f1\n0,0,0\n1,0.5,1\n2,0,0\n")
+        assert main(["dalembert", "evolve", "--data", src, "--t", "1000", "--out", str(tmp_path), "--quiet"]) == 0
+        rows = (tmp_path / "evolved_t1000.csv").read_text().splitlines()
+        assert rows == ["s,f0,f1", "0.0,0.0,0.0", "998.0,0.0,-0.25", "999.0,0.25,-0.25",
+                        "1000.0,0.5,-0.25", "1001.0,0.75,0.75", "1002.0,0.0,0.0"]
+
     def test_evolve_empty_data(self, tmp_path):
         src = tmp_path / "empty.csv"
         src.write_text("s,f0,f1\n")
@@ -999,6 +1007,10 @@ LAM_RANGE = "profiles: need 0 < --lam-min < --lam-max < inf, got "
     (["profiles", "SNAP", "--lam-min", "1", "--lam-max", "inf"], LAM_RANGE + "1.0 and inf"),
     (["dalembert", "evolve", "--data", "DATA", "--t", "nan"], "dalembert evolve: --t must be finite, got nan"),
     (["dalembert", "evolve", "--data", "DATA", "--t", "inf"], "dalembert evolve: --t must be finite, got inf"),
+    # the 1e-12 breakpoint merge at |t| = 1e15 would drop the data's unit cells
+    (["dalembert", "evolve", "--data", "DATA", "--t=-1e15"],
+     "dalembert evolve: --t: |t| = 1e+15 merges breakpoints up to 1e+03 apart, "
+     "half the data's smallest cell 1 or more"),
     (["profiles", "SNAP", "--lam-min", "10"], "profiles: give --lam-min and --lam-max together, or neither"),
     (["profiles", "nothere.csv"], "profiles: [Errno 2] No such file or directory: 'nothere.csv'"),
     (["dalembert", "check", "--n", "-1"], "dalembert check: --n must be >= 0"),
@@ -1009,7 +1021,7 @@ LAM_RANGE = "profiles: need 0 < --lam-min < --lam-max < inf, got "
     (["dalembert", "evolve", "--data", "/dev/null"], "dalembert evolve: /dev/null: expected header s,f0,f1"),
     (["analyze", "/"], "analyze: / is not a run directory"),
     (["sweep", "--config", "CONFIG", "--param", "oops"], "sweep: bad --param 'oops' (want key=v1,v2,...)"),
-], ids=["lam_min_zero", "lam_min_above_max", "lam_min_nan", "lam_max_inf", "t_nan", "t_inf", "lone_lam_min",
+], ids=["lam_min_zero", "lam_min_above_max", "lam_min_nan", "lam_max_inf", "t_nan", "t_inf", "t_far", "lone_lam_min",
         "snapshot_missing", "n_negative", "band_empty", "data_missing", "data_malformed", "no_report",
         "param_without_equals"])
 def test_argument_out_of_range_exit_2(tmp_path, capsys, argv, message):

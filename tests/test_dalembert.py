@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critwave import dalembert as da
-from critwave.errors import DegenerateInputError, InvalidDataError
+from critwave.errors import DegenerateInputError, InvalidDataError, InvalidParameterError
 from critwave.radial import gaussian_bump
 from critwave.ground_state import w_profile
 from test_solver import ANY_FLOAT
@@ -26,7 +26,24 @@ def step_velocity_data():
     )
 
 
+def pulse_data():
+    """f0 a hat of height 1/2 on [0, 2] and unit 1d velocity on [1, 2]."""
+    return da.RadialData(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 0.0]), np.array([0.0, 1.0]))
+
+
 class TestBuildEvolve:
+    def test_far_time_exact_until_the_merge_reaches_a_cell(self):
+        wave = da.build_F(pulse_data())
+        moved = da.evolve(wave, 1000.0)
+        assert moved.knots.tolist() == [0.0, 998.0, 999.0, 1000.0, 1001.0, 1002.0]
+        assert moved.f0.tolist() == [0.0, 0.0, 0.25, 0.5, 0.75, 0.0]
+        assert da.build_F(moved).total_energy() == wave.total_energy()
+        # a tolerance 1e-12 * (|t| + 2) of half the unit cell or more would merge the pulse away
+        for t in (5e11, -5e11, 1e15, 1e17):
+            with pytest.raises(InvalidParameterError, match="half the data's smallest cell"):
+                da.evolve(wave, t)
+        assert da.evolve(wave, 4.9e11).knots.size == 6
+
     def test_initial_data_reproduced(self):
         rng = np.random.default_rng(3)
         data = da.random_data(rng)
@@ -116,6 +133,46 @@ def reference_int_dF_sq(wave, a, b):
     return float(np.sum(wave.dF**2 * lengths))
 
 
+def reference_build_F(data):
+    """`build_F` as np.diff, np.concatenate and np.sum built it: the
+    reference for its bytes."""
+    k = data.knots
+    dk = np.diff(k)
+    slopes = np.diff(data.f0) / dk
+    pos = 0.5 * slopes + 0.5 * data.f1
+    neg = (0.5 * slopes - 0.5 * data.f1)[::-1]
+    s = np.concatenate((-k[:0:-1], k))
+    dF = np.concatenate((neg, pos))
+    f1_int = float(np.sum(data.f1 * dk))
+    F_left = -0.5 * data.f0[-1] + 0.5 * f1_int
+    return da.OneDWaveData(s, dF, F_left)
+
+
+def reference_dF_at(wave, x):
+    """F' at x, the cell index clipped and masked: the reference for `dF_at`."""
+    idx = np.searchsorted(wave.s, x, side="right") - 1
+    inside = (idx >= 0) & (idx < wave.dF.size)
+    return np.where(inside, wave.dF[np.clip(idx, 0, wave.dF.size - 1)], 0.0)
+
+
+def reference_evolve(wave, t):
+    """`evolve` with np.unique over every candidate knot, F_knots formed
+    for each F evaluation and `reference_dF_at`: the reference for its bytes."""
+    s = wave.s
+    cand = np.concatenate((s - t, t - s, [0.0]))
+    knots = np.unique(cand[cand >= 0.0])
+    if knots.size > 1:
+        scale = max(1.0, float(abs(knots[-1])))
+        knots = knots[np.concatenate(([True], np.diff(knots) > 1e-12 * scale))]
+    if knots[0] != 0.0:
+        knots = np.concatenate(([0.0], knots))
+    f = wave.F(t + knots) - wave.F(t - knots)
+    f[0] = 0.0
+    mid = 0.5 * (knots[1:] + knots[:-1])
+    ft = reference_dF_at(wave, t + mid) - reference_dF_at(wave, t - mid)
+    return da.RadialData(knots, f, ft)
+
+
 def reference_channel_check(wave, r0, r1):
     """The minimum over every knot-crossing window on each time half-line,
     one scalar integral at a time: the direct reference for the closed-form
@@ -186,6 +243,52 @@ class TestWindowSweep:
         # the free-wave exterior channel r > 1 + |t|: at least half on one side
         wave = da.build_F(da.random_data(np.random.default_rng(seed)))
         assert da.channel_check(wave, 1.0, np.inf).min_ratio >= 0.5 - 1e-12
+
+
+@functools.cache
+def acceptance_bump():
+    """Acceptance 5's finest oracle datum: a Gaussian bump on 4801 knots."""
+    fine = np.linspace(0.0, 12.0, int(round(12.0 / 0.0025)) + 1)
+    return da.reduce(gaussian_bump(1.0, 0.8, 3.0), lambda x: np.zeros_like(np.asarray(x, float)), fine)
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestEngineBytes:
+    """`build_F` and `evolve` write the same bytes as the references."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_knots=st.integers(0, 24), data=st.data())
+    def test_bytes_equal_reference(self, seed, n_knots, data):
+        # n_knots == 0 stands for acceptance 5's bump
+        rng = np.random.default_rng(seed)
+        radial = acceptance_bump() if n_knots == 0 else da.random_data(rng, n_knots=n_knots)
+        wave, want = da.build_F(radial), reference_build_F(radial)
+        assert same_bytes(wave.s, want.s) and same_bytes(wave.dF, want.dF)
+        assert same_bytes(wave.F_left, want.F_left) and type(wave.F_left) is type(want.F_left)
+        knot, support = float(rng.choice(radial.knots)), float(radial.knots[-1])
+        t = data.draw(
+            st.sampled_from([0.0, -0.0, knot, -knot])
+            | st.floats(-2.0 * support, 2.0 * support)
+            | st.builds(lambda sign, d: sign * (support + d), st.sampled_from([1.0, -1.0]), st.floats(0.0, 1e6))
+        )
+        if 2e-12 * max(1.0, abs(t) + support) >= np.diff(radial.knots).min():
+            with pytest.raises(InvalidParameterError):
+                da.evolve(wave, t)
+            return
+        got, ref = da.evolve(wave, t), reference_evolve(want, t)
+        assert same_bytes(got.knots, ref.knots)
+        assert same_bytes(got.f0, ref.f0)
+        assert same_bytes(got.f1, ref.f1)
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, 2.0, -2.0, 3.0, 12.0, -12.5, 1e6])
+    def test_acceptance_bump(self, t):
+        wave = da.build_F(acceptance_bump())
+        got, ref = da.evolve(wave, t), reference_evolve(wave, t)
+        assert all(same_bytes(a, b) for a, b in zip((got.knots, got.f0, got.f1), (ref.knots, ref.f0, ref.f1)))
 
 
 class TestExteriorIdentity:
