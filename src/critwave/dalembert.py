@@ -13,9 +13,13 @@ the t -> +inf free channel, and symmetrically for t <= 0. `channel_check`
 costs two `OneDWaveData.int_dF_sq` window integrals, O(cells).
 
 `evolve` costs one stable sort of the sorted breakpoint runs s - t and
-t - s, one `F_knots` and O(n) work after that. It merges breakpoints closer
-than 1e-12 * max(1, |t| + support), and refuses a t whose tolerance is half
-the data's smallest cell or more, where the merge would drop the data.
+t - s, one `F_knots` and O(n) work after that. The rounding of s - t is set
+by |s| + |t|, so its merge tolerance is relative: an evolved breakpoint k
+merges into the one before it within 1e-12 * max(1, |t|, k), and each data
+cell [a, b] meets the tolerance 1e-12 * max(1, |t| + max(|a|, |b|)) at its
+own position. evolve refuses a t that makes that tolerance half a cell or more,
+where the merge would drop the data. Data graded over many decades, with
+cells far smaller near the origin than 1e-12 of its support, evolves.
 """
 
 from __future__ import annotations
@@ -137,27 +141,38 @@ def build_F(data: RadialData) -> OneDWaveData:
     return OneDWaveData(s, dF, F_left)
 
 
-def _merge_knots(v: np.ndarray) -> np.ndarray:
-    """Sorted v less each entry within 1e-12 * max(1, |v[-1]|) of the one before."""
+def _merge_knots(v: np.ndarray, floor: float) -> np.ndarray:
+    """Sorted v >= 0 less each entry within 1e-12 * max(floor, entry) of the one before."""
     if v.size <= 1:
         return v
-    scale = max(1.0, float(abs(v[-1])))
-    keep = np.concatenate(([True], np.diff(v) > _MERGE_EPS * scale))
-    return v[keep]
+    gaps = v[1:] - v[:-1]
+    keep = gaps > _MERGE_EPS * floor  # the least tolerance
+    # the few gaps that a larger one could merge, judged at their own magnitude
+    near = np.flatnonzero(keep & (gaps <= _MERGE_EPS * max(floor, v[-1])))
+    del gaps  # freed before the merged copy is made, as np.diff's temporary was
+    keep[near] = v[near + 1] - v[near] > _MERGE_EPS * np.maximum(v[near + 1], floor)
+    return v[np.concatenate(([True], keep))]
 
 
 def evolve(data: OneDWaveData, t: float) -> RadialData:
     """Exact solution at time t as a new piecewise pair (f(t), d_t f(t));
     InvalidParameterError where the breakpoint merge would drop the data."""
     s = data.s
-    tol = _MERGE_EPS * max(1.0, abs(t) + data.support_radius)
-    cell = float((s[1:] - s[:-1]).min())
-    if 2.0 * tol >= cell:
-        raise InvalidParameterError(
-            f"|t| = {abs(t):g} merges breakpoints up to {tol:.3g} apart, half the data's smallest cell {cell:.3g} or more")
+    if (s[1:] - s[:-1]).min() <= 2.0 * _MERGE_EPS * max(1.0, abs(t) + data.support_radius):
+        # within the largest tolerance: judge each cell at its own |s| + |t|
+        cells = s[1:] - s[:-1]
+        tol = _MERGE_EPS * np.maximum(np.maximum(-s[:-1], s[1:]) + abs(t), 1.0)
+        short = cells <= 2.0 * tol
+        if short.any():
+            i = int(np.argmax(short))
+            raise InvalidParameterError(
+                f"|t| = {abs(t):g} merges breakpoints up to {tol[i]:.3g} apart at |r| = {max(-s[i], s[i + 1]):g}, "
+                f"half the data's cell {cells[i]:.3g} there or more")
     # the candidates s - t >= 0 and t - s >= 0 are sorted runs, which a stable sort merges
     i, j = np.searchsorted(s, t), np.searchsorted(s, t, side="right")
-    knots = _merge_knots(np.sort(np.concatenate((s[i:] - t, (t - s[:j])[::-1], [0.0])), kind="stable"))
+    knots = np.sort(np.concatenate((s[i:] - t, (t - s[:j])[::-1], [0.0])), kind="stable")
+    # 1e-12 * max(1, |t|, k) is at most 1e-12 * max(1, |s| + |t|) of the k = |s - t| it lies at
+    knots = _merge_knots(knots, max(1.0, abs(t)))
     if knots[0] != 0.0:
         knots = np.concatenate(([0.0], knots))
     F_knots = data.F_knots
@@ -265,7 +280,8 @@ def import_csv(path) -> RadialData | None:
 def random_data(rng: np.random.Generator, n_knots: int = 8, support: float = 5.0) -> RadialData:
     """Random compactly supported piecewise data for channel verification."""
     interior = np.sort(rng.uniform(0.1 * support, support, size=n_knots))
-    interior = _merge_knots(interior)
+    # drop draws within 1e-12 * max(1, the largest) of the one before
+    interior = _merge_knots(interior, max(1.0, *interior[-1:]))
     knots = np.concatenate(([0.0], interior))
     f0 = rng.normal(size=knots.size)
     f0[0] = 0.0

@@ -48,15 +48,29 @@ def _w_deriv(r, lam):
 
 
 def _w_deriv_log_jet(r, lam):
-    """(d, d_x, d_xx): d = _w_deriv(r, lam) bit for bit (its operations in
-    its order) and its x = log lam derivatives. With rho = r/lam, s = rho^2/3
-    and q = 1 + s, d_x = lam^{-3/2} rho (5 - s) / (6 q^{5/2}) and
-    d_xx = lam^{-3/2} rho (34 s - s^2 - 25) / (12 q^{7/2})."""
+    """The jet (d, d_x, d_xx) as one (3, n) array, or a tuple of three for a
+    scalar r: d = _w_deriv(r, lam) bit for bit (its operations in its order)
+    and its x = log lam derivatives. With rho = r/lam, s = rho^2/3 and
+    q = 1 + s, d_x = lam^{-3/2} rho (5 - s) / (6 q^{5/2}) = (d/q) (s - 5) / 2
+    and d_xx = lam^{-3/2} rho (34 s - s^2 - 25) / (12 q^{7/2})
+    = (d/q) (s (s - 34) + 25) / (4 q), so q^{-5/2} is d's q^{-3/2} over q
+    and there is one pow. lam may be complex (a complex-step derivative)."""
     rho = r / lam
     s = rho**2 / 3.0
     q = 1.0 + s
-    c = lam**-1.5 * rho * q**-2.5
-    return lam**-1.5 * (-rho / 3.0) * q**-1.5, c * (5.0 - s) / 6.0, c * (s * (34.0 - s) - 25.0) / (12.0 * q)
+    d = lam**-1.5 * (-rho / 3.0) * q**-1.5
+    d_q = d / q
+    d_x = s - 5.0
+    d_x *= d_q
+    d_x *= 0.5
+    d_xx = s - 34.0
+    d_xx *= s
+    d_xx += 25.0
+    d_xx *= d_q
+    d_xx /= q
+    d_xx *= 0.25
+    jet = d, d_x, d_xx
+    return np.array(jet) if np.ndim(rho) else jet
 
 
 def eval_w_deriv(r, params: GroundStateParams = GroundStateParams()):

@@ -52,8 +52,10 @@ class RadialMesh:
     time-domain solver; analysis and profile extraction accept arbitrary
     strictly increasing nodes (e.g. ``RadialMesh.graded`` log spacing).
     The uniform spacing and the quadrature weights (`weights`) are found
-    once, at construction. A mesh compares and hashes by identity, so that
-    a cache can key on it.
+    once, at construction; beside them the mesh keeps, from its first use,
+    the first-derivative stencil that `FieldState.du_dr` applies
+    (`d_dr_stencil`). A mesh compares and hashes by identity, so that a
+    cache can key on it.
     """
 
     nodes: np.ndarray
@@ -114,6 +116,23 @@ class RadialMesh:
         inv_r = 1.0 / self.nodes[1:]
         inv_r.setflags(write=False)
         return inv_r
+
+    @cached_property
+    def d_dr_stencil(self) -> tuple:
+        """Read-only stencil of np.gradient(f, nodes, edge_order=2), computed on
+        first use: (interior, last). interior is the spacing where every
+        spacing equals the first, np.gradient's own test, and otherwise the
+        rows a, b, c of its interior coefficients; last holds the last node's
+        three coefficients, in np.gradient's formulas."""
+        d = np.diff(self.nodes)
+        if (d == d[0]).all():
+            dx = d[0]
+            return dx, (0.5 / dx, -2.0 / dx, 1.5 / dx)
+        dx1, dx2 = d[:-1], d[1:]
+        interior = np.array((-(dx2) / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2), dx1 / (dx2 * (dx1 + dx2))))
+        interior.setflags(write=False)
+        dx1, dx2 = d[-2], d[-1]
+        return interior, (dx2 / (dx1 * (dx1 + dx2)), -(dx2 + dx1) / (dx1 * dx2), (2.0 * dx2 + dx1) / (dx2 * (dx1 + dx2)))
 
     @property
     def weights(self) -> np.ndarray:
@@ -226,9 +245,22 @@ class FieldState:
         return out
 
     def du_dr(self) -> np.ndarray:
-        """Radial derivative of u (2nd order; exact 0 at the origin)."""
-        out = np.gradient(self.u(), self.mesh.nodes, edge_order=2)
+        """Radial derivative of u (2nd order; exact 0 at the origin): the bytes
+        of np.gradient(u, nodes, edge_order=2) past the origin, by the mesh's
+        kept stencil with np.gradient's operations in its order."""
+        u = self.u()
+        interior, (a, b, c) = self.mesh.d_dr_stencil
+        out = np.empty_like(u)
+        inner = out[1:-1]
+        if interior.ndim:
+            np.multiply(interior[0], u[:-2], out=inner)
+            inner += interior[1] * u[1:-1]
+            inner += interior[2] * u[2:]
+        else:
+            np.subtract(u[2:], u[:-2], out=inner)
+            inner /= 2.0 * interior
         out[0] = 0.0  # u is even in r
+        out[-1] = a * u[-3] + b * u[-2] + c * u[-1]
         return out
 
     def sup_u(self) -> float:

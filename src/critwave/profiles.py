@@ -25,6 +25,7 @@ _REFINE_SWEEPS = 2  # back-fitting sweeps over a multi-bubble fit
 _GRID_PER_DECADE = 4  # log-lam grid density of the scale search
 _BLOCK_ELEMENTS = 2**20  # size of one row block of the grid-scoring matrix
 _SCALE_XTOL = 1e-10  # last step in log lam of the scale search's Newton refine
+_SCALE_FINISH = 1e-6  # a Newton step this short is taken as the refine's last
 _SCALE_MAX_STEPS = 64  # bound on the refine's steps; bisection alone needs about 33
 
 
@@ -149,16 +150,23 @@ def _refine_scale(grid: _ScaleGrid, du: np.ndarray, x: float, lo: float, hi: flo
     F = 2 A' B - A B', where (A^2/B)' = A F / B^2 vanishes: |correlation| =
     |A| / sqrt(nu B) rises with x where A F > 0. Each step keeps the uphill
     part of the bracket, and is a bisection of it where the Newton step would
-    leave it or would not point uphill (A F' >= 0). The search stops at a
-    step of at most _SCALE_XTOL; correlation and coefficient come from the
-    rows of its last point.
+    leave it or would not point uphill (A F' >= 0). One product of the jet
+    (d, d', d'') with the rows (a du, a d, a d') gives A, A', A'' and every
+    term of B, B', B''. The search stops at a step of at most _SCALE_XTOL,
+    with correlation and coefficient from the rows of its last point, or
+    takes a Newton step of at most _SCALE_FINISH and stops there, scoring the
+    new point by its row d alone: the Newton step after it would be about
+    its square, inside _SCALE_XTOL.
     """
-    a, adu = grid.a, grid.a * du
+    r, a = grid.r, grid.a
+    m = np.empty((3, r.size))  # the rows a du, a d, a d'
+    adu = np.multiply(a, du, out=m[0])
+    nu = adu @ du
     for n in range(1, _SCALE_MAX_STEPS + 1):
-        d, d1, d2 = _w_deriv_log_jet(grid.r, np.exp(x))
-        ad = a * d
-        A, A1, A2 = adu @ d, adu @ d1, adu @ d2
-        B, B1, B2 = ad @ d, 2.0 * (ad @ d1), 2.0 * (ad @ d2 + a @ (d1 * d1))
+        jet = _w_deriv_log_jet(r, np.exp(x))
+        np.multiply(a, jet[:2], out=m[1:])
+        (A, B, _), (A1, ad1, a11), (A2, ad2, _) = (jet @ m.T).tolist()
+        B1, B2 = 2.0 * ad1, 2.0 * (ad2 + a11)
         F = 2.0 * A1 * B - A * B1
         F1 = 2.0 * A2 * B + A1 * B1 - A * B2
         if A * F > 0:
@@ -166,12 +174,17 @@ def _refine_scale(grid: _ScaleGrid, du: np.ndarray, x: float, lo: float, hi: flo
         elif A * F < 0:
             hi = x
         step = -F / F1 if A * F1 < 0 else np.inf
-        if not lo <= x + step <= hi:
+        newton = lo <= x + step <= hi
+        if not newton:
             step = 0.5 * (lo + hi) - x
         if abs(step) <= _SCALE_XTOL or n == _SCALE_MAX_STEPS:
             break
         x += step
-    return float(np.exp(x)), A / np.sqrt((adu @ du) * B), A / B
+        if newton and abs(step) <= _SCALE_FINISH:
+            d = _w_deriv(r, np.exp(x))
+            A, B = adu @ d, (a * d) @ d
+            break
+    return float(np.exp(x)), A / np.sqrt(nu * B), A / B
 
 
 def extract(
@@ -196,7 +209,9 @@ def extract(
     depends only on the mesh and that range, so it is built by the first
     extract on a mesh object and range and kept for the next ones. The
     back-fit forms no grid: it refines each bubble from its own scale,
-    within a factor 3 of it.
+    within a factor 3 of it. A refine takes one jet product a step and
+    most end on a Newton finish scored by one row (`_refine_scale`); the
+    field's gradient is its du_dr, by the mesh's kept stencil.
     """
     mesh = field.mesh
     r = mesh.nodes

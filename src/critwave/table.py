@@ -32,8 +32,10 @@ def write_columns(path, header, columns) -> None:
         for start in range(0, n, _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
             cells = [c[rows] if isinstance(c, list) else format_column(c[rows]) for c in columns]
-            fh.write("\r\n".join(map(",".join, zip(*cells))))
-            fh.write("\r\n")
+            lines = list(map(",".join, zip(*cells)))
+            del cells  # the chunk's text, held at most twice: as lines, then joined
+            lines.append("")  # the chunk's last line end
+            fh.write("\r\n".join(lines))
 
 
 def read_columns(path, names) -> list:

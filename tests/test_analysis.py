@@ -353,9 +353,10 @@ class TestOnePassSeries:
             analysis.radius_columns((), (4, 4.000001))
 
     def test_one_gradient_per_snapshot(self, bump_run, monkeypatch):
+        # FieldState.du_dr applies the mesh's d_r stencil; a frame keeps its result
         calls = []
-        gradient = np.gradient
-        monkeypatch.setattr(np, "gradient", lambda *a, **k: calls.append(1) or gradient(*a, **k))
+        du_dr = FieldState.du_dr
+        monkeypatch.setattr(FieldState, "du_dr", lambda self: calls.append(1) or du_dr(self))
         analysis.diagnostics_series(bump_run, ball_radii=(2.0,), g_radii=(4.0,))
         # d_r u once per snapshot, plus the W reference of the d column
         assert len(calls) == len(bump_run.snapshots) + 1

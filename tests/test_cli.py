@@ -17,11 +17,13 @@ import pytest
 from hypothesis import given, settings
 
 from critwave import analysis, cli, table
+from critwave import dalembert as da
 from critwave.cli import main
 from critwave.ground_state import GroundStateParams, eval_w
 from critwave.mesh import FieldState, RadialMesh
 from critwave import solver
 from critwave.errors import InvalidConfigError
+from critwave.radial import gaussian_bump
 from test_solver import build_initial_data, configs
 
 
@@ -420,6 +422,19 @@ class TestDalembert:
         rows = (tmp_path / "evolved_t1000.csv").read_text().splitlines()
         assert rows == ["s,f0,f1", "0.0,0.0,0.0", "998.0,0.0,-0.25", "999.0,0.25,-0.25",
                         "1000.0,0.5,-0.25", "1001.0,0.75,0.75", "1002.0,0.0,0.0"]
+
+    def test_evolve_graded_data(self, tmp_path):
+        # breakpoints 48 per decade from 1e-8 to 1e6 evolve at t = 0 and 1,
+        # with the data's energy
+        data = da.reduce(gaussian_bump(1.0, 0.8, 3.0), lambda r: 0.3 * np.exp(-((np.asarray(r) - 2.0) ** 2)),
+                         RadialMesh.graded(1e-8, 1e6, 48).nodes)
+        src = tmp_path / "graded.csv"
+        da.export_csv(data, src)
+        energy = da.build_F(da.import_csv(src)).total_energy()
+        for t in ("0", "1"):
+            assert main(["dalembert", "evolve", "--data", str(src), "--t", t, "--out", str(tmp_path), "--quiet"]) == 0
+            moved = da.import_csv(tmp_path / f"evolved_t{t}.csv")
+            assert da.build_F(moved).total_energy() == pytest.approx(energy, rel=1e-12)
 
     def test_evolve_empty_data(self, tmp_path):
         src = tmp_path / "empty.csv"
@@ -1009,8 +1024,8 @@ LAM_RANGE = "profiles: need 0 < --lam-min < --lam-max < inf, got "
     (["dalembert", "evolve", "--data", "DATA", "--t", "inf"], "dalembert evolve: --t must be finite, got inf"),
     # the 1e-12 breakpoint merge at |t| = 1e15 would drop the data's unit cells
     (["dalembert", "evolve", "--data", "DATA", "--t=-1e15"],
-     "dalembert evolve: --t: |t| = 1e+15 merges breakpoints up to 1e+03 apart, "
-     "half the data's smallest cell 1 or more"),
+     "dalembert evolve: --t: |t| = 1e+15 merges breakpoints up to 1e+03 apart at |r| = 2, "
+     "half the data's cell 1 there or more"),
     (["profiles", "SNAP", "--lam-min", "10"], "profiles: give --lam-min and --lam-max together, or neither"),
     (["profiles", "nothere.csv"], "profiles: [Errno 2] No such file or directory: 'nothere.csv'"),
     (["dalembert", "check", "--n", "-1"], "dalembert check: --n must be >= 0"),

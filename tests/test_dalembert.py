@@ -14,7 +14,14 @@ from critwave import dalembert as da
 from critwave.errors import DegenerateInputError, InvalidDataError, InvalidParameterError
 from critwave.radial import gaussian_bump
 from critwave.ground_state import w_profile
+from critwave.mesh import RadialMesh
 from test_solver import ANY_FLOAT
+
+
+def graded_bump():
+    """A Gaussian bump and a velocity bump reduced onto RadialMesh.graded(1e-8, 1e6, 48)'s nodes."""
+    return da.reduce(gaussian_bump(1.0, 0.8, 3.0), lambda r: 0.3 * np.exp(-((np.asarray(r) - 2.0) ** 2)),
+                     RadialMesh.graded(1e-8, 1e6, 48).nodes)
 
 
 def step_velocity_data():
@@ -40,9 +47,25 @@ class TestBuildEvolve:
         assert da.build_F(moved).total_energy() == wave.total_energy()
         # a tolerance 1e-12 * (|t| + 2) of half the unit cell or more would merge the pulse away
         for t in (5e11, -5e11, 1e15, 1e17):
-            with pytest.raises(InvalidParameterError, match="half the data's smallest cell"):
+            with pytest.raises(InvalidParameterError, match="at [|]r[|] = 2, half the data's cell 1 there"):
                 da.evolve(wave, t)
         assert da.evolve(wave, 4.9e11).knots.size == 6
+
+    def test_graded_data_evolves(self):
+        # knots 48 per decade from 1e-8 to 1e6: the smallest cell, 4.9e-10,
+        # is far below 1e-12 of the support, and each cell meets the merge
+        # tolerance at its own |s| + |t|
+        data = graded_bump()
+        wave = da.build_F(data)
+        back = da.evolve(wave, 0.0)
+        assert back.knots.tobytes() == data.knots.tobytes()
+        assert np.max(np.abs(back.f0 - data.f0)) <= 1e-14 and np.max(np.abs(back.f1 - data.f1)) <= 1e-14
+        for t in (1.0, -1.0, 200.0):
+            moved = da.evolve(wave, t)
+            assert da.build_F(moved).total_energy() == pytest.approx(wave.total_energy(), rel=1e-12)
+        # from |t| = 1e3, 1e-12 * (|t| + 4.2e-8) reaches half the cell at 4.2e-8
+        with pytest.raises(InvalidParameterError, match="half the data's cell 1.98e-09 there"):
+            da.evolve(wave, 1e3)
 
     def test_initial_data_reproduced(self):
         rng = np.random.default_rng(3)
@@ -157,13 +180,14 @@ def reference_dF_at(wave, x):
 
 def reference_evolve(wave, t):
     """`evolve` with np.unique over every candidate knot, F_knots formed
-    for each F evaluation and `reference_dF_at`: the reference for its bytes."""
+    for each F evaluation and `reference_dF_at`: the reference for its bytes.
+    Its merge drops a knot k within 1e-12 * max(1, |t|, k) of the one before."""
     s = wave.s
     cand = np.concatenate((s - t, t - s, [0.0]))
     knots = np.unique(cand[cand >= 0.0])
     if knots.size > 1:
-        scale = max(1.0, float(abs(knots[-1])))
-        knots = knots[np.concatenate(([True], np.diff(knots) > 1e-12 * scale))]
+        tol = 1e-12 * np.maximum(knots[1:], max(1.0, abs(t)))
+        knots = knots[np.concatenate(([True], np.diff(knots) > tol))]
     if knots[0] != 0.0:
         knots = np.concatenate(([0.0], knots))
     f = wave.F(t + knots) - wave.F(t - knots)
@@ -275,7 +299,8 @@ class TestEngineBytes:
             | st.floats(-2.0 * support, 2.0 * support)
             | st.builds(lambda sign, d: sign * (support + d), st.sampled_from([1.0, -1.0]), st.floats(0.0, 1e6))
         )
-        if 2e-12 * max(1.0, abs(t) + support) >= np.diff(radial.knots).min():
+        # each cell [a, b] of the data against 1e-12 * max(1, |t| + b), twice over
+        if np.any(np.diff(radial.knots) <= 2e-12 * np.maximum(radial.knots[1:] + abs(t), 1.0)):
             with pytest.raises(InvalidParameterError):
                 da.evolve(wave, t)
             return

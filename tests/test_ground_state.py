@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from critwave.errors import InvalidParameterError, OutOfDomainError
 from critwave.ground_state import (
@@ -234,7 +235,51 @@ class TestMesh:
             Region.ball(5.0).clip(mesh)
 
 
+# zeros, subnormals and values near the overflow threshold
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300]
+
+
 class TestFieldState:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["exact", "linspace", "graded", "random"]),
+        n=st.integers(3, 400),
+        k=st.integers(-12, 4),
+        odd=st.sampled_from([1, 3, 5, 7]),
+        data=st.data(),
+    )
+    def test_du_dr_bytes_equal_np_gradient(self, kind, n, k, odd, data):
+        # the mesh's kept stencil against np.gradient itself, on both of its
+        # branches: all spacings equal (h an odd multiple of a power of 2,
+        # so its multiples are exact), or apart by ulps (linspace)
+        h = odd * 2.0**k
+        if kind == "exact":
+            nodes = h * np.arange(n, dtype=float)
+        elif kind == "linspace":
+            nodes = np.linspace(0.0, 0.1 * h * (n - 1), n)
+        elif kind == "graded":
+            nodes = RadialMesh.graded(1e-3 * h, 1e3 * h, max(2, n // 6)).nodes
+        else:
+            spacings = data.draw(arrays(float, n - 1, elements=st.floats(1e-6, 1e3)))
+            nodes = np.concatenate(([0.0], np.cumsum(spacings)))
+        mesh = RadialMesh(nodes)
+        u = data.draw(arrays(float, nodes.size, elements=st.sampled_from(EDGE_VALUES) | st.floats(-1e6, 1e6)))
+        state = FieldState.from_u(mesh, u, np.zeros_like(u))
+        with np.errstate(all="ignore"):
+            got = state.du_dr()
+            want = np.gradient(state.u(), mesh.nodes, edge_order=2)
+        want[0] = 0.0
+        assert got.tobytes() == want.tobytes()
+        d = np.diff(mesh.nodes)
+        interior, last = mesh.d_dr_stencil
+        assert mesh.d_dr_stencil is mesh.d_dr_stencil  # built once, on first use
+        # np.gradient's own test picks the branch; exact spacings are all equal
+        assert (np.ndim(interior) == 0) == bool((d == d[0]).all())
+        assert np.ndim(interior) == 0 or kind != "exact"
+        if np.ndim(interior):
+            assert interior.shape == (3, nodes.size - 2) and not interior.flags.writeable
+        assert len(last) == 3
+
     def test_origin_constraint(self):
         mesh = RadialMesh.uniform(0.1, 1.0)
         bad = np.ones(mesh.nodes.size)

@@ -88,6 +88,39 @@ def scale_grid(lam_range):
     return np.linspace(lo, hi, int(np.ceil(profiles._GRID_PER_DECADE * (hi - lo) / np.log(10.0))) + 1)
 
 
+def reference_log_jet(r, lam):
+    """The earlier `_w_deriv_log_jet`: three arrays, q^{-5/2} by its own pow."""
+    rho = r / lam
+    s = rho**2 / 3.0
+    q = 1.0 + s
+    c = lam**-1.5 * rho * q**-2.5
+    return lam**-1.5 * (-rho / 3.0) * q**-1.5, c * (5.0 - s) / 6.0, c * (s * (34.0 - s) - 25.0) / (12.0 * q)
+
+
+def reference_refine_scale(grid, du, x, lo, hi):
+    """The earlier `_refine_scale`: nine array products a step, a full jet at
+    every point the search reaches, and no Newton finish."""
+    a, adu = grid.a, grid.a * du
+    for n in range(1, profiles._SCALE_MAX_STEPS + 1):
+        d, d1, d2 = reference_log_jet(grid.r, np.exp(x))
+        ad = a * d
+        A, A1, A2 = adu @ d, adu @ d1, adu @ d2
+        B, B1, B2 = ad @ d, 2.0 * (ad @ d1), 2.0 * (ad @ d2 + a @ (d1 * d1))
+        F = 2.0 * A1 * B - A * B1
+        F1 = 2.0 * A2 * B + A1 * B1 - A * B2
+        if A * F > 0:
+            lo = x
+        elif A * F < 0:
+            hi = x
+        step = -F / F1 if A * F1 < 0 else np.inf
+        if not lo <= x + step <= hi:
+            step = 0.5 * (lo + hi) - x
+        if abs(step) <= profiles._SCALE_XTOL or n == profiles._SCALE_MAX_STEPS:
+            break
+        x += step
+    return float(np.exp(x)), A / np.sqrt((adu @ du) * B), A / B
+
+
 class TestGridScores:
     """The one-product grid scores against correlate_scale at every grid point."""
 
@@ -158,10 +191,12 @@ class TestExtract:
         # sweeps of 3, each refining from its bubble's own scale within a
         # factor 3 of it; every search returns correlate_scale's values at
         # its scale. The greedy grid's matrix is formed once, kept for all
-        # three greedy searches, and is the only _w_deriv block formed. A new
-        # mesh object, so that no earlier extract's grid is kept for this one
+        # three greedy searches, and is the only _w_deriv block (a column of
+        # scales) formed; a search's Newton finish forms at most one row, at
+        # one scale. A new mesh object, so that no earlier extract's grid is
+        # kept for this one
         mesh = RadialMesh.graded(1e-6, 1e3, 60)
-        searches, rows = [], []
+        searches, rows, finishes = [], [], []
         refine, w_deriv = profiles._refine_scale, profiles._w_deriv
 
         def search(grid, du, x, lo, hi):
@@ -170,7 +205,7 @@ class TestExtract:
             return found
 
         def formed(r, lam):
-            rows.append(lam.size)
+            (rows if np.ndim(lam) else finishes).append(np.size(lam))
             return w_deriv(r, lam)
 
         monkeypatch.setattr(profiles, "_refine_scale", search)
@@ -195,14 +230,18 @@ class TestExtract:
             assert abs(corr - want_corr) <= 1e-12
             assert abs(coeff - want_coeff) <= 1e-12 * abs(want_coeff)
         assert rows == [grid.size]  # the greedy grid alone
+        assert len(finishes) <= len(searches)
 
     def test_grid_built_once_per_mesh_and_range(self, monkeypatch):
-        # one bubble, so no back-fit: the greedy grid is the only _w_deriv call
+        # one bubble, so no back-fit: the greedy grid is the only _w_deriv
+        # block (a column of scales); the refine's Newton finish forms single
+        # rows at one scale, which are not counted
         rows = []
         w_deriv = profiles._w_deriv
 
         def formed(r, lam):
-            rows.append(lam.size)
+            if np.ndim(lam):
+                rows.append(lam.size)
             return w_deriv(r, lam)
 
         monkeypatch.setattr(profiles, "_w_deriv", formed)
@@ -282,6 +321,32 @@ class TestExtract:
         d = profiles.extract(field, lam_range=(1e-5, 1e5))
         assert [b.iota for b in d.bubbles] == [iota]
         assert abs(d.bubbles[0].lam / lam - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("lam", [1e-5, 0.37, 1.0, 1e5])
+    def test_log_jet_equals_reference(self, lam):
+        # one (3, n) array: d bit for bit, d_x and d_xx to rounding
+        r = GRADED_48.nodes
+        got, want = profiles._w_deriv_log_jet(r, lam), np.array(reference_log_jet(r, lam))
+        assert got.shape == (3, r.size)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.all(np.abs(got[1:] - want[1:]) <= 1e-15 * np.abs(want[1:]).max(axis=1, keepdims=True))
+
+    @settings(max_examples=100, deadline=None)
+    @given(bubbles=st.lists(st.tuples(st.integers(-10, 8), st.floats(0.0, 0.4), st.sampled_from([-1, 1])),
+                            min_size=1, max_size=3, unique_by=lambda b: b[0]),
+           noise=st.sampled_from([0.0, 1e-3]))
+    def test_refine_equals_reference(self, bubbles, noise):
+        # the one-product refine with its Newton finish against the earlier
+        # one, over 1-3 bubbles from 1e-5 to 10^4.4 on the benchmark's mesh
+        field = bubble_field(GRADED_48, slot_scales(bubbles), noise)
+        got = profiles.extract(field, lam_range=(1e-5, 1e5))
+        with mock.patch.object(profiles, "_refine_scale", reference_refine_scale):
+            want = profiles.extract(field, lam_range=(1e-5, 1e5))
+        assert [b.iota for b in got.bubbles] == [b.iota for b in want.bubbles]
+        for g, w in zip(got.bubbles, want.bubbles):
+            assert abs(g.lam / w.lam - 1.0) <= 1e-13
+            assert abs(g.correlation - w.correlation) <= 1e-12
+            assert abs(g.coeff - w.coeff) <= 1e-12
 
     def test_half_amplitude_rejected_by_coeff_window(self, mesh):
         r = mesh.nodes
