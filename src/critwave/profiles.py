@@ -45,6 +45,8 @@ class ProfileDecomposition:
     residual: FieldState
     total_grad_sq: float
     residual_grad_sq: float
+    rows: list  # rows[j] = eval_w_deriv on the mesh nodes at bubbles[j]'s scale and sign
+    bubble_grad_sq: list  # bubble_grad_sq[j] = w_grad_norm_sq at bubbles[j]'s scale
 
     @property
     def n_bubbles(self) -> int:
@@ -61,7 +63,7 @@ def _w_grad_samples(mesh: RadialMesh, lam: float) -> np.ndarray:
 
 
 def w_grad_norm_sq(mesh: RadialMesh, lam: float) -> float:
-    """Mesh-truncated int |grad W_lam|^2 (used to normalize projections)."""
+    """Mesh-truncated int |grad W_lam|^2, as a decomposition carries it per bubble."""
     dw = _w_grad_samples(mesh, lam)
     return _grad_inner(mesh, dw, dw)
 
@@ -89,8 +91,10 @@ class _ScaleGrid:
     once and scored against any number of gradients. D is formed in row blocks
     of about _BLOCK_ELEMENTS elements (one row at a time on a mesh larger than
     that); it is kept when it is one block, and formed again at each scoring
-    when it is more. x, a, nw and a kept D are read-only, so one grid can
-    serve every extract on its mesh (`_greedy_grid`)."""
+    when it is more. A grid that keeps D also keeps the log-lam jet of each
+    point a search starts from (`jet`), formed at its first use. x, a, nw, a
+    kept D and the kept jets are read-only, so one grid can serve every
+    extract on its mesh (`_greedy_grid`)."""
 
     def __init__(self, mesh: RadialMesh, x: np.ndarray):
         r = mesh.nodes
@@ -105,6 +109,17 @@ class _ScaleGrid:
         for kept in (x, self.a, self.nw, self._d):
             if kept is not None:
                 kept.setflags(write=False)
+        self._jets = None if self._d is None else {}
+
+    def jet(self, i: int) -> np.ndarray:
+        """_w_deriv_log_jet at lam = exp(x_i), kept after its first use on a grid that keeps D."""
+        if self._jets is None:
+            return _w_deriv_log_jet(self.r, np.exp(self.x[i]))
+        jet = self._jets.get(i)
+        if jet is None:
+            jet = self._jets[i] = _w_deriv_log_jet(self.r, np.exp(self.x[i]))
+            jet.setflags(write=False)
+        return jet
 
     def _blocks(self):
         step = max(1, _BLOCK_ELEMENTS // self.r.size)
@@ -134,16 +149,22 @@ def _greedy_grid(mesh: RadialMesh, lo: float, hi: float) -> _ScaleGrid:
     return _ScaleGrid(mesh, np.linspace(lo, hi, int(np.ceil(_GRID_PER_DECADE * (hi - lo) / np.log(10.0))) + 1))
 
 
-def _best_scale(grid: _ScaleGrid, du: np.ndarray) -> tuple[float, float, float]:
-    """_refine_scale from the grid point best correlated with du, between its two neighbours."""
+def _best_scale(grid: _ScaleGrid, du: np.ndarray) -> tuple[float, float, float, np.ndarray]:
+    """_refine_scale from the grid point best correlated with du, between its
+    two neighbours, starting from that point's jet as the grid keeps it."""
     i = int(np.argmax(grid.scores(du)))
-    return _refine_scale(grid, du, grid.x[i], grid.x[max(i - 1, 0)], grid.x[min(i + 1, grid.x.size - 1)])
+    x = grid.x
+    return _refine_scale(grid, du, x[i], x[max(i - 1, 0)], x[min(i + 1, x.size - 1)], grid.jet(i))
 
 
-def _refine_scale(grid: _ScaleGrid, du: np.ndarray, x: float, lo: float, hi: float) -> tuple[float, float, float]:
-    """(lam, correlation, coefficient) of the scale best correlated with du
+def _refine_scale(
+    grid: _ScaleGrid, du: np.ndarray, x: float, lo: float, hi: float, jet: np.ndarray | None = None
+) -> tuple[float, float, float, np.ndarray]:
+    """(lam, correlation, coefficient, d) of the scale best correlated with du
     by a safeguarded Newton search on x = log lam from x within [lo, hi],
-    with the grid's nodes r and weights a (none of its rows).
+    with the grid's nodes r and weights a (none of its rows); d is the row
+    grad W_lam at the lam returned, _w_deriv(r, lam) bit for bit. jet, if
+    given, is _w_deriv_log_jet(r, exp(x)), read and not formed again.
 
     With d the row grad W_lam and its x-derivatives d', d'', the search scores
     A = <a du, d> and B = <a, d^2> and steps to the root of
@@ -162,8 +183,9 @@ def _refine_scale(grid: _ScaleGrid, du: np.ndarray, x: float, lo: float, hi: flo
     m = np.empty((3, r.size))  # the rows a du, a d, a d'
     adu = np.multiply(a, du, out=m[0])
     nu = adu @ du
-    for n in range(1, _SCALE_MAX_STEPS + 1):
+    if jet is None:
         jet = _w_deriv_log_jet(r, np.exp(x))
+    for n in range(1, _SCALE_MAX_STEPS + 1):
         np.multiply(a, jet[:2], out=m[1:])
         (A, B, _), (A1, ad1, a11), (A2, ad2, _) = (jet @ m.T).tolist()
         B1, B2 = 2.0 * ad1, 2.0 * (ad2 + a11)
@@ -178,13 +200,15 @@ def _refine_scale(grid: _ScaleGrid, du: np.ndarray, x: float, lo: float, hi: flo
         if not newton:
             step = 0.5 * (lo + hi) - x
         if abs(step) <= _SCALE_XTOL or n == _SCALE_MAX_STEPS:
+            d = jet[0]  # _w_deriv's operations in its order
             break
         x += step
         if newton and abs(step) <= _SCALE_FINISH:
             d = _w_deriv(r, np.exp(x))
             A, B = adu @ d, (a * d) @ d
             break
-    return float(np.exp(x)), A / np.sqrt(nu * B), A / B
+        jet = _w_deriv_log_jet(r, np.exp(x))
+    return float(np.exp(x)), A / np.sqrt(nu * B), A / B, d
 
 
 def extract(
@@ -207,11 +231,14 @@ def extract(
 
     Each greedy search scores the grid and refines its best point; the grid
     depends only on the mesh and that range, so it is built by the first
-    extract on a mesh object and range and kept for the next ones. The
-    back-fit forms no grid: it refines each bubble from its own scale,
-    within a factor 3 of it. A refine takes one jet product a step and
-    most end on a Newton finish scored by one row (`_refine_scale`); the
-    field's gradient is its du_dr, by the mesh's kept stencil.
+    extract on a mesh object and range and kept for the next ones, with the
+    jet of each grid point a search has started from. The back-fit forms no
+    grid: it refines each bubble from its own scale, within a factor 3 of
+    it. A refine takes one jet product a step and most end on a Newton
+    finish scored by one row (`_refine_scale`); the row at the scale it
+    returns, times the sign, is the bubble's row, and its norm is the
+    bubble's norm that pythagorean_check sums. The field's gradient is its
+    du_dr, by the mesh's kept stencil.
     """
     mesh = field.mesh
     r = mesh.nodes
@@ -229,12 +256,12 @@ def extract(
         raise DegenerateInputError("field has vanishing gradient energy")
 
     greedy = _greedy_grid(mesh, lo, hi)
-    bubbles, rows = [], []  # rows[j] = eval_w_deriv at bubbles[j]'s scale and sign
+    bubbles, rows = [], []  # rows[j] = iota_j d: eval_w_deriv at bubbles[j]'s scale and sign
     du_res = du_field
     while len(bubbles) < max_bubbles:
         if _grad_inner(mesh, du_res, du_res) <= 1e-30 * total:
             break
-        lam, corr, coeff = _best_scale(greedy, du_res)
+        lam, corr, coeff, d = _best_scale(greedy, du_res)
         if abs(corr) < _CORRELATION_FLOOR:
             break
         if not (_COEFF_WINDOW[0] <= abs(coeff) <= _COEFF_WINDOW[1]):
@@ -242,7 +269,7 @@ def extract(
         if any(max(lam / b.lam, b.lam / lam) < _SEPARATION_FACTOR for b in bubbles):
             break
         iota = 1 if coeff > 0 else -1
-        rows.append(eval_w_deriv(r, GroundStateParams(lam=lam, iota=iota)))
+        rows.append(iota * d)
         du_res = du_res - rows[-1]
         bubbles.append(Bubble(iota=iota, lam=lam, coeff=float(coeff), correlation=float(corr)))
 
@@ -257,11 +284,10 @@ def extract(
                     if k != j:
                         du_j -= row
                 x = np.log(b.lam)
-                lam_j, corr, coeff = _refine_scale(greedy, du_j, x, x - np.log(3.0), x + np.log(3.0))
-                bubbles[j] = Bubble(
-                    iota=1 if coeff > 0 else -1, lam=lam_j, coeff=float(coeff), correlation=float(corr)
-                )
-                rows[j] = eval_w_deriv(r, GroundStateParams(lam=lam_j, iota=bubbles[j].iota))
+                lam_j, corr, coeff, d = _refine_scale(greedy, du_j, x, x - np.log(3.0), x + np.log(3.0))
+                iota = 1 if coeff > 0 else -1
+                bubbles[j] = Bubble(iota=iota, lam=lam_j, coeff=float(coeff), correlation=float(corr))
+                rows[j] = iota * d
 
     u_res, du_res = field.u(), du_field
     for b, row in zip(bubbles, rows):
@@ -274,6 +300,8 @@ def extract(
         residual=residual,
         total_grad_sq=total,
         residual_grad_sq=_grad_inner(mesh, du_res, du_res),
+        rows=rows,
+        bubble_grad_sq=[_grad_inner(mesh, row, row) for row in rows],
     )
 
 
@@ -293,12 +321,11 @@ class PythagoreanReport:
 
 
 def pythagorean_check(decomp: ProfileDecomposition) -> PythagoreanReport:
-    """Gradient energy should split as sum of bubble energies + residual."""
-    mesh = decomp.residual.mesh
-    bubble_sum = sum(w_grad_norm_sq(mesh, b.lam) for b in decomp.bubbles)
+    """Gradient energy should split as sum of bubble energies + residual,
+    the bubbles' energies being the norms the decomposition carries."""
     return PythagoreanReport(
         total_grad_sq=decomp.total_grad_sq,
-        bubble_sum=float(bubble_sum),
+        bubble_sum=float(sum(decomp.bubble_grad_sq)),
         residual_grad_sq=decomp.residual_grad_sq,
     )
 

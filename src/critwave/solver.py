@@ -16,10 +16,10 @@ kept on the mesh) 5 more: 15 array operations per step (10 linear), plus
 the outer row in Python floats and scalar writes at the two boundaries.
 The spacing is read from the mesh, which checks uniformity once at
 construction, and the new state is built without validation, so a step
-does no check. `run` adds 2 passes a step for its blow-up test, |h| into a
-buffer of the run and its max against a bound fixed once per run; only a
-step past that bound takes the exact divide/max/min scan. The loop enters
-one NumPy error state per run, not per step.
+does no check. `run` adds 1 pass a step for its blow-up test, the sum h @ h
+against a bound fixed once per run; only a step past that bound takes the
+exact divide/max/min scan. The loop enters one NumPy error state per run,
+not per step.
 """
 
 from __future__ import annotations
@@ -238,7 +238,13 @@ def make_initial_data(mesh: RadialMesh, family: str, params: dict) -> FieldState
 
 
 def load_snapshot(path, mesh: RadialMesh | None = None) -> FieldState:
-    """Read an r,u,ut snapshot table; resample onto `mesh` if given."""
+    """Read an r,u,ut snapshot table; resample onto `mesh` if given.
+
+    Without `mesh`, the state is on the nodes of the file's r column, with
+    the origin restored: on the mesh of the previous such call when those
+    are its nodes bit for bit, else on a new mesh, kept for the next call.
+    So repeated loads of snapshots on one mesh share the mesh object and
+    what is kept per mesh object (the greedy grid of `profiles.extract`)."""
     r, u, ut = read_columns(path, ("r", "u", "ut"))
     if r.size == 0:
         raise InvalidDataError(f"{path}: snapshot has no rows")
@@ -247,11 +253,22 @@ def load_snapshot(path, mesh: RadialMesh | None = None) -> FieldState:
             r = np.concatenate(([0.0], r))
             u = np.concatenate(([u[0]], u))
             ut = np.concatenate(([ut[0]], ut))
-        mesh = RadialMesh(r)
-        return FieldState.from_u(mesh, u, ut)
+        return FieldState.from_u(_snapshot_mesh(r), u, ut)
     ui = np.interp(mesh.nodes, r, u, right=0.0)
     uti = np.interp(mesh.nodes, r, ut, right=0.0)
     return FieldState.from_u(mesh, ui, uti)
+
+
+_loaded_mesh: RadialMesh | None = None  # the mesh of load_snapshot's last call without one
+
+
+def _snapshot_mesh(r: np.ndarray) -> RadialMesh:
+    """The kept mesh if its nodes are r bit for bit, else RadialMesh(r), kept in its place."""
+    global _loaded_mesh
+    kept = _loaded_mesh
+    if kept is None or not np.array_equal(kept.nodes.view(np.uint64), r.view(np.uint64)):
+        kept = _loaded_mesh = RadialMesh(r)
+    return kept
 
 
 def save_snapshot(state: FieldState, path) -> None:
@@ -396,8 +413,7 @@ def run(config: RunConfig, initial: FieldState | None = None, times: list | None
     next_out = next(outputs, np.inf)
     r = mesh.nodes[1:]
     u = np.empty_like(r)
-    abs_h = np.empty_like(mesh.nodes)
-    safe = _safe_bound(config.blowup_threshold, float(r[0]))
+    safe_sq = _sum_sq_bound(_safe_bound(config.blowup_threshold, float(r[0])))
     # near blow-up the force h^5/r^4 can overflow, silently here
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
@@ -405,10 +421,10 @@ def run(config: RunConfig, initial: FieldState | None = None, times: list | None
             tau = t_final - state.t if i == n_steps - 1 else dt
             new = step(state, tau, config.nonlinear)
             # sup|h/r| over r > 0 above the threshold, or not finite, ends
-            # the run; max|h| within `safe` settles that it is neither, and
+            # the run; h @ h within `safe_sq` settles that it is neither, and
             # any other step takes the exact scan, in which a NaN makes both
             # max and min NaN
-            if not np.abs(new.h, out=abs_h).max() <= safe:
+            if not new.h @ new.h <= safe_sq:
                 np.divide(new.h[1:], r, out=u)
                 amp = max(u.max(), -u.min())
                 if not (np.isfinite(amp) and amp <= config.blowup_threshold):
@@ -453,6 +469,18 @@ def _safe_bound(threshold: float, r1: float) -> float:
     if bound < sys.float_info.min:
         return 0.0
     return min(bound * (1.0 - 1e-12), sys.float_info.max)
+
+
+def _sum_sq_bound(safe: float) -> float:
+    """A bound on the computed h @ h within which max|h| <= safe: safe^2 / 4,
+    or -1, which no h @ h passes, where that is not a finite normal double.
+    Rounded in any order, the sum of n squares is at least (1 - gamma_n) sum
+    h^2, gamma_n = n u / (1 - n u) with u = 2^-53, less at most n 2^-1074 of
+    underflow, so a sum within the bound leaves max h^2 <= sum h^2 below
+    safe^2 by far more than both. NaN, +-inf and a square or sum that
+    overflows make it NaN or inf, which never passes."""
+    bound = 0.25 * safe * safe
+    return bound if sys.float_info.min <= bound <= sys.float_info.max else -1.0
 
 
 def _linear_energy(state: FieldState) -> float:

@@ -97,9 +97,10 @@ def reference_log_jet(r, lam):
     return lam**-1.5 * (-rho / 3.0) * q**-1.5, c * (5.0 - s) / 6.0, c * (s * (34.0 - s) - 25.0) / (12.0 * q)
 
 
-def reference_refine_scale(grid, du, x, lo, hi):
+def reference_refine_scale(grid, du, x, lo, hi, jet=None):
     """The earlier `_refine_scale`: nine array products a step, a full jet at
-    every point the search reaches, and no Newton finish."""
+    every point the search reaches (a given start jet is not read), and no
+    Newton finish; it returns the row d of its last point with the scale."""
     a, adu = grid.a, grid.a * du
     for n in range(1, profiles._SCALE_MAX_STEPS + 1):
         d, d1, d2 = reference_log_jet(grid.r, np.exp(x))
@@ -118,7 +119,7 @@ def reference_refine_scale(grid, du, x, lo, hi):
         if abs(step) <= profiles._SCALE_XTOL or n == profiles._SCALE_MAX_STEPS:
             break
         x += step
-    return float(np.exp(x)), A / np.sqrt((adu @ du) * B), A / B
+    return float(np.exp(x)), A / np.sqrt((adu @ du) * B), A / B, d
 
 
 class TestGridScores:
@@ -199,8 +200,8 @@ class TestExtract:
         searches, rows, finishes = [], [], []
         refine, w_deriv = profiles._refine_scale, profiles._w_deriv
 
-        def search(grid, du, x, lo, hi):
-            found = refine(grid, du, x, lo, hi)
+        def search(grid, du, x, lo, hi, *jet):
+            found = refine(grid, du, x, lo, hi, *jet)
             searches.append((du, (x, lo, hi), found))
             return found
 
@@ -225,7 +226,7 @@ class TestExtract:
             assert x == np.log(lams[j % 3])
             assert (lo, hi) == (x - np.log(3.0), x + np.log(3.0))
             lams[j % 3] = found[0]
-        for du, _, (lam, corr, coeff) in searches:
+        for du, _, (lam, corr, coeff, _) in searches:
             want_corr, want_coeff = profiles.correlate_scale(mesh, du, lam)
             assert abs(corr - want_corr) <= 1e-12
             assert abs(coeff - want_coeff) <= 1e-12 * abs(want_coeff)
@@ -304,7 +305,7 @@ class TestExtract:
         assume(d.n_bubbles > 1)
         backfit = searches[-profiles._REFINE_SWEEPS * d.n_bubbles :]
         assert [found[0] for _, found in backfit[-d.n_bubbles :]] == [b.lam for b in d.bubbles]
-        for du, (lam_j, _, _) in backfit:
+        for du, (lam_j, _, _, _) in backfit:
             peak = abs(profiles.correlate_scale(mesh, du, lam_j)[0])
             for lam in (lam_j * (1.0 - 1e-6), lam_j * (1.0 + 1e-6)):
                 assert abs(profiles.correlate_scale(mesh, du, lam)[0]) <= peak
@@ -347,6 +348,60 @@ class TestExtract:
             assert abs(g.lam / w.lam - 1.0) <= 1e-13
             assert abs(g.correlation - w.correlation) <= 1e-12
             assert abs(g.coeff - w.coeff) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(bubbles=slotted_bubbles(1), noise=st.sampled_from([0.0, 1e-3]))
+    def test_rows_and_norms_are_the_closed_forms(self, bubbles, noise):
+        # each bubble's row is its refine's and its norm is carried, yet both
+        # are the bytes that eval_w_deriv and w_grad_norm_sq give at its scale
+        field = bubble_field(GRADED_48, slot_scales(bubbles), noise)
+        d = profiles.extract(field, lam_range=(1e-5, 1e5))
+        assert len(d.rows) == len(d.bubble_grad_sq) == d.n_bubbles
+        du_res = field.du_dr()
+        norms = []
+        for b, row, norm in zip(d.bubbles, d.rows, d.bubble_grad_sq):
+            want = eval_w_deriv(GRADED_48.nodes, GroundStateParams(lam=b.lam, iota=b.iota))
+            assert row.tobytes() == want.tobytes()
+            norms.append(profiles.w_grad_norm_sq(GRADED_48, b.lam))
+            assert norm == norms[-1]
+            du_res = du_res - want
+        assert d.residual_grad_sq == profiles._grad_inner(GRADED_48, du_res, du_res)
+        assert profiles.pythagorean_check(d).bubble_sum == float(sum(norms))
+
+    def test_rows_formed_once(self, monkeypatch):
+        # extract and pythagorean_check form no eval_w_deriv row; a greedy
+        # search starts from the jet its grid point keeps, so a second extract
+        # on the mesh forms one jet fewer per greedy search. New mesh objects,
+        # so that no earlier extract's grid is kept for them
+        derivs, jets, grids = [], [], []
+        w_deriv, log_jet, best = profiles.eval_w_deriv, profiles._w_deriv_log_jet, profiles._best_scale
+        monkeypatch.setattr(profiles, "eval_w_deriv", lambda *args: derivs.append(args) or w_deriv(*args))
+        monkeypatch.setattr(profiles, "_w_deriv_log_jet", lambda *args: jets.append(args) or log_jet(*args))
+        monkeypatch.setattr(profiles, "_best_scale", lambda grid, du: grids.append(grid) or best(grid, du))
+        scales, lam_range = FIELDS[3]
+
+        def counts(mesh):
+            out = []
+            field = bubble_field(mesh, scales, noise=1e-3)
+            for _ in range(2):
+                jets.clear()
+                grids.clear()
+                profiles.pythagorean_check(profiles.extract(field, lam_range=lam_range))
+                out.append((len(jets), len(grids)))
+            return out
+
+        (cold, searches), (warm, again) = counts(RadialMesh.graded(1e-6, 1e3, 60))
+        assert derivs == []
+        assert searches == again == 3
+        assert warm == cold - searches
+        grid = grids[0]
+        assert len(grid._jets) == searches
+        assert not any(jet.flags.writeable for jet in grid._jets.values())
+        # a grid whose D is formed in blocks keeps no jets
+        mesh = RadialMesh.graded(1e-6, 1e3, 60)
+        monkeypatch.setattr(profiles, "_BLOCK_ELEMENTS", 4 * mesh.nodes.size)
+        (cold, _), (warm, _) = counts(mesh)
+        assert warm == cold and grids[0]._jets is None
 
     def test_half_amplitude_rejected_by_coeff_window(self, mesh):
         r = mesh.nodes

@@ -320,6 +320,18 @@ def near_bound_fields(draw, threshold, r1):
     return h
 
 
+SAFE_BOUNDS = st.sampled_from([0.0, 1e-300, 1e160, sys.float_info.max]) | st.floats(2.2250738585072014e-308, 1e150)
+
+
+def sum_bound_values(safe):
+    """Values of h: NaN, +-inf, 1e200, subnormals, zeros, any float, and
+    values within a few ulps of +-safe / 2 and +-safe."""
+    near = st.tuples(st.sampled_from([0.5, 1.0]), st.integers(-4, 4), st.sampled_from([1.0, -1.0])).map(
+        lambda t: t[2] * t[0] * safe * (1.0 + t[1] * 2.0**-52))
+    special = st.sampled_from([np.nan, np.inf, -np.inf, 1e200, -1e200, 5e-324, 2.2e-310, 0.0, -0.0])
+    return near | special | st.floats()
+
+
 class TestBlowUpScan:
     @settings(max_examples=500, deadline=None)
     @given(threshold=THRESHOLDS, r1=FIRST_NODES, data=st.data())
@@ -347,6 +359,34 @@ class TestBlowUpScan:
     def test_bound_at_the_ends_of_the_float_range(self, threshold, r1, tail, bound, within, scan):
         assert solver._safe_bound(threshold, r1) == bound
         assert scan_verdicts(np.array([0.0, *tail]), r1, threshold) == (within, scan)
+
+    @settings(max_examples=500, deadline=None)
+    @given(safe=SAFE_BOUNDS, data=st.data())
+    def test_sum_bound_implies_the_bound(self, safe, data):
+        # run's test h @ h <= _sum_sq_bound(safe) passes only where
+        # max|h| <= safe: never on NaN, +-inf or a square that overflows
+        h = data.draw(arrays(np.float64, st.integers(1, 40), elements=sum_bound_values(safe)))
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            passes = bool(h @ h <= solver._sum_sq_bound(safe))
+        if passes:
+            assert np.all(np.isfinite(h)) and np.abs(h).max() <= safe
+
+    @pytest.mark.parametrize("safe, bound, h, passes", [
+        (1.0, 0.25, [0.5], True),
+        (1.0, 0.25, [np.nextafter(0.5, 1.0)], False),
+        (1.0, 0.25, [0.3, -0.3], True),
+        (4.0, 4.0, [1.0, 1.0, -1.0, 1.0], True),
+        # safe^2 / 4 that is 0, subnormal or not finite: no h passes
+        (0.0, -1.0, [0.0], False),
+        (1e-300, -1.0, [0.0], False),
+        (2e-154, -1.0, [0.0], False),
+        (1e160, -1.0, [0.0], False),
+        (sys.float_info.max, -1.0, [1.0], False),
+    ])
+    def test_sum_bound_at_the_ends_of_the_float_range(self, safe, bound, h, passes):
+        assert solver._sum_sq_bound(safe) == bound
+        h = np.array(h)
+        assert bool(h @ h <= bound) == passes
 
 
 def reference_run(config):
@@ -406,6 +446,31 @@ class TestRun:
         assert rep.outcome == outcome
         if cfg.blowup_threshold == 1e-320:
             assert rep.t_star == 0.0 and rep.times.tolist() == [0.0]
+
+    @pytest.mark.parametrize("params", [
+        # acceptance 8's blow-up run, a later blow-up whose force overflows
+        # first, and a dispersing bump
+        {"mesh_h": 0.005, "rmax": 12.0, "t_end": 20.0, "output_every": 0.01, "family": "near_w",
+         "params": {"delta": 0.1, "lambda": 0.05, "r_cut": 8.0}},
+        {"mesh_h": 0.005, "rmax": 12.0, "t_end": 20.0, "output_every": 0.5, "family": "near_w",
+         "params": {"delta": 0.05, "lambda": 1.0}},
+        {"mesh_h": 0.01, "rmax": 12.0, "t_end": 6.0, "output_every": 0.25, "family": "bump", "params": BUMP},
+    ])
+    def test_sum_guard_decides_as_the_exact_scan(self, monkeypatch, params):
+        # a bound of 0 sends every step to the exact scan: the same report
+        # and frames, bit for bit
+        cfg = solver.RunConfig(**params)
+        guarded = solver.run(cfg)
+        monkeypatch.setattr(solver, "_safe_bound", lambda threshold, r1: 0.0)
+        scanned = solver.run(cfg)
+        assert (guarded.outcome, guarded.t_star) == (scanned.outcome, scanned.t_star)
+        assert guarded.outcome == ("BlowUpDetected" if cfg.family == "near_w" else "Completed")
+        for name in ("times", "energies", "sup_history"):
+            assert getattr(guarded, name).tobytes() == getattr(scanned, name).tobytes()
+        assert guarded.energy_drift == scanned.energy_drift
+        assert len(guarded.snapshots) == len(scanned.snapshots)
+        for g, s in zip(guarded.snapshots, scanned.snapshots):
+            assert g.t == s.t and g.h.tobytes() == s.h.tobytes() and g.hdot.tobytes() == s.hdot.tobytes()
 
     def test_on_frame_runs_under_the_callers_error_state(self):
         # the loop ignores overflow in its steps, but not in a frame's callback
