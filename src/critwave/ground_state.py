@@ -54,23 +54,25 @@ def _w_deriv_log_jet(r, lam):
     q = 1 + s, d_x = lam^{-3/2} rho (5 - s) / (6 q^{5/2}) = (d/q) (s - 5) / 2
     and d_xx = lam^{-3/2} rho (34 s - s^2 - 25) / (12 q^{7/2})
     = (d/q) (s (s - 34) + 25) / (4 q), so q^{-5/2} is d's q^{-3/2} over q
-    and there is one pow. lam may be complex (a complex-step derivative)."""
+    and there is one pow. Each row is written in place into the one array.
+    lam may be complex (a complex-step derivative)."""
     rho = r / lam
     s = rho**2 / 3.0
     q = 1.0 + s
-    d = lam**-1.5 * (-rho / 3.0) * q**-1.5
+    jet = np.empty((3, np.size(rho)), np.result_type(rho))
+    d, d_x, d_xx = jet
+    np.multiply(lam**-1.5 * (-rho / 3.0), q**-1.5, out=d)
     d_q = d / q
-    d_x = s - 5.0
+    np.subtract(s, 5.0, out=d_x)
     d_x *= d_q
     d_x *= 0.5
-    d_xx = s - 34.0
+    np.subtract(s, 34.0, out=d_xx)
     d_xx *= s
     d_xx += 25.0
     d_xx *= d_q
     d_xx /= q
     d_xx *= 0.25
-    jet = d, d_x, d_xx
-    return np.array(jet) if np.ndim(rho) else jet
+    return jet if np.ndim(rho) else tuple(jet[:, 0].tolist())
 
 
 def eval_w_deriv(r, params: GroundStateParams = GroundStateParams()):

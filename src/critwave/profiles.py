@@ -92,9 +92,14 @@ class _ScaleGrid:
     of about _BLOCK_ELEMENTS elements (one row at a time on a mesh larger than
     that); it is kept when it is one block, and formed again at each scoring
     when it is more. A grid that keeps D also keeps the log-lam jet of each
-    point a search starts from (`jet`), formed at its first use. x, a, nw, a
-    kept D and the kept jets are read-only, so one grid can serve every
-    extract on its mesh (`_greedy_grid`)."""
+    point a search starts from (`jet`), formed at its first use, and a lower
+    bound on B = <a, d^2> over each point's bracket [x_{i-1}, x_{i+1}]:
+    bound_i = min(D_{i-1}^2, D_{i+1}^2) @ a, the minimum taken node by node.
+    At a node r, d^2 = rho^5 / (9 r^3 (1 + rho^2/3)^3) with rho = r / lam
+    rises up to rho = sqrt(15) and falls after it, so over a bracket it is
+    least at one of its ends. A grid formed in blocks has every bound 0.
+    x, a, nw, bound, a kept D and the kept jets are read-only, so one grid
+    can serve every extract on its mesh (`_greedy_grid`)."""
 
     def __init__(self, mesh: RadialMesh, x: np.ndarray):
         r = mesh.nodes
@@ -102,11 +107,17 @@ class _ScaleGrid:
         self.a = FOUR_PI * mesh.weights * r * r
         self.nw = np.empty(x.size)
         for rows, d in self._blocks():
-            self.nw[rows] = (d * d) @ self.a
+            d2 = d * d
+            self.nw[rows] = d2 @ self.a
         if np.any(self.nw <= 0):
             raise DegenerateInputError("vanishing gradient norm")
         self._d = d if d.shape[0] == x.size else None
-        for kept in (x, self.a, self.nw, self._d):
+        if self._d is None:
+            self.bound = np.zeros(x.size)
+        else:
+            i = np.arange(x.size)
+            self.bound = np.minimum(d2[np.maximum(i - 1, 0)], d2[np.minimum(i + 1, x.size - 1)]) @ self.a
+        for kept in (x, self.a, self.nw, self.bound, self._d):
             if kept is not None:
                 kept.setflags(write=False)
         self._jets = None if self._d is None else {}
@@ -149,22 +160,34 @@ def _greedy_grid(mesh: RadialMesh, lo: float, hi: float) -> _ScaleGrid:
     return _ScaleGrid(mesh, np.linspace(lo, hi, int(np.ceil(_GRID_PER_DECADE * (hi - lo) / np.log(10.0))) + 1))
 
 
-def _best_scale(grid: _ScaleGrid, du: np.ndarray) -> tuple[float, float, float, np.ndarray]:
-    """_refine_scale from the grid point best correlated with du, between its
-    two neighbours, starting from that point's jet as the grid keeps it."""
+def _best_scale(grid: _ScaleGrid, du: np.ndarray, nu: float) -> tuple | None:
+    """_refine_scale from the grid point i best correlated with du, between
+    its two neighbours, starting from that point's jet as the grid keeps it;
+    or None, with no refine, where nu, the norm <a du, du> to rounding,
+    shows that the coefficient cannot reach _COEFF_WINDOW. By Cauchy-Schwarz
+    |coefficient| = |A| / B <= sqrt(nu / B), and the refine stays in the
+    bracket, where B >= bound_i; so nu < 0.49 bound_i bounds it below 0.7
+    (with a margin of 1e-6 for rounding). A grid formed in blocks skips
+    nothing."""
     i = int(np.argmax(grid.scores(du)))
+    if nu < _COEFF_WINDOW[0] ** 2 * grid.bound[i] * (1.0 - 1e-6):
+        return None
     x = grid.x
     return _refine_scale(grid, du, x[i], x[max(i - 1, 0)], x[min(i + 1, x.size - 1)], grid.jet(i))
 
 
 def _refine_scale(
     grid: _ScaleGrid, du: np.ndarray, x: float, lo: float, hi: float, jet: np.ndarray | None = None
-) -> tuple[float, float, float, np.ndarray]:
-    """(lam, correlation, coefficient, d) of the scale best correlated with du
-    by a safeguarded Newton search on x = log lam from x within [lo, hi],
-    with the grid's nodes r and weights a (none of its rows); d is the row
-    grad W_lam at the lam returned, _w_deriv(r, lam) bit for bit. jet, if
-    given, is _w_deriv_log_jet(r, exp(x)), read and not formed again.
+) -> tuple[float, float, float, np.ndarray, float, np.ndarray]:
+    """(lam, correlation, coefficient, d, x_jet, jet) of the scale best
+    correlated with du by a safeguarded Newton search on x = log lam from x
+    within [lo, hi], with the grid's nodes r and weights a (none of its
+    rows); d is the row grad W_lam at the lam returned, _w_deriv(r, lam) bit
+    for bit, and jet is the search's last full jet, at x_jet: log lam itself,
+    or the point the Newton finish stepped from, within _SCALE_FINISH of it.
+    The jet passed in, if any, is _w_deriv_log_jet(r, exp(x)), read and not
+    formed again; so a search started from a pair (x_jet, jet) that another
+    returned forms no jet at its start.
 
     With d the row grad W_lam and its x-derivatives d', d'', the search scores
     A = <a du, d> and B = <a, d^2> and steps to the root of
@@ -200,15 +223,16 @@ def _refine_scale(
         if not newton:
             step = 0.5 * (lo + hi) - x
         if abs(step) <= _SCALE_XTOL or n == _SCALE_MAX_STEPS:
-            d = jet[0]  # _w_deriv's operations in its order
+            lam, d = np.exp(x), jet[0]  # _w_deriv's operations in its order
             break
-        x += step
         if newton and abs(step) <= _SCALE_FINISH:
-            d = _w_deriv(r, np.exp(x))
+            lam = np.exp(x + step)
+            d = _w_deriv(r, lam)
             A, B = adu @ d, (a * d) @ d
             break
+        x += step
         jet = _w_deriv_log_jet(r, np.exp(x))
-    return float(np.exp(x)), A / np.sqrt(nu * B), A / B, d
+    return float(lam), A / np.sqrt(nu * B), A / B, d, x, jet
 
 
 def extract(
@@ -229,16 +253,21 @@ def extract(
     log lam_min - (3/28) S to log lam_max + (3/28) S, so it also finds
     bubbles just outside lam_range (up to ~8e5 for lam_range=(1e-5, 1e5)).
 
-    Each greedy search scores the grid and refines its best point; the grid
-    depends only on the mesh and that range, so it is built by the first
-    extract on a mesh object and range and kept for the next ones, with the
-    jet of each grid point a search has started from. The back-fit forms no
-    grid: it refines each bubble from its own scale, within a factor 3 of
-    it. A refine takes one jet product a step and most end on a Newton
-    finish scored by one row (`_refine_scale`); the row at the scale it
-    returns, times the sign, is the bubble's row, and its norm is the
-    bubble's norm that pythagorean_check sums. The field's gradient is its
-    du_dr, by the mesh's kept stencil.
+    Each greedy search scores the grid and refines its best point, unless
+    the grid's bound there shows that the residual's coefficient cannot
+    reach the window, when the pursuit stops with no refine (`_best_scale`):
+    a search the window test would reject. The grid depends only on the
+    mesh and that range, so it is built by the first extract on a mesh
+    object and range and kept for the next ones, with the jet of each grid
+    point a search has started from. The back-fit forms no grid: it refines
+    each bubble from the point of its last refine's last jet, reading that
+    jet, within a factor 3 of that point, and keeps the point and jet it
+    ends on for the bubble's next search. A refine takes one jet product a
+    step and most end on a Newton finish scored by one row
+    (`_refine_scale`); the row at the scale it returns, times the sign, is
+    the bubble's row, and its norm is the bubble's norm that
+    pythagorean_check sums. The field's gradient is its du_dr, by the
+    mesh's kept stencil.
     """
     mesh = field.mesh
     r = mesh.nodes
@@ -257,11 +286,16 @@ def extract(
 
     greedy = _greedy_grid(mesh, lo, hi)
     bubbles, rows = [], []  # rows[j] = iota_j d: eval_w_deriv at bubbles[j]'s scale and sign
+    starts = []  # starts[j] = (x, jet): the last full jet of bubbles[j]'s latest refine
     du_res = du_field
     while len(bubbles) < max_bubbles:
-        if _grad_inner(mesh, du_res, du_res) <= 1e-30 * total:
+        nu = _grad_inner(mesh, du_res, du_res)
+        if nu <= 1e-30 * total:
             break
-        lam, corr, coeff, d = _best_scale(greedy, du_res)
+        found = _best_scale(greedy, du_res, nu)
+        if found is None:
+            break
+        lam, corr, coeff, d, x, jet = found
         if abs(corr) < _CORRELATION_FLOOR:
             break
         if not (_COEFF_WINDOW[0] <= abs(coeff) <= _COEFF_WINDOW[1]):
@@ -270,6 +304,7 @@ def extract(
             break
         iota = 1 if coeff > 0 else -1
         rows.append(iota * d)
+        starts.append((x, jet))
         du_res = du_res - rows[-1]
         bubbles.append(Bubble(iota=iota, lam=lam, coeff=float(coeff), correlation=float(corr)))
 
@@ -278,13 +313,13 @@ def extract(
         # other bubbles, which removes the leading-order bias from
         # overlapping tails
         for _ in range(_REFINE_SWEEPS):
-            for j, b in enumerate(bubbles):
+            for j, (x, jet) in enumerate(starts):
                 du_j = du_field.copy()
                 for k, row in enumerate(rows):
                     if k != j:
                         du_j -= row
-                x = np.log(b.lam)
-                lam_j, corr, coeff, d = _refine_scale(greedy, du_j, x, x - np.log(3.0), x + np.log(3.0))
+                lam_j, corr, coeff, d, x, jet = _refine_scale(greedy, du_j, x, x - np.log(3.0), x + np.log(3.0), jet)
+                starts[j] = x, jet
                 iota = 1 if coeff > 0 else -1
                 bubbles[j] = Bubble(iota=iota, lam=lam_j, coeff=float(coeff), correlation=float(corr))
                 rows[j] = iota * d

@@ -263,11 +263,13 @@ _loaded_mesh: RadialMesh | None = None  # the mesh of load_snapshot's last call 
 
 
 def _snapshot_mesh(r: np.ndarray) -> RadialMesh:
-    """The kept mesh if its nodes are r bit for bit, else RadialMesh(r), kept in its place."""
+    """The kept mesh if its nodes are r bit for bit, else a mesh on a
+    contiguous copy of r, kept in its place: r may be a column view of the
+    parsed table, which the mesh would otherwise keep alive."""
     global _loaded_mesh
     kept = _loaded_mesh
     if kept is None or not np.array_equal(kept.nodes.view(np.uint64), r.view(np.uint64)):
-        kept = _loaded_mesh = RadialMesh(r)
+        kept = _loaded_mesh = RadialMesh(np.ascontiguousarray(r))
     return kept
 
 

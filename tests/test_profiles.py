@@ -1,5 +1,6 @@
 """Multi-bubble extraction, Pythagorean splitting, and orthogonality."""
 
+import copy
 import json
 from dataclasses import dataclass
 from unittest import mock
@@ -100,10 +101,14 @@ def reference_log_jet(r, lam):
 def reference_refine_scale(grid, du, x, lo, hi, jet=None):
     """The earlier `_refine_scale`: nine array products a step, a full jet at
     every point the search reaches (a given start jet is not read), and no
-    Newton finish; it returns the row d of its last point with the scale."""
+    Newton finish. With the scale it returns the row d of its last point,
+    and the point of its first Newton step of at most _SCALE_FINISH (the
+    point the refine's finish steps from), or else its last point, with that
+    point's jet."""
     a, adu = grid.a, grid.a * du
+    start = None
     for n in range(1, profiles._SCALE_MAX_STEPS + 1):
-        d, d1, d2 = reference_log_jet(grid.r, np.exp(x))
+        d, d1, d2 = jet = reference_log_jet(grid.r, np.exp(x))
         ad = a * d
         A, A1, A2 = adu @ d, adu @ d1, adu @ d2
         B, B1, B2 = ad @ d, 2.0 * (ad @ d1), 2.0 * (ad @ d2 + a @ (d1 * d1))
@@ -114,12 +119,16 @@ def reference_refine_scale(grid, du, x, lo, hi, jet=None):
         elif A * F < 0:
             hi = x
         step = -F / F1 if A * F1 < 0 else np.inf
-        if not lo <= x + step <= hi:
+        newton = lo <= x + step <= hi
+        if not newton:
             step = 0.5 * (lo + hi) - x
         if abs(step) <= profiles._SCALE_XTOL or n == profiles._SCALE_MAX_STEPS:
             break
+        if start is None and newton and abs(step) <= profiles._SCALE_FINISH:
+            start = x, np.array(jet)
         x += step
-    return float(np.exp(x)), A / np.sqrt((adu @ du) * B), A / B, d
+    x_start, jet = start or (x, np.array(jet))
+    return float(np.exp(x)), A / np.sqrt((adu @ du) * B), A / B, d, x_start, jet
 
 
 class TestGridScores:
@@ -189,8 +198,9 @@ class TestExtract:
 
     def test_newton_refine(self, monkeypatch):
         # 3 greedy searches, each refining from a grid point, and 2 back-fit
-        # sweeps of 3, each refining from its bubble's own scale within a
-        # factor 3 of it; every search returns correlate_scale's values at
+        # sweeps of 3, each refining from the point of its bubble's last jet,
+        # within _SCALE_FINISH of its scale, and within a factor 3 of that
+        # point; every search returns correlate_scale's values at
         # its scale. The greedy grid's matrix is formed once, kept for all
         # three greedy searches, and is the only _w_deriv block (a column of
         # scales) formed; a search's Newton finish forms at most one row, at
@@ -221,12 +231,13 @@ class TestExtract:
         greedy, backfit = searches[:3], searches[3:]
         for _, (x, lo, hi), _ in greedy:
             assert np.any(np.abs(grid - x) <= 1e-12 * np.abs(grid).max())
-        lams = [found[0] for _, _, found in greedy]
+        last = [found for _, _, found in greedy]
         for j, (_, (x, lo, hi), found) in enumerate(backfit):
-            assert x == np.log(lams[j % 3])
+            lam, *_, start, _ = last[j % 3]
+            assert x == start and abs(x - np.log(lam)) <= profiles._SCALE_FINISH
             assert (lo, hi) == (x - np.log(3.0), x + np.log(3.0))
-            lams[j % 3] = found[0]
-        for du, _, (lam, corr, coeff, _) in searches:
+            last[j % 3] = found
+        for du, _, (lam, corr, coeff, *_) in searches:
             want_corr, want_coeff = profiles.correlate_scale(mesh, du, lam)
             assert abs(corr - want_corr) <= 1e-12
             assert abs(coeff - want_coeff) <= 1e-12 * abs(want_coeff)
@@ -305,7 +316,7 @@ class TestExtract:
         assume(d.n_bubbles > 1)
         backfit = searches[-profiles._REFINE_SWEEPS * d.n_bubbles :]
         assert [found[0] for _, found in backfit[-d.n_bubbles :]] == [b.lam for b in d.bubbles]
-        for du, (lam_j, _, _, _) in backfit:
+        for du, (lam_j, *_) in backfit:
             peak = abs(profiles.correlate_scale(mesh, du, lam_j)[0])
             for lam in (lam_j * (1.0 - 1e-6), lam_j * (1.0 + 1e-6)):
                 assert abs(profiles.correlate_scale(mesh, du, lam)[0]) <= peak
@@ -377,7 +388,7 @@ class TestExtract:
         w_deriv, log_jet, best = profiles.eval_w_deriv, profiles._w_deriv_log_jet, profiles._best_scale
         monkeypatch.setattr(profiles, "eval_w_deriv", lambda *args: derivs.append(args) or w_deriv(*args))
         monkeypatch.setattr(profiles, "_w_deriv_log_jet", lambda *args: jets.append(args) or log_jet(*args))
-        monkeypatch.setattr(profiles, "_best_scale", lambda grid, du: grids.append(grid) or best(grid, du))
+        monkeypatch.setattr(profiles, "_best_scale", lambda grid, *args: grids.append(grid) or best(grid, *args))
         scales, lam_range = FIELDS[3]
 
         def counts(mesh):
@@ -409,6 +420,108 @@ class TestExtract:
         state = FieldState.from_u(mesh, u, np.zeros_like(r))
         d = profiles.extract(state, lam_range=(1e-3, 100.0))
         assert d.n_bubbles == 0
+
+
+def decomposition_bytes(d):
+    """Everything a decomposition holds, as bytes and reprs."""
+    return (repr(d.bubbles), d.residual.h.tobytes(), d.residual.hdot.tobytes(),
+            repr((d.total_grad_sq, d.residual_grad_sq, d.bubble_grad_sq)), [row.tobytes() for row in d.rows])
+
+
+# the benchmark's graded mesh and a uniform one, each with an extraction range it resolves
+UNIFORM = RadialMesh.uniform(0.005, 40.0)
+MESHES = {"graded": (GRADED_48, (1e-5, 1e5)), "uniform": (UNIFORM, (0.05, 4.0))}
+
+
+class TestSearchSavings:
+    """The greedy searches skipped by the grid's bound, and the back-fit's start from each bubble's last jet."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(sorted(MESHES)), t=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    def test_bound_below_every_bracket(self, name, t):
+        # B(x) = <a, (grad W_lam)^2> at lam = exp(x), anywhere in the bracket
+        # [x_{i-1}, x_{i+1}] of every grid point i, is at least its bound
+        mesh, lam_range = MESHES[name]
+        grid = profiles._ScaleGrid(mesh, scale_grid(lam_range))
+        i = np.arange(grid.x.size)
+        lo, hi = grid.x[np.maximum(i - 1, 0)], grid.x[np.minimum(i + 1, i.size - 1)]
+        b = profiles._w_deriv(grid.r, np.exp(lo + t * (hi - lo))[:, None]) ** 2 @ grid.a
+        assert np.all(b >= grid.bound * (1.0 - 1e-12))
+        assert np.all(grid.bound > 0) and not grid.bound.flags.writeable
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(sorted(MESHES)), bubbles=slotted_bubbles(1), noise=st.sampled_from([0.0, 1e-3]),
+           amplitude=st.one_of(st.sampled_from([0.7, 0.72, 1.0, 1.3]), st.floats(0.5, 1.5)))
+    def test_zero_bound_changes_no_byte(self, name, bubbles, noise, amplitude):
+        # with every bound 0 no search is skipped, and every decomposition is
+        # the same bytes: a skipped search is one whose coefficient the
+        # window would have rejected. The field is scaled so that some
+        # coefficients lie near the window's ends
+        mesh, lam_range = MESHES[name]
+        field = bubble_field(mesh, slot_scales(bubbles), noise)
+        field = FieldState.from_u(mesh, amplitude * field.u(), field.ut())
+        greedy = profiles._greedy_grid
+
+        def unbounded(*args):
+            grid = copy.copy(greedy(*args))
+            grid.bound = np.zeros_like(grid.bound)
+            return grid
+
+        got = profiles.extract(field, lam_range=lam_range)
+        with mock.patch.object(profiles, "_greedy_grid", unbounded):
+            want = profiles.extract(field, lam_range=lam_range)
+        assert decomposition_bytes(got) == decomposition_bytes(want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(sorted(MESHES)), position=st.floats(0.1, 0.9), iota=st.sampled_from([-1, 1]),
+           noise=st.sampled_from([0.0, 1e-3]))
+    def test_one_bubble_refines_one_search(self, name, position, iota, noise):
+        # after the one bubble is subtracted, what is left is too small for
+        # any coefficient in the window: its search is skipped, not refined
+        mesh, lam_range = MESHES[name]
+        lo, hi = np.log(lam_range)
+        lam = float(np.exp(lo + position * (hi - lo)))
+        searches, refine = [], profiles._refine_scale
+
+        def search(*args):
+            searches.append(args)
+            return refine(*args)
+
+        with mock.patch.object(profiles, "_refine_scale", search):
+            d = profiles.extract(bubble_field(mesh, [(lam, iota)], noise), lam_range=lam_range)
+        assert [b.iota for b in d.bubbles] == [iota]
+        assert len(searches) == 1
+
+    def test_backfit_starts_from_the_last_jet(self, monkeypatch):
+        # each back-fit search starts at the point of its bubble's last jet,
+        # within _SCALE_FINISH of the bubble's scale, and reads that jet: it
+        # forms one jet fewer than the same search given no jet, and returns
+        # the same bytes. (The first sweep still moves these scales by up to
+        # 0.26 in log lam, so its searches take further jets.)
+        searches, jets = [], []
+        refine, log_jet = profiles._refine_scale, profiles._w_deriv_log_jet
+
+        def search(grid, du, x, lo, hi, jet):
+            runs = []
+            for start_jet in (jet, None):
+                before = len(jets)
+                runs.append((refine(grid, du, x, lo, hi, start_jet), len(jets) - before))
+            searches.append((x, jet, runs))
+            return runs[0][0]
+
+        monkeypatch.setattr(profiles, "_refine_scale", search)
+        monkeypatch.setattr(profiles, "_w_deriv_log_jet", lambda *args: jets.append(args) or log_jet(*args))
+        scales, lam_range = FIELDS[3]
+        d = profiles.extract(bubble_field(RadialMesh.graded(1e-6, 1e3, 60), scales, noise=1e-3), lam_range=lam_range)
+        assert d.n_bubbles == 3 and len(searches) == 3 + profiles._REFINE_SWEEPS * 3
+        last = [runs[0][0] for _, _, runs in searches[:3]]
+        for j, (x, jet, ((found, formed), (again, formed_again))) in enumerate(searches[3:]):
+            lam, *_, start, start_jet = last[j % 3]
+            assert x == start and jet is start_jet
+            assert abs(x - np.log(lam)) <= profiles._SCALE_FINISH
+            assert formed == formed_again - 1
+            assert [np.asarray(v).tobytes() for v in found] == [np.asarray(v).tobytes() for v in again]
+            last[j % 3] = found
 
 
 class TestPythagorean:

@@ -286,6 +286,23 @@ class TestSnapshots:
         assert np.array_equal(back.h, state.h)
         assert np.array_equal(back.hdot, state.hdot)
 
+    @pytest.mark.parametrize("origin_row", [True, False])
+    def test_loaded_mesh_does_not_pin_the_table(self, tmp_path, monkeypatch, origin_row):
+        # the file's r column is a strided view of its parsed (n, 3) table;
+        # the mesh's nodes are a contiguous array of their own, so the mesh
+        # kept between loads does not keep the u and ut columns alive
+        monkeypatch.setattr(solver, "_loaded_mesh", None)
+        mesh = RadialMesh.uniform(0.1, 5.0)
+        path = tmp_path / "snap.csv"
+        solver.save_snapshot(solver.make_initial_data(mesh, "bump", BUMP), path)
+        if not origin_row:
+            header, _, *rows = path.read_bytes().splitlines(keepends=True)
+            path.write_bytes(b"".join([header, *rows]))
+        nodes = solver.load_snapshot(path).mesh.nodes
+        assert nodes.flags.c_contiguous and nodes.flags.owndata and nodes.base is None
+        assert nodes.tobytes() == mesh.nodes.tobytes()
+        assert solver._loaded_mesh.nodes is nodes
+
 
 def scan_verdicts(h, r1, threshold):
     """(max|h| within `solver.run`'s bound, the divide scan's verdict) on h
