@@ -157,31 +157,18 @@ def _virial_z(state: FieldState) -> tuple[float, float]:
     return FOUR_PI * m(r * r * u * ut), FOUR_PI * m(r * r * r * ur * ut)
 
 
-def _virial_moments(state: FieldState) -> tuple[float, float, float, float, float]:
-    """(z1, z2, kin, grad, pot): _virial_z and the three right-hand-side integrals."""
-    frame = _Frame(state)  # u, u_t and d_r u once for all five
-    r = state.mesh.nodes
-    u, ut, ur = frame.u(), frame.ut(), frame.du_dr()
-    m = state.mesh.integrate
-    z1, z2 = _virial_z(frame)
-    kin = FOUR_PI * m(r * r * ut * ut)
-    grad = FOUR_PI * m(r * r * ur * ur)
-    pot = FOUR_PI * m(r * r * u**6)
-    return z1, z2, kin, grad, pot
-
-
-def virial_series(u_snapshots: list, v_snapshots: list | None = None) -> VirialSeries:
-    """z1 = int (u u_t - v v_t), z2 = int (x.grad u u_t - ...), Z = z1/2 + z2,
-    together with the defect of their finite-difference time derivatives
-    against the analytic right-hand sides.
+def virial_series(snapshots: list) -> VirialSeries:
+    """z1 = int u u_t, z2 = int x.grad u u_t, Z = z1/2 + z2, together with
+    the defect of their finite-difference time derivatives against the
+    analytic right-hand sides, whose integrals are each snapshot's `energy`.
     """
-    if len(u_snapshots) < 3:
+    if len(snapshots) < 3:
         raise InvalidParameterError("need at least 3 snapshots")
-    times = np.array([s.t for s in u_snapshots])
-    rows = [_virial_moments(s) for s in u_snapshots]
-    if v_snapshots is not None:
-        vrows = [_virial_moments(s) for s in v_snapshots]
-        rows = [tuple(a - b for a, b in zip(ru, rv)) for ru, rv in zip(rows, vrows)]
+    times = np.array([s.t for s in snapshots])
+    rows = []
+    for frame in map(_Frame, snapshots):  # u, u_t and d_r u once per snapshot
+        rep = energy(frame)
+        rows.append((*_virial_z(frame), rep.kinetic_sq, rep.gradient_sq, rep.potential))
     z1, z2, kin, grad, pot = (np.array(col) for col in zip(*rows))
     Z = 0.5 * z1 + z2
     z1_rhs = kin - grad + pot
@@ -395,7 +382,7 @@ def row_function(mesh: RadialMesh, ball_radii: tuple = (), g_radii: tuple = (), 
         a = frame if i < t0 else _Frame(s - split.v_fields[i - t0])
         radii = concentration_radii(frame, a)
         mu, nu, lam1 = (np.nan if x is None else x for x in (radii.mu, radii.nu, radii.lambda1))
-        f = np.nan if radii.lambda1 is None else sign_projection(a, radii.lambda1)
+        f = sign_projection(a, lam1) if lam1 > 0 else np.nan  # lambda1 = 0 where the energy overflows
         z1, z2 = _virial_z(frame)
         if t0 == 0:
             v1, v2 = _virial_z(split.v_fields[i])

@@ -382,6 +382,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_profiles(args) -> int:
+    if args.max_bubbles < 1:
+        raise InvalidConfigError(f"--max-bubbles must be >= 1, got {args.max_bubbles}")
     if (args.lam_min is None) != (args.lam_max is None):
         raise InvalidConfigError("give --lam-min and --lam-max together, or neither")
     # written so that a NaN fails it too
@@ -392,7 +394,10 @@ def cmd_profiles(args) -> int:
     except (OSError, CritwaveError) as exc:
         raise InvalidConfigError(str(exc)) from exc
     lam_range = None if args.lam_min is None else (args.lam_min, args.lam_max)
-    decomp = profiles.extract(state, max_bubbles=args.max_bubbles, lam_range=lam_range)
+    try:
+        decomp = profiles.extract(state, max_bubbles=args.max_bubbles, lam_range=lam_range)
+    except InvalidParameterError as exc:  # a given range passed the checks above: the default one is empty
+        raise InvalidConfigError(f"{args.snapshot}: {exc} in the default range; give --lam-min and --lam-max") from exc
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     profiles.export_json(decomp, out / "decomposition.json")

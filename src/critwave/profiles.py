@@ -177,7 +177,7 @@ def _best_scale(grid: _ScaleGrid, du: np.ndarray, nu: float) -> tuple | None:
 
 
 def _refine_scale(
-    grid: _ScaleGrid, du: np.ndarray, x: float, lo: float, hi: float, jet: np.ndarray | None = None
+    grid: _ScaleGrid, du: np.ndarray, x: float, lo: float, hi: float, jet: np.ndarray
 ) -> tuple[float, float, float, np.ndarray, float, np.ndarray]:
     """(lam, correlation, coefficient, d, x_jet, jet) of the scale best
     correlated with du by a safeguarded Newton search on x = log lam from x
@@ -185,8 +185,8 @@ def _refine_scale(
     rows); d is the row grad W_lam at the lam returned, _w_deriv(r, lam) bit
     for bit, and jet is the search's last full jet, at x_jet: log lam itself,
     or the point the Newton finish stepped from, within _SCALE_FINISH of it.
-    The jet passed in, if any, is _w_deriv_log_jet(r, exp(x)), read and not
-    formed again; so a search started from a pair (x_jet, jet) that another
+    The jet passed in is _w_deriv_log_jet(r, exp(x)), read and not formed
+    again; so a search started from a pair (x_jet, jet) that another
     returned forms no jet at its start.
 
     With d the row grad W_lam and its x-derivatives d', d'', the search scores
@@ -206,8 +206,6 @@ def _refine_scale(
     m = np.empty((3, r.size))  # the rows a du, a d, a d'
     adu = np.multiply(a, du, out=m[0])
     nu = adu @ du
-    if jet is None:
-        jet = _w_deriv_log_jet(r, np.exp(x))
     for n in range(1, _SCALE_MAX_STEPS + 1):
         np.multiply(a, jet[:2], out=m[1:])
         (A, B, _), (A1, ad1, a11), (A2, ad2, _) = (jet @ m.T).tolist()

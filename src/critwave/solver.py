@@ -240,11 +240,10 @@ def make_initial_data(mesh: RadialMesh, family: str, params: dict) -> FieldState
 def load_snapshot(path, mesh: RadialMesh | None = None) -> FieldState:
     """Read an r,u,ut snapshot table; resample onto `mesh` if given.
 
-    Without `mesh`, the state is on the nodes of the file's r column, with
-    the origin restored: on the mesh of the previous such call when those
-    are its nodes bit for bit, else on a new mesh, kept for the next call.
-    So repeated loads of snapshots on one mesh share the mesh object and
-    what is kept per mesh object (the greedy grid of `profiles.extract`)."""
+    Without `mesh`, the state is on a new mesh on a contiguous copy of the
+    file's r column (a view of the parsed table), with the origin restored;
+    so what is kept per mesh object (the greedy grid of `profiles.extract`)
+    is shared only by work on the state it returns."""
     r, u, ut = read_columns(path, ("r", "u", "ut"))
     if r.size == 0:
         raise InvalidDataError(f"{path}: snapshot has no rows")
@@ -253,24 +252,10 @@ def load_snapshot(path, mesh: RadialMesh | None = None) -> FieldState:
             r = np.concatenate(([0.0], r))
             u = np.concatenate(([u[0]], u))
             ut = np.concatenate(([ut[0]], ut))
-        return FieldState.from_u(_snapshot_mesh(r), u, ut)
+        return FieldState.from_u(RadialMesh(np.ascontiguousarray(r)), u, ut)
     ui = np.interp(mesh.nodes, r, u, right=0.0)
     uti = np.interp(mesh.nodes, r, ut, right=0.0)
     return FieldState.from_u(mesh, ui, uti)
-
-
-_loaded_mesh: RadialMesh | None = None  # the mesh of load_snapshot's last call without one
-
-
-def _snapshot_mesh(r: np.ndarray) -> RadialMesh:
-    """The kept mesh if its nodes are r bit for bit, else a mesh on a
-    contiguous copy of r, kept in its place: r may be a column view of the
-    parsed table, which the mesh would otherwise keep alive."""
-    global _loaded_mesh
-    kept = _loaded_mesh
-    if kept is None or not np.array_equal(kept.nodes.view(np.uint64), r.view(np.uint64)):
-        kept = _loaded_mesh = RadialMesh(np.ascontiguousarray(r))
-    return kept
 
 
 def save_snapshot(state: FieldState, path) -> None:

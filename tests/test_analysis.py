@@ -101,6 +101,9 @@ class TestGRandTails:
         g = analysis.g_r_series(bump_run.snapshots, 4.0)
         n = len(bump_run.snapshots)
         assert g.g.shape == g.d.shape == g.defect.shape == (n,)
+        # the list function and the row engine both go through _g_r
+        rows = analysis.diagnostics_series(bump_run, g_radii=(4.0,)).data["g_4"]
+        assert g.g.tobytes() == rows.tobytes()
 
     def test_rho_tail_monotone_in_radius(self, bump_run):
         # rho(R): the sup over the run of the exterior energy
@@ -235,6 +238,15 @@ class TestSeries:
         series.to_csv(out)
         assert out.read_bytes() == text.getvalue().encode()
 
+    def test_overflowing_field_has_no_sign_projection(self):
+        # a gradient energy that overflows to inf past the origin puts
+        # lambda1 at r = 0, where no W_lambda1 exists: f is NaN, not an error
+        mesh = RadialMesh.uniform(0.5, 4.0)
+        field = FieldState.from_u(mesh, -1e300 * np.exp(-mesh.nodes**2), np.zeros_like(mesh.nodes))
+        with np.errstate(all="ignore"):
+            row = analysis.row_function(mesh)(0, field)
+        assert row["lambda1"] == 0.0 and np.isnan(row["f"])
+
     def test_stationary_w_d_column_near_zero(self):
         cfg = solver.RunConfig(
             mesh_h=0.02, rmax=12.0, t_end=0.5, family="perturbed_w",
@@ -269,9 +281,12 @@ def reference_diagnostics_series(report, ball_radii=(), g_radii=(), split=None):
             data["f"][i] = analysis.sign_projection(a, radii.lambda1)
         data["d"][i] = analysis.d_functional(s, grad_ref=d_ref)
     if n >= 3:
-        v_snaps = split.v_fields if t0 == 0 else None
-        vs = analysis.virial_series(snaps, v_snaps)
-        data["z1"], data["z2"], data["Z"] = vs.z1, vs.z2, vs.Z
+        vs = analysis.virial_series(snaps)
+        z1, z2 = vs.z1, vs.z2
+        if t0 == 0:  # v covers the run: subtract its moments
+            vv = analysis.virial_series(split.v_fields)
+            z1, z2 = z1 - vv.z1, z2 - vv.z2
+        data["z1"], data["z2"], data["Z"] = z1, z2, 0.5 * z1 + z2
     else:  # the short case is never split
         for i, s in enumerate(snaps):
             r = s.mesh.nodes

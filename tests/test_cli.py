@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from critwave import analysis, cli, profiles, table
+from critwave import analysis, cli, table
 from critwave import dalembert as da
 from critwave.cli import main
 from critwave.ground_state import GroundStateParams, eval_w
@@ -526,7 +526,6 @@ class TestAnalyze:
         cfg = write(tmp_path / "c.json", BUMP_CFG)
         radii = ["--ball-radius", "2", "--g-radius", "4", "--quiet"]
         assert main(["simulate", "--config", cfg, "--out", str(run_dir), *radii]) == 0
-        monkeypatch.setattr(solver, "_loaded_mesh", None)  # none kept from an earlier test's load
         built = []
         post_init = RadialMesh.__post_init__
         monkeypatch.setattr(RadialMesh, "__post_init__", lambda self: built.append(1) or post_init(self))
@@ -535,7 +534,7 @@ class TestAnalyze:
         assert all(s.mesh is snaps[0].mesh for s in snaps)
         out = tmp_path / "an"
         assert main(["analyze", str(run_dir), "--out", str(out), *radii]) == 0  # 1005 rows: serial
-        assert len(built) == 1  # analyze's own load: the same nodes, so load_snapshot's kept mesh
+        assert len(built) == 2  # analyze loads snapshot 0 onto a mesh of its own, and only that one
         assert (out / "series.csv").read_bytes() == (run_dir / "series.csv").read_bytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -778,30 +777,34 @@ class TestProfiles:
         assert main(["profiles", str(snap), "--out", str(out), "--quiet"]) == 0
         assert len(json.loads((out / "decomposition.json").read_text())["bubbles"]) == 1
 
-    def test_repeated_commands_share_the_greedy_grid(self, tmp_path):
-        # the second command loads its snapshot onto the first one's mesh, so
-        # it reads the greedy grid that the first one built; a snapshot whose
-        # nodes differ, here by one ulp at rmax, gets a new mesh and grid
-        nodes = RadialMesh.graded(1e-6, 1e3, 60).nodes
-        moved = nodes.copy()
-        moved[-1] = np.nextafter(moved[-1], np.inf)
-        snaps = [tmp_path / "snap.csv", tmp_path / "moved.csv"]
-        for r, snap in zip((nodes, moved), snaps):
-            mesh = RadialMesh(r)
-            solver.save_snapshot(FieldState.from_u(mesh, eval_w(r, GroundStateParams(lam=0.1)), np.zeros_like(r)), snap)
-        profiles._greedy_grid.cache_clear()
-        runs = []
-        for snap in (snaps[0], snaps[0], snaps[1]):
-            assert main(["profiles", str(snap), "--out", str(tmp_path / "prof"), "--quiet"]) == 0
-            info = profiles._greedy_grid.cache_info()
-            runs.append((info.misses, info.hits))
-        assert runs == [(1, 0), (1, 1), (2, 1)]
-        first = solver.load_snapshot(snaps[0]).mesh
-        assert solver.load_snapshot(snaps[0]).mesh is first
-        assert solver.load_snapshot(snaps[1]).mesh is not first
-
     def test_missing_snapshot(self, tmp_path):
         assert main(["profiles", str(tmp_path / "nope.csv"), "--out", str(tmp_path), "--quiet"]) == 2
+
+    @pytest.mark.parametrize("n", [-1, 0])
+    def test_max_bubbles_below_one_exit_2(self, tmp_path, capsys, n):
+        # such a count used to exit 0 with an empty decomposition
+        mesh = RadialMesh.graded(1e-6, 1e3, 60)
+        snap = tmp_path / "snap.csv"
+        solver.save_snapshot(FieldState.from_u(mesh, eval_w(mesh.nodes, GroundStateParams(lam=0.1)),
+                                                np.zeros_like(mesh.nodes)), snap)
+        out = tmp_path / "prof"
+        assert main(["profiles", str(snap), "--out", str(out), "--max-bubbles", str(n), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"profiles: --max-bubbles must be >= 1, got {n}\n"
+        assert not out.exists()
+
+    def test_coarse_snapshot_without_range_exit_2(self, tmp_path, capsys):
+        # on 21 uniform nodes to r = 10 the default scale range is empty; it
+        # used to exit 3. A range on the command line makes the same file work
+        mesh = RadialMesh.uniform(0.5, 10.0)
+        snap = tmp_path / "snap.csv"
+        solver.save_snapshot(FieldState.from_u(mesh, eval_w(mesh.nodes), np.zeros_like(mesh.nodes)), snap)
+        out = tmp_path / "prof"
+        assert main(["profiles", str(snap), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"profiles: {snap}: ") and "--lam-min" in err and "--lam-max" in err
+        assert not out.exists()
+        assert main(["profiles", str(snap), "--out", str(out), "--lam-min", "0.5", "--lam-max", "3", "--quiet"]) == 0
+        assert len(json.loads((out / "decomposition.json").read_text())["bubbles"]) == 1
 
     @pytest.mark.parametrize("flag", ["--lam-min", "--lam-max"])
     def test_lone_lam_bound_exit_2(self, tmp_path, capsys, flag):

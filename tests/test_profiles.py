@@ -495,16 +495,17 @@ class TestSearchSavings:
     def test_backfit_starts_from_the_last_jet(self, monkeypatch):
         # each back-fit search starts at the point of its bubble's last jet,
         # within _SCALE_FINISH of the bubble's scale, and reads that jet: it
-        # forms one jet fewer than the same search given no jet, and returns
-        # the same bytes. (The first sweep still moves these scales by up to
+        # forms one jet fewer than the same search started from a jet formed
+        # anew, and returns the same bytes. (The first sweep still moves these scales by up to
         # 0.26 in log lam, so its searches take further jets.)
         searches, jets = [], []
         refine, log_jet = profiles._refine_scale, profiles._w_deriv_log_jet
 
         def search(grid, du, x, lo, hi, jet):
             runs = []
-            for start_jet in (jet, None):
+            for kept in (True, False):
                 before = len(jets)
+                start_jet = jet if kept else profiles._w_deriv_log_jet(grid.r, np.exp(x))
                 runs.append((refine(grid, du, x, lo, hi, start_jet), len(jets) - before))
             searches.append((x, jet, runs))
             return runs[0][0]

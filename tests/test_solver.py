@@ -287,11 +287,10 @@ class TestSnapshots:
         assert np.array_equal(back.hdot, state.hdot)
 
     @pytest.mark.parametrize("origin_row", [True, False])
-    def test_loaded_mesh_does_not_pin_the_table(self, tmp_path, monkeypatch, origin_row):
+    def test_snapshot_mesh_does_not_pin_the_table(self, tmp_path, origin_row):
         # the file's r column is a strided view of its parsed (n, 3) table;
         # the mesh's nodes are a contiguous array of their own, so the mesh
-        # kept between loads does not keep the u and ut columns alive
-        monkeypatch.setattr(solver, "_loaded_mesh", None)
+        # does not keep the u and ut columns alive
         mesh = RadialMesh.uniform(0.1, 5.0)
         path = tmp_path / "snap.csv"
         solver.save_snapshot(solver.make_initial_data(mesh, "bump", BUMP), path)
@@ -301,7 +300,6 @@ class TestSnapshots:
         nodes = solver.load_snapshot(path).mesh.nodes
         assert nodes.flags.c_contiguous and nodes.flags.owndata and nodes.base is None
         assert nodes.tobytes() == mesh.nodes.tobytes()
-        assert solver._loaded_mesh.nodes is nodes
 
 
 def scan_verdicts(h, r1, threshold):
