@@ -87,10 +87,13 @@ def _cumulative_energy(field: FieldState, gradient_only: bool = False) -> np.nda
 
 
 def _inf_radius(r: np.ndarray, cum: np.ndarray, threshold: float) -> float | None:
-    """Infimal radius where the nondecreasing cumulative reaches threshold."""
+    """Infimal radius where the nondecreasing cumulative reaches threshold:
+    None where it does not, NaN where it reaches it only by overflowing."""
     if cum[-1] < threshold:
         return None
     i = int(np.searchsorted(cum, threshold, side="left"))
+    if np.isinf(cum[i]):
+        return np.nan
     if i == 0:
         return float(r[0])
     if cum[i] == cum[i - 1]:
@@ -313,17 +316,16 @@ class DiagnosticsSeries:
 
 
 class _Frame(FieldState):
-    """A snapshot whose u, u_t (the field's own unless given, as a snapshot
-    file's parsed columns are) and d_r u are computed once, at construction.
+    """A snapshot whose u, u_t and d_r u are computed once, at construction.
 
     A row function builds one per snapshot and drops it with the snapshot's
     row, so a report never holds the derived arrays.
     """
 
-    def __init__(self, field: FieldState, u: np.ndarray | None = None, ut: np.ndarray | None = None):
+    def __init__(self, field: FieldState):
         super().__init__(field.mesh, field.t, field.h, field.hdot)
-        object.__setattr__(self, "_u", field.u() if u is None else u)
-        object.__setattr__(self, "_ut", field.ut() if ut is None else ut)
+        object.__setattr__(self, "_u", field.u())
+        object.__setattr__(self, "_ut", field.ut())
         object.__setattr__(self, "_du_dr", super().du_dr())  # reads the cached u
 
     def u(self) -> np.ndarray:
@@ -378,11 +380,11 @@ def row_function(mesh: RadialMesh, ball_radii: tuple = (), g_radii: tuple = (), 
     bumps = {name: smoothstep_bump(mesh.nodes / R) for name, R in g_columns.items()}
 
     def row(i: int, s: FieldState) -> dict:
-        frame = s if isinstance(s, _Frame) else _Frame(s)
+        frame = _Frame(s)
         a = frame if i < t0 else _Frame(s - split.v_fields[i - t0])
         radii = concentration_radii(frame, a)
         mu, nu, lam1 = (np.nan if x is None else x for x in (radii.mu, radii.nu, radii.lambda1))
-        f = sign_projection(a, lam1) if lam1 > 0 else np.nan  # lambda1 = 0 where the energy overflows
+        f = sign_projection(a, lam1) if lam1 > 0 else np.nan  # written so that a NaN lambda1 fails it
         z1, z2 = _virial_z(frame)
         if t0 == 0:
             v1, v2 = _virial_z(split.v_fields[i])

@@ -10,12 +10,18 @@ run directory that `analyze` reads is not. `main` maps any other OSError or
 CritwaveError to 3 and the same line. A d'Alembert mode's command is
 `dalembert check` or `dalembert evolve` in both.
 
+A run directory holds each frame twice: `snapshots/snap_NNNN.csv`, the r, u,
+u_t text that `profiles` and the `csv` data family read, and
+`frames/frame_NNNN.npy`, the solver's own (h, hdot) as one (2, nodes)
+float64 .npy array, on the mesh of `frames/r.npy`. `analyze` reads only the
+frames, so its rows are formed from the arrays that `simulate`'s were.
+
 One pool, `_in_parallel`, spreads every command's work over the CPUs of the
 process's affinity mask. `simulate` and `analyze` split a run's frames: each
-process writes or parses its own share of the snapshot files and reduces
-each frame to its diagnostics row as it goes, so no process holds a run's
-frames. `simulate`'s processes each run the deterministic solve themselves,
-and a worker whose run differs exits 3. `sweep` splits small cells, and runs
+process writes or reads its own share of the frame files and reduces each
+frame to its diagnostics row as it goes, so no process holds a run's frames.
+`simulate`'s processes each run the deterministic solve themselves, and a
+worker whose run differs exits 3. `sweep` splits small cells, and runs
 larger ones in order, each splitting its own frames.
 """
 
@@ -30,6 +36,7 @@ import multiprocessing
 import os
 import sys
 import time
+import zipfile
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
@@ -40,7 +47,7 @@ import numpy as np
 from . import __version__
 from .errors import CritwaveError, DegenerateInputError, InvalidConfigError, InvalidDataError, InvalidParameterError
 from . import analysis, dalembert, profiles, solver, table
-from .mesh import FieldState
+from .mesh import FieldState, RadialMesh
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -141,8 +148,8 @@ def _run_size(config: solver.RunConfig) -> tuple[int, int]:
 
 
 def _simulate_into(config: solver.RunConfig, out: Path, ball_radii, g_radii):
-    """Run config and write its run directory under out: the snapshots,
-    series.csv, report.json and manifest.json. Returns the report, which
+    """Run config and write its run directory under out: the snapshots, the
+    frames, series.csv, report.json and manifest.json. Returns the report, which
     keeps no snapshots, and the diagnostics series written.
 
     Each of `_in_parallel`'s processes runs the solve itself and, of its
@@ -153,8 +160,9 @@ def _simulate_into(config: solver.RunConfig, out: Path, ball_radii, g_radii):
     """
     started = _iso_now()
     out.mkdir(parents=True, exist_ok=True)
-    snapdir = out / "snapshots"
+    snapdir, framedir = out / "snapshots", out / "frames"
     snapdir.mkdir(exist_ok=True)
+    framedir.mkdir(exist_ok=True)
 
     def share(j, k):
         rows, row = [], None
@@ -164,7 +172,10 @@ def _simulate_into(config: solver.RunConfig, out: Path, ball_radii, g_radii):
             if i == 0:  # every frame is on the run's mesh
                 row = analysis.row_function(state.mesh, tuple(ball_radii), tuple(g_radii))
             if i % k == j:
+                if i == 0:
+                    np.save(framedir / "r.npy", state.mesh.nodes)
                 solver.save_snapshot(state, snapdir / f"snap_{i:04d}.csv")
+                np.save(framedir / f"frame_{i:04d}.npy", np.stack((state.h, state.hdot)))
                 rows.append(row(i, state))
 
         return solver.run(config, on_frame=on_frame), rows
@@ -182,6 +193,8 @@ def _simulate_into(config: solver.RunConfig, out: Path, ball_radii, g_radii):
     series.to_csv(out / "series.csv")
     n = report.times.size
     files = {f"snapshots/snap_{i:04d}.csv": nodes for i in range(n)}
+    files.update((f"frames/frame_{i:04d}.npy", nodes) for i in range(n))
+    files["frames/r.npy"] = nodes
     files["series.csv"] = n
 
     _write_json({
@@ -201,7 +214,7 @@ def _simulate_into(config: solver.RunConfig, out: Path, ball_radii, g_radii):
         "started": started,
         "finished": _iso_now(),
         "outcome": report.outcome,
-        "files": files,  # relative path -> row count
+        "files": files,  # relative path -> row count (of a .npy file, its nodes)
     }, out / "manifest.json", sort_keys=True)
     return report, series
 
@@ -285,34 +298,55 @@ def cmd_evolve(args) -> int:
 # -------------------------------------------------------------------- analyze
 
 
-class _RunSnapshots(Sequence):
-    """A run directory's snapshots by index, each parsed from its file onto
-    snapshot 0's mesh when it is indexed and not kept. A snapshot's u and u_t
-    are its file's columns, which h / r of h = r u need not give back bit for
-    bit (at the origin, u is a slope of h), so that its diagnostics are the
-    ones simulate wrote."""
+def _load_npy(path: Path) -> np.ndarray:
+    """The float64 array of the .npy file at path; InvalidDataError naming
+    the file where it holds none."""
+    try:
+        array = np.load(path)  # pickles stay refused
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # numpy's text would advise allowing pickles
+        raise InvalidDataError(f"{path}: not a readable .npy file") from exc
+    if not isinstance(array, np.ndarray):  # np.load opens a zip archive as an .npz
+        array.close()
+        raise InvalidDataError(f"{path}: an .npz archive, not a .npy file")
+    if array.dtype != np.float64:
+        raise InvalidDataError(f"{path}: {array.dtype} values, not float64")
+    return array
 
-    def __init__(self, snapdir: Path, times: list):
-        self.snapdir = snapdir
+
+class _RunFrames(Sequence):
+    """A run directory's frames by index: frame i is the solver's state, its
+    (h, hdot) read from frames/frame_NNNN.npy onto the mesh of frames/r.npy
+    when it is indexed, and is not kept."""
+
+    def __init__(self, framedir: Path, times: list):
+        self.framedir = framedir
         self.times = times
-        self.mesh = solver.load_snapshot(snapdir / "snap_0000.csv").mesh
+        path = framedir / "r.npy"
+        try:
+            self.mesh = RadialMesh(_load_npy(path))
+        except InvalidParameterError as exc:
+            raise InvalidDataError(f"{path}: {exc}") from exc
 
     def __len__(self) -> int:
         return len(self.times)
 
-    def __getitem__(self, i: int) -> analysis._Frame:
+    def __getitem__(self, i: int) -> FieldState:
         i = range(len(self.times))[i]  # IndexError past either end
-        path = self.snapdir / f"snap_{i:04d}.csv"
-        r, u, ut = table.read_columns(path, ("r", "u", "ut"))
-        if not np.array_equal(r, self.mesh.nodes):
-            raise InvalidDataError(f"{path}: r column differs from snapshot 0's mesh")
-        return analysis._Frame(FieldState.from_u(self.mesh, u, ut, self.times[i]), u, ut)
+        path = self.framedir / f"frame_{i:04d}.npy"
+        frame = _load_npy(path)
+        if frame.shape != (2, self.mesh.nodes.size):
+            raise InvalidDataError(f"{path}: shape {frame.shape}, not the (2, {self.mesh.nodes.size}) "
+                                   f"of (h, hdot) on the run's mesh")
+        try:
+            return FieldState(self.mesh, self.times[i], *frame)
+        except InvalidParameterError as exc:  # h or hdot not 0 at the origin
+            raise InvalidDataError(f"{path}: {exc}") from exc
 
 
 def _load_run_dir(run_dir: Path) -> solver.RunReport:
     """The report of a run directory: its config (None when report.json
-    predates the key), E and sup_u from its series.csv, and its snapshots,
-    of which only snapshot 0's mesh is read here."""
+    predates the key), E and sup_u from its series.csv, and its frames, of
+    which only the mesh is read here."""
     path = run_dir / "report.json"
     with open(path) as fh:
         try:
@@ -332,7 +366,7 @@ def _load_run_dir(run_dir: Path) -> solver.RunReport:
         times=np.asarray(times, float),
         energies=energies,
         sup_history=sups,
-        snapshots=_RunSnapshots(run_dir / "snapshots", times),
+        snapshots=_RunFrames(run_dir / "frames", times),
         contamination_time=rep.get("contamination_time", 0.0),
         energy_drift=rep.get("energy_drift", 0.0),
         config=config,

@@ -239,13 +239,16 @@ class TestSeries:
         assert out.read_bytes() == text.getvalue().encode()
 
     def test_overflowing_field_has_no_sign_projection(self):
-        # a gradient energy that overflows to inf past the origin puts
-        # lambda1 at r = 0, where no W_lambda1 exists: f is NaN, not an error
+        # a gradient energy that overflows to inf past the origin reaches
+        # every threshold at no radius that can be read off: mu, nu and
+        # lambda1 are NaN, not 0, and f is NaN, not an error
         mesh = RadialMesh.uniform(0.5, 4.0)
         field = FieldState.from_u(mesh, -1e300 * np.exp(-mesh.nodes**2), np.zeros_like(mesh.nodes))
         with np.errstate(all="ignore"):
+            radii = analysis.concentration_radii(field)
             row = analysis.row_function(mesh)(0, field)
-        assert row["lambda1"] == 0.0 and np.isnan(row["f"])
+        assert all(np.isnan([radii.mu, radii.nu, radii.lambda1]))
+        assert all(np.isnan([row["mu"], row["nu"], row["lambda1"], row["f"]]))
 
     def test_stationary_w_d_column_near_zero(self):
         cfg = solver.RunConfig(

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -46,8 +47,9 @@ def write(path, text):
 
 
 def run_files(run_dir):
-    """Bytes of a run's snapshots, series.csv and report.json by relative path."""
-    paths = [*sorted((run_dir / "snapshots").iterdir()), run_dir / "series.csv", run_dir / "report.json"]
+    """Bytes of a run's snapshots, frames, series.csv and report.json by relative path."""
+    paths = [*sorted((run_dir / "snapshots").iterdir()), *sorted((run_dir / "frames").iterdir()),
+             run_dir / "series.csv", run_dir / "report.json"]
     return {str(p.relative_to(run_dir)): p.read_bytes() for p in paths}
 
 
@@ -304,7 +306,7 @@ class TestSimulate:
                          "--ball-radius", "2", "--g-radius", "4"]) == 0
             runs[k] = run_files(out)
             assert len(pool_pids()) == k - 1  # one pool per fanned-out simulate
-        assert len(runs[1]) == 11 + 2
+        assert len(runs[1]) == 11 + (11 + 1) + 2  # snapshots, frames and r.npy, series and report
         assert runs[2] == runs[1] and runs[3] == runs[1]
 
     def test_output_finer_than_a_step(self, tmp_path):
@@ -534,15 +536,15 @@ class TestAnalyze:
         assert all(s.mesh is snaps[0].mesh for s in snaps)
         out = tmp_path / "an"
         assert main(["analyze", str(run_dir), "--out", str(out), *radii]) == 0  # 1005 rows: serial
-        assert len(built) == 2  # analyze loads snapshot 0 onto a mesh of its own, and only that one
+        assert len(built) == 2  # analyze builds a mesh of its own from frames/r.npy, and only that one
         assert (out / "series.csv").read_bytes() == (run_dir / "series.csv").read_bytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_series_equals_simulates_on_any_cpu_count(self, tmp_path, cpus, k):
-        # on this run, h = r u of the parsed u gives back another u at the
-        # origin, and with it another lambda1 on the blow-up frame: analyze
-        # reads u as the files hold it. A run of 2 frames, its t_end under
-        # the output cadence, has its virial and g_R values from each frame
+        # analyze reads the solver's own h and hdot, so its rows are
+        # simulate's on the blow-up frame too. A run of 2 frames, its t_end
+        # under the output cadence, has its virial and g_R values from each
+        # frame
         set_cpus, pool_pids = cpus
         radii = ["--ball-radius", "1", "--ball-radius", "50", "--g-radius", "4", "--quiet"]
         configs = {"run": NEAR_W_CFG.replace('"every": 0.25', '"every": 0.1') % "0.05",
@@ -600,30 +602,62 @@ class TestAnalyze:
         assert len(pool_pids()) == (k > 1)
         assert peak < 0.1 * frame_bytes, (peak, frame_bytes)
 
-    @pytest.mark.parametrize("damage", ["missing", "malformed", "other_mesh", "no_origin_row"])
+    @pytest.mark.parametrize("damage", ["missing", "malformed", "npz", "bad_zip", "other_mesh", "no_origin_row",
+                                        "nonzero_origin"])
     def test_bad_snapshot_in_workers_half_exit_3(self, tmp_path, capsys, cpus, damage):
-        # 5 snapshots: under 2 CPUs snapshot 3 is parsed by a forked worker
+        # 5 frames: under 2 CPUs frame 3 is read by a forked worker
         set_cpus, pool_pids = cpus
         set_cpus(1)
         run_dir = tmp_path / "run"
         cfg = write(tmp_path / "c.json", BUMP_CFG)
         assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
-        snap = run_dir / "snapshots" / "snap_0003.csv"
+        frame = run_dir / "frames" / "frame_0003.npy"
+        h, hdot = np.load(frame)
         if damage == "missing":
-            snap.unlink()
-        elif damage == "malformed":
-            snap.write_text("r,u,ut\n0.0,1.0,0.0\n0.1,abc,0.0\n")
+            frame.unlink()
+        elif damage == "malformed":  # the frame's snapshot CSV in its place
+            frame.write_bytes((run_dir / "snapshots" / "snap_0003.csv").read_bytes())
+        elif damage == "npz":  # np.load opens a zip archive whatever its name
+            with open(frame, "wb") as fh:
+                np.savez(fh, h=h, hdot=hdot)
+        elif damage == "bad_zip":  # a zip's magic bytes and no archive
+            frame.write_bytes(b"PK\x03\x04" + frame.read_bytes())
+        elif damage == "other_mesh":  # a coarser mesh than the run's
+            np.save(frame, np.zeros((2, RadialMesh.uniform(0.05, 8.0).nodes.size)))
         elif damage == "no_origin_row":
-            header, _, *rows = snap.read_bytes().splitlines(keepends=True)
-            snap.write_bytes(b"".join([header, *rows]))
-        else:  # well formed, on a coarser mesh than snapshot 0's
-            mesh = RadialMesh.uniform(0.05, 8.0)
-            solver.save_snapshot(FieldState.from_u(mesh, np.zeros(mesh.nodes.size), np.zeros(mesh.nodes.size)), snap)
+            np.save(frame, np.stack((h[1:], hdot[1:])))
+        else:  # hdot(0) = 1
+            np.save(frame, np.stack((h, hdot + (np.arange(h.size) == 0))))
         set_cpus(2)
         capsys.readouterr()
         assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 3
-        assert str(snap) in capsys.readouterr().err
+        assert str(frame) in capsys.readouterr().err
         assert len(pool_pids()) == 1
+
+    def test_run_without_frames_exit_3(self, tmp_path, capsys):
+        # a run directory written before simulate wrote frames/
+        run_dir = tmp_path / "run"
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+        shutil.rmtree(run_dir / "frames")
+        assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 3
+        assert str(run_dir / "frames" / "r.npy") in capsys.readouterr().err
+        assert not (tmp_path / "an").exists()
+
+    def test_frames_are_the_solvers_states(self, tmp_path):
+        cfg = write(tmp_path / "c.json", NEAR_W_CFG.replace('"every": 0.25', '"every": 0.1') % "0.05")
+        run_dir = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+        loaded = cli._load_run_dir(run_dir).snapshots
+        solved = solver.run(solver.load_config(cfg)).snapshots
+        assert len(loaded) == len(solved) > 10
+        n = loaded.mesh.nodes.size
+        for i, state in enumerate(solved):
+            frame = loaded[i]
+            assert frame.t == state.t
+            assert frame.h.tobytes() == state.h.tobytes() and frame.hdot.tobytes() == state.hdot.tobytes()
+            # the frame holds its own 2 n floats, no more
+            assert frame.h.base is frame.hdot.base and frame.h.base.nbytes == 2 * n * 8
 
     def test_fit_json_is_the_fit_of_the_written_series(self, tmp_path):
         cfg = write(tmp_path / "c.json", NEAR_W_CFG.replace('"every": 0.25', '"every": 0.05') % "0.1")
