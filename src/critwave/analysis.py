@@ -1,6 +1,8 @@
-"""Diagnostics on solver output: singular part, concentration radii, sign
-projection, virial quantities, localized virial functionals, cone energies,
-and the power-law fit of the concentration scale.
+"""Diagnostics on solver output: the singular part; per frame, through
+`row_function`, the concentration radii, sign projection, virial moments
+z1, z2, Z and localized virial functionals d and g_R; cone energies; and
+the power-law fit of the concentration scale. The right-hand sides of the
+virial identities are integrals of `ground_state.energy`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from .errors import DegenerateInputError, InvalidParameterError
 from .ground_state import (
     GroundStateParams,
     _gradient_kinetic,
-    energy,
     eval_w_deriv,
     w_constants,
     w_exterior_grad,
@@ -132,24 +133,7 @@ def sign_projection(a_field: FieldState, lam1: float) -> float:
     return FOUR_PI * a_field.mesh.integrate(integrand)
 
 
-# --------------------------------------------------------------- virial series
-
-
-def _nonuniform_deriv(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.gradient(y, t, edge_order=2)
-
-
-@dataclass
-class VirialSeries:
-    times: np.ndarray
-    z1: np.ndarray
-    z2: np.ndarray
-    Z: np.ndarray
-    z1_rhs: np.ndarray
-    z2_rhs: np.ndarray
-    z1_defect: np.ndarray  # |d/dt z1 - rhs| at interior times
-    z2_defect: np.ndarray
-    Z_defect: np.ndarray
+# ---------------------------------------------------------- virial functionals
 
 
 def _virial_z(state: FieldState) -> tuple[float, float]:
@@ -160,41 +144,6 @@ def _virial_z(state: FieldState) -> tuple[float, float]:
     return FOUR_PI * m(r * r * u * ut), FOUR_PI * m(r * r * r * ur * ut)
 
 
-def virial_series(snapshots: list) -> VirialSeries:
-    """z1 = int u u_t, z2 = int x.grad u u_t, Z = z1/2 + z2, together with
-    the defect of their finite-difference time derivatives against the
-    analytic right-hand sides, whose integrals are each snapshot's `energy`.
-    """
-    if len(snapshots) < 3:
-        raise InvalidParameterError("need at least 3 snapshots")
-    times = np.array([s.t for s in snapshots])
-    rows = []
-    for frame in map(_Frame, snapshots):  # u, u_t and d_r u once per snapshot
-        rep = energy(frame)
-        rows.append((*_virial_z(frame), rep.kinetic_sq, rep.gradient_sq, rep.potential))
-    z1, z2, kin, grad, pot = (np.array(col) for col in zip(*rows))
-    Z = 0.5 * z1 + z2
-    z1_rhs = kin - grad + pot
-    z2_rhs = -1.5 * kin + 0.5 * (grad - pot)
-    z1_fd = _nonuniform_deriv(times, z1)
-    z2_fd = _nonuniform_deriv(times, z2)
-    Z_fd = _nonuniform_deriv(times, Z)
-    return VirialSeries(
-        times=times,
-        z1=z1,
-        z2=z2,
-        Z=Z,
-        z1_rhs=z1_rhs,
-        z2_rhs=z2_rhs,
-        z1_defect=np.abs(z1_fd - z1_rhs),
-        z2_defect=np.abs(z2_fd - z2_rhs),
-        Z_defect=np.abs(Z_fd - (0.5 * z1_rhs + z2_rhs)),
-    )
-
-
-# ------------------------------------------------ localized virial functionals
-
-
 def d_functional(field: FieldState, grad_ref: float | None = None) -> float:
     """d = 8 int u_t^2 + 4 (int |grad u|^2 - int |grad W|^2)."""
     if grad_ref is None:
@@ -203,52 +152,10 @@ def d_functional(field: FieldState, grad_ref: float | None = None) -> float:
     return 8.0 * kinetic_sq + 4.0 * (gradient_sq - grad_ref)
 
 
-def tail_energy(field: FieldState, R: float) -> float:
-    """int_{|x| >= R} u^2/|x|^2 + u^6 + |grad u|^2 + u_t^2 (the A_R bound)."""
-    rep = energy(field, Region.exterior(R))
-    return rep.hardy_sq + rep.potential + rep.gradient_sq + rep.kinetic_sq
-
-
-@dataclass
-class GRSeries:
-    times: np.ndarray
-    R: float
-    g: np.ndarray
-    g_deriv: np.ndarray
-    d: np.ndarray
-    defect: np.ndarray  # |g' - d|
-    tail_bound: np.ndarray
-
-
 def _g_r(field: FieldState, phi: np.ndarray) -> float:
     """g_R = 2 int u u_t phi of one field, phi = smoothstep_bump(r / R) at its nodes."""
     r = field.mesh.nodes
     return 2.0 * FOUR_PI * field.mesh.integrate(r * r * field.u() * field.ut() * phi)
-
-
-def g_r_series(snapshots: list, R: float) -> GRSeries:
-    """g_R(t) = 2 int u u_t phi(r/R), its derivative defect against d(t),
-    and the exterior-tail bound on the remainder A_R."""
-    if len(snapshots) < 3:
-        raise InvalidParameterError("need at least 3 snapshots")
-    times = np.array([s.t for s in snapshots])
-    gs, ds, tails = [], [], []
-    for s in snapshots:
-        gs.append(_g_r(s, smoothstep_bump(s.mesh.nodes / R)))
-        ds.append(d_functional(s))
-        tails.append(tail_energy(s, min(R, s.mesh.rmax)))
-    g = np.array(gs)
-    d = np.array(ds)
-    g_deriv = _nonuniform_deriv(times, g)
-    return GRSeries(
-        times=times,
-        R=R,
-        g=g,
-        g_deriv=g_deriv,
-        d=d,
-        defect=np.abs(g_deriv - d),
-        tail_bound=np.array(tails),
-    )
 
 
 # ----------------------------------------------------------------- cone energy

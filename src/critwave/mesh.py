@@ -166,6 +166,12 @@ class Region:
     r0: float = 0.0
     r1: float = np.inf
 
+    def __post_init__(self):
+        # a NaN bound fails every comparison: clip would read a NaN r1 as
+        # the whole mesh, and the node search a NaN r0 as no nodes
+        if np.isnan(self.r0) or np.isnan(self.r1):
+            raise InvalidParameterError(f"region bounds must not be NaN, got ({self.r0!r}, {self.r1!r})")
+
     @classmethod
     def full(cls) -> "Region":
         return cls()

@@ -7,12 +7,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critwave import analysis, table
 from critwave.errors import DegenerateInputError, InvalidParameterError
 from critwave.ground_state import GroundStateParams, energy, eval_w, w_constants, w_field
 from critwave.mesh import FieldState, RadialMesh, Region
-from critwave.radial import FOUR_PI, smoothstep_bump, transition
+from critwave.radial import FOUR_PI, gaussian_bump, smoothstep_bump, transition
 from critwave import solver
 
 
@@ -73,13 +75,36 @@ class TestVirial:
         assert abs(0.0 - c["grad_norm_sq"] + c["potential_w"]) < 1e-6
 
     def test_defect_small_on_smooth_run(self, bump_run):
-        vs = analysis.virial_series(bump_run.snapshots)
-        assert np.max(vs.z1_defect[2:-2]) < 0.2
-        assert np.allclose(vs.Z, 0.5 * vs.z1 + vs.z2)
+        series = analysis.diagnostics_series(bump_run).data
+        defects = virial_defects(series, bump_run.snapshots)
+        assert np.max(defects["z1"][2:-2]) < 0.2
+        assert np.allclose(series["Z"], 0.5 * series["z1"] + series["z2"])
 
-    def test_needs_three_snapshots(self, bump_run):
-        with pytest.raises(InvalidParameterError):
-            analysis.virial_series(bump_run.snapshots[:2])
+    @settings(max_examples=12, deadline=None)
+    @given(
+        amp=st.floats(0.05, 0.6),
+        sigma=st.floats(0.5, 1.5),
+        center=st.floats(1.0, 4.0),
+        h=st.sampled_from([0.04, 0.05, 0.08]),
+        nonlinear=st.booleans(),
+        frames=st.integers(3, 8),
+    )
+    def test_series_and_energy_give_the_list_virial_series(self, amp, sigma, center, h, nonlinear, frames):
+        # the z columns of the row engine and each frame's energy() give
+        # the moments, right-hand sides and defects of the list function
+        # that formed them over kept snapshots, bit for bit
+        cfg = solver.RunConfig(
+            mesh_h=h, rmax=8.0, t_end=0.1 * (frames - 1), nonlinear=nonlinear, family="bump",
+            params={"amp": amp, "sigma": sigma, "center": center}, output_every=0.1,
+        )
+        rep = solver.run(cfg)
+        assert len(rep.snapshots) >= 3
+        series = analysis.diagnostics_series(rep).data
+        want = reference_virial_series(rep.snapshots)
+        got = virial_defects(series, rep.snapshots)
+        for c in ("z1", "z2", "Z"):
+            assert series[c].tobytes() == want[c].tobytes(), c
+            assert got[c].tobytes() == want[f"{c}_defect"].tobytes(), c
 
 
 class TestDFunctional:
@@ -97,18 +122,15 @@ class TestDFunctional:
 
 
 class TestGRandTails:
-    def test_g_r_series_shapes(self, bump_run):
-        g = analysis.g_r_series(bump_run.snapshots, 4.0)
-        n = len(bump_run.snapshots)
-        assert g.g.shape == g.d.shape == g.defect.shape == (n,)
-        # the list function and the row engine both go through _g_r
-        rows = analysis.diagnostics_series(bump_run, g_radii=(4.0,)).data["g_4"]
-        assert g.g.tobytes() == rows.tobytes()
-
     def test_rho_tail_monotone_in_radius(self, bump_run):
         # rho(R): the sup over the run of the exterior energy
-        r_small = max(analysis.tail_energy(s, 2.0) for s in bump_run.snapshots)
-        r_large = max(analysis.tail_energy(s, 6.0) for s in bump_run.snapshots)
+        # int_{|x| >= R} u^2/|x|^2 + u^6 + |grad u|^2 + u_t^2 (the A_R bound)
+        def tail(s, R):
+            rep = energy(s, Region.exterior(R))
+            return rep.hardy_sq + rep.potential + rep.gradient_sq + rep.kinetic_sq
+
+        r_small = max(tail(s, 2.0) for s in bump_run.snapshots)
+        r_large = max(tail(s, 6.0) for s in bump_run.snapshots)
         assert r_large <= r_small + 1e-12
 
 
@@ -165,6 +187,23 @@ class TestConeEnergy:
         times, vals = analysis.cone_energy(bump_run.snapshots, T_est=0.5)
         assert np.all(vals[times >= 0.5] == 0.0)
         assert vals[0] > 0.0
+
+
+def test_nan_region_bound_is_refused():
+    # a NaN bound fails every comparison: a NaN ball read as the whole
+    # mesh, a NaN exterior as no nodes, and so a NaN cone or leakage edge
+    # gave the full-domain energy or no leakage at all
+    cfg = solver.RunConfig(mesh_h=0.05, rmax=8.0, t_end=0.5, family="bump", params=BUMP, output_every=0.25)
+    rep = solver.run(cfg)
+    for call in (
+        lambda: energy(rep.snapshots[0], Region.ball(np.nan)),
+        lambda: energy(rep.snapshots[0], Region.exterior(np.nan)),
+        lambda: analysis.cone_energy(rep.snapshots, T_est=np.nan),
+        lambda: solver.finite_speed_check(cfg, gaussian_bump(0.01, 0.2, 1.0), rho=np.nan),
+    ):
+        with pytest.raises(InvalidParameterError, match="region bounds must not be NaN"):
+            call()
+    assert Region.full().r1 == np.inf
 
 
 class TestFitExponent:
@@ -260,11 +299,53 @@ class TestSeries:
         assert np.max(np.abs(series.data["d"])) < 1e-2
 
 
+def virial_defects(series, snapshots):
+    """|d/dt z - rhs| of the series' z1, z2 and Z columns, with each
+    frame's right-hand sides kin - grad + pot (z1) and
+    -3/2 kin + 1/2 (grad - pot) (z2) from its `energy`."""
+    kin, grad, pot = (np.array(c) for c in zip(*(
+        (e.kinetic_sq, e.gradient_sq, e.potential) for e in map(energy, snapshots))))
+    z1_rhs = kin - grad + pot
+    z2_rhs = -1.5 * kin + 0.5 * (grad - pot)
+    rhs = {"z1": z1_rhs, "z2": z2_rhs, "Z": 0.5 * z1_rhs + z2_rhs}
+    return {c: np.abs(np.gradient(series[c], series["t"], edge_order=2) - rhs[c]) for c in rhs}
+
+
+def reference_virial_series(snapshots):
+    """The list function `virial_series` that the series columns and
+    `energy` replaced, kept as their reference: z1 = int u u_t,
+    z2 = int x.grad u u_t, Z = z1/2 + z2 over kept snapshots, with the
+    defect of their finite-difference time derivatives against the analytic
+    right-hand sides, whose integrals are each snapshot's `energy`."""
+    if len(snapshots) < 3:
+        raise InvalidParameterError("need at least 3 snapshots")
+    times = np.array([s.t for s in snapshots])
+    rows = []
+    for s in snapshots:
+        r, u, ut = s.mesh.nodes, s.u(), s.ut()
+        rep = energy(s)
+        rows.append((FOUR_PI * s.mesh.integrate(r * r * u * ut), FOUR_PI * s.mesh.integrate(r * r * r * s.du_dr() * ut),
+                     rep.kinetic_sq, rep.gradient_sq, rep.potential))
+    z1, z2, kin, grad, pot = (np.array(col) for col in zip(*rows))
+    Z = 0.5 * z1 + z2
+    z1_rhs = kin - grad + pot
+    z2_rhs = -1.5 * kin + 0.5 * (grad - pot)
+    z1_fd = np.gradient(z1, times, edge_order=2)
+    z2_fd = np.gradient(z2, times, edge_order=2)
+    Z_fd = np.gradient(Z, times, edge_order=2)
+    return {
+        "times": times, "z1": z1, "z2": z2, "Z": Z, "z1_rhs": z1_rhs, "z2_rhs": z2_rhs,
+        "z1_defect": np.abs(z1_fd - z1_rhs),
+        "z2_defect": np.abs(z2_fd - z2_rhs),
+        "Z_defect": np.abs(Z_fd - (0.5 * z1_rhs + z2_rhs)),
+    }
+
+
 def reference_diagnostics_series(report, ball_radii=(), g_radii=(), split=None):
     """The multi-pass `diagnostics_series` that the one-pass version
     replaced, kept as its reference: every diagnostic recomputes u, u_t and
-    d_r u, and the virial columns come from `virial_series`, or on a run
-    too short for it (under 3 snapshots) from each frame's integrals."""
+    d_r u, and the virial columns come from `reference_virial_series`, or on
+    a run too short for it (under 3 snapshots) from each frame's integrals."""
     snaps = report.snapshots
     n = len(snaps)
     cols = ["t", "E", "sup_u", "mu", "nu", "lambda1", "f", "z1", "z2", "Z", "d"]
@@ -284,11 +365,11 @@ def reference_diagnostics_series(report, ball_radii=(), g_radii=(), split=None):
             data["f"][i] = analysis.sign_projection(a, radii.lambda1)
         data["d"][i] = analysis.d_functional(s, grad_ref=d_ref)
     if n >= 3:
-        vs = analysis.virial_series(snaps)
-        z1, z2 = vs.z1, vs.z2
+        vs = reference_virial_series(snaps)
+        z1, z2 = vs["z1"], vs["z2"]
         if t0 == 0:  # v covers the run: subtract its moments
-            vv = analysis.virial_series(split.v_fields)
-            z1, z2 = z1 - vv.z1, z2 - vv.z2
+            vv = reference_virial_series(split.v_fields)
+            z1, z2 = z1 - vv["z1"], z2 - vv["z2"]
         data["z1"], data["z2"], data["Z"] = z1, z2, 0.5 * z1 + z2
     else:  # the short case is never split
         for i, s in enumerate(snaps):

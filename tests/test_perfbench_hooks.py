@@ -10,9 +10,14 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+# the list functions that the row engine replaced are gone from analysis;
+# perfbench still names them until a change to the benchmark drops them,
+# and no workload reached them, so their metrics read 0 before and after
+DELETED = ["analysis.virial_series", "analysis.g_r_series"]
+
 
 def test_trace_points_all_present(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     spans = importlib.import_module("spans")
-    assert spans.Tracer.missing(workloads.TRACE_POINTS) == []
+    assert spans.Tracer.missing(workloads.TRACE_POINTS) == DELETED
