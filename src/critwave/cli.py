@@ -16,13 +16,15 @@ u_t text that `profiles` and the `csv` data family read, and
 float64 .npy array, on the mesh of `frames/r.npy`. `analyze` reads only the
 frames, so its rows are formed from the arrays that `simulate`'s were.
 
-One pool, `_in_parallel`, spreads every command's work over the CPUs of the
-process's affinity mask. `simulate` and `analyze` split a run's frames: each
-process writes or reads its own share of the frame files and reduces each
-frame to its diagnostics row as it goes, so no process holds a run's frames.
-`simulate`'s processes each run the deterministic solve themselves, and a
-worker whose run differs exits 3. `sweep` splits small cells, and runs
-larger ones in order, each splitting its own frames.
+`simulate` runs the solve once, in its own process, and writes each frame's
+.npy file as the solve makes it. Then it makes the same frame pass as
+`analyze`, `_frame_pass`: the frames are read back one at a time and each
+is reduced to its diagnostics row, and `simulate` also writes its snapshot
+CSV. One pool, `_in_parallel`, spreads every command's work over the CPUs
+of the process's affinity mask. The frame pass splits a run's frames once
+the run has `_FAN_OUT_MIN_ROWS` rows, so no process holds a run's frames.
+`sweep` splits its cells whenever it has two or more; a lone cell's frame
+pass splits its own frames.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import multiprocessing
 import os
 import sys
@@ -82,8 +83,8 @@ def _iso_now() -> str:
 #    31213 rows  +18 ms (7/10),  -38 ms (4/10)
 #    60025 rows  +57 ms (8/10),  +82 ms (10/10)
 #   110446 rows +120 ms (8/10), +196 ms (10/10)
-# Runs of fewer rows stay serial. Hosts with more than 2 CPUs have not been
-# measured.
+# Runs of fewer rows, frames times nodes, stay serial. Hosts with more than
+# 2 CPUs have not been measured.
 _FAN_OUT_MIN_ROWS = 60_000
 
 _forked_fn = None  # _in_parallel's fn while it fans out, here and in its workers
@@ -93,7 +94,7 @@ def _call_forked_fn(j: int, k: int):
     return _forked_fn(j, k)
 
 
-def _in_parallel(fn, rows: int, items: int) -> list:
+def _in_parallel(fn, items: int) -> list:
     """[fn(0, k), ..., fn(k - 1, k)], one call in each of k processes: this
     process makes fn(0, k) while k - 1 forked workers make one call each.
 
@@ -108,13 +109,13 @@ def _in_parallel(fn, rows: int, items: int) -> list:
     fed. An exception that fn raises in a worker is raised here once this
     process's own call has returned.
 
-    k is 1 under `_FAN_OUT_MIN_ROWS` rows of work, where the mask cannot be
-    read, and inside any call made during a fan-out, in a worker or in this
-    process's own share (a sweep cell), so that pools never nest.
+    k is 1 where the mask cannot be read, and inside any call made during a
+    fan-out, in a worker or in this process's own share (a sweep cell), so
+    that pools never nest.
     """
     global _forked_fn
     k = 1
-    if _forked_fn is None and rows >= _FAN_OUT_MIN_ROWS and hasattr(os, "sched_getaffinity"):
+    if _forked_fn is None and hasattr(os, "sched_getaffinity"):
         k = min(len(os.sched_getaffinity(0)), items)
     if k <= 1:
         return [fn(0, 1)]
@@ -135,16 +136,30 @@ def _interleaved(shares: list) -> list:
     return items
 
 
+def _frame_pass(frames: _RunFrames, row, snapdir: Path | None = None) -> list:
+    """[row(0, frames[0]), row(1, frames[1]), ...], and with snapdir each
+    frame's snapshot CSV written there as snapshots/snap_NNNN.csv.
+
+    `_in_parallel`'s processes share out the frames, each reading its own
+    one at a time, so no process holds a run's frames. A run of fewer than
+    `_FAN_OUT_MIN_ROWS` rows, its frames times its nodes, stays in this
+    process.
+    """
+    n = len(frames)
+
+    def share(j, k):
+        rows = []
+        for i in range(j, n, k):
+            state = frames[i]
+            if snapdir is not None:
+                solver.save_snapshot(state, snapdir / f"snap_{i:04d}.csv")
+            rows.append(row(i, state))
+        return rows
+
+    return _interleaved(_in_parallel(share, n if n * frames.mesh.nodes.size >= _FAN_OUT_MIN_ROWS else 1))
+
+
 # ------------------------------------------------------------- simulate logic
-
-
-def _run_size(config: solver.RunConfig) -> tuple[int, int]:
-    """(frames, nodes) of config's run, with no mesh built: its frames to
-    t_end at the output cadence, at most one a step, and its mesh's nodes as
-    `RadialMesh.uniform` counts them. Their product is the run's snapshot
-    rows."""
-    steps = config.t_end / (config.cfl * config.mesh_h)
-    return int(min(config.t_end / config.output_every, steps) + 1), int(round(config.rmax / config.mesh_h)) + 1
 
 
 def _simulate_into(config: solver.RunConfig, out: Path, ball_radii, g_radii):
@@ -152,11 +167,10 @@ def _simulate_into(config: solver.RunConfig, out: Path, ball_radii, g_radii):
     frames, series.csv, report.json and manifest.json. Returns the report, which
     keeps no snapshots, and the diagnostics series written.
 
-    Each of `_in_parallel`'s processes runs the solve itself and, of its
-    frames, writes only its own share and reduces each to its diagnostics
-    row as it is made, so no process holds more than one frame. The solve is
-    deterministic: a worker whose run differs from this process's raises
-    CritwaveError.
+    This process runs the solve once and writes each frame's (h, hdot) as it
+    is made, holding no more than one frame. `_frame_pass` then reads the
+    frames back, as `analyze` does, to write their snapshots and reduce each
+    to its diagnostics row.
     """
     started = _iso_now()
     out.mkdir(parents=True, exist_ok=True)
@@ -164,34 +178,17 @@ def _simulate_into(config: solver.RunConfig, out: Path, ball_radii, g_radii):
     snapdir.mkdir(exist_ok=True)
     framedir.mkdir(exist_ok=True)
 
-    def share(j, k):
-        rows, row = [], None
+    def on_frame(i, state):
+        if i == 0:  # every frame is on the run's mesh
+            np.save(framedir / "r.npy", state.mesh.nodes)
+        np.save(framedir / f"frame_{i:04d}.npy", np.stack((state.h, state.hdot)))
 
-        def on_frame(i, state):
-            nonlocal row
-            if i == 0:  # every frame is on the run's mesh
-                row = analysis.row_function(state.mesh, tuple(ball_radii), tuple(g_radii))
-            if i % k == j:
-                if i == 0:
-                    np.save(framedir / "r.npy", state.mesh.nodes)
-                solver.save_snapshot(state, snapdir / f"snap_{i:04d}.csv")
-                np.save(framedir / f"frame_{i:04d}.npy", np.stack((state.h, state.hdot)))
-                rows.append(row(i, state))
-
-        return solver.run(config, on_frame=on_frame), rows
-
-    frames, nodes = _run_size(config)
-    (report, rows), *workers = _in_parallel(share, nodes * frames, frames)
-    for j, (replay, _) in enumerate(workers, 1):
-        differ = [name for name, same in (("times", np.array_equal(replay.times, report.times)),
-                                          ("outcome", replay.outcome == report.outcome),
-                                          ("t_star", replay.t_star == report.t_star)) if not same]
-        if differ:
-            raise CritwaveError(f"the run replayed by snapshot writer {j} of {len(workers) + 1} differs "
-                                f"from this process's in its {' and '.join(differ)}")
-    series = analysis.assemble_series(report, _interleaved([rows, *(r for _, r in workers)]))
+    report = solver.run(config, on_frame=on_frame)
+    frames = _RunFrames(framedir, report.times.tolist())
+    row = analysis.row_function(frames.mesh, tuple(ball_radii), tuple(g_radii))
+    series = analysis.assemble_series(report, _frame_pass(frames, row, snapdir))
     series.to_csv(out / "series.csv")
-    n = report.times.size
+    n, nodes = len(frames), frames.mesh.nodes.size
     files = {f"snapshots/snap_{i:04d}.csv": nodes for i in range(n)}
     files.update((f"frames/frame_{i:04d}.npy", nodes) for i in range(n))
     files["frames/r.npy"] = nodes
@@ -397,10 +394,8 @@ def cmd_analyze(args) -> int:
             raise InvalidDataError(f"{run_dir / 'report.json'}: no config to evolve the split's regular part under")
         # before the workers fork, so that they inherit v
         split = analysis.singular_part(report, args.t_est, t0_index=args.split_index)
-    mesh = snaps.mesh
-    row = analysis.row_function(mesh, tuple(args.ball_radius), tuple(args.g_radius), split)
-    shares = _in_parallel(lambda j, k: [row(i, snaps[i]) for i in range(j, n, k)], mesh.nodes.size * n, n)
-    series = analysis.assemble_series(report, _interleaved(shares))
+    row = analysis.row_function(snaps.mesh, tuple(args.ball_radius), tuple(args.g_radius), split)
+    series = analysis.assemble_series(report, _frame_pass(snaps, row))
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     series.to_csv(out / "series.csv")
@@ -474,16 +469,9 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     work = [(i, overrides, base, str(out)) for i, overrides in enumerate(cells)]
-    rows = []  # of each cell's run; a cell whose config does not build fails at once
-    for overrides in cells:
-        try:
-            rows.append(math.prod(_run_size(solver.RunConfig.from_dict({**base, **overrides}))))
-        except InvalidConfigError:
-            rows.append(0)
-    # cells under the cut-off are split over the CPUs; once one cell alone
-    # reaches it, the cells run in order here and each splits its own frames
-    results = _interleaved(_in_parallel(lambda j, k: [_sweep_cell(c) for c in work[j::k]],
-                                        sum(rows) if max(rows) < _FAN_OUT_MIN_ROWS else 0, len(work)))
+    # cells are shared out over the CPUs, each running in one process; a lone
+    # cell's frame pass shares out its own frames
+    results = _interleaved(_in_parallel(lambda j, k: [_sweep_cell(c) for c in work[j::k]], len(work)))
 
     param_keys = sorted({k for g in grids for k, _ in g})
     with open(out / "aggregate.csv", "w", newline="") as fh:

@@ -12,6 +12,7 @@ import tempfile
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -90,8 +91,9 @@ def long_run(tmp_path_factory):
 class TestFanOut:
     @pytest.mark.parametrize("rows", [FAN_OUT_MIN_ROWS - 1, FAN_OUT_MIN_ROWS])
     def test_cut_off_and_pool_size(self, monkeypatch, rows):
-        # 8 CPUs and 3 items: this process makes call 0, so a call in
-        # parallel forks 2 workers, not 7
+        # the frame pass's cut-off counts its run's frames times nodes, here
+        # `rows` frames of one node. Under 2 CPUs a pass at the cut-off forks
+        # one worker, which reduces the odd frames
         sizes = []
 
         class SizedPool(ProcessPoolExecutor):
@@ -99,19 +101,25 @@ class TestFanOut:
                 sizes.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
+        class Frames(list):  # frame i is i
+            mesh = SimpleNamespace(nodes=np.zeros(1))
+
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SizedPool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        got = cli._in_parallel(lambda j, k: (j, k, os.getpid()), rows, 3)
-        forked = [pid != os.getpid() for *_, pid in got]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
+        got = cli._frame_pass(Frames(range(rows)), lambda i, frame: (i, frame, os.getpid()))
+        assert [(i, frame) for i, frame, _ in got] == [(i, i) for i in range(rows)]
+        pids = [pid for *_, pid in got]
         if rows < FAN_OUT_MIN_ROWS:
-            assert sizes == [] and [(j, k) for j, k, _ in got] == [(0, 1)] and forked == [False]
+            assert sizes == [] and set(pids) == {os.getpid()}
         else:
-            assert sizes == [2] and [(j, k) for j, k, _ in got] == [(0, 3), (1, 3), (2, 3)]
-            assert forked == [False, True, True]
+            assert sizes == [1] and set(pids[0::2]) == {os.getpid()}
+            assert len(set(pids[1::2])) == 1 and os.getpid() not in pids[1::2]
 
     def test_no_pool_inside_a_fan_out(self, monkeypatch):
-        # a call made during a fan-out, in this process's own share or in a
-        # worker, runs alone in its process: one pool, never nested
+        # 8 CPUs and 3 items: this process makes call 0, so a call in
+        # parallel forks 2 workers, not 7. A call made during a fan-out, in
+        # this process's own share or in a worker, runs alone in its
+        # process: one pool, never nested
         sizes = []
 
         class SizedPool(ProcessPoolExecutor):
@@ -123,11 +131,14 @@ class TestFanOut:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
 
         def inner(j, k):
-            return j, k, [(jj, kk) for jj, kk, _ in cli._in_parallel(lambda *a: (*a, 0), FAN_OUT_MIN_ROWS, 3)]
+            return j, k, os.getpid(), [(jj, kk) for jj, kk, _ in cli._in_parallel(lambda *a: (*a, 0), 3)]
 
-        got = cli._in_parallel(inner, FAN_OUT_MIN_ROWS, 3)
-        assert sizes == [2] and got == [(j, 3, [(0, 1)]) for j in range(3)]
-        assert cli._in_parallel(lambda j, k: (j, k), FAN_OUT_MIN_ROWS, 2) == [(0, 2), (1, 2)]  # reset after
+        got = cli._in_parallel(inner, 3)
+        assert sizes == [2] and [(j, k, calls) for j, k, _, calls in got] == [(j, 3, [(0, 1)]) for j in range(3)]
+        assert [pid != os.getpid() for _, _, pid, _ in got] == [False, True, True]
+        assert cli._in_parallel(lambda j, k: (j, k), 2) == [(0, 2), (1, 2)]  # reset after
+        assert cli._in_parallel(lambda j, k: (j, k), 1) == [(0, 1)]  # one item: no pool
+        assert sizes == [2, 1]
 
     def test_interleaved(self):
         assert cli._interleaved([[0, 3, 6], [1, 4], [2, 5]]) == list(range(7))
@@ -324,44 +335,66 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 0
         assert pool_pids() == []
 
+    def test_one_solve_on_any_cpu_count(self, tmp_path, cpus, monkeypatch):
+        # the frame pass reads the solve's frames back: no process replays it
+        set_cpus, pool_pids = cpus
+        log, run = tmp_path / "runs.log", solver.run
+
+        def logged(config, **kwargs):
+            with open(log, "a") as fh:  # a file, so forked workers' runs show too
+                fh.write(f"{os.getpid()}\n")
+            return run(config, **kwargs)
+
+        monkeypatch.setattr(solver, "run", logged)
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        for k in (1, 2, 3):
+            set_cpus(k)
+            log.unlink(missing_ok=True)
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / f"cpus{k}"), "--quiet"]) == 0
+            assert log.read_text() == f"{os.getpid()}\n"
+            assert len(pool_pids()) == k - 1
+
+    def test_blowup_before_t_end_stays_serial(self, tmp_path, cpus, monkeypatch):
+        # counted to t_end, the run would have 1001 frames of 301 nodes; it
+        # blows up after about 20, under the cut-off, so its frame pass
+        # stays in this process
+        set_cpus, pool_pids = cpus
+        monkeypatch.setattr(cli, "_FAN_OUT_MIN_ROWS", FAN_OUT_MIN_ROWS)
+        cfg = write(tmp_path / "c.json", NEAR_W_CFG.replace('"t_end": 3.0', '"t_end": 50.0')
+                    .replace('"every": 0.25', '"every": 0.05') % "0.1")
+        runs = {}
+        for k in (2, 1):
+            set_cpus(k)
+            out = tmp_path / f"cpus{k}"
+            assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+            runs[k] = run_files(out)
+        assert 1001 * 301 >= FAN_OUT_MIN_ROWS > len(list((tmp_path / "cpus1" / "snapshots").iterdir())) * 301
+        assert json.loads(runs[1]["report.json"])["outcome"] == "BlowUpDetected"
+        assert pool_pids() == []
+        assert runs[2] == runs[1]
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_snapshot_write_fails_exit_3(self, tmp_path, capsys, cpus, k):
-        # 5 snapshots: under 2 CPUs the forked writer writes snapshots 1 and 3
+        # 5 frames: the solve writes every frame's .npy file in this process,
+        # and under 2 CPUs the forked writer writes snapshots 1 and 3
         set_cpus, _ = cpus
         set_cpus(k)
         cfg = write(tmp_path / "c.json", BUMP_CFG)
-        blocked = tmp_path / "run" / "snapshots" / "snap_0003.csv"
-        blocked.mkdir(parents=True)
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 3
-        assert str(blocked) in capsys.readouterr().err
-
-    @pytest.mark.parametrize("field", ["times", "outcome", "t_star"])
-    def test_worker_run_that_differs_exit_3(self, tmp_path, capsys, cpus, monkeypatch, field):
-        set_cpus, pool_pids = cpus
-        set_cpus(2)
-        parent, run = os.getpid(), solver.run
-
-        def replay(config, **kwargs):
-            report = run(config, **kwargs)
-            if os.getpid() != parent:  # the forked writer's run
-                report.times = report.times + 1e-9 if field == "times" else report.times
-                report.outcome = "BlowUpDetected" if field == "outcome" else report.outcome
-                report.t_star = 0.5 if field == "t_star" else report.t_star
-            return report
-
-        monkeypatch.setattr(solver, "run", replay)
-        cfg = write(tmp_path / "c.json", BUMP_CFG)
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 3
-        assert capsys.readouterr().err == (
-            f"simulate: the run replayed by snapshot writer 1 of 2 differs from this process's in its {field}\n")
-        assert len(pool_pids()) == 1
+        for name in ("snapshots/snap_0003.csv", "frames/frame_0003.npy"):
+            out = tmp_path / name.partition("/")[0]
+            blocked = out / name
+            blocked.mkdir(parents=True)
+            capsys.readouterr()
+            assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+            assert str(blocked) in capsys.readouterr().err
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_simulate_peak_memory_is_not_the_runs_frames(self, long_run, cpus, k):
-        # every process holds one frame at a time and writes its share of
-        # the snapshots as the solve makes them: the peak is one frame's
-        # working set and text, on 1601 nodes, plus the series' rows; a
-        # report of the run's frames would hold them all
+        # the solve holds one frame at a time, and each process of the frame
+        # pass reads back and writes its share of the snapshots one at a
+        # time: the peak is one frame's working set and text, on 1601 nodes,
+        # plus the series' rows; a report of the run's frames would hold
+        # them all
         set_cpus, pool_pids = cpus
         set_cpus(k)
         frames = len(list((long_run / "snapshots").iterdir()))
@@ -879,8 +912,11 @@ class TestSweep:
         assert [row["outcome"] for row in rows] == ["Completed", "Completed", "BlowUpDetected"]
         assert rows[2]["t_star"] != ""
 
-    def test_one_series_per_cell(self, tmp_path, monkeypatch):
-        # a blow-up cell's nu_hat reads the series its series.csv was written from
+    def test_one_series_per_cell(self, tmp_path, cpus, monkeypatch):
+        # a blow-up cell's nu_hat reads the series its series.csv was written
+        # from; on one CPU both cells run in this process, where calls count
+        set_cpus, _ = cpus
+        set_cpus(1)
         calls = []
         assemble_series = cli.analysis.assemble_series
 
@@ -898,11 +934,10 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert rows[0]["nu_hat"] == "" and rows[1]["nu_hat"] != ""
 
-    def test_cells_write_serially_in_workers(self, tmp_path, cpus, monkeypatch):
-        # two cells of 1005 rows: each is under the cut-off and both reach it,
-        # so under 2 CPUs the cells are shared out and none forks its own pool
+    def test_cells_write_serially_in_workers(self, tmp_path, cpus):
+        # two cells, with no cut-off for a frame pass: under 2 CPUs the cells
+        # are shared out and none forks its own pool
         set_cpus, pool_pids = cpus
-        monkeypatch.setattr(cli, "_FAN_OUT_MIN_ROWS", 2 * 1005)
         cfg = write(tmp_path / "c.json", BUMP_CFG)
         outs = {}
         for k in (2, 1):
@@ -915,16 +950,31 @@ class TestSweep:
             assert run_files(outs[2] / cell) == run_files(outs[1] / cell)
         assert (outs[2] / "aggregate.csv").read_bytes() == (outs[1] / "aggregate.csv").read_bytes()
 
-    def test_cells_at_the_cut_off_fan_out_their_own_frames(self, tmp_path, cpus, monkeypatch):
-        # each of the two cells reaches the cut-off: they run in order in
-        # this process, and each shares out its own frames in its own pool
+    @pytest.mark.parametrize("min_rows", [1005, FAN_OUT_MIN_ROWS])
+    def test_cells_shared_out_at_any_size(self, tmp_path, cpus, monkeypatch, min_rows):
+        # two cells of 1005 rows each, at the cut-off or far under it: under
+        # 2 CPUs the sweep shares them out, and no cell forks its own pool
         set_cpus, pool_pids = cpus
         set_cpus(2)
-        monkeypatch.setattr(cli, "_FAN_OUT_MIN_ROWS", 1005)
+        monkeypatch.setattr(cli, "_FAN_OUT_MIN_ROWS", min_rows)
         cfg = write(tmp_path / "c.json", BUMP_CFG)
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", cfg, "--param", "data.amp=0.2,0.3", "--out", str(out), "--quiet"]) == 0
-        assert pool_pids() == [os.getpid(), os.getpid()]
+        assert pool_pids() == [os.getpid()]
+        cell_cfg = write(tmp_path / "cell.json", BUMP_CFG.replace('"amp": 0.3', '"amp": 0.2'))
+        set_cpus(1)
+        assert main(["simulate", "--config", cell_cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 0
+        assert run_files(out / "cell_000") == run_files(tmp_path / "run")
+
+    def test_lone_cell_shares_out_its_frames(self, tmp_path, cpus):
+        # a sweep of one cell runs it in this process, and its frame pass
+        # shares out the frames
+        set_cpus, pool_pids = cpus
+        set_cpus(2)
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--param", "data.amp=0.2", "--out", str(out), "--quiet"]) == 0
+        assert pool_pids() == [os.getpid()]
         cell_cfg = write(tmp_path / "cell.json", BUMP_CFG.replace('"amp": 0.3', '"amp": 0.2'))
         set_cpus(1)
         assert main(["simulate", "--config", cell_cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 0
