@@ -12,9 +12,9 @@ CritwaveError to 3 and the same line. A d'Alembert mode's command is
 
 A run directory holds each frame twice: `snapshots/snap_NNNN.csv`, the r, u,
 u_t text that `profiles` and the `csv` data family read, and
-`frames/frame_NNNN.npy`, the solver's own (h, hdot) as one (2, nodes)
-float64 .npy array, on the mesh of `frames/r.npy`. `analyze` reads only the
-frames, so its rows are formed from the arrays that `simulate`'s were.
+`frames/frame_NNNN.npy`, the solver's own (h, hdot) as the bytes `np.save`
+writes for a (2, nodes) float64 array on the config's mesh. `analyze` reads
+only the frames, so its rows are formed from the arrays that `simulate`'s were.
 
 `simulate` runs the solve once, in its own process, and writes each frame's
 .npy file as the solve makes it. Then it makes the same frame pass as
@@ -32,12 +32,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import multiprocessing
 import os
 import sys
 import time
-import zipfile
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
@@ -76,15 +76,17 @@ def _iso_now() -> str:
 
 # ------------------------------------------------------------ snapshot shares
 
-# End to end on a shared 2-vCPU host, simulate then analyze of 2401-node
-# runs in a fresh process, one `_in_parallel` call per process against
-# serial, in two sessions of 10 alternating pairs, median saving (pairs won):
-#    16807 rows  -49 ms (0/10)
-#    31213 rows  +18 ms (7/10),  -38 ms (4/10)
-#    60025 rows  +57 ms (8/10),  +82 ms (10/10)
-#   110446 rows +120 ms (8/10), +196 ms (10/10)
-# Runs of fewer rows, frames times nodes, stay serial. Hosts with more than
-# 2 CPUs have not been measured.
+# Simulate then analyze in one process on a shared 2-vCPU host, fanned out
+# against serial in sessions of 10 to 12 alternating pairs: by rows (frames
+# times nodes), the pairs the fan-out won in each session, and one session's
+# median times, serial -> fanned out:
+#     8421: 2/12 (43 -> 59 ms)               16807: 2/10 (49 -> 70 ms)
+#    24010: 8/10, 0/12 (81 -> 118 ms)        33614: 10/10, 9/12 (150 -> 118 ms)
+#    45619: 7/10, 12/12 (216 -> 166 ms)      60025: 10/12, 9/10 (229 -> 182 ms)
+#   120050: 11/12 (409 -> 293 ms)           240100: 11/12 (605 -> 490 ms)
+# The break-even moves between sessions within 17k-34k rows (in one, the
+# fan-out won 0 of 8 pairs at 33621), so runs under 60000 rows stay serial.
+# Hosts with more than 2 CPUs have not been measured.
 _FAN_OUT_MIN_ROWS = 60_000
 
 _forked_fn = None  # _in_parallel's fn while it fans out, here and in its workers
@@ -179,19 +181,16 @@ def _simulate_into(config: solver.RunConfig, out: Path, ball_radii, g_radii):
     framedir.mkdir(exist_ok=True)
 
     def on_frame(i, state):
-        if i == 0:  # every frame is on the run's mesh
-            np.save(framedir / "r.npy", state.mesh.nodes)
         np.save(framedir / f"frame_{i:04d}.npy", np.stack((state.h, state.hdot)))
 
     report = solver.run(config, on_frame=on_frame)
-    frames = _RunFrames(framedir, report.times.tolist())
+    frames = _RunFrames(framedir, report.times.tolist(), config.mesh())
     row = analysis.row_function(frames.mesh, tuple(ball_radii), tuple(g_radii))
     series = analysis.assemble_series(report, _frame_pass(frames, row, snapdir))
     series.to_csv(out / "series.csv")
     n, nodes = len(frames), frames.mesh.nodes.size
     files = {f"snapshots/snap_{i:04d}.csv": nodes for i in range(n)}
     files.update((f"frames/frame_{i:04d}.npy", nodes) for i in range(n))
-    files["frames/r.npy"] = nodes
     files["series.csv"] = n
 
     _write_json({
@@ -295,34 +294,20 @@ def cmd_evolve(args) -> int:
 # -------------------------------------------------------------------- analyze
 
 
-def _load_npy(path: Path) -> np.ndarray:
-    """The float64 array of the .npy file at path; InvalidDataError naming
-    the file where it holds none."""
-    try:
-        array = np.load(path)  # pickles stay refused
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # numpy's text would advise allowing pickles
-        raise InvalidDataError(f"{path}: not a readable .npy file") from exc
-    if not isinstance(array, np.ndarray):  # np.load opens a zip archive as an .npz
-        array.close()
-        raise InvalidDataError(f"{path}: an .npz archive, not a .npy file")
-    if array.dtype != np.float64:
-        raise InvalidDataError(f"{path}: {array.dtype} values, not float64")
-    return array
-
-
 class _RunFrames(Sequence):
-    """A run directory's frames by index: frame i is the solver's state, its
-    (h, hdot) read from frames/frame_NNNN.npy onto the mesh of frames/r.npy
-    when it is indexed, and is not kept."""
+    """A run directory's frames by index, on its config's mesh: frame i is
+    the solver's state, its (h, hdot) read from frames/frame_NNNN.npy when it
+    is indexed, and is not kept. A frame file must be exactly the bytes
+    `np.save` writes for the (2, nodes) float64 array of (h, hdot)."""
 
-    def __init__(self, framedir: Path, times: list):
+    def __init__(self, framedir: Path, times: list, mesh: RadialMesh):
         self.framedir = framedir
         self.times = times
-        path = framedir / "r.npy"
-        try:
-            self.mesh = RadialMesh(_load_npy(path))
-        except InvalidParameterError as exc:
-            raise InvalidDataError(f"{path}: {exc}") from exc
+        self.mesh = mesh
+        header = io.BytesIO()  # np.save's own, formed once
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": np.dtype(float).str, "fortran_order": False, "shape": (2, mesh.nodes.size)})
+        self.header = header.getvalue()
 
     def __len__(self) -> int:
         return len(self.times)
@@ -330,27 +315,30 @@ class _RunFrames(Sequence):
     def __getitem__(self, i: int) -> FieldState:
         i = range(len(self.times))[i]  # IndexError past either end
         path = self.framedir / f"frame_{i:04d}.npy"
-        frame = _load_npy(path)
-        if frame.shape != (2, self.mesh.nodes.size):
-            raise InvalidDataError(f"{path}: shape {frame.shape}, not the (2, {self.mesh.nodes.size}) "
-                                   f"of (h, hdot) on the run's mesh")
+        n = self.mesh.nodes.size
+        with open(path, "rb") as fh:
+            frame = np.fromfile(fh, count=2 * n) if fh.read(len(self.header)) == self.header else np.empty(0)
+            if frame.size != 2 * n or fh.read(1):
+                raise InvalidDataError(f"{path}: not the bytes np.save writes for (h, hdot) on the run's mesh, "
+                                       f"a (2, {n}) float64 array")
         try:
-            return FieldState(self.mesh, self.times[i], *frame)
+            return FieldState(self.mesh, self.times[i], *frame.reshape(2, n))
         except InvalidParameterError as exc:  # h or hdot not 0 at the origin
             raise InvalidDataError(f"{path}: {exc}") from exc
 
 
 def _load_run_dir(run_dir: Path) -> solver.RunReport:
-    """The report of a run directory: its config (None when report.json
-    predates the key), E and sup_u from its series.csv, and its frames, of
-    which only the mesh is read here."""
+    """The report of a run directory: its config, E and sup_u from its
+    series.csv, and its frames on the config's mesh, none of which is read
+    here."""
     path = run_dir / "report.json"
     with open(path) as fh:
         try:
             rep = json.load(fh)
             times = [float(t) for t in rep["snapshot_times"]]
             outcome, t_star = rep["outcome"], rep["t_star"]
-            config = solver.RunConfig(**rep["config"]) if "config" in rep else None
+            contamination_time, energy_drift = rep["contamination_time"], rep["energy_drift"]
+            config = solver.RunConfig(**rep["config"])
         except (ValueError, KeyError, TypeError) as exc:
             raise InvalidDataError(f"{path}: malformed report ({exc!r})") from exc
     series = run_dir / "series.csv"
@@ -363,9 +351,9 @@ def _load_run_dir(run_dir: Path) -> solver.RunReport:
         times=np.asarray(times, float),
         energies=energies,
         sup_history=sups,
-        snapshots=_RunFrames(run_dir / "frames", times),
-        contamination_time=rep.get("contamination_time", 0.0),
-        energy_drift=rep.get("energy_drift", 0.0),
+        snapshots=_RunFrames(run_dir / "frames", times, config.mesh()),
+        contamination_time=contamination_time,
+        energy_drift=energy_drift,
         config=config,
     )
 
@@ -390,8 +378,6 @@ def cmd_analyze(args) -> int:
         if not args.t_est > t0:
             raise InvalidConfigError(f"--t-est {args.t_est!r} must exceed the restart time {t0!r} "
                                      f"of snapshot {args.split_index}")
-        if report.config is None:  # v is evolved under the run's own config
-            raise InvalidDataError(f"{run_dir / 'report.json'}: no config to evolve the split's regular part under")
         # before the workers fork, so that they inherit v
         split = analysis.singular_part(report, args.t_est, t0_index=args.split_index)
     row = analysis.row_function(snaps.mesh, tuple(args.ball_radius), tuple(args.g_radius), split)

@@ -55,10 +55,10 @@ _KEYS = {
     "mesh.h": ("mesh_h", "number"),
     "mesh.rmax": ("rmax", "number"),
     "cfl": ("cfl", "number"),
-    "t_end": ("t_end", "number"),
+    "t_end": ("t_end", "positive"),
     "nonlinear": ("nonlinear", "bool"),
-    "blowup_threshold": ("blowup_threshold", "number"),
-    "output.every": ("output_every", "number"),
+    "blowup_threshold": ("blowup_threshold", "positive"),
+    "output.every": ("output_every", "positive"),
     "seed": ("seed", "integer"),
     "data.family": ("family", "string"),
 }
@@ -115,8 +115,6 @@ class RunConfig:
         if not self.rmax / self.mesh_h < _MAX_NODES - 0.5:
             raise InvalidConfigError(f"mesh.rmax / mesh.h gives more than {_MAX_NODES} nodes, "
                                      f"got mesh.rmax = {self.rmax!r} and mesh.h = {self.mesh_h!r}")
-        for key in ("t_end", "blowup_threshold", "output.every"):
-            _checked(key, getattr(self, _KEYS[key][0]), "positive")
         # the step count ceil(t_end / (cfl h)) of `run`; cfl * h may underflow to 0
         if not self.t_end / self.cfl / self.mesh_h <= _MAX_STEPS:
             raise InvalidConfigError(f"t_end / (cfl * mesh.h) gives more than {_MAX_STEPS} steps, got t_end = "
@@ -330,7 +328,7 @@ class RunReport:
     snapshots: list
     contamination_time: float  # rmax minus the initial support radius
     energy_drift: float
-    config: RunConfig | None  # None for a run directory whose report.json predates the key
+    config: RunConfig  # the config the run was made under
 
 
 _SUPPORT_TOL = 1e-13  # |h| or |hdot| above this counts as data

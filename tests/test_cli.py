@@ -317,7 +317,7 @@ class TestSimulate:
                          "--ball-radius", "2", "--g-radius", "4"]) == 0
             runs[k] = run_files(out)
             assert len(pool_pids()) == k - 1  # one pool per fanned-out simulate
-        assert len(runs[1]) == 11 + (11 + 1) + 2  # snapshots, frames and r.npy, series and report
+        assert len(runs[1]) == 11 + 11 + 2  # snapshots, frames, series and report
         assert runs[2] == runs[1] and runs[3] == runs[1]
 
     def test_output_finer_than_a_step(self, tmp_path):
@@ -569,7 +569,7 @@ class TestAnalyze:
         assert all(s.mesh is snaps[0].mesh for s in snaps)
         out = tmp_path / "an"
         assert main(["analyze", str(run_dir), "--out", str(out), *radii]) == 0  # 1005 rows: serial
-        assert len(built) == 2  # analyze builds a mesh of its own from frames/r.npy, and only that one
+        assert len(built) == 2  # analyze builds a mesh of its own from report.json's config, and only that one
         assert (out / "series.csv").read_bytes() == (run_dir / "series.csv").read_bytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -636,7 +636,7 @@ class TestAnalyze:
         assert peak < 0.1 * frame_bytes, (peak, frame_bytes)
 
     @pytest.mark.parametrize("damage", ["missing", "malformed", "npz", "bad_zip", "other_mesh", "no_origin_row",
-                                        "nonzero_origin"])
+                                        "nonzero_origin", "trailing", "fortran", "truncated", "int64"])
     def test_bad_snapshot_in_workers_half_exit_3(self, tmp_path, capsys, cpus, damage):
         # 5 frames: under 2 CPUs frame 3 is read by a forked worker
         set_cpus, pool_pids = cpus
@@ -659,6 +659,14 @@ class TestAnalyze:
             np.save(frame, np.zeros((2, RadialMesh.uniform(0.05, 8.0).nodes.size)))
         elif damage == "no_origin_row":
             np.save(frame, np.stack((h[1:], hdot[1:])))
+        elif damage == "trailing":  # the frame's bytes, then 8 more
+            frame.write_bytes(frame.read_bytes() + bytes(8))
+        elif damage == "fortran":  # the same (2, nodes) values, stored column by column
+            np.save(frame, np.asfortranarray(np.stack((h, hdot))))
+        elif damage == "truncated":  # the last float cut off
+            frame.write_bytes(frame.read_bytes()[:-8])
+        elif damage == "int64":  # the frame's own data bytes, under another dtype
+            np.save(frame, np.stack((h, hdot)).view(np.int64))
         else:  # hdot(0) = 1
             np.save(frame, np.stack((h, hdot + (np.arange(h.size) == 0))))
         set_cpus(2)
@@ -674,8 +682,25 @@ class TestAnalyze:
         assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
         shutil.rmtree(run_dir / "frames")
         assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 3
-        assert str(run_dir / "frames" / "r.npy") in capsys.readouterr().err
+        assert str(run_dir / "frames" / "frame_0000.npy") in capsys.readouterr().err
         assert not (tmp_path / "an").exists()
+
+    @pytest.mark.parametrize("nodes", [3, 2401, 10**7 + 1])
+    def test_frame_header_is_np_saves(self, nodes):
+        # a frame is read as the bytes np.save writes: its header, formed
+        # once per run, must be np.save's own for a (2, nodes) float64
+        # array, on meshes up to one node past the 10**7 a config allows
+        class Header(Exception):
+            pass
+
+        class Sink:  # np.save writes the header in one call, then the data
+            def write(self, data):
+                raise Header(bytes(data))
+
+        with pytest.raises(Header) as written:
+            np.save(Sink(), np.broadcast_to(0.0, (2, nodes)))
+        mesh = SimpleNamespace(nodes=SimpleNamespace(size=nodes))  # no 10**7-node mesh is built
+        assert cli._RunFrames(Path("frames"), [], mesh).header == written.value.args[0]
 
     def test_frames_are_the_solvers_states(self, tmp_path):
         cfg = write(tmp_path / "c.json", NEAR_W_CFG.replace('"every": 0.25', '"every": 0.1') % "0.05")
@@ -765,19 +790,17 @@ class TestAnalyze:
         assert main(["simulate", "--config", cfg, "--seed", "7", "--out", str(run_dir), "--quiet"]) == 0
         config = cli._load_run_dir(run_dir).config
         assert config == solver.RunConfig.from_dict({**json.loads(NEAR_W_CFG % "0.1"), "seed": 7})
-        # a run directory from before report.json carried its config: its
-        # analysis needs none, but its split evolves v under it
+        # the frames are on the config's mesh, and the split evolves v under
+        # it: a report without its config is malformed, with a split or not
         report = run_dir / "report.json"
         rep = json.loads(report.read_text())
         del rep["config"]
         report.write_text(json.dumps(rep))
-        assert cli._load_run_dir(run_dir).config is None
-        assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 0
-        capsys.readouterr()
-        assert main(["analyze", str(run_dir), "--out", str(tmp_path / "split"), "--quiet",
-                     "--t-est", "2.5", "--split-index", "0"]) == 3
-        assert capsys.readouterr().err == (f"analyze: {report}: no config to evolve the split's "
-                                           "regular part under\n")
+        for name, flags in (("an", []), ("split", ["--t-est", "2.5", "--split-index", "0"])):
+            capsys.readouterr()
+            assert main(["analyze", str(run_dir), "--out", str(tmp_path / name), "--quiet", *flags]) == 3
+            assert capsys.readouterr().err == f"analyze: {report}: malformed report (KeyError('config'))\n"
+            assert not (tmp_path / name).exists()
 
     @pytest.mark.parametrize("damage", ["missing", "short", "no_E"])
     def test_bad_series_exit_3(self, tmp_path, capsys, damage):
@@ -800,10 +823,9 @@ class TestAnalyze:
         '{"outcome": "Completed"}',
         "not json\n",
         '{"snapshot_times": 5, "outcome": "Completed", "t_star": null}',
-        '{"snapshot_times": [0.0], "outcome": "Completed", "t_star": null, "config": null}',
-        '{"snapshot_times": [0.0], "outcome": "Completed", "t_star": null, "config": [0.5]}',
-        '{"snapshot_times": [0.0], "outcome": "Completed", "t_star": null, "config": {"cfl": 0.9}}',
-        '{"snapshot_times": [0.0], "outcome": "Completed", "t_star": null, "config": {"mesh": {"h": 0.04}}}',
+        *('{"snapshot_times": [0.0], "outcome": "Completed", "t_star": null, "contamination_time": 0.0,'
+          f' "energy_drift": 0.0, "config": {config}}}'
+          for config in ("null", "[0.5]", '{"cfl": 0.9}', '{"mesh": {"h": 0.04}}')),
     ])
     def test_bad_report_exit_3(self, tmp_path, capsys, text):
         run_dir = tmp_path / "run"
@@ -814,6 +836,20 @@ class TestAnalyze:
         capsys.readouterr()
         assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 3
         assert str(report) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["contamination_time", "energy_drift"])
+    def test_report_without_key_exit_3(self, tmp_path, capsys, key):
+        # every report.json that simulate writes has the key
+        run_dir = tmp_path / "run"
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+        report = run_dir / "report.json"
+        rep = json.loads(report.read_text())
+        del rep[key]
+        report.write_text(json.dumps(rep))
+        capsys.readouterr()
+        assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 3
+        assert capsys.readouterr().err == f"analyze: {report}: malformed report ({KeyError(key)!r})\n"
 
 
 class TestProfiles:
