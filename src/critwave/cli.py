@@ -40,7 +40,7 @@ import sys
 import time
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -169,10 +169,11 @@ def _simulate_into(config: solver.RunConfig, out: Path, ball_radii, g_radii):
     frames, series.csv, report.json and manifest.json. Returns the report, which
     keeps no snapshots, and the diagnostics series written.
 
-    This process runs the solve once and writes each frame's (h, hdot) as it
-    is made, holding no more than one frame. `_frame_pass` then reads the
-    frames back, as `analyze` does, to write their snapshots and reduce each
-    to its diagnostics row.
+    This process builds the config's mesh once, with the initial data on it,
+    runs the solve once and writes each frame's (h, hdot) as it is made,
+    holding no more than one frame. `_frame_pass` then reads the frames back
+    on that mesh, as `analyze` does, to write their snapshots and reduce
+    each to its diagnostics row.
     """
     started = _iso_now()
     out.mkdir(parents=True, exist_ok=True)
@@ -183,8 +184,10 @@ def _simulate_into(config: solver.RunConfig, out: Path, ball_radii, g_radii):
     def on_frame(i, state):
         np.save(framedir / f"frame_{i:04d}.npy", np.stack((state.h, state.hdot)))
 
-    report = solver.run(config, on_frame=on_frame)
-    frames = _RunFrames(framedir, report.times.tolist(), config.mesh())
+    mesh = config.mesh()
+    report = solver.run(config, initial=solver.make_initial_data(mesh, config.family, config.params),
+                        on_frame=on_frame)
+    frames = _RunFrames(framedir, report.times.tolist(), mesh)
     row = analysis.row_function(frames.mesh, tuple(ball_radii), tuple(g_radii))
     series = analysis.assemble_series(report, _frame_pass(frames, row, snapdir))
     series.to_csv(out / "series.csv")
@@ -236,8 +239,6 @@ def _check_radii(args) -> None:
 def cmd_simulate(args) -> int:
     _check_radii(args)
     config = solver.load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     report, _ = _simulate_into(config, _out_dir(args), args.ball_radius, args.g_radius)
     if not args.quiet:
         print(f"{report.outcome} t_star={report.t_star} drift={report.energy_drift:.3e}")
@@ -498,8 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the solver, write snapshots and diagnostics")
     _add_common(p)
-    p.add_argument("--config", required=True, help="configuration file (JSON or key = value)")
-    p.add_argument("--seed", type=int, default=None, help="override the config's seed")
+    p.add_argument("--config", required=True, help="JSON configuration file")
     p.add_argument("--ball-radius", type=float, action="append", default=[], metavar="R")
     p.add_argument("--g-radius", type=float, action="append", default=[], metavar="R")
     p.set_defaults(func=cmd_simulate)
@@ -539,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a parameter grid of simulations")
     _add_common(p)
-    p.add_argument("--config", required=True, help="configuration file (JSON or key = value)")
+    p.add_argument("--config", required=True, help="JSON configuration file")
     p.add_argument("--param", action="append", default=[], metavar="key=v1,v2,...")
     p.set_defaults(func=cmd_sweep)
 

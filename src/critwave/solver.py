@@ -59,17 +59,14 @@ _KEYS = {
     "nonlinear": ("nonlinear", "bool"),
     "blowup_threshold": ("blowup_threshold", "positive"),
     "output.every": ("output_every", "positive"),
-    "seed": ("seed", "integer"),
     "data.family": ("family", "string"),
 }
 
-# kind of value: (the types it takes, how a message names them); an unset
-# seed is None
+# kind of value: (the types it takes, how a message names them)
 _KINDS = {
     "number": ((int, float), "a number"),
     "positive": ((int, float), "a number"),
     "bool": (bool, "true or false"),
-    "integer": ((int, type(None)), "an integer"),
     "string": (str, "a string"),
 }
 
@@ -101,7 +98,6 @@ class RunConfig:
     output_every: float = 0.1
     family: str = "bump"
     params: dict = dc_field(default_factory=dict)
-    seed: int | None = None
 
     def __post_init__(self):
         for key, (name, kind) in _KEYS.items():
@@ -149,26 +145,18 @@ def _flatten(d: dict, prefix: str = "") -> dict:
 
 
 def read_config(path) -> dict:
-    """Read a config file, a JSON object or key = value lines, as a flat
-    dict from dotted keys to values. A file that is missing, unreadable or
-    not valid JSON raises InvalidConfigError naming the path."""
+    """Read a JSON config file, an object whose keys may nest or be dotted,
+    as a flat dict from dotted keys to values. A file that is missing,
+    unreadable, not valid JSON or not an object raises InvalidConfigError
+    naming the path."""
     try:
         with open(path) as fh:
-            text = fh.read()
-        if text.lstrip().startswith("{"):
-            return _flatten(json.loads(text))
+            config = json.load(fh)
     except (OSError, ValueError) as exc:
         raise InvalidConfigError(f"cannot read config {path}: {exc}") from exc
-    flat: dict = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvalidConfigError(f"expected key = value, got: {line}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        flat[key] = parse_scalar(val)
-    return flat
+    if not isinstance(config, dict):
+        raise InvalidConfigError(f"cannot read config {path}: not a JSON object")
+    return _flatten(config)
 
 
 def load_config(path) -> RunConfig:
@@ -176,7 +164,7 @@ def load_config(path) -> RunConfig:
 
 
 def parse_scalar(val: str):
-    """A key = value right-hand side as bool, int, float, or else string."""
+    """A `sweep --param` value as bool, int, float, or else string."""
     low = val.lower()
     if low in ("true", "false"):
         return low == "true"
@@ -346,6 +334,9 @@ def run(config: RunConfig, initial: FieldState | None = None, times: list | None
         on_frame=None) -> RunReport:
     """Integrate until t_end or blow-up; snapshot at the output cadence.
 
+    The run starts from `initial`, on its mesh, or else builds the config's
+    mesh and initial data.
+
     With `times`, increasing output times after the initial state's, the run
     ends at the last of them instead and keeps a frame at the first step
     that reaches each; t_end and output_every are then not read.
@@ -357,12 +348,8 @@ def run(config: RunConfig, initial: FieldState | None = None, times: list | None
     on_frame, like each frame's energy, runs under the caller's NumPy error
     state; only the steps and the blow-up test ignore overflow.
     """
-    mesh = config.mesh()
-    if initial is None:
-        state = make_initial_data(mesh, config.family, config.params)
-    else:
-        state = initial
-        mesh = state.mesh
+    state = make_initial_data(config.mesh(), config.family, config.params) if initial is None else initial
+    mesh = state.mesh
     dt = config.cfl * mesh.spacing
     contamination = mesh.rmax - support_radius(state)
 

@@ -304,7 +304,7 @@ def test_12_determinism(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(
         '{"mesh": {"h": 0.04, "rmax": 8.0}, "t_end": 1.0, "output": {"every": 0.25},'
-        ' "data": {"family": "bump", "amp": 0.3, "sigma": 1.0, "center": 3.0}, "seed": 11}'
+        ' "data": {"family": "bump", "amp": 0.3, "sigma": 1.0, "center": 3.0}}'
     )
     artifacts = []
     for name in ("a", "b"):

@@ -163,7 +163,6 @@ class TestSimulate:
     @pytest.mark.parametrize("text, message", [
         ('"nonlinear": "off"', "nonlinear must be true or false, got 'off'"),
         ('"mesh": {"h": true, "rmax": 8.0}', "mesh.h must be a number, got True"),
-        ('"seed": "abc"', "seed must be an integer, got 'abc'"),
         ('"mesh": {"h": "0.1", "rmax": 8.0}', "mesh.h must be a number, got '0.1'"),
         ('"data": {"family": 5}', "data.family must be a string, got 5"),
         # data.* numbers follow the same rule: a bool is never a number, and a
@@ -172,7 +171,7 @@ class TestSimulate:
         ('"data": {"family": "near_w", "lambda": false}', "data.lambda must be a number, got False"),
         ('"data": {"family": "bump", "amp": "0.3"}', "data.amp must be a number, got '0.3'"),
         ('"data": {"family": "bump", "center": "inf"}', "data.center must be a number, got 'inf'"),
-    ], ids=["nonlinear_string", "h_bool", "seed_string", "h_string", "family_number", "delta_bool",
+    ], ids=["nonlinear_string", "h_bool", "h_string", "family_number", "delta_bool",
             "lambda_bool", "amp_string", "center_string"])
     def test_wrong_type_exit_2(self, tmp_path, capsys, text, message):
         cfg = write(tmp_path / "c.json", '{"t_end": 1.0, %s}' % text)
@@ -181,24 +180,24 @@ class TestSimulate:
         assert capsys.readouterr().err == f"simulate: {message}\n"
 
     @pytest.mark.parametrize("data, message", [
-        ("data.family = csv\n", "data.family = csv needs data.path"),
-        ("data.family = bump\ndata.amp = big\n", "data.amp must be a number, got 'big'"),
-        ("data.family = nope\n", "data.family must be one of near_w, bump, perturbed_w, csv, got 'nope'"),
-        ("data.family = near_w\ndata.lambda = 0\n", "data.lambda must be positive, got 0"),
-        ("data.family = bump\ndata.sigma = 0\n", "data.sigma must be positive, got 0"),
-        ("data.family = near_w\ndata.r_cut = 0\n", "data.r_cut must be positive, got 0"),
+        ({"data.family": "csv"}, "data.family = csv needs data.path"),
+        ({"data.family": "bump", "data.amp": "big"}, "data.amp must be a number, got 'big'"),
+        ({"data.family": "nope"}, "data.family must be one of near_w, bump, perturbed_w, csv, got 'nope'"),
+        ({"data.family": "near_w", "data.lambda": 0}, "data.lambda must be positive, got 0"),
+        ({"data.family": "bump", "data.sigma": 0}, "data.sigma must be positive, got 0"),
+        ({"data.family": "near_w", "data.r_cut": 0}, "data.r_cut must be positive, got 0"),
         # a number is not read as a file descriptor
-        ("data.family = csv\ndata.path = 7\n", "data.path must be a string, got 7"),
+        ({"data.family": "csv", "data.path": 7}, "data.path must be a string, got 7"),
         # sigma**2 underflows to 0, and u0 at the center (r = 0) is 0/0
-        ("data.family = bump\ndata.sigma = 1e-300\n",
+        ({"data.family": "bump", "data.sigma": 1e-300},
          "data.family = bump with data.sigma = 1e-300 gives initial data that is not finite"),
         # a typo is not run with the default it was meant to replace
-        ("data.family = bump\ndata.amplitude = 0.3\n",
+        ({"data.family": "bump", "data.amplitude": 0.3},
          "data.amplitude is not read by data.family = bump, which reads data.amp, data.sigma, data.center"),
     ], ids=["csv_without_path", "non_numeric_amp", "unknown_family", "zero_lambda", "zero_sigma",
             "zero_r_cut", "path_not_string", "sigma_underflow", "unread_key"])
     def test_bad_initial_data_exit_2(self, tmp_path, capsys, data, message):
-        cfg = write(tmp_path / "c.cfg", "mesh.h = 0.04\nmesh.rmax = 8.0\nt_end = 1.0\n" + data)
+        cfg = write(tmp_path / "c.json", json.dumps({"mesh.h": 0.04, "mesh.rmax": 8.0, "t_end": 1.0, **data}))
         capsys.readouterr()
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert capsys.readouterr().err == f"simulate: {message}\n"
@@ -261,7 +260,8 @@ class TestSimulate:
 
     def test_unreadable_csv_data_exit_3(self, tmp_path, capsys):
         snap = write(tmp_path / "snap.csv", "r,u,ut\n0.0,1.0,0.0\n0.1,abc,0.0\n")
-        cfg = write(tmp_path / "c.cfg", f"mesh.h = 0.04\nmesh.rmax = 8.0\ndata.family = csv\ndata.path = {snap}\n")
+        cfg = write(tmp_path / "c.json",
+                    json.dumps({"mesh.h": 0.04, "mesh.rmax": 8.0, "data.family": "csv", "data.path": snap}))
         capsys.readouterr()
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
         assert snap in capsys.readouterr().err
@@ -275,19 +275,37 @@ class TestSimulate:
         assert isinstance(rep["t_star"], float)
 
     def test_config_hash_pinned(self, tmp_path):
-        # a near_w config with data params and a --seed override; the digest
-        # is the one the field-by-field hash gave before it came from asdict
+        # a near_w config with data params; the digest is of its RunConfig
+        # fields by asdict
         cfg = write(
             tmp_path / "c.json",
             '{"mesh": {"h": 0.05, "rmax": 15.0}, "t_end": 0.2, "output": {"every": 0.1},'
             ' "data": {"family": "near_w", "delta": 0.05, "lambda": 0.5, "r_cut": 6.0}}',
         )
         out = tmp_path / "run"
-        assert main(["simulate", "--config", cfg, "--seed", "11", "--out", str(out), "--quiet"]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_hash"] == (
-            "a5c7db90b115bedfa6a2b22b936856926baa0b48f155826abe041ab5a574e7eb"
+            "0197fbea79120cb373a6c7aff5f49455ace615aba5bc0da50cc5d256d7f3ae5e"
         )
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_one_mesh(self, tmp_path, cpus, monkeypatch, k):
+        # the solve, its frames and their rows share the one mesh that the
+        # initial data is built on, with or without workers (which inherit it)
+        set_cpus, _ = cpus
+        set_cpus(k)
+        built = []
+        post_init = RadialMesh.__post_init__
+
+        def counted(mesh):
+            post_init(mesh)
+            built.append(mesh.nodes.size)
+
+        monkeypatch.setattr(RadialMesh, "__post_init__", counted)
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 0
+        assert built == [201]
 
     def test_determinism(self, tmp_path):
         cfg = write(tmp_path / "c.json", BUMP_CFG)
@@ -787,9 +805,9 @@ class TestAnalyze:
     def test_config_roundtrip(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         cfg = write(tmp_path / "c.json", NEAR_W_CFG % "0.1")
-        assert main(["simulate", "--config", cfg, "--seed", "7", "--out", str(run_dir), "--quiet"]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
         config = cli._load_run_dir(run_dir).config
-        assert config == solver.RunConfig.from_dict({**json.loads(NEAR_W_CFG % "0.1"), "seed": 7})
+        assert config == solver.RunConfig.from_dict(json.loads(NEAR_W_CFG % "0.1"))
         # the frames are on the config's mesh, and the split evolves v under
         # it: a report without its config is malformed, with a split or not
         report = run_dir / "report.json"
@@ -850,6 +868,20 @@ class TestAnalyze:
         capsys.readouterr()
         assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 3
         assert capsys.readouterr().err == f"analyze: {report}: malformed report ({KeyError(key)!r})\n"
+
+    def test_report_with_seed_exit_3(self, tmp_path, capsys):
+        # a config's fields hold no seed, so a report written with one is malformed
+        run_dir = tmp_path / "run"
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+        report = run_dir / "report.json"
+        rep = json.loads(report.read_text())
+        rep["config"]["seed"] = None
+        report.write_text(json.dumps(rep))
+        capsys.readouterr()
+        assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"analyze: {report}: malformed report (TypeError(") and "'seed'" in err
 
 
 class TestProfiles:
@@ -1070,14 +1102,11 @@ class TestSweep:
         ]
         assert rows[1]["error"].startswith("InvalidConfigError:")
 
-    def test_key_value_template(self, tmp_path):
-        cfg = write(
-            tmp_path / "c.cfg",
-            "# bump template\n"
-            "mesh.h = 0.04\nmesh.rmax = 8.0\nt_end = 1.0  # overridden below\n"
-            "output.every = 0.25\ndata.family = bump\n"
-            "data.amp = 0.3\ndata.sigma = 1.0\ndata.center = 3.0\n",
-        )
+    def test_dotted_template(self, tmp_path):
+        cfg = write(tmp_path / "c.json", json.dumps({
+            "mesh.h": 0.04, "mesh.rmax": 8.0, "t_end": 1.0, "output.every": 0.25, "data.family": "bump",
+            "data.amp": 0.3, "data.sigma": 1.0, "data.center": 3.0,
+        }))
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", cfg, "--param", "data.amp=0.1,0.2", "--param", "t_end=0.5",
                      "--out", str(out), "--quiet"]) == 0
@@ -1117,18 +1146,48 @@ def test_out_is_a_file_exit_3(tmp_path, capsys, command):
     assert str(out) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["missing", "malformed", "directory"])
+# a config file's damage: its text, and the end of the one stderr line it
+# gives where that is not the reader's own
+BAD_CONFIG_FILES = {
+    "missing": (None, None),
+    "malformed": ('{"mesh": {"h": 0.04,}}', None),
+    "directory": (None, None),
+    # the one config syntax is a JSON object: key = value lines are refused
+    "key_value": ("mesh.h = 0.04\nmesh.rmax = 8.0\ndata.family = bump\n", "Expecting value: line 1 column 1 (char 0)"),
+    "array": ("[1]", "not a JSON object"),
+    "empty_array": ("[]", "not a JSON object"),
+    "number": ("0.5", "not a JSON object"),
+    "string": ('"mesh.h = 0.04"', "not a JSON object"),
+    "null": ("null", "not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("damage", list(BAD_CONFIG_FILES))
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_bad_config_file_exit_2(tmp_path, capsys, command, damage):
     cfg = tmp_path / "c.json"
-    if damage == "malformed":
-        cfg.write_text('{"mesh": {"h": 0.04,}}')
+    text, reason = BAD_CONFIG_FILES[damage]
+    if text is not None:
+        cfg.write_text(text)
     elif damage == "directory":
         cfg.mkdir()
     extra = ["--param", "t_end=0.5"] if command == "sweep" else []
     capsys.readouterr()
     assert main([command, "--config", str(cfg), *extra, "--out", str(tmp_path / "o"), "--quiet"]) == 2
-    assert capsys.readouterr().err.startswith(f"{command}: cannot read config {cfg}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command}: cannot read config {cfg}: ") and err.count("\n") == 1
+    assert reason is None or err == f"{command}: cannot read config {cfg}: {reason}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_seed_key_exit_2(tmp_path, capsys, command):
+    # no code reads a seed, so the config has no such key
+    cfg = write(tmp_path / "c.json", BUMP_CFG[:-1] + ', "seed": 11}')
+    extra = ["--param", "t_end=0.5"] if command == "sweep" else []
+    capsys.readouterr()
+    assert main([command, "--config", cfg, *extra, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"{command}: unknown config key: seed\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -1136,6 +1195,7 @@ def test_bad_config_file_exit_2(tmp_path, capsys, command, damage):
     "argv",
     [
         ["simulate", "--config", "c.json", "--jobs", "2"],
+        ["simulate", "--config", "c.json", "--seed", "7"],
         ["dalembert", "check", "--config", "c.json"],
         ["dalembert", "check", "--jobs", "2"],
         ["analyze", "run", "--config", "c.json"],
@@ -1151,11 +1211,15 @@ def test_bad_config_file_exit_2(tmp_path, capsys, command, damage):
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )
-def test_unread_flags_rejected(argv):
-    # each subcommand declares only the flags it reads
+def test_unread_flags_rejected(capsys, argv):
+    # each subcommand declares only the flags it reads; argparse names the
+    # first it does not take after its usage line
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("usage: ")
+    assert err[1].startswith("critwave: error: unrecognized arguments: ") and argv[-2] in err[1]
 
 
 LAM_RANGE = "profiles: need 0 < --lam-min < --lam-max < inf, got "

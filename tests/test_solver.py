@@ -104,14 +104,14 @@ class TestConfig:
         with pytest.raises(InvalidConfigError):
             solver.RunConfig(cfl=0.0)
 
-    def test_json_and_keyvalue_agree(self, tmp_path):
+    def test_nested_and_dotted_keys_agree(self, tmp_path):
         j = tmp_path / "c.json"
         j.write_text(
             '{"mesh": {"h": 0.05, "rmax": 8.0}, "t_end": 1.5,'
             ' "data": {"family": "bump", "amp": 0.2}}'
         )
-        k = tmp_path / "c.cfg"
-        k.write_text("mesh.h = 0.05\nmesh.rmax = 8.0\nt_end = 1.5\ndata.family = bump\ndata.amp = 0.2\n")
+        k = tmp_path / "dotted.json"
+        k.write_text('{"mesh.h": 0.05, "mesh.rmax": 8.0, "t_end": 1.5, "data.family": "bump", "data.amp": 0.2}')
         assert solver.load_config(j) == solver.load_config(k)
 
     def test_unknown_key(self):
@@ -178,20 +178,19 @@ CONFIG_VALUES = {
     "nonlinear": st.booleans(),
     "blowup_threshold": st.sampled_from([10.0, 1e6]),
     "output.every": st.sampled_from([0.25, 0.5]),
-    "seed": st.integers(0, 99),
     "data.family": st.sampled_from(list(solver.FAMILIES)),
 }
 DATA_NUMBER_KEYS = sorted({f"data.{k}" for keys in solver.FAMILIES.values() for k in keys} - {"data.path"})
 # keys that may draw any JSON value instead
-ANY_VALUE_KEYS = sorted([*CONFIG_VALUES, *DATA_NUMBER_KEYS, "data.path", "data.unread", "unknown"])
+ANY_VALUE_KEYS = sorted([*CONFIG_VALUES, *DATA_NUMBER_KEYS, "data.path", "data.unread", "seed", "unknown"])
 
 
 @st.composite
 def configs(draw):
     """A flat config of values of their own kind, data.* numbers only among
     the keys its family reads, with up to three keys set to any JSON value
-    (a data key that its family or every family does not read and a key
-    that is not a config key among them)."""
+    (a data key that its family or every family does not read and keys
+    that are not config keys, `seed` among them, included)."""
     flat = draw(st.fixed_dictionaries({}, optional=CONFIG_VALUES))
     reads = [f"data.{k}" for k in solver.FAMILIES[flat.get("data.family", "bump")]]
     flat.update(draw(st.fixed_dictionaries({}, optional={k: DATA_NUMBER for k in reads if k != "data.path"})))
