@@ -111,13 +111,6 @@ class RadialMesh:
         return self._dr is not None
 
     @cached_property
-    def inv_r(self) -> np.ndarray:
-        """Read-only 1/r at the nodes past the origin, computed on first use."""
-        inv_r = 1.0 / self.nodes[1:]
-        inv_r.setflags(write=False)
-        return inv_r
-
-    @cached_property
     def d_dr_stencil(self) -> tuple:
         """Read-only stencil of np.gradient(f, nodes, edge_order=2), computed on
         first use: (interior, last). interior is the spacing where every
@@ -221,7 +214,8 @@ class FieldState:
     def _unchecked(cls, mesh: RadialMesh, t: float, h: np.ndarray, hdot: np.ndarray) -> "FieldState":
         """The state of float arrays that already match the mesh and vanish
         at the origin, as `solver.step` makes them: kept as given, with no
-        check or conversion."""
+        check, conversion or copy, so a state of `solver.step`'s holds the
+        buffers of its workspace, which the step after next overwrites."""
         state = object.__new__(cls)
         state.__dict__.update(mesh=mesh, t=t, h=h, hdot=hdot)
         return state

@@ -9,17 +9,19 @@ d_t v = -d_r v at r = rmax (exact for the linear 1D reduction), advanced by
 Crank-Nicolson on the one-sided second-order stencil.
 
 Cost model of `step` on n nodes: one force evaluation per step, in `out=`
-NumPy operations on the new h and v arrays and one interior scratch array.
-The two drifts are 4 operations, the stencil 4, the kick 2 and, when
-nonlinear, r u^5 = (u^2)^2 h (u = h/r, products rather than pow, 1/r
-kept on the mesh) 5 more: 15 array operations per step (10 linear), plus
-the outer row in Python floats and scalar writes at the two boundaries.
-The spacing is read from the mesh, which checks uniformity once at
-construction, and the new state is built without validation, so a step
-does no check. `run` adds 1 pass a step for its blow-up test, the sum h @ h
-against a bound fixed once per run; only a step past that bound takes the
-exact divide/max/min scan. The loop enters one NumPy error state per run,
-not per step.
+NumPy operations into the workspace that `run` forms once (`_workspace`):
+two (h, v) buffers that the steps alternate between, their slices, one
+interior scratch row, 1/r and the spacing, so a step with it makes no
+array and no slice. The two drifts are 4 operations, the stencil 4, the
+kick 2 and, when nonlinear, r u^5 = (u^2)^2 h (u = h/r, products rather
+than pow) 5 more: 15 array operations per step (10 linear), plus the outer
+row in Python floats and scalar writes at the two boundaries. The mesh
+checks uniformity once at construction, and the new state is built
+without validation, so a step does no check. `run` adds 1 pass a step for
+its blow-up test, the sum h @ h against a bound fixed once per run; only a
+step past that bound takes the exact divide/max/min scan. It copies a state
+out of the buffers only to keep it as a frame. The loop enters one NumPy
+error state per run, not per step.
 """
 
 from __future__ import annotations
@@ -261,49 +263,68 @@ def _r_column(mesh: RadialMesh) -> list:
 # ----------------------------------------------------------------- time stepping
 
 
-def step(state: FieldState, dt: float, nonlinear: bool = True) -> FieldState:
+def _slices(h: np.ndarray, v: np.ndarray) -> tuple:
+    """(h, v) and the views of them that a step reads or writes: h's
+    interior, its right and left shifts, v's interior and v's last 3 nodes."""
+    return h, v, h[1:-1], h[2:], h[:-2], v[1:-1], v[-3:]
+
+
+def _workspace(mesh: RadialMesh) -> tuple:
+    """What the steps of a run on a uniform mesh reuse, formed once: two
+    (h, v) buffers with their `_slices`, which the steps alternate between,
+    an interior scratch row, 1/r on the interior and the spacing. The v
+    buffers start at 0, and no step writes v[0]."""
+    n = mesh.nodes.size
+    buffers = [_slices(np.empty(n), np.zeros(n)) for _ in range(2)]
+    return buffers, np.empty(n - 2), (1.0 / mesh.nodes[1:])[:-1], mesh.spacing
+
+
+def step(state: FieldState, dt: float, nonlinear: bool = True, workspace: tuple | None = None) -> FieldState:
     """One drift-kick-drift (position) Stormer-Verlet step.
 
     h_half = h + dt/2 v, then v' = v + dt (D^2 h_half + h_half^5 / r^4) on the
     interior and h' = h_half + dt/2 v', with h = v = 0 at the origin. The
     outer row advances d_t v = -d_r v by Crank-Nicolson on the one-sided
     second-order stencil.
+
+    The new state is in the buffer of `workspace` (`_workspace` of the
+    state's mesh; a new one if none is given) that the state is not in, so
+    the step after next overwrites it.
     """
-    mesh = state.mesh
-    dr = mesh.spacing
-    h, v = state.h, state.hdot
-    new_h = np.multiply(v, 0.5 * dt)
-    new_h += h  # h_half until the last drift
-    new_v = np.empty_like(v)
-    hi = new_h[1:-1]
-    force = new_v[1:-1]  # the force, then v' after the kick
+    (one, two), tmp, inv_r, dr = _workspace(state.mesh) if workspace is None else workspace
+    # write the buffer the state is not in
+    src, dst = ((one, two) if state.h is one[0] else (two, one) if state.h is two[0]
+                else (_slices(state.h, state.hdot), one))
+    (_, v, _, _, _, v_in, v_tail), (new_h, new_v, hi, h_right, h_left, force, new_v_tail) = src, dst
+    half = 0.5 * dt
+    np.multiply(v, half, out=new_h)
+    new_h += state.h  # h_half until the last drift
+    # force is the interior of new_v: the force, then v' after the kick
     np.multiply(hi, 2.0, out=force)
-    np.subtract(new_h[2:], force, out=force)
-    force += new_h[:-2]
+    np.subtract(h_right, force, out=force)
+    force += h_left
     force *= 1.0 / dr**2
-    tmp = np.empty_like(force)
     if nonlinear:
         # r u^5 = (u^2)^2 h with u = h / r, by products rather than pow
-        np.multiply(hi, mesh.inv_r[:-1], out=tmp)
+        np.multiply(hi, inv_r, out=tmp)
         tmp *= tmp
         tmp *= tmp
         tmp *= hi
         force += tmp
     force *= dt
-    force += v[1:-1]
-    new_v[0] = 0.0
+    force += v_in
     # outer boundary: d_t v = -d_r v, Crank-Nicolson on (3 v_N - 4 v_N-1 + v_N-2) / 2 dr,
     # in Python floats: the same double arithmetic as on NumPy scalars
-    v3, v2, v1 = v[-3:].tolist()
-    w3, w2 = new_v[-3:-1].tolist()
+    v3, v2, v1 = v_tail.tolist()
+    w3, w2, _ = new_v_tail.tolist()
     a = dt / (2.0 * dr)
     w1 = (v1 - a * (1.5 * v1 - 2.0 * (v2 + w2) + 0.5 * (v3 + w3))) / (1.0 + 1.5 * a)
     new_v[-1] = w1
-    np.multiply(new_v[1:-1], 0.5 * dt, out=tmp)
+    np.multiply(force, half, out=tmp)
     hi += tmp
-    new_h[-1] += 0.5 * dt * w1
+    new_h[-1] += half * w1
     new_h[0] = 0.0
-    return FieldState._unchecked(mesh, state.t + dt, new_h, new_v)
+    return FieldState._unchecked(state.mesh, state.t + dt, new_h, new_v)
 
 
 @dataclass
@@ -343,13 +364,14 @@ def run(config: RunConfig, initial: FieldState | None = None, times: list | None
 
     With `on_frame`, frame i goes to on_frame(i, state) when it is recorded
     and is not kept: the report's snapshots are empty, and its times,
-    energies and sup_u history are those of the frames passed. A step never
-    writes into an earlier state's arrays, so on_frame may keep the state.
+    energies and sup_u history are those of the frames passed. The steps
+    alternate between the two buffers of one `_workspace`, and a frame is
+    a copy out of them, so on_frame may keep the state.
     on_frame, like each frame's energy, runs under the caller's NumPy error
     state; only the steps and the blow-up test ignore overflow.
     """
     state = make_initial_data(config.mesh(), config.family, config.params) if initial is None else initial
-    mesh = state.mesh
+    start, mesh = state, state.mesh
     dt = config.cfl * mesh.spacing
     contamination = mesh.rmax - support_radius(state)
 
@@ -357,6 +379,8 @@ def run(config: RunConfig, initial: FieldState | None = None, times: list | None
     caller_err = np.geterr()
 
     def record(state: FieldState) -> None:
+        if state is not start:  # a copy out of the workspace, whose buffers later steps overwrite
+            state = FieldState._unchecked(mesh, state.t, state.h.copy(), state.hdot.copy())
         # under the caller's error state, not the loop's
         with np.errstate(**caller_err):
             if on_frame is None:
@@ -386,12 +410,13 @@ def run(config: RunConfig, initial: FieldState | None = None, times: list | None
     r = mesh.nodes[1:]
     u = np.empty_like(r)
     safe_sq = _sum_sq_bound(_safe_bound(config.blowup_threshold, float(r[0])))
+    workspace = _workspace(mesh)
     # near blow-up the force h^5/r^4 can overflow, silently here
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             # the last step ends on t_final, shortened or stretched to it
             tau = t_final - state.t if i == n_steps - 1 else dt
-            new = step(state, tau, config.nonlinear)
+            new = step(state, tau, config.nonlinear, workspace)
             # sup|h/r| over r > 0 above the threshold, or not finite, ends
             # the run; h @ h within `safe_sq` settles that it is neither, and
             # any other step takes the exact scan, in which a NaN makes both

@@ -1,6 +1,7 @@
 """Time-domain solver: configs, stepping, conservation, blow-up handling."""
 
 import csv
+import itertools
 import json
 import sys
 import tempfile
@@ -442,6 +443,8 @@ class TestRun:
         # threshold r1 is subnormal, so the bound is 0 and every step takes
         # the divide scan; the first one fails it
         ({"family": "bump", "params": BUMP, "blowup_threshold": 1e-320}, "BlowUpDetected"),
+        # dt = 0.025 does not divide t_end: the last step is shortened
+        ({"t_end": 1.01, "family": "bump", "params": BUMP}, "Completed"),
     ])
     def test_equals_a_plain_step_loop(self, params, outcome):
         cfg = solver.RunConfig(**{"mesh_h": 0.05, "rmax": 8.0, "t_end": 1.0, "output_every": 0.25, **params})
@@ -523,6 +526,8 @@ class TestRun:
         assert [i for i, _ in frames] == list(range(len(kept.snapshots)))
         for (_, s), k in zip(frames, kept.snapshots):
             assert s.t == k.t and s.h.tobytes() == k.h.tobytes() and s.hdot.tobytes() == k.hdot.tobytes()
+        arrays = [a for _, s in frames for a in (s.h, s.hdot)]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
         for name in ("times", "energies", "sup_history"):
             assert getattr(streamed, name).tobytes() == getattr(kept, name).tobytes()
         assert (streamed.t_star, streamed.energy_drift) == (kept.t_star, kept.energy_drift)
@@ -580,8 +585,8 @@ class TestRun:
         # ends the run at the last finite state, with no warning
         step = solver.step
 
-        def overflowing_step(s, dt, nl):
-            new = step(s, dt, nl)
+        def overflowing_step(s, dt, nl, ws):
+            new = step(s, dt, nl, ws)
             if new.t > 0.1:
                 new.h[7] = bad
             return new
@@ -619,7 +624,7 @@ class TestRun:
         # dt = 0.015 does not divide t_end = 1.0: 67 steps, the last one shortened
         calls = []
         step = solver.step
-        monkeypatch.setattr(solver, "step", lambda s, dt, nl: calls.append(dt) or step(s, dt, nl))
+        monkeypatch.setattr(solver, "step", lambda s, dt, nl, ws: calls.append(dt) or step(s, dt, nl, ws))
         cfg = solver.RunConfig(mesh_h=0.03, rmax=6.0, t_end=1.0, family="bump", params=BUMP)
         initial = solver.make_initial_data(cfg.mesh(), cfg.family, cfg.params).with_time(5.0)
         rep = solver.run(cfg, initial=initial)
@@ -634,7 +639,7 @@ class TestRun:
         # within 1.2e-12), yet each frame lands on its time in 800 steps
         calls = []
         step = solver.step
-        monkeypatch.setattr(solver, "step", lambda s, dt, nl: calls.append(dt) or step(s, dt, nl))
+        monkeypatch.setattr(solver, "step", lambda s, dt, nl, ws: calls.append(dt) or step(s, dt, nl, ws))
         cfg = solver.RunConfig(mesh_h=0.005, rmax=0.1)
         ts = [0.0]
         for _ in range(7200):
