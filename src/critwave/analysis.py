@@ -29,24 +29,13 @@ from .table import write_columns
 # ------------------------------------------------------------- singular part
 
 
-@dataclass
-class SingularSplit:
-    """u = v + a near the blow-up time: v re-solved from exterior-cutoff data.
-
-    v_fields[k] is v at the time of the run's snapshot t0_index + k.
-    """
-
-    t0_index: int
-    v_fields: list
-    cone_radius: float  # T_est - t0
-    margin: float
-
-
-def singular_part(report: RunReport, T_est: float, t0_index: int = 0) -> SingularSplit:
-    """Split u into regular part v and singular part a = u - v.
+def singular_part(report: RunReport, T_est: float, t0_index: int, row) -> list:
+    """Split u into regular part v and singular part a = u - v: the rows
+    [row(t0_index, u, v), row(t0_index + 1, u, v), ...] of the snapshots
+    from t0_index on, each formed, and its u and v dropped, as v arrives.
 
     v restarts at t0 from u's data smoothly cut off to the exterior
-    r >= (T_est - t0) + margin, margin = 2 dr + 2 dt, and is evolved by
+    r >= (T_est - t0) + margin, margin = 2 dr + 2 cfl dr, and is stepped by
     `solver.run` under the run's own config to the later snapshots' times;
     by finite speed of propagation v agrees with the true regular part
     outside the light cone, which is the only region the diagnostics use it
@@ -62,11 +51,14 @@ def singular_part(report: RunReport, T_est: float, t0_index: int = 0) -> Singula
     chi = transition(mesh.nodes, r_cone, r_cone + margin)
     v0 = FieldState(mesh, base.t, chi * base.h, chi * base.hdot)
 
-    v_run = run(report.config, initial=v0, times=report.times[t0_index + 1 :].tolist())
+    # if v blows up, its last frame is its last stable state, dropped with the rest
+    rows = []
+    v_run = run(report.config, initial=v0, times=report.times[t0_index + 1 :].tolist(),
+                on_frame=lambda j, v: rows.append(row(t0_index + j, report.snapshots[t0_index + j], v)))
     if v_run.outcome == "BlowUpDetected":
         raise DegenerateInputError(f"the regular part v restarted at snapshot index {t0_index} "
                                    f"(t = {base.t:.6g}) blew up at t = {v_run.t_star:.6g}")
-    return SingularSplit(t0_index=t0_index, v_fields=v_run.snapshots, cone_radius=r_cone, margin=margin)
+    return rows
 
 
 # -------------------------------------------------------- concentration radii
@@ -266,35 +258,35 @@ def radius_columns(ball_radii: tuple = (), g_radii: tuple = ()) -> tuple[dict, d
     return columns[0], columns[1]
 
 
-def row_function(mesh: RadialMesh, ball_radii: tuple = (), g_radii: tuple = (), split: SingularSplit | None = None):
+def row_function(mesh: RadialMesh, ball_radii: tuple = (), g_radii: tuple = (), split_index: int | None = None):
     """The per-frame part of `diagnostics_series` on snapshots on `mesh`:
-    row(i, field) gives snapshot i's row, a dict from column name to float
-    in series order: mu, nu, lambda1, f, z1, z2, Z = z1/2 + z2, d, then
+    row(i, u) gives snapshot i's row, a dict from column name to float in
+    series order: mu, nu, lambda1, f, z1, z2, Z = z1/2 + z2, d, then
     E_ball_<rho> for each ball radius and g_<R> for each g radius as
     `radius_columns` names them (NaN where a radius is not reached). It
-    reads nothing but that one field and the split, so z1, z2, Z and g_R
-    are the frame's own integrals on a run of any length.
+    reads nothing but that one field and v, so z1, z2, Z and g_R are the
+    frame's own integrals on a run of any length.
 
-    a = u - v from the split's restart on, u before it; z1 and z2 subtract
-    v's moments when v covers the run (a split at index 0). The d column
-    uses the mesh-truncated gradient norm of W as reference, so a stationary
-    sampled W reads d = 0 without a truncation offset.
+    row(i, u, v), v the regular part of a split at `split_index`, reads mu,
+    lambda1 and f on a = u - v, which row(i, u) reads on u; z1 and z2
+    subtract v's moments when v covers the run (a split at index 0). The d
+    column uses the mesh-truncated gradient norm of W as reference, so a
+    stationary sampled W reads d = 0 without a truncation offset.
     """
-    t0 = np.inf if split is None else split.t0_index
     d_ref = _gradient_kinetic(w_field(mesh))[0]
     ball_columns, g_columns = radius_columns(ball_radii, g_radii)
     balls = {name: Region.ball(min(rho, mesh.rmax)) for name, rho in ball_columns.items()}
     bumps = {name: smoothstep_bump(mesh.nodes / R) for name, R in g_columns.items()}
 
-    def row(i: int, s: FieldState) -> dict:
+    def row(i: int, s: FieldState, v: FieldState | None = None) -> dict:
         frame = _Frame(s)
-        a = frame if i < t0 else _Frame(s - split.v_fields[i - t0])
+        a = frame if v is None else _Frame(s - v)
         radii = concentration_radii(frame, a)
         mu, nu, lam1 = (np.nan if x is None else x for x in (radii.mu, radii.nu, radii.lambda1))
         f = sign_projection(a, lam1) if lam1 > 0 else np.nan  # written so that a NaN lambda1 fails it
         z1, z2 = _virial_z(frame)
-        if t0 == 0:
-            v1, v2 = _virial_z(split.v_fields[i])
+        if split_index == 0:
+            v1, v2 = _virial_z(v)
             z1, z2 = z1 - v1, z2 - v2
         values = {"mu": mu, "nu": nu, "lambda1": lam1, "f": f, "z1": z1, "z2": z2, "Z": 0.5 * z1 + z2,
                   "d": d_functional(frame, grad_ref=d_ref)}
@@ -328,12 +320,15 @@ def diagnostics_series(
     report: RunReport,
     ball_radii: tuple = (),
     g_radii: tuple = (),
-    split: SingularSplit | None = None,
+    split: tuple | None = None,
 ) -> DiagnosticsSeries:
     """The standard series, t, E and sup_u of the report and then the
     columns of `row_function`'s rows, one row per snapshot, made one
-    snapshot at a time.
+    snapshot at a time. With split = (T_est, t0_index), the rows from
+    snapshot t0_index on are `singular_part`'s.
     """
     snaps = report.snapshots
-    row = row_function(snaps[0].mesh, ball_radii, g_radii, split) if snaps else None
-    return assemble_series(report, (row(i, s) for i, s in enumerate(snaps)))
+    k = len(snaps) if split is None else split[1]
+    row = row_function(snaps[0].mesh, ball_radii, g_radii, None if split is None else k) if snaps else None
+    rows = [row(i, snaps[i]) for i in range(k)]
+    return assemble_series(report, rows if split is None else rows + singular_part(report, split[0], k, row))

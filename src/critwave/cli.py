@@ -22,9 +22,11 @@ only the frames, so its rows are formed from the arrays that `simulate`'s were.
 is reduced to its diagnostics row, and `simulate` also writes its snapshot
 CSV. One pool, `_in_parallel`, spreads every command's work over the CPUs
 of the process's affinity mask. The frame pass splits a run's frames once
-the run has `_FAN_OUT_MIN_ROWS` rows, so no process holds a run's frames.
-`sweep` splits its cells whenever it has two or more; a lone cell's frame
-pass splits its own frames.
+the run has `_FAN_OUT_MIN_ROWS` rows, so no process holds a run's frames;
+`analyze --split-index k` passes the frames before k, and its own process
+steps v beside the rest (`analysis.singular_part`). `sweep` splits its
+cells whenever it has two or more; a lone cell's frame pass splits its
+own frames.
 """
 
 from __future__ import annotations
@@ -342,6 +344,8 @@ def _load_run_dir(run_dir: Path) -> solver.RunReport:
             config = solver.RunConfig(**rep["config"])
         except (ValueError, KeyError, TypeError) as exc:
             raise InvalidDataError(f"{path}: malformed report ({exc!r})") from exc
+    if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+        raise InvalidDataError(f"{path}: malformed report (snapshot_times are not finite and strictly increasing)")
     series = run_dir / "series.csv"
     _, energies, sups = table.read_columns(series, ("t", "E", "sup_u"))
     if energies.size != len(times):
@@ -371,7 +375,6 @@ def cmd_analyze(args) -> int:
     report = _load_run_dir(run_dir)
     snaps = report.snapshots
     n = len(snaps)
-    split = None
     if args.split_index is not None:
         if not 0 <= args.split_index < n:
             raise InvalidConfigError(f"--split-index {args.split_index} is outside [0, {n})")
@@ -379,10 +382,11 @@ def cmd_analyze(args) -> int:
         if not args.t_est > t0:
             raise InvalidConfigError(f"--t-est {args.t_est!r} must exceed the restart time {t0!r} "
                                      f"of snapshot {args.split_index}")
-        # before the workers fork, so that they inherit v
-        split = analysis.singular_part(report, args.t_est, t0_index=args.split_index)
-    row = analysis.row_function(snaps.mesh, tuple(args.ball_radius), tuple(args.g_radius), split)
-    series = analysis.assemble_series(report, _frame_pass(snaps, row))
+    k = n if args.split_index is None else args.split_index  # the frames before the split
+    row = analysis.row_function(snaps.mesh, tuple(args.ball_radius), tuple(args.g_radius), args.split_index)
+    # the frames before k are shared out; this process steps v beside the rest
+    series = analysis.assemble_series(report, _frame_pass(_RunFrames(snaps.framedir, snaps.times[:k], snaps.mesh), row)
+                                      + ([] if k == n else analysis.singular_part(report, args.t_est, k, row)))
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     series.to_csv(out / "series.csv")

@@ -340,12 +340,12 @@ class RunReport:
     config: RunConfig  # the config the run was made under
 
 
-_SUPPORT_TOL = 1e-13  # |h| or |hdot| above this counts as data
+_SUPPORT_TOL = 1e-13  # |h| or |hdot| above this times its own max counts as data
 
 
 def support_radius(state: FieldState) -> float:
-    big = np.maximum(np.abs(state.h), np.abs(state.hdot)) > _SUPPORT_TOL
-    idx = np.nonzero(big)[0]
+    h, hdot = np.abs(state.h), np.abs(state.hdot)  # relative tests, so that scaling keeps the radius
+    idx = np.nonzero((h > _SUPPORT_TOL * h.max()) | (hdot > _SUPPORT_TOL * hdot.max()))[0]
     if idx.size == 0:
         return 0.0
     return float(state.mesh.nodes[idx[-1]])

@@ -134,18 +134,24 @@ class TestGRandTails:
         assert r_large <= r_small + 1e-12
 
 
+def v_fields(report, T_est, t0_index=0):
+    """The regular part v at each snapshot's time from t0_index on, as
+    `singular_part` passes it to its rows."""
+    return analysis.singular_part(report, T_est, t0_index, row=lambda i, u, v: v)
+
+
 class TestSingularPart:
     def test_exterior_agreement_at_restart(self, bump_run):
-        split = analysis.singular_part(bump_run, T_est=3.0)
         u0 = bump_run.snapshots[0]
-        v0 = split.v_fields[0]
-        mask = u0.mesh.nodes > split.cone_radius + split.margin
+        v0 = v_fields(bump_run, T_est=3.0)[0]
+        cone_radius, margin = 3.0, 2.0 * 0.02 + 2.0 * bump_run.config.cfl * 0.02
+        mask = u0.mesh.nodes > cone_radius + margin
         assert np.max(np.abs(u0.h[mask] - v0.h[mask])) == 0.0
 
     def test_rejects_past_t_est(self, bump_run):
         for T_est in (-1.0, np.inf, np.nan):
             with pytest.raises(InvalidParameterError, match="T_est must be finite and exceed the restart time"):
-                analysis.singular_part(bump_run, T_est=T_est)
+                v_fields(bump_run, T_est=T_est)
 
     @pytest.mark.parametrize("changes", [{"nonlinear": False, "params": {**BUMP, "amp": 0.8}}, {"cfl": 0.25}])
     def test_v_evolves_under_the_runs_config(self, changes):
@@ -157,29 +163,28 @@ class TestSingularPart:
             **changes,
         })
         rep = solver.run(cfg)
-        split = analysis.singular_part(rep, T_est=2.5)
+        vs = v_fields(rep, T_est=2.5)
         u0 = rep.snapshots[0]
         r_cone, margin = 2.5, 2.0 * 0.02 + 2.0 * cfg.cfl * 0.02
         chi = transition(u0.mesh.nodes, r_cone, r_cone + margin)
         ref = solver.run(cfg, initial=FieldState(u0.mesh, 0.0, chi * u0.h, chi * u0.hdot))
-        assert split.margin == margin
-        assert len(split.v_fields) == len(ref.snapshots) == len(rep.snapshots)
-        for v, w in zip(split.v_fields, ref.snapshots):
+        assert len(vs) == len(ref.snapshots) == len(rep.snapshots)
+        for v, w in zip(vs, ref.snapshots):
             assert v.t == w.t
             assert v.h.tobytes() == w.h.tobytes() and v.hdot.tobytes() == w.hdot.tobytes()
 
     @pytest.mark.parametrize("t0_index", [0, 5])
     def test_frames_at_snapshot_times(self, bump_run, t0_index):
-        split = analysis.singular_part(bump_run, T_est=3.0, t0_index=t0_index)
-        assert len(split.v_fields) == len(bump_run.snapshots) - t0_index
-        for i, v in enumerate(split.v_fields):
+        vs = v_fields(bump_run, T_est=3.0, t0_index=t0_index)
+        assert len(vs) == len(bump_run.snapshots) - t0_index
+        for i, v in enumerate(vs):
             assert v.t == bump_run.snapshots[t0_index + i].t
 
     def test_restart_at_last_snapshot_makes_no_step(self, bump_run, monkeypatch):
         monkeypatch.setattr(solver, "step", lambda *a: pytest.fail("stepped"))
         last = len(bump_run.snapshots) - 1
-        split = analysis.singular_part(bump_run, T_est=3.0, t0_index=last)
-        assert len(split.v_fields) == 1 and split.v_fields[0].t == bump_run.snapshots[last].t
+        vs = v_fields(bump_run, T_est=3.0, t0_index=last)
+        assert len(vs) == 1 and vs[0].t == bump_run.snapshots[last].t
 
 
 class TestConeEnergy:
@@ -345,7 +350,8 @@ def reference_diagnostics_series(report, ball_radii=(), g_radii=(), split=None):
     """The multi-pass `diagnostics_series` that the one-pass version
     replaced, kept as its reference: every diagnostic recomputes u, u_t and
     d_r u, and the virial columns come from `reference_virial_series`, or on
-    a run too short for it (under 3 snapshots) from each frame's integrals."""
+    a run too short for it (under 3 snapshots) from each frame's integrals.
+    A split is (T_est, t0_index), as `diagnostics_series` takes it."""
     snaps = report.snapshots
     n = len(snaps)
     cols = ["t", "E", "sup_u", "mu", "nu", "lambda1", "f", "z1", "z2", "Z", "d"]
@@ -353,10 +359,11 @@ def reference_diagnostics_series(report, ball_radii=(), g_radii=(), split=None):
     data["t"] = report.times.copy()
     data["E"] = report.energies.copy()
     data["sup_u"] = report.sup_history.copy()
-    t0 = n if split is None else split.t0_index
+    t0 = n if split is None else split[1]
+    regular = None if split is None else v_fields(report, *split)
     d_ref = energy(w_field(snaps[0].mesh)).gradient_sq if snaps else None
     for i, s in enumerate(snaps):
-        a = s if i < t0 else s - split.v_fields[i - t0]
+        a = s if i < t0 else s - regular[i - t0]
         radii = analysis.concentration_radii(s, a)
         data["mu"][i] = np.nan if radii.mu is None else radii.mu
         data["nu"][i] = np.nan if radii.nu is None else radii.nu
@@ -368,7 +375,7 @@ def reference_diagnostics_series(report, ball_radii=(), g_radii=(), split=None):
         vs = reference_virial_series(snaps)
         z1, z2 = vs["z1"], vs["z2"]
         if t0 == 0:  # v covers the run: subtract its moments
-            vv = reference_virial_series(split.v_fields)
+            vv = reference_virial_series(regular)
             z1, z2 = z1 - vv["z1"], z2 - vv["z2"]
         data["z1"], data["z2"], data["Z"] = z1, z2, 0.5 * z1 + z2
     else:  # the short case is never split
@@ -419,7 +426,7 @@ class TestOnePassSeries:
         if case.startswith("split"):
             # from index 0, v covers the run and z1/z2 subtract its moments;
             # from index 5 only a is used
-            split = analysis.singular_part(bump_run, T_est=3.0, t0_index=int(case[-1]))
+            split = (3.0, int(case[-1]))
         if case == "two_snapshots":
             report = _first(bump_run, 2)
         radii = dict(ball_radii=(1.0, 2.5, 50.0), g_radii=(4.0, 2.0))

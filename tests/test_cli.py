@@ -615,7 +615,9 @@ class TestAnalyze:
         assert len(rows) == 2 and all(np.isfinite(float(row[c])) for row in rows for c in ("z1", "z2", "Z", "g_4"))
 
     def test_load_equal_on_any_cpu_count(self, tmp_path, cpus):
-        # the split's v, made before the fan-out, is read by forked workers
+        # the frames before the split index are shared out, and the split's
+        # rows are formed in this process as v is stepped: a split at index
+        # 0 has no frames before it, and forks no worker
         set_cpus, pool_pids = cpus
         set_cpus(1)
         run_dir = tmp_path / "run"
@@ -629,28 +631,32 @@ class TestAnalyze:
                 assert main(["analyze", str(run_dir), "--out", str(out), "--quiet", "--g-radius", "4",
                              "--t-est", "3.0", "--split-index", split]) == 0
                 written.append((out / "series.csv").read_bytes())
-        assert len(pool_pids()) == 2  # the two analyses under 2 CPUs forked
+        assert len(pool_pids()) == 1  # the analysis split at index 3 under 2 CPUs forked
         assert written[:2] == written[2:]
         assert written[0] != written[1]
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_peak_memory_is_not_the_runs_frames(self, long_run, cpus, k):
-        # every process holds one frame at a time: the peak is one frame's
-        # working set, on 1601 nodes, plus the written series' text, on 11
-        # columns; a list of the run's frames would hold them all
+    @pytest.mark.parametrize("k, split", [pytest.param(k, split, id=str(k) if split is None else f"{k}-split{split}")
+                                          for split in (None, "0", "200") for k in (1, 2)])
+    def test_peak_memory_is_not_the_runs_frames(self, long_run, cpus, k, split):
+        # every process holds one frame at a time, and with a split one
+        # frame of v beside it: the peak is one frame's working set, on 1601
+        # nodes, plus the written series' text, on 11 columns; a list of the
+        # run's frames, or of v's, would hold them all
         set_cpus, pool_pids = cpus
         set_cpus(k)
         frames = len(list((long_run / "snapshots").iterdir()))
         frame_bytes = frames * 2 * 1601 * 8
         assert frames >= 400
-        out = long_run.parent / f"an{k}"
+        out = long_run.parent / f"an{k}_{split}"
+        flags = [] if split is None else ["--t-est", "3.0", "--split-index", split]
         tracemalloc.start()
         try:
-            assert main(["analyze", str(long_run), "--out", str(out), "--quiet"]) == 0
+            assert main(["analyze", str(long_run), "--out", str(out), "--quiet", *flags]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(pool_pids()) == (k > 1)
+        # the frames before a split are shared out; a split at 0 has none
+        assert len(pool_pids()) == (k > 1 and split != "0")
         assert peak < 0.1 * frame_bytes, (peak, frame_bytes)
 
     @pytest.mark.parametrize("damage", ["missing", "malformed", "npz", "bad_zip", "other_mesh", "no_origin_row",
@@ -844,16 +850,25 @@ class TestAnalyze:
         *('{"snapshot_times": [0.0], "outcome": "Completed", "t_star": null, "contamination_time": 0.0,'
           f' "energy_drift": 0.0, "config": {config}}}'
           for config in ("null", "[0.5]", '{"cfl": 0.9}', '{"mesh": {"h": 0.04}}')),
+        # the run's own report with snapshot times that no run writes
+        pytest.param(lambda times: [*times[:-1], float("nan")], id="nan_last_time"),
+        pytest.param(lambda times: [*times[:3], times[4], times[3]], id="swapped_times"),
     ])
     def test_bad_report_exit_3(self, tmp_path, capsys, text):
         run_dir = tmp_path / "run"
         cfg = write(tmp_path / "c.json", BUMP_CFG)
         assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
         report = run_dir / "report.json"
+        if callable(text):
+            rep = json.loads(report.read_text())
+            text = json.dumps({**rep, "snapshot_times": text(rep["snapshot_times"])})
         report.write_text(text)
-        capsys.readouterr()
-        assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 3
-        assert str(report) in capsys.readouterr().err
+        # with a split too, which would restart v from these times
+        for flags in ([], ["--t-est", "2.0", "--split-index", "3"]):
+            capsys.readouterr()
+            assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet", *flags]) == 3
+            assert f"analyze: {report}: malformed report (" in capsys.readouterr().err
+            assert not (tmp_path / "an").exists()
 
     @pytest.mark.parametrize("key", ["contamination_time", "energy_drift"])
     def test_report_without_key_exit_3(self, tmp_path, capsys, key):

@@ -610,14 +610,15 @@ class TestRun:
 
     @pytest.mark.parametrize("t0", [0.0, 5.0])
     def test_contamination_compares_durations(self, t0):
-        # the run lasts 1.0; the outgoing signal reaches rmax only after 1.32
+        # the run lasts 1.0; the outgoing signal reaches rmax only after 1.23
+        # (the bump's tail counts as data to 1e-13 of its max, r = 4.77)
         cfg = solver.RunConfig(
             mesh_h=0.03, rmax=6.0, t_end=1.0, family="bump",
             params={"amp": 0.1, "sigma": 0.5, "center": 2.0},
         )
         initial = solver.make_initial_data(cfg.mesh(), cfg.family, cfg.params).with_time(t0)
         rep = solver.run(cfg, initial=initial)
-        assert rep.contamination_time > 1.3
+        assert rep.contamination_time > 1.2
         assert rep.outcome == "Completed"
 
     def test_last_step_lands_on_t_end(self, monkeypatch):

@@ -5,8 +5,12 @@ with the same energy. On a uniform mesh the scheme inherits this bit for bit
 at lam = 4^k: h = r u scales by 2^k and hdot by 2^-k, while r, the spacing,
 dt and t scale by 4^k, and multiplying by a power of 2 rounds nothing. So a
 run of a config scaled by 4^k reproduces every frame and time, and its
-energies to the rounding of the libm pows in them.
+energies to the rounding of the libm pows in them. So does the split's
+regular part v, restarted at a snapshot from data cut off at a radius
+and margin that scale alike.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critwave import analysis, solver
+from critwave.errors import DegenerateInputError
 from critwave.ground_state import _gradient_kinetic, w_constants, w_exterior_grad, w_field
 
 # config keys that are lengths or times, scaled by 4^k; data.amp and the
@@ -76,6 +81,21 @@ def run_and_series(flat: dict, ball: float, g: float):
     return report, analysis.diagnostics_series(report, (ball,), (g,))
 
 
+def assert_series_scaled(series_a, series_b, k: int) -> None:
+    """Column by column, in series order, series_b is series_a scaled by
+    4^k at each column's power (E, f and d aside; the radius columns' names
+    differ); f to the rounding of the libm pow in it."""
+    assert len(series_b.columns) == len(series_a.columns)
+    for name_a, name_b in zip(series_a.columns, series_b.columns):
+        if name_a in ("E", "f", "d"):
+            continue
+        power = 0.0 if name_a.startswith("E_ball_") else 1.0 if name_a.startswith("g_") else POWERS[name_a]
+        assert np.array_equal(series_b.data[name_b], series_a.data[name_a] * 4.0**(k * power), equal_nan=True), name_a
+
+    # f pairs a with W at scale lambda1, whose lambda1^{-3/2} is a libm pow
+    assert np.allclose(series_b.data["f"], series_a.data["f"], rtol=1e-12, atol=1e-12, equal_nan=True)
+
+
 BLOWUP = {"mesh.h": 0.1, "mesh.rmax": 6.0, "cfl": 0.5, "t_end": 3.0, "output.every": 0.25, "nonlinear": True,
           "blowup_threshold": 20.0, "data.family": "bump", "data.amp": 3.0, "data.sigma": 1.0, "data.center": 1.0}
 
@@ -101,18 +121,10 @@ def test_scaled_run_is_the_run_scaled(flat, k, ball, g):
     # the drift and f (below) are the same to that pow's rounding
     assert np.allclose(b.energies, a.energies, rtol=1e-13, atol=1e-13)
     assert b.energy_drift == pytest.approx(a.energy_drift, rel=1e-9, abs=1e-12)
+    # the support test is relative to each field's own max
+    assert b.contamination_time == a.contamination_time * 4.0**k
 
-    # column by column, in series order (E is the energies above); the
-    # radius columns' names differ
-    assert len(series_b.columns) == len(series_a.columns)
-    for name_a, name_b in zip(series_a.columns, series_b.columns):
-        if name_a in ("E", "f", "d"):
-            continue
-        power = 0.0 if name_a.startswith("E_ball_") else 1.0 if name_a.startswith("g_") else POWERS[name_a]
-        assert np.array_equal(series_b.data[name_b], series_a.data[name_a] * 4.0**(k * power), equal_nan=True), name_a
-
-    # f pairs a with W at scale lambda1, whose lambda1^{-3/2} is a libm pow
-    assert np.allclose(series_b.data["f"], series_a.data["f"], rtol=1e-12, atol=1e-12, equal_nan=True)
+    assert_series_scaled(series_a, series_b, k)  # E is the energies above
 
     # d's reference is W's gradient norm on the run's own mesh: on run A's
     # frames, d under run B's reference is run B's d. That reference is
@@ -123,3 +135,42 @@ def test_scaled_run_is_the_run_scaled(flat, k, ball, g):
     ref = _gradient_kinetic(w_field(mesh))[0]
     assert ref == pytest.approx(w_constants()["grad_norm_sq"] - w_exterior_grad(mesh.rmax), rel=0.02)
     assert np.array_equal(series_b.data["d"], [analysis.d_functional(s, grad_ref=ref) for s in a.snapshots])
+
+
+def split_series(report, ball: float, g: float, T_est: float, index: int):
+    """The series of `report` split at (T_est, index), or the time at which
+    the split's regular part v blows up."""
+    t_stars = []
+
+    def run(*args, **kwargs):
+        v_run = solver.run(*args, **kwargs)
+        t_stars.append(v_run.t_star)
+        return v_run
+
+    with mock.patch.object(analysis, "run", run):
+        try:
+            return analysis.diagnostics_series(report, (ball,), (g,), split=(T_est, index))
+        except DegenerateInputError:
+            return t_stars[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(flat=tiny_runs(), k=st.sampled_from([-1, 1]), ball=st.sampled_from([1.0, 2.5]), g=st.sampled_from([2.0, 4.0]),
+       at=st.floats(0.0, 1.0), reach=st.floats(0.05, 4.0))
+# v blows up, at t = 1.25, before u does
+@example(flat={**BLOWUP, "mesh.rmax": 8.0, "data.amp": 1.0, "data.center": 2.0}, k=1, ball=1.0, g=2.0, at=0.0, reach=1.0)
+@example(flat={**BLOWUP, "data.amp": 0.3}, k=-1, ball=2.5, g=4.0, at=0.5, reach=1.0)
+def test_scaled_split_is_the_split_scaled(flat, k, ball, g, at, reach):
+    # the split at snapshot `index`, T_est `reach` after it: its cut-off
+    # radius T_est - t0, margin 2 dr + 2 cfl dr and cut-off ratio
+    # (r - a) / (b - a) scale exactly, so v's frames do, and a = u - v
+    a = solver.run(solver.RunConfig.from_dict(flat))
+    b = solver.run(solver.RunConfig.from_dict(scaled(flat, k)))
+    index = min(int(at * a.times.size), a.times.size - 1)
+    T_est = a.times[index] + reach
+    split_a = split_series(a, ball, g, T_est, index)
+    split_b = split_series(b, ball * 4.0**k, g * 4.0**k, T_est * 4.0**k, index)
+    if isinstance(split_a, float):  # v blew up, in both runs
+        assert split_b == split_a * 4.0**k
+    else:
+        assert_series_scaled(split_a, split_b, k)
