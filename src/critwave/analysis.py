@@ -1,7 +1,7 @@
 """Diagnostics on solver output: the singular part; per frame, through
-`row_function`, the concentration radii, sign projection, virial moments
-z1, z2, Z and localized virial functionals d and g_R; cone energies; and
-the power-law fit of the concentration scale. The right-hand sides of the
+`row_function`, sup|u|, the concentration radii, sign projection, virial
+moments z1, z2, Z and localized virial functionals d and g_R; cone
+energies; and the power-law fit of the concentration scale. The right-hand sides of the
 virial identities are integrals of `ground_state.energy`.
 """
 
@@ -261,11 +261,11 @@ def radius_columns(ball_radii: tuple = (), g_radii: tuple = ()) -> tuple[dict, d
 def row_function(mesh: RadialMesh, ball_radii: tuple = (), g_radii: tuple = (), split_index: int | None = None):
     """The per-frame part of `diagnostics_series` on snapshots on `mesh`:
     row(i, u) gives snapshot i's row, a dict from column name to float in
-    series order: mu, nu, lambda1, f, z1, z2, Z = z1/2 + z2, d, then
+    series order: sup_u, mu, nu, lambda1, f, z1, z2, Z = z1/2 + z2, d, then
     E_ball_<rho> for each ball radius and g_<R> for each g radius as
     `radius_columns` names them (NaN where a radius is not reached). It
-    reads nothing but that one field and v, so z1, z2, Z and g_R are the
-    frame's own integrals on a run of any length.
+    reads nothing but that one field and v, so every column, sup_u and z1,
+    z2, Z and g_R among them, is the frame's own on a run of any length.
 
     row(i, u, v), v the regular part of a split at `split_index`, reads mu,
     lambda1 and f on a = u - v, which row(i, u) reads on u; z1 and z2
@@ -288,8 +288,8 @@ def row_function(mesh: RadialMesh, ball_radii: tuple = (), g_radii: tuple = (), 
         if split_index == 0:
             v1, v2 = _virial_z(v)
             z1, z2 = z1 - v1, z2 - v2
-        values = {"mu": mu, "nu": nu, "lambda1": lam1, "f": f, "z1": z1, "z2": z2, "Z": 0.5 * z1 + z2,
-                  "d": d_functional(frame, grad_ref=d_ref)}
+        values = {"sup_u": frame.sup_u(), "mu": mu, "nu": nu, "lambda1": lam1, "f": f, "z1": z1, "z2": z2,
+                  "Z": 0.5 * z1 + z2, "d": d_functional(frame, grad_ref=d_ref)}
         for name, ball in balls.items():
             gradient_sq, kinetic_sq = _gradient_kinetic(frame, ball)
             values[name] = gradient_sq + kinetic_sq
@@ -300,13 +300,13 @@ def row_function(mesh: RadialMesh, ball_radii: tuple = (), g_radii: tuple = (), 
 
 
 def assemble_series(report: RunReport, rows) -> DiagnosticsSeries:
-    """The series of `report`'s t, E and sup_u and the rows of
-    `row_function`, one per snapshot in order, whose names and order are the
-    columns that follow. `rows` may be any iterable; the table is allocated
-    at the first row and each row is stored as it arrives.
+    """The series of `report`'s t and E and the rows of `row_function`, one
+    per snapshot in order, whose names and order are the columns that
+    follow. `rows` may be any iterable; the table is allocated at the first
+    row and each row is stored as it arrives.
     """
     n = report.times.size
-    data = {"t": report.times.copy(), "E": report.energies.copy(), "sup_u": report.sup_history.copy()}
+    data = {"t": report.times.copy(), "E": report.energies.copy()}
     names, table = [], ()
     for i, row in enumerate(rows):
         if i == 0:
@@ -322,10 +322,10 @@ def diagnostics_series(
     g_radii: tuple = (),
     split: tuple | None = None,
 ) -> DiagnosticsSeries:
-    """The standard series, t, E and sup_u of the report and then the
-    columns of `row_function`'s rows, one row per snapshot, made one
-    snapshot at a time. With split = (T_est, t0_index), the rows from
-    snapshot t0_index on are `singular_part`'s.
+    """The standard series, t and E of the report and then the columns of
+    `row_function`'s rows, one row per snapshot, made one snapshot at a
+    time. With split = (T_est, t0_index), the rows from snapshot t0_index
+    on are `singular_part`'s.
     """
     snaps = report.snapshots
     k = len(snaps) if split is None else split[1]

@@ -331,9 +331,10 @@ class _RunFrames(Sequence):
 
 
 def _load_run_dir(run_dir: Path) -> solver.RunReport:
-    """The report of a run directory: its config, E and sup_u from its
-    series.csv, and its frames on the config's mesh, none of which is read
-    here."""
+    """The report of a run directory: its config, the t and E columns of
+    its series.csv, which the run recorded, and its frames on the config's
+    mesh, none of which is read here; every other column is formed from
+    the frames."""
     path = run_dir / "report.json"
     with open(path) as fh:
         try:
@@ -347,7 +348,7 @@ def _load_run_dir(run_dir: Path) -> solver.RunReport:
     if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
         raise InvalidDataError(f"{path}: malformed report (snapshot_times are not finite and strictly increasing)")
     series = run_dir / "series.csv"
-    _, energies, sups = table.read_columns(series, ("t", "E", "sup_u"))
+    _, energies = table.read_columns(series, ("t", "E"))
     if energies.size != len(times):
         raise InvalidDataError(f"{series}: {energies.size} rows, but report.json lists {len(times)} snapshots")
     return solver.RunReport(
@@ -355,7 +356,6 @@ def _load_run_dir(run_dir: Path) -> solver.RunReport:
         t_star=t_star,
         times=np.asarray(times, float),
         energies=energies,
-        sup_history=sups,
         snapshots=_RunFrames(run_dir / "frames", times, config.mesh()),
         contamination_time=contamination_time,
         energy_drift=energy_drift,
@@ -452,6 +452,8 @@ def cmd_sweep(args) -> int:
         if "=" not in spec:
             raise InvalidConfigError(f"bad --param {spec!r} (want key=v1,v2,...)")
         key, vals = spec.split("=", 1)
+        if any(grid[0][0] == key for grid in grids):  # the later values would replace the earlier
+            raise InvalidConfigError(f"--param {key} given twice")
         grids.append([(key, solver.parse_scalar(v)) for v in vals.split(",")])
     cells = [{}]
     for grid in grids:

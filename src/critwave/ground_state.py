@@ -131,13 +131,11 @@ def w_exterior_grad(radius: float) -> float:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Quadratic/power integrals of a field over a region (N=3 weights)."""
+    """The gradient, kinetic and potential integrals of a field over a region (N=3 weights)."""
 
     gradient_sq: float
     kinetic_sq: float
     potential: float
-    hardy_sq: float
-    region: Region
 
     @property
     def total_energy(self) -> float:
@@ -146,28 +144,18 @@ class EnergyReport:
 
 
 def energy(field: FieldState, region: Region = Region.full()) -> EnergyReport:
-    """All four integrals over the region by the mesh quadrature rule.
-
-    The Hardy integrand u^2/r^2 * r^2 dr reduces to u^2 dr and is
-    evaluated through h/r, with the limit (d_r h)(0) at the origin.
-    """
+    """The three integrals of E over the region by the mesh quadrature rule:
+    int |grad u|^2, int u_t^2 (`_gradient_kinetic`) and int u^6."""
     gradient_sq, kinetic_sq = _gradient_kinetic(field, region)
     mesh = field.mesh
     r = mesh.nodes
-    run = _region_run(mesh, region)
     u = field.u()
-    return EnergyReport(
-        gradient_sq=gradient_sq,
-        kinetic_sq=kinetic_sq,
-        potential=FOUR_PI * mesh.integrate(r * r * u**6, run),
-        hardy_sq=FOUR_PI * mesh.integrate(u * u, run),
-        region=region,
-    )
+    return EnergyReport(gradient_sq, kinetic_sq, FOUR_PI * mesh.integrate(r * r * u**6, _region_run(mesh, region)))
 
 
 def _gradient_kinetic(field: FieldState, region: Region = Region.full()) -> tuple[float, float]:
     """(gradient_sq, kinetic_sq) of `energy(field, region)`, without its
-    potential and Hardy integrals."""
+    potential integral."""
     mesh = field.mesh
     r = mesh.nodes
     run = _region_run(mesh, region)
@@ -186,13 +174,7 @@ def _region_run(mesh: RadialMesh, region: Region) -> slice:
 
 def energy_of_profile(u0: RadialProfile) -> EnergyReport:
     """Full-space EnergyReport of closed-form static radial data (u, u_t) = (u0, 0)."""
-    return EnergyReport(
-        gradient_sq=u0.grad_norm_sq(),
-        kinetic_sq=0.0,
-        potential=u0.l2p_norm(6),
-        hardy_sq=u0.hardy_sq(),
-        region=Region.full(),
-    )
+    return EnergyReport(gradient_sq=u0.grad_norm_sq(), kinetic_sq=0.0, potential=u0.l2p_norm(6))
 
 
 @dataclass(frozen=True)

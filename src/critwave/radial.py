@@ -60,10 +60,6 @@ class RadialProfile:
         """4*pi * int_0^inf r^2 |u|^p dr."""
         return FOUR_PI * half_line_integral(lambda r: r * r * np.abs(self.u(r)) ** p)
 
-    def hardy_sq(self) -> float:
-        """4*pi * int_0^inf u^2 dr (the Hardy-weighted integral int u^2/|x|^2 dx)."""
-        return FOUR_PI * half_line_integral(lambda r: self.u(r) ** 2)
-
     def scaled(self, lam: float) -> "RadialProfile":
         """Energy-invariant rescaling lam^{-1/2} u(r/lam)."""
         u, du = self.u, self.du

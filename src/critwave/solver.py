@@ -26,10 +26,10 @@ error state per run, not per step.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import sys
+import weakref
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -253,11 +253,16 @@ def save_snapshot(state: FieldState, path) -> None:
 
 
 # a run's frames share its mesh, so each process that writes a share of a
-# run's snapshots formats r once
-@functools.lru_cache(maxsize=1)
+# run's snapshots formats r once; the text lives only as long as its mesh
+_R_COLUMNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _r_column(mesh: RadialMesh) -> list:
     """The repr text of the mesh's nodes, formatted once per mesh."""
-    return format_column(mesh.nodes)
+    text = _R_COLUMNS.get(mesh)
+    if text is None:
+        text = _R_COLUMNS[mesh] = format_column(mesh.nodes)
+    return text
 
 
 # ----------------------------------------------------------------- time stepping
@@ -329,11 +334,14 @@ def step(state: FieldState, dt: float, nonlinear: bool = True, workspace: tuple 
 
 @dataclass
 class RunReport:
+    """What `run` records: the outcome, t* and each frame's t and E, with
+    the drift and contamination time formed from them; the frames, unless
+    they went to `on_frame`."""
+
     outcome: str  # "Completed" | "BlowUpDetected"
     t_star: float | None
     times: np.ndarray
     energies: np.ndarray
-    sup_history: np.ndarray
     snapshots: list
     contamination_time: float  # rmax minus the initial support radius
     energy_drift: float
@@ -356,17 +364,20 @@ def run(config: RunConfig, initial: FieldState | None = None, times: list | None
     """Integrate until t_end or blow-up; snapshot at the output cadence.
 
     The run starts from `initial`, on its mesh, or else builds the config's
-    mesh and initial data.
+    mesh and initial data. It records what conservation needs: each
+    frame's t and E, and from them the report's energy drift, t* and
+    contamination time. Every other per-frame value is a column of
+    `analysis.row_function`.
 
     With `times`, increasing output times after the initial state's, the run
     ends at the last of them instead and keeps a frame at the first step
     that reaches each; t_end and output_every are then not read.
 
     With `on_frame`, frame i goes to on_frame(i, state) when it is recorded
-    and is not kept: the report's snapshots are empty, and its times,
-    energies and sup_u history are those of the frames passed. The steps
-    alternate between the two buffers of one `_workspace`, and a frame is
-    a copy out of them, so on_frame may keep the state.
+    and is not kept: the report's snapshots are empty, and its times and
+    energies are those of the frames passed. The steps alternate between
+    the two buffers of one `_workspace`, and a frame is a copy out of them,
+    so on_frame may keep the state.
     on_frame, like each frame's energy, runs under the caller's NumPy error
     state; only the steps and the blow-up test ignore overflow.
     """
@@ -375,7 +386,7 @@ def run(config: RunConfig, initial: FieldState | None = None, times: list | None
     dt = config.cfl * mesh.spacing
     contamination = mesh.rmax - support_radius(state)
 
-    frame_t, snapshots, energies, sups = [], [], [], []
+    frame_t, snapshots, energies = [], [], []
     caller_err = np.geterr()
 
     def record(state: FieldState) -> None:
@@ -389,7 +400,6 @@ def run(config: RunConfig, initial: FieldState | None = None, times: list | None
                 on_frame(len(frame_t), state)
             frame_t.append(state.t)
             energies.append(energy(state).total_energy if config.nonlinear else _linear_energy(state))
-            sups.append(state.sup_u())
 
     record(state)
     outcome = "Completed"
@@ -446,7 +456,6 @@ def run(config: RunConfig, initial: FieldState | None = None, times: list | None
         t_star=t_star,
         times=times_a,
         energies=energies_a,
-        sup_history=np.asarray(sups),
         snapshots=snapshots,
         contamination_time=contamination,
         energy_drift=drift,

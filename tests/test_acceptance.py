@@ -98,8 +98,6 @@ def test_04_variational_predicates():
                 gradient_sq=prof.grad_norm_sq(),
                 kinetic_sq=0.0,
                 potential=prof.l2p_norm(6),
-                hardy_sq=0.0,
-                region=Region.full(),
             )
         )
         if rep.hypothesis_holds:

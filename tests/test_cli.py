@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
@@ -323,6 +325,26 @@ class TestSimulate:
         mb = json.loads((b / "manifest.json").read_text())
         assert ma["config_hash"] == mb["config_hash"]
 
+    def test_snapshot_r_text_lives_with_its_mesh(self, tmp_path, monkeypatch):
+        # the 31 snapshots of 501 rows format r once, and its text goes with
+        # the run's mesh once simulate returns
+        refs, formatted = [], []
+        build, format_column = solver.RunConfig.mesh, solver.format_column
+
+        def mesh(config):
+            m = build(config)
+            refs.append(weakref.ref(m))
+            return m
+
+        monkeypatch.setattr(solver.RunConfig, "mesh", mesh)
+        monkeypatch.setattr(solver, "format_column", lambda values: formatted.append(1) or format_column(values))
+        cfg = write(tmp_path / "c.json", '{"mesh": {"h": 0.02, "rmax": 10.0}, "t_end": 3.0, "output": {"every": 0.1},'
+                    ' "nonlinear": false, "data": {"family": "bump", "amp": 2.0, "sigma": 1.0, "center": 3.0}}')
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 0
+        assert len(list((tmp_path / "run" / "snapshots").iterdir())) == 31 and len(formatted) == 1
+        gc.collect()
+        assert len(refs) == 1 and refs[0]() is None  # and so is its entry in solver._R_COLUMNS
+
     def test_same_bytes_on_any_cpu_count(self, tmp_path, cpus):
         # 11 snapshots: 3 CPUs split them by i mod 3 as 4 + 4 + 3
         set_cpus, pool_pids = cpus
@@ -570,6 +592,29 @@ class TestAnalyze:
         with open(run_dir / "series.csv") as fh:
             header = next(csv.reader(fh))
         assert header[-1] == message.rsplit(" ", 1)[1] and header.count(header[-1]) == 1
+
+    def test_sup_u_comes_from_the_frames(self, tmp_path):
+        # analyze reads only t and E back from series.csv: with the sup_u
+        # column zeroed, it writes the series it writes on the intact run
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        run_dir, zeroed = tmp_path / "run", tmp_path / "zeroed"
+        assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+        shutil.copytree(run_dir, zeroed)
+        series = zeroed / "series.csv"
+        header, *lines = series.read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        for row in rows:
+            row[2] = "0.0"
+        series.write_bytes("".join(line + "\r\n" for line in [header, *map(",".join, rows)]).encode())
+        assert not table.read_columns(series, ("t", "E", "sup_u"))[2].any()
+        for flags in ([], ["--t-est", "3.0", "--split-index", "0"]):
+            written = []
+            for name in (run_dir, zeroed):
+                out = tmp_path / f"{name.name}_an{len(flags)}"
+                assert main(["analyze", str(name), "--out", str(out), "--quiet", *flags]) == 0
+                written.append((out / "series.csv").read_bytes())
+            assert written[0] == written[1]
+        assert written[0] != (run_dir / "series.csv").read_bytes()  # the split's rows are a = u - v's
 
     def test_not_a_run_dir(self, tmp_path):
         assert main(["analyze", str(tmp_path), "--out", str(tmp_path), "--quiet"]) == 2
@@ -1078,6 +1123,15 @@ class TestSweep:
         for m in manifests:
             del m["started"], m["finished"]
         assert manifests[0] == manifests[1]
+
+    def test_param_key_given_twice_exit_2(self, tmp_path, capsys):
+        # the later values would replace the earlier in every cell
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--param", "data.amp=1,2", "--param", "data.sigma=1",
+                     "--param", "data.amp=3", "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == "sweep: --param data.amp given twice\n"
+        assert not out.exists()
 
     def test_bad_param_spec(self, tmp_path):
         cfg = write(tmp_path / "c.json", BUMP_CFG)

@@ -94,7 +94,7 @@ def _reference_integrate(mesh, values, run=slice(None)):
 
 
 def _reference_energy(field, region):
-    """(gradient_sq, kinetic_sq, potential, hardy_sq) as the sub-mesh energy() gave them."""
+    """(gradient_sq, kinetic_sq, potential) as the sub-mesh energy() gave them."""
     from scipy.integrate import simpson
 
     r0, r1 = region.clip(field.mesh)
@@ -113,12 +113,12 @@ def _reference_energy(field, region):
             return float(simpson(v, x=sub))
         return float(np.trapezoid(v, sub))
 
-    return tuple(FOUR_PI * integ(f) for f in (r * r * dur**2, r * r * ut**2, r * r * u**6, u * u))
+    return tuple(FOUR_PI * integ(f) for f in (r * r * dur**2, r * r * ut**2, r * r * u**6))
 
 
-def _four_integral_energy(field, region):
-    """(gradient_sq, kinetic_sq, potential, hardy_sq) as energy() gave them
-    when it formed all four integrals itself, before `_gradient_kinetic`."""
+def _inline_energy(field, region):
+    """(gradient_sq, kinetic_sq, potential) as energy() gave them when it
+    formed every integral itself, before `_gradient_kinetic`."""
     mesh = field.mesh
     r0, r1 = region.clip(mesh)
     r = mesh.nodes
@@ -130,7 +130,6 @@ def _four_integral_energy(field, region):
         FOUR_PI * mesh.integrate(r * r * dur**2, run),
         FOUR_PI * mesh.integrate(r * r * ut**2, run),
         FOUR_PI * mesh.integrate(r * r * u**6, run),
-        FOUR_PI * mesh.integrate(u * u, run),
     )
 
 
@@ -388,8 +387,7 @@ class TestHalfLineRule:
 
     def test_w_norms(self):
         w = w_profile()
-        for got, want in ((w.grad_norm_sq(), self.GRAD_W), (w.l2p_norm(6), self.GRAD_W),
-                          (w.hardy_sq(), 2.0 * math.sqrt(3.0) * math.pi**2)):
+        for got, want in ((w.grad_norm_sq(), self.GRAD_W), (w.l2p_norm(6), self.GRAD_W)):
             assert abs(got - want) <= 1e-13 * want
 
     # past a = 3 the map's length L = a grows with the lower limit
@@ -440,7 +438,7 @@ class TestEnergy:
         for region in (Region.ball(0.03), Region.annulus(r[3] + 0.03, r[3] + 0.07),
                        Region.annulus(r[3] - 0.03, r[3] + 0.03), Region.exterior(r[-1] - 0.03)):
             rep = energy(state, region)
-            assert (rep.gradient_sq, rep.kinetic_sq, rep.potential, rep.hardy_sq) == (0.0,) * 4
+            assert (rep.gradient_sq, rep.kinetic_sq, rep.potential) == (0.0,) * 3
 
     def test_whole_mesh_integrals_use_stored_weights(self, monkeypatch):
         # a region that selects every node reads the mesh's weights; a ball
@@ -457,7 +455,7 @@ class TestEnergy:
                 calls.clear()
                 fn(state, region)
                 counts[fn.__name__, region.r1] = len(calls)
-        assert counts == {("energy", np.inf): 0, ("energy", 3.0): 4,
+        assert counts == {("energy", np.inf): 0, ("energy", 3.0): 3,
                           ("_gradient_kinetic", np.inf): 0, ("_gradient_kinetic", 3.0): 2}
         # the stored weights are the rebuilt ones, bit for bit
         assert mesh.weights.tobytes() == rebuilt.tobytes()
@@ -586,9 +584,9 @@ class TestAgainstReference:
             assume(a < b)
             region = Region.annulus(a, b)
         rep = energy(field, region)
-        got = (rep.gradient_sq, rep.kinetic_sq, rep.potential, rep.hardy_sq)
-        # bit for bit against the four-integral energy(), and so the pair
-        assert np.array(got).tobytes() == np.array(_four_integral_energy(field, region)).tobytes()
+        got = (rep.gradient_sq, rep.kinetic_sq, rep.potential)
+        # bit for bit against the energy() that formed its own integrals, and so the pair
+        assert np.array(got).tobytes() == np.array(_inline_energy(field, region)).tobytes()
         assert np.array(_gradient_kinetic(field, region)).tobytes() == np.array(got[:2]).tobytes()
         for g, want in zip(got, _reference_energy(field, region)):
             # relative to 1e-12; below the smallest normal float the last

@@ -407,7 +407,7 @@ class TestBlowUpScan:
 def reference_run(config):
     """`solver.run` with no output `times` or `on_frame`, written as a plain
     loop over `solver.step`, the divide scan and the last-stable-state rule:
-    (times, energies, sup_u, frames, outcome, t_star)."""
+    (times, energies, frames, outcome, t_star)."""
     state = solver.make_initial_data(config.mesh(), config.family, config.params)
     r = state.mesh.nodes[1:]
     dt = config.cfl * state.mesh.spacing
@@ -431,7 +431,7 @@ def reference_run(config):
             frames.append(state)
             next_out += config.output_every
     energies = [energy(s).total_energy if config.nonlinear else solver._linear_energy(s) for s in frames]
-    return [s.t for s in frames], energies, [s.sup_u() for s in frames], frames, outcome, t_star
+    return [s.t for s in frames], energies, frames, outcome, t_star
 
 
 class TestRun:
@@ -451,10 +451,9 @@ class TestRun:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = solver.run(cfg)
-        times, energies, sups, frames, want_outcome, t_star = reference_run(cfg)
+        times, energies, frames, want_outcome, t_star = reference_run(cfg)
         assert rep.times.tolist() == times
         assert rep.energies.tolist() == energies
-        assert rep.sup_history.tolist() == sups
         assert len(rep.snapshots) == len(frames)
         for got, want in zip(rep.snapshots, frames):
             assert got.t == want.t
@@ -482,7 +481,7 @@ class TestRun:
         scanned = solver.run(cfg)
         assert (guarded.outcome, guarded.t_star) == (scanned.outcome, scanned.t_star)
         assert guarded.outcome == ("BlowUpDetected" if cfg.family == "near_w" else "Completed")
-        for name in ("times", "energies", "sup_history"):
+        for name in ("times", "energies"):
             assert getattr(guarded, name).tobytes() == getattr(scanned, name).tobytes()
         assert guarded.energy_drift == scanned.energy_drift
         assert len(guarded.snapshots) == len(scanned.snapshots)
@@ -528,7 +527,7 @@ class TestRun:
             assert s.t == k.t and s.h.tobytes() == k.h.tobytes() and s.hdot.tobytes() == k.hdot.tobytes()
         arrays = [a for _, s in frames for a in (s.h, s.hdot)]
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
-        for name in ("times", "energies", "sup_history"):
+        for name in ("times", "energies"):
             assert getattr(streamed, name).tobytes() == getattr(kept, name).tobytes()
         assert (streamed.t_star, streamed.energy_drift) == (kept.t_star, kept.energy_drift)
 
