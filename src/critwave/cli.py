@@ -332,9 +332,9 @@ class _RunFrames(Sequence):
 
 def _load_run_dir(run_dir: Path) -> solver.RunReport:
     """The report of a run directory: its config, the t and E columns of
-    its series.csv, which the run recorded, and its frames on the config's
-    mesh, none of which is read here; every other column is formed from
-    the frames."""
+    its series.csv, which the run recorded (t must be report.json's
+    snapshot_times), and its frames on the config's mesh, none of which is
+    read here; every other column is formed from the frames."""
     path = run_dir / "report.json"
     with open(path) as fh:
         try:
@@ -348,9 +348,12 @@ def _load_run_dir(run_dir: Path) -> solver.RunReport:
     if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
         raise InvalidDataError(f"{path}: malformed report (snapshot_times are not finite and strictly increasing)")
     series = run_dir / "series.csv"
-    _, energies = table.read_columns(series, ("t", "E"))
+    series_times, energies = table.read_columns(series, ("t", "E"))
     if energies.size != len(times):
         raise InvalidDataError(f"{series}: {energies.size} rows, but report.json lists {len(times)} snapshots")
+    # the same floats, written by repr and by json
+    if series_times.tolist() != times:
+        raise InvalidDataError(f"{series}: its t column is not report.json's snapshot_times")
     return solver.RunReport(
         outcome=outcome,
         t_star=t_star,

@@ -8,14 +8,20 @@ step in t, Dirichlet h(t,0) = 0 at the origin and Sommerfeld outflow
 d_t v = -d_r v at r = rmax (exact for the linear 1D reduction), advanced by
 Crank-Nicolson on the one-sided second-order stencil.
 
-Cost model of `step` on n nodes: one force evaluation per step, in `out=`
-NumPy operations into the workspace that `run` forms once (`_workspace`):
-two (h, v) buffers that the steps alternate between, their slices, one
-interior scratch row, 1/r and the spacing, so a step with it makes no
-array and no slice. The two drifts are 4 operations, the stencil 4, the
-kick 2 and, when nonlinear, r u^5 = (u^2)^2 h (u = h/r, products rather
-than pow) 5 more: 15 array operations per step (10 linear), plus the outer
-row in Python floats and scalar writes at the two boundaries. The mesh
+Cost model of `step`: one force evaluation per step, in `out=` NumPy
+operations into the workspace that `run` forms once (`_Workspace`), six
+rows cut from one aligned block: two (h, v) buffers that the steps
+alternate between, one interior scratch row and 1/r. The two drifts are 4
+operations, the stencil 4, the kick 2 and, when nonlinear, r u^5 =
+(u^2)^2 h (u = h/r, products rather than pow) 5 more: 15 array operations
+per step (10 linear), plus the outer row in Python floats and scalar
+writes at the two boundaries. Each runs over only the nodes the data can
+have reached (finite speed of propagation: data that are +0.0 past node e
+are +0.0 past node e + 1 a step later), in a window that grows in chunks
+of 64 nodes, so a step costs O(nodes reached), not O(n). A step from a
+state in the workspace makes no array and forms slices only when its
+window changes; one from any other state scans it once for its extent.
+The mesh
 checks uniformity once at construction, and the new state is built
 without validation, so a step does no check. `run` adds 1 pass a step for
 its blow-up test, the sum h @ h against a bound fixed once per run; only a
@@ -268,23 +274,70 @@ def _r_column(mesh: RadialMesh) -> list:
 # ----------------------------------------------------------------- time stepping
 
 
-def _slices(h: np.ndarray, v: np.ndarray) -> tuple:
-    """(h, v) and the views of them that a step reads or writes: h's
-    interior, its right and left shifts, v's interior and v's last 3 nodes."""
-    return h, v, h[1:-1], h[2:], h[:-2], v[1:-1], v[-3:]
+_CHUNK = 64  # the step's window grows by this many nodes at a time
 
 
-def _workspace(mesh: RadialMesh) -> tuple:
+def _slices(h: np.ndarray, v: np.ndarray, m: int) -> tuple:
+    """The views of (h, v) that a step on the first m nodes reads or
+    writes: h[:m], v[:m], h's interior, right and left shifts within them,
+    v's interior within them and v's last 3 nodes (the outer row's)."""
+    return h[:m], v[:m], h[1:m - 1], h[2:m], h[:m - 2], v[1:m - 1], v[-3:]
+
+
+def _extent(h: np.ndarray, v: np.ndarray) -> int:
+    """The node from which h and v are both +0.0, bit for bit: a -0.0, like
+    any other value, counts as data."""
+    data = np.flatnonzero(h.view(np.int64) | v.view(np.int64))
+    return int(data[-1]) + 1 if data.size else 0
+
+
+class _Rows:
+    """One (h, v) buffer of a `_Workspace`: its rows, the extent of the
+    state it holds (h and v are +0.0 from that node on) and its `_slices`
+    for the workspace's window."""
+
+    __slots__ = ("h", "v", "extent", "views")
+
+    def __init__(self, h: np.ndarray, v: np.ndarray):
+        self.h, self.v, self.extent, self.views = h, v, 0, None  # the zero state
+
+
+class _Workspace:
     """What the steps of a run on a uniform mesh reuse, formed once: two
-    (h, v) buffers with their `_slices`, which the steps alternate between,
-    an interior scratch row, 1/r on the interior and the spacing. The v
-    buffers start at 0, and no step writes v[0]."""
-    n = mesh.nodes.size
-    buffers = [_slices(np.empty(n), np.zeros(n)) for _ in range(2)]
-    return buffers, np.empty(n - 2), (1.0 / mesh.nodes[1:])[:-1], mesh.spacing
+    (h, v) buffers (`_Rows`) that the steps alternate between, an interior
+    scratch row, 1/r on the interior and the spacing; and the window m of
+    the last step, with the slices of the buffers and rows for it, formed
+    again only when m changes.
+
+    The six rows are cut from one zeroed, 64-byte-aligned block, with a
+    stride of 512 k + 88 doubles that puts their starts at six different
+    offsets within a 4 KiB page. Both buffers start as the zero state, of
+    extent 0, and no step writes v[0]."""
+
+    __slots__ = ("n", "rows", "tmp", "inv_r", "dr", "m", "window_rows")
+
+    def __init__(self, mesh: RadialMesh):
+        n = self.n = mesh.nodes.size
+        stride = 512 * -(-n // 512) + 88
+        block = np.zeros(6 * stride + 8)
+        start = (-block.ctypes.data % 64) // 8
+        h1, v1, h2, v2, tmp, inv_r = (block[start + i * stride:start + i * stride + n] for i in range(6))
+        self.rows = _Rows(h1, v1), _Rows(h2, v2)
+        self.tmp = tmp[:n - 2]
+        self.inv_r = inv_r[:n - 2]
+        np.divide(1.0, mesh.nodes[1:-1], out=self.inv_r)
+        self.dr = mesh.spacing
+        self.m = 0
+
+    def window(self, m: int) -> None:
+        """Form the slices of a step on the first m nodes."""
+        self.m = m
+        for rows in self.rows:
+            rows.views = _slices(rows.h, rows.v, m)
+        self.window_rows = self.tmp[:m - 2], self.inv_r[:m - 2]
 
 
-def step(state: FieldState, dt: float, nonlinear: bool = True, workspace: tuple | None = None) -> FieldState:
+def step(state: FieldState, dt: float, nonlinear: bool = True, workspace: _Workspace | None = None) -> FieldState:
     """One drift-kick-drift (position) Stormer-Verlet step.
 
     h_half = h + dt/2 v, then v' = v + dt (D^2 h_half + h_half^5 / r^4) on the
@@ -292,18 +345,37 @@ def step(state: FieldState, dt: float, nonlinear: bool = True, workspace: tuple 
     outer row advances d_t v = -d_r v by Crank-Nicolson on the one-sided
     second-order stencil.
 
-    The new state is in the buffer of `workspace` (`_workspace` of the
+    The new state is in the buffer of `workspace` (a `_Workspace` of the
     state's mesh; a new one if none is given) that the state is not in, so
     the step after next overwrites it.
+
+    The step computes only the first m nodes. Where h and v are +0.0 from
+    node e on (the state's extent), every operation there gives +0.0 from
+    +0.0, so h' and v' are +0.0 from node e + 1 on; from the last node if
+    e + 3 >= n, as the outer row reads v two nodes in. The window m covers
+    the e + 2 nodes that reach them and every node at which the written
+    buffer holds data, rounded up to _CHUNK nodes and capped at the whole
+    mesh, so past it that buffer already holds +0.0, the full mesh step's
+    value. The outer row reads and writes the whole mesh's last nodes,
+    inside the window or past it. On the whole mesh, m = n, the step is
+    the same operations in the same order.
     """
-    (one, two), tmp, inv_r, dr = _workspace(state.mesh) if workspace is None else workspace
+    ws = _Workspace(state.mesh) if workspace is None else workspace
+    one, two = ws.rows
     # write the buffer the state is not in
-    src, dst = ((one, two) if state.h is one[0] else (two, one) if state.h is two[0]
-                else (_slices(state.h, state.hdot), one))
-    (_, v, _, _, _, v_in, v_tail), (new_h, new_v, hi, h_right, h_left, force, new_v_tail) = src, dst
+    src, dst = ((one, two) if state.h is one.h else (two, one) if state.h is two.h
+                else (None, one))
+    extent = _extent(state.h, state.hdot) if src is None else src.extent
+    m = min(ws.n, -(-max(extent + 2, dst.extent + 1) // _CHUNK) * _CHUNK)
+    if m != ws.m:
+        ws.window(m)
+    h, v, _, _, _, v_in, v_tail = _slices(state.h, state.hdot, m) if src is None else src.views
+    new_h, _, hi, h_right, h_left, force, new_v_tail = dst.views
+    tmp, inv_r = ws.window_rows
+    dr = ws.dr
     half = 0.5 * dt
     np.multiply(v, half, out=new_h)
-    new_h += state.h  # h_half until the last drift
+    new_h += h  # h_half until the last drift
     # force is the interior of new_v: the force, then v' after the kick
     np.multiply(hi, 2.0, out=force)
     np.subtract(h_right, force, out=force)
@@ -324,12 +396,14 @@ def step(state: FieldState, dt: float, nonlinear: bool = True, workspace: tuple 
     w3, w2, _ = new_v_tail.tolist()
     a = dt / (2.0 * dr)
     w1 = (v1 - a * (1.5 * v1 - 2.0 * (v2 + w2) + 0.5 * (v3 + w3))) / (1.0 + 1.5 * a)
-    new_v[-1] = w1
+    new_v_tail[2] = w1
     np.multiply(force, half, out=tmp)
     hi += tmp
-    new_h[-1] += half * w1
+    dst.h[-1] += half * w1
     new_h[0] = 0.0
-    return FieldState._unchecked(state.mesh, state.t + dt, new_h, new_v)
+    # the outer row reads v two nodes in, so data there reaches the last node
+    dst.extent = extent + 1 if extent + 3 < ws.n else ws.n
+    return FieldState._unchecked(state.mesh, state.t + dt, dst.h, dst.v)
 
 
 @dataclass
@@ -376,7 +450,7 @@ def run(config: RunConfig, initial: FieldState | None = None, times: list | None
     With `on_frame`, frame i goes to on_frame(i, state) when it is recorded
     and is not kept: the report's snapshots are empty, and its times and
     energies are those of the frames passed. The steps alternate between
-    the two buffers of one `_workspace`, and a frame is a copy out of them,
+    the two buffers of one `_Workspace`, and a frame is a copy out of them,
     so on_frame may keep the state.
     on_frame, like each frame's energy, runs under the caller's NumPy error
     state; only the steps and the blow-up test ignore overflow.
@@ -420,7 +494,7 @@ def run(config: RunConfig, initial: FieldState | None = None, times: list | None
     r = mesh.nodes[1:]
     u = np.empty_like(r)
     safe_sq = _sum_sq_bound(_safe_bound(config.blowup_threshold, float(r[0])))
-    workspace = _workspace(mesh)
+    workspace = _Workspace(mesh)
     # near blow-up the force h^5/r^4 can overflow, silently here
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):

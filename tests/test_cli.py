@@ -888,6 +888,26 @@ class TestAnalyze:
         assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 3
         assert str(series) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change", [
+        pytest.param(lambda ts: ["99.0"] * len(ts), id="every_t"),
+        pytest.param(lambda ts: [*ts[:3], "99.0", *ts[4:]], id="one_t"),
+        pytest.param(lambda ts: [*ts[:-1], repr(float(np.nextafter(float(ts[-1]), np.inf)))], id="last_t_one_ulp"),
+    ])
+    def test_series_times_not_the_reports_exit_3(self, tmp_path, capsys, change):
+        # series.csv's t column must be report.json's snapshot_times, or
+        # analyze would write the report's times beside that file's E
+        run_dir = tmp_path / "run"
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+        series = run_dir / "series.csv"
+        header, *rows = series.read_text().splitlines(keepends=True)
+        times = change([row.partition(",")[0] for row in rows])
+        series.write_text("".join([header, *(t + "," + row.partition(",")[2] for t, row in zip(times, rows))]))
+        capsys.readouterr()
+        assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 3
+        assert capsys.readouterr().err == f"analyze: {series}: its t column is not report.json's snapshot_times\n"
+        assert not (tmp_path / "an").exists()
+
     @pytest.mark.parametrize("text", [
         '{"outcome": "Completed"}',
         "not json\n",

@@ -52,6 +52,42 @@ def reference_step(state, dt, nonlinear=True):
     return FieldState(state.mesh, state.t + dt, h_new, v_new)
 
 
+def full_mesh_step(state, dt, nonlinear=True):
+    """The Verlet step on every node of the mesh: `solver.step`'s operations
+    in its order, into new arrays. `solver.step`, which computes only the
+    nodes its data can have reached, must give its bytes."""
+    n = state.h.size
+    new_h, new_v, tmp = np.empty(n), np.zeros(n), np.empty(n - 2)
+    inv_r, dr = (1.0 / state.mesh.nodes[1:])[:-1], state.mesh.spacing
+    v, v_in, v_tail = state.hdot, state.hdot[1:-1], state.hdot[-3:]
+    hi, h_right, h_left, force, new_v_tail = new_h[1:-1], new_h[2:], new_h[:-2], new_v[1:-1], new_v[-3:]
+    half = 0.5 * dt
+    np.multiply(v, half, out=new_h)
+    new_h += state.h
+    np.multiply(hi, 2.0, out=force)
+    np.subtract(h_right, force, out=force)
+    force += h_left
+    force *= 1.0 / dr**2
+    if nonlinear:
+        np.multiply(hi, inv_r, out=tmp)
+        tmp *= tmp
+        tmp *= tmp
+        tmp *= hi
+        force += tmp
+    force *= dt
+    force += v_in
+    v3, v2, v1 = v_tail.tolist()
+    w3, w2, _ = new_v_tail.tolist()
+    a = dt / (2.0 * dr)
+    w1 = (v1 - a * (1.5 * v1 - 2.0 * (v2 + w2) + 0.5 * (v3 + w3))) / (1.0 + 1.5 * a)
+    new_v[-1] = w1
+    np.multiply(force, half, out=tmp)
+    hi += tmp
+    new_h[-1] += half * w1
+    new_h[0] = 0.0
+    return FieldState._unchecked(state.mesh, state.t + dt, new_h, new_v)
+
+
 def _rel_diff(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
@@ -92,6 +128,116 @@ class TestStep:
         errs = [np.max(np.abs(final(cfl) - ref)) for cfl in (0.4, 0.2, 0.1)]
         orders = np.log2(np.divide(errs[:-1], errs[1:]))
         assert np.all(orders >= 1.9), orders
+
+
+@st.composite
+def zero_tailed(draw, n):
+    """A row of n values: data on the first n - k nodes, k drawn from 0 to
+    n - 1, the last of them not zero (the origin aside), then k zeros, a
+    run of +0.0 and -0.0 followed by +0.0 alone."""
+    k = draw(st.integers(0, n - 1))
+    body = draw(arrays(np.float64, n - k, elements=st.floats(-1.0, 1.0)))
+    body[-1] = draw(st.floats(-1.0, 1.0).filter(bool)) if n - k > 1 else 0.0
+    signed = draw(arrays(np.float64, draw(st.integers(0, k)), elements=st.sampled_from([0.0, -0.0])))
+    row = np.concatenate((body, signed, np.zeros(k - signed.size)))
+    row[0] = 0.0
+    return row
+
+
+def same_bits(a, b):
+    return a.t == b.t and a.h.tobytes() == b.h.tobytes() and a.hdot.tobytes() == b.hdot.tobytes()
+
+
+def assert_zero_past_extents(workspace):
+    """The invariant the step's window rests on: each buffer's h and v are
+    +0.0, bit for bit, past the extent it records."""
+    for rows in workspace.rows:
+        assert not np.any(rows.h[rows.extent:].view(np.int64))
+        assert not np.any(rows.v[rows.extent:].view(np.int64))
+
+
+class TestWindowedStep:
+    # what each call of a chain steps: the last state, the state before it
+    # (whose buffer the last step read), a copy of the last state in no
+    # buffer, the last state with no workspace, or new data in no buffer
+    CALLS = ("next",) * 6 + ("again", "copy", "bare", "new")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(8, 200),
+        dr=st.floats(0.02, 0.5),
+        cfl=st.floats(0.01, 0.5),
+        nonlinear=st.booleans(),
+        data=st.data(),
+    )
+    def test_is_the_full_mesh_step_bit_for_bit(self, n, dr, cfl, nonlinear, data):
+        # chains long enough to carry the window from any zero tail out to
+        # the whole mesh and through the outer row, each new state the full
+        # mesh step's bytes; past each buffer's extent its h and v are +0.0
+        mesh = RadialMesh(dr * np.arange(n, dtype=float))
+        dt = cfl * dr
+
+        def new_state():
+            t = data.draw(st.floats(0.0, 10.0))
+            state = FieldState(mesh, t, data.draw(zero_tailed(n)), data.draw(zero_tailed(n)))
+            return state, FieldState(mesh, t, state.h.copy(), state.hdot.copy())
+
+        workspace = solver._Workspace(mesh)
+        assert_zero_past_extents(workspace)
+        last = prev = new_state()
+        for call in data.draw(st.lists(st.sampled_from(self.CALLS), min_size=1, max_size=n + 4)):
+            if call == "copy":
+                got, want = last
+                start = FieldState(mesh, got.t, got.h.copy(), got.hdot.copy()), want
+            elif call == "new":
+                start = new_state()
+            else:
+                start = prev if call == "again" else last
+            with np.errstate(over="ignore", invalid="ignore"):  # data that blows up is compared too
+                got = solver.step(start[0], dt, nonlinear, None if call == "bare" else workspace)
+                want = full_mesh_step(start[1], dt, nonlinear)
+            assert same_bits(got, want)
+            assert_zero_past_extents(workspace)
+            prev, last = start, (got, want)
+
+    def test_each_buffer_keeps_its_extent(self):
+        # a state of small extent stepped into the buffer that holds data out
+        # to the last node, then the state in the other buffer, which still
+        # has data out to the last node: each is the full mesh step's bytes
+        mesh = RadialMesh(0.1 * np.arange(200, dtype=float))
+        big = FieldState.from_u(mesh, np.full(200, 0.1), np.zeros(200))
+        small = FieldState.from_u(mesh, np.where(mesh.nodes < 1.0, 0.1, 0.0), np.zeros(200))
+        workspace = solver._Workspace(mesh)
+        first = solver.step(big, 0.05, True, workspace)
+        second = solver.step(first, 0.05, True, workspace)
+        assert first.h is workspace.rows[0].h and second.h is workspace.rows[1].h
+        want = full_mesh_step(full_mesh_step(big, 0.05), 0.05)
+        for state, want in ((small, full_mesh_step(small, 0.05)), (second, full_mesh_step(want, 0.05))):
+            assert same_bits(solver.step(state, 0.05, True, workspace), want)
+
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_every_zero_tail(self, nonlinear):
+        # on 140 nodes, 2 chunks of the window and a part: data on the first
+        # n - k nodes and a tail of k zeros, for every k, stepped until the
+        # outer row has data twice. The tail is +0.0, or its first zeros are
+        # of both signs and the rest +0.0. Each step's bytes are the full
+        # mesh step's, and each buffer is +0.0 past its extent
+        n = 140
+        mesh = RadialMesh(0.1 * np.arange(n, dtype=float))
+        rng = np.random.default_rng(5)
+        for k, signed in itertools.product(range(n), (False, True)):
+            workspace = solver._Workspace(mesh)
+            h, v = rng.uniform(-0.1, 0.1, (2, n))
+            h[0] = v[0] = 0.0
+            h[n - k:], v[n - k:] = np.where(rng.random((2, k)) < 0.5, 0.0, -0.0)
+            h[n - k + signed * rng.integers(k + 1):] = 0.0
+            v[n - k + signed * rng.integers(k + 1):] = 0.0
+            got = want = FieldState(mesh, 0.0, h, v)
+            for _ in range(k + 3):
+                got = solver.step(got, 0.05, nonlinear, workspace)
+                want = full_mesh_step(want, 0.05, nonlinear)
+                assert same_bits(got, want), (k, got.t)
+                assert_zero_past_extents(workspace)
 
 
 class TestConfig:
@@ -404,10 +550,11 @@ class TestBlowUpScan:
         assert bool(h @ h <= bound) == passes
 
 
-def reference_run(config):
+def reference_run(config, step=None):
     """`solver.run` with no output `times` or `on_frame`, written as a plain
-    loop over `solver.step`, the divide scan and the last-stable-state rule:
-    (times, energies, frames, outcome, t_star)."""
+    loop over `step` (`solver.step` if not given), the divide scan and the
+    last-stable-state rule: (times, energies, frames, outcome, t_star)."""
+    step = solver.step if step is None else step
     state = solver.make_initial_data(config.mesh(), config.family, config.params)
     r = state.mesh.nodes[1:]
     dt = config.cfl * state.mesh.spacing
@@ -418,7 +565,7 @@ def reference_run(config):
     for i in range(n_steps):
         tau = t_final - state.t if i == n_steps - 1 else dt
         with np.errstate(over="ignore", invalid="ignore"):
-            new = solver.step(state, tau, config.nonlinear)
+            new = step(state, tau, config.nonlinear)
             u = new.h[1:] / r
             amp = max(u.max(), -u.min())
         if not (np.isfinite(amp) and amp <= config.blowup_threshold):
@@ -577,6 +724,30 @@ class TestRun:
         assert rep.outcome == "BlowUpDetected"
         assert rep.t_star == 2.027499999999968
         assert rep.snapshots[-1].t == rep.t_star
+
+    @pytest.mark.parametrize("config", [
+        # the CI blow-up config: W cut off at 2 r_cut = 8 of rmax 12
+        {"mesh": {"h": 0.005, "rmax": 12.0}, "t_end": 20.0, "output": {"every": 0.05},
+         "data": {"family": "near_w", "lambda": 1.0, "delta": 0.05}},
+        # the dispersal benchmark's config, run to t = 2 rather than 10
+        {"mesh": {"h": 0.005, "rmax": 26.0}, "t_end": 2.0, "output": {"every": 0.5},
+         "data": {"family": "near_w", "delta": -0.1, "lambda": 0.05, "r_cut": 8.0}},
+        # a bump of negative amplitude, whose tail underflows to -0.0 past r = 6.5
+        {"mesh": {"h": 0.05, "rmax": 10.0}, "t_end": 3.0, "output": {"every": 0.25},
+         "data": {"family": "bump", "amp": -0.3, "sigma": 0.2, "center": 1.0}},
+    ], ids=["near_w_blowup", "dispersal", "negative_bump"])
+    def test_zero_tail_runs_are_the_full_mesh_runs(self, monkeypatch, config):
+        cfg = solver.RunConfig.from_dict(config)
+        h = solver.make_initial_data(cfg.mesh(), cfg.family, cfg.params).h
+        assert h[-1] == 0.0 and (cfg.family == "near_w" or np.signbit(h[-1]))
+        rep = solver.run(cfg)
+        times, energies, frames, outcome, t_star = reference_run(cfg, full_mesh_step)
+        assert (rep.outcome, rep.t_star) == (outcome, t_star)
+        assert rep.times.tolist() == times and rep.energies.tolist() == energies
+        assert len(rep.snapshots) == len(frames)
+        assert all(same_bits(got, want) for got, want in zip(rep.snapshots, frames))
+        monkeypatch.setattr(solver, "step", lambda s, dt, nl, ws: full_mesh_step(s, dt, nl))
+        assert rep.energy_drift == solver.run(cfg).energy_drift
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_step_is_a_blowup(self, monkeypatch, bad):
