@@ -8,7 +8,10 @@ input check, a command's own included, raises InvalidConfigError, and only
 named on the command line that cannot be read is such an input; one inside a
 run directory that `analyze` reads is not. `main` maps any other OSError or
 CritwaveError to 3 and the same line. A d'Alembert mode's command is
-`dalembert check` or `dalembert evolve` in both.
+`dalembert check` or `dalembert evolve` in both. A config is checked whole,
+data.* keys too, when built, before anything is written: `simulate`'s and
+`sweep`'s template (itself a valid config) exit 2, a sweep cell's fails the
+cell, and a report.json's makes `analyze` exit 3.
 
 A run directory holds each frame twice: `snapshots/snap_NNNN.csv`, the r, u,
 u_t text that `profiles` and the `csv` data family read, and
@@ -171,24 +174,23 @@ def _simulate_into(config: solver.RunConfig, out: Path, ball_radii, g_radii):
     frames, series.csv, report.json and manifest.json. Returns the report, which
     keeps no snapshots, and the diagnostics series written.
 
-    This process builds the config's mesh once, with the initial data on it,
-    runs the solve once and writes each frame's (h, hdot) as it is made,
-    holding no more than one frame. `_frame_pass` then reads the frames back
-    on that mesh, as `analyze` does, to write their snapshots and reduce
-    each to its diagnostics row.
+    This process builds the config's mesh and initial data once, before it
+    writes anything, runs the solve once and writes each frame's (h, hdot)
+    as it is made, holding no more than one frame. `_frame_pass` then reads
+    the frames back on that mesh, as `analyze` does, to write their
+    snapshots and reduce each to its diagnostics row.
     """
     started = _iso_now()
-    out.mkdir(parents=True, exist_ok=True)
+    mesh = config.mesh()
+    initial = solver.make_initial_data(mesh, config.family, config.params)
     snapdir, framedir = out / "snapshots", out / "frames"
-    snapdir.mkdir(exist_ok=True)
+    snapdir.mkdir(parents=True, exist_ok=True)
     framedir.mkdir(exist_ok=True)
 
     def on_frame(i, state):
         np.save(framedir / f"frame_{i:04d}.npy", np.stack((state.h, state.hdot)))
 
-    mesh = config.mesh()
-    report = solver.run(config, initial=solver.make_initial_data(mesh, config.family, config.params),
-                        on_frame=on_frame)
+    report = solver.run(config, initial=initial, on_frame=on_frame)
     frames = _RunFrames(framedir, report.times.tolist(), mesh)
     row = analysis.row_function(frames.mesh, tuple(ball_radii), tuple(g_radii))
     series = analysis.assemble_series(report, _frame_pass(frames, row, snapdir))

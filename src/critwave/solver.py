@@ -20,14 +20,13 @@ have reached (finite speed of propagation: data that are +0.0 past node e
 are +0.0 past node e + 1 a step later), in a window that grows in chunks
 of 64 nodes, so a step costs O(nodes reached), not O(n). A step from a
 state in the workspace makes no array and forms slices only when its
-window changes; one from any other state scans it once for its extent.
-The mesh
-checks uniformity once at construction, and the new state is built
-without validation, so a step does no check. `run` adds 1 pass a step for
-its blow-up test, the sum h @ h against a bound fixed once per run; only a
-step past that bound takes the exact divide/max/min scan. It copies a state
-out of the buffers only to keep it as a frame. The loop enters one NumPy
-error state per run, not per step.
+window changes; one from any other state scans it, and the new state,
+once for its extent. The mesh checks uniformity once at construction, and
+the new state is built without validation, so a step does no check. `run`
+adds 1 pass a step for its blow-up test, the sum h @ h against a bound
+fixed once per run; only a step past that bound takes the exact
+divide/max/min scan. It copies a state out of the buffers only to keep it
+as a frame. The loop enters one NumPy error state per run, not per step.
 """
 
 from __future__ import annotations
@@ -47,12 +46,14 @@ from .radial import RadialProfile, gaussian_bump, smoothstep_bump
 from .table import format_column, read_columns, write_columns
 
 CFL_MAX = 0.5
-# each initial-data family, the data.* keys it reads and the kind of value each takes
+# each initial-data family, the data.* keys it reads, each with the kind of value it
+# takes and its default: None where the key must be given; r_cut's is mesh.rmax / 3
 FAMILIES = {
-    "near_w": {"delta": "number", "lambda": "positive", "r_cut": "positive"},
-    "bump": {"amp": "number", "sigma": "positive", "center": "number"},
-    "perturbed_w": {"lambda": "positive", "eps": "number", "amp": "number", "sigma": "positive", "center": "number"},
-    "csv": {"path": "string"},
+    "near_w": {"delta": ("number", 0.0), "lambda": ("positive", 1.0), "r_cut": ("positive", lambda rmax: rmax / 3.0)},
+    "bump": {"amp": ("number", 1.0), "sigma": ("positive", 1.0), "center": ("number", 0.0)},
+    "perturbed_w": {"lambda": ("positive", 1.0), "eps": ("number", 0.0),
+                    "amp": ("number", 1.0), "sigma": ("positive", 1.0), "center": ("number", 0.0)},
+    "csv": {"path": ("string", None)},
 }
 _MAX_NODES = 10**7  # more than 1000 times the largest mesh any run here uses
 _MAX_STEPS = 10**8  # more than 600 times the 162k steps of ROADMAP item 1's finest graded-mesh run
@@ -123,6 +124,7 @@ class RunConfig:
         if not self.t_end / self.cfl / self.mesh_h <= _MAX_STEPS:
             raise InvalidConfigError(f"t_end / (cfl * mesh.h) gives more than {_MAX_STEPS} steps, got t_end = "
                                      f"{self.t_end!r}, cfl = {self.cfl!r} and mesh.h = {self.mesh_h!r}")
+        _data_values(self.family, self.params, self.rmax)
 
     def mesh(self) -> RadialMesh:
         return RadialMesh.uniform(self.mesh_h, self.rmax)
@@ -188,42 +190,36 @@ def parse_scalar(val: str):
 
 # ----------------------------------------------------------------- initial data
 
-def make_initial_data(mesh: RadialMesh, family: str, params: dict) -> FieldState:
+def _data_values(family: str, params: dict, rmax: float) -> dict:
+    """Each data.* key that `family` reads: its value in `params`, checked as
+    FAMILIES says, or its default (r_cut's on a mesh to rmax)."""
     if family not in FAMILIES:
         raise InvalidConfigError(f"data.family must be one of {', '.join(FAMILIES)}, got {family!r}")
-    kinds = FAMILIES[family]
+    keys = FAMILIES[family]
     for key in params:
-        if key not in kinds:
-            reads = ", ".join(f"data.{k}" for k in kinds)
+        if key not in keys:
+            reads = ", ".join(f"data.{k}" for k in keys)
             raise InvalidConfigError(f"data.{key} is not read by data.family = {family}, which reads {reads}")
+    for key, (kind, default) in keys.items():
+        if default is None and key not in params:
+            raise InvalidConfigError(f"data.family = {family} needs data.{key}")
+    return {key: _checked(f"data.{key}", params[key], kind) if key in params
+            else default(rmax) if callable(default) else default for key, (kind, default) in keys.items()}
 
-    def read(key: str, default):
-        # data.<key>, checked as FAMILIES says, or default where it is absent
-        return _checked(f"data.{key}", params[key], kinds[key]) if key in params else default
 
-    def bump() -> RadialProfile:
-        return gaussian_bump(read("amp", 1.0), read("sigma", 1.0), read("center", 0.0))
-
+def make_initial_data(mesh: RadialMesh, family: str, params: dict) -> FieldState:
+    p = _data_values(family, params, mesh.rmax)
     r = mesh.nodes
     if family == "csv":
-        path = read("path", None)
-        if path is None:
-            raise InvalidConfigError("data.family = csv needs data.path")
-        return load_snapshot(path, mesh)
-    # an extreme data.* number can overflow u, or h = r u, to inf or nan:
-    # refused below
+        return load_snapshot(p["path"], mesh)
+    # an extreme data.* number can overflow u, or h = r u, to inf or nan: refused below
     with np.errstate(all="ignore"):
         if family == "near_w":
-            delta = read("delta", 0.0)
-            lam = read("lambda", 1.0)
-            r_cut = read("r_cut", mesh.rmax / 3.0)
-            u0 = (1.0 + delta) * eval_w(r, GroundStateParams(lam=lam)) * smoothstep_bump(r / r_cut)
-        elif family == "bump":
-            u0 = bump().u(r)
-        else:  # perturbed_w
-            lam = read("lambda", 1.0)
-            eps = read("eps", 0.0)
-            u0 = eval_w(r, GroundStateParams(lam=lam)) + eps * bump().u(r)
+            u0 = (1.0 + p["delta"]) * eval_w(r, GroundStateParams(lam=p["lambda"])) * smoothstep_bump(r / p["r_cut"])
+        else:  # bump, or perturbed_w: W plus eps times the bump
+            u0 = gaussian_bump(p["amp"], p["sigma"], p["center"]).u(r)
+            if family == "perturbed_w":
+                u0 = eval_w(r, GroundStateParams(lam=p["lambda"])) + p["eps"] * u0
         finite = np.all(np.isfinite(r * u0))  # nan at the origin where u0 is not finite
     if not finite:
         given = ", ".join(f"data.{key} = {value!r}" for key, value in sorted(params.items()))
@@ -352,7 +348,9 @@ def step(state: FieldState, dt: float, nonlinear: bool = True, workspace: _Works
     The step computes only the first m nodes. Where h and v are +0.0 from
     node e on (the state's extent), every operation there gives +0.0 from
     +0.0, so h' and v' are +0.0 from node e + 1 on; from the last node if
-    e + 3 >= n, as the outer row reads v two nodes in. The window m covers
+    e + 3 >= n, as the outer row reads v two nodes in: the new state's
+    extent, or, from a state in no buffer (its -0.0 tail is +0.0 a step
+    later), the one a scan finds. The window m covers
     the e + 2 nodes that reach them and every node at which the written
     buffer holds data, rounded up to _CHUNK nodes and capped at the whole
     mesh, so past it that buffer already holds +0.0, the full mesh step's
@@ -402,7 +400,7 @@ def step(state: FieldState, dt: float, nonlinear: bool = True, workspace: _Works
     dst.h[-1] += half * w1
     new_h[0] = 0.0
     # the outer row reads v two nodes in, so data there reaches the last node
-    dst.extent = extent + 1 if extent + 3 < ws.n else ws.n
+    dst.extent = _extent(dst.h, dst.v) if src is None else extent + 1 if extent + 3 < ws.n else ws.n
     return FieldState._unchecked(state.mesh, state.t + dt, dst.h, dst.v)
 
 

@@ -203,6 +203,8 @@ class TestSimulate:
         capsys.readouterr()
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert capsys.readouterr().err == f"simulate: {message}\n"
+        # refused before anything is written, the data that are not finite too
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text, message", [
         ('"blowup_threshold": NaN', "blowup_threshold must be finite, got nan"),
@@ -963,6 +965,22 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith(f"analyze: {report}: malformed report (TypeError(") and "'seed'" in err
 
+    def test_report_with_unread_data_key_exit_3(self, tmp_path, capsys):
+        # report.json's config is checked whole, its data.* keys too, as
+        # simulate's config file is
+        run_dir = tmp_path / "run"
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(run_dir), "--quiet"]) == 0
+        report = run_dir / "report.json"
+        rep = json.loads(report.read_text())
+        rep["config"]["params"]["amplitude"] = 0.3
+        report.write_text(json.dumps(rep))
+        capsys.readouterr()
+        assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"analyze: {report}: malformed report (") and "data.amplitude is not read" in err
+        assert not (tmp_path / "an").exists()
+
 
 class TestProfiles:
     def test_two_bubble_snapshot(self, tmp_path):
@@ -1152,6 +1170,28 @@ class TestSweep:
                      "--param", "data.amp=3", "--out", str(out), "--quiet"]) == 2
         assert capsys.readouterr().err == "sweep: --param data.amp given twice\n"
         assert not out.exists()
+
+    def test_template_with_unread_key_exit_2(self, tmp_path, capsys):
+        # the template is checked whole, as simulate's config is, before any
+        # cell runs or anything is written
+        cfg = write(tmp_path / "c.json", BUMP_CFG.replace('"amp": 0.3', '"amplitude": 0.3'))
+        out = tmp_path / "sweep"
+        capsys.readouterr()
+        assert main(["sweep", "--config", cfg, "--param", "data.center=1,2", "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == ("sweep: data.amplitude is not read by data.family = bump, "
+                                           "which reads data.amp, data.sigma, data.center\n")
+        assert not out.exists()
+
+    def test_cell_with_data_not_finite_writes_no_directory(self, tmp_path):
+        # sigma**2 underflows to 0: the cell fails before it writes anything
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--param", "data.sigma=1.0,1e-300", "--out", str(out), "--quiet"]) == 0
+        with open(out / "aggregate.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["outcome"] for row in rows] == ["Completed", "Failed"]
+        assert rows[1]["error"].endswith("gives initial data that is not finite")
+        assert (out / "cell_000").is_dir() and not (out / "cell_001").exists()
 
     def test_bad_param_spec(self, tmp_path):
         cfg = write(tmp_path / "c.json", BUMP_CFG)

@@ -273,9 +273,9 @@ class TestConfig:
                 solver.RunConfig(mesh_h=h, rmax=rmax)
 
     def test_unknown_family(self):
-        cfg = solver.RunConfig(family="nope")
-        with pytest.raises(InvalidConfigError):
-            solver.make_initial_data(cfg.mesh(), cfg.family, cfg.params)
+        # refused when the config is built, not when its data are
+        with pytest.raises(InvalidConfigError, match="data.family"):
+            solver.RunConfig(family="nope")
 
     @pytest.mark.parametrize("family, params, key", [
         ("csv", {}, "data.path"),
@@ -367,12 +367,21 @@ class TestConfigSurface:
     # u finite but h = r u not: the largest float times a bump past r = 1
     @example(flat={"data.center": 1.0, "data.amp": 1.7976931348623157e308})
     def test_builds_or_names_a_key(self, flat):
+        # every key is checked when the config is built; its data may then
+        # be refused only as not finite
         with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "config.json")
+            path.write_text(json.dumps(flat))
+            read = solver.read_config(path)
             try:
-                state = build_initial_data(flat, tmp)
+                cfg = solver.RunConfig.from_dict(read)
             except InvalidConfigError as exc:
-                read = solver.read_config(Path(tmp, "config.json"))
                 assert any(key in str(exc) for key in read), str(exc)
+                return
+            try:
+                state = solver.make_initial_data(TINY_MESH, cfg.family, cfg.params)
+            except InvalidConfigError as exc:
+                assert str(exc).endswith(" gives initial data that is not finite"), str(exc)
             else:
                 assert np.all(np.isfinite(state.h)) and np.all(np.isfinite(state.hdot))
 
@@ -748,6 +757,21 @@ class TestRun:
         assert all(same_bits(got, want) for got, want in zip(rep.snapshots, frames))
         monkeypatch.setattr(solver, "step", lambda s, dt, nl, ws: full_mesh_step(s, dt, nl))
         assert rep.energy_drift == solver.run(cfg).energy_drift
+
+    def test_negative_zero_tail_windows_from_the_second_step(self, monkeypatch):
+        # the -0.3 bump above: its first step, from a state in no buffer,
+        # computes the whole mesh, as the -0.0 tail counts as data, and makes
+        # that tail +0.0; the new state's extent is scanned, not carried, so
+        # the second step computes fewer nodes
+        cfg = solver.RunConfig.from_dict({
+            "mesh": {"h": 0.05, "rmax": 10.0}, "t_end": 3.0, "output": {"every": 0.25},
+            "data": {"family": "bump", "amp": -0.3, "sigma": 0.2, "center": 1.0}})
+        windows = []
+        step = solver.step
+        monkeypatch.setattr(solver, "step", lambda s, dt, nl, ws: (step(s, dt, nl, ws), windows.append(ws.m))[0])
+        solver.run(cfg)
+        n = cfg.mesh().nodes.size
+        assert windows[0] == n and windows[1] < n
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_step_is_a_blowup(self, monkeypatch, bad):
