@@ -13,13 +13,22 @@ the t -> +inf free channel, and symmetrically for t <= 0. `channel_check`
 costs two `OneDWaveData.int_dF_sq` window integrals, O(cells).
 
 `evolve` costs one stable sort of the sorted breakpoint runs s - t and
-t - s, one `F_knots` and O(n) work after that. The rounding of s - t is set
-by |s| + |t|, so its merge tolerance is relative: an evolved breakpoint k
-merges into the one before it within 1e-12 * max(1, |t|, k), and each data
-cell [a, b] meets the tolerance 1e-12 * max(1, |t| + max(|a|, |b|)) at its
-own position. evolve refuses a t that makes that tolerance half a cell or more,
-where the merge would drop the data. Data graded over many decades, with
-cells far smaller near the origin than 1e-12 of its support, evolves.
+t - s, one `F_knots` and O(n) work after that. Both functions make each
+n-length array once. Beyond what it returns, `build_F` holds one
+temporary, the data's cell widths. `evolve` holds F at the breakpoints,
+one array of len(s), and a few blocks of 4096 values, in which it
+evaluates F and F' at the new knots. Before that, its candidates and their
+gaps take two arrays of len(s) + 1, which is less: each new knot stands
+for at most two candidates, so its output alone is 1.5 arrays of len(s)
+or more.
+
+The rounding of s - t is set by |s| + |t|, so its merge tolerance is
+relative: an evolved breakpoint k merges into the one before it within
+1e-12 * max(1, |t|, k), and each data cell [a, b] meets the tolerance
+1e-12 * max(1, |t| + max(|a|, |b|)) at its own position. evolve refuses a
+t that makes that tolerance half a cell or more, where the merge would
+drop the data. Data graded over many decades, with cells far smaller near
+the origin than 1e-12 of its support, evolves.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from .radial import RadialProfile, half_line_integral
 from .table import read_columns, write_columns
 
 _MERGE_EPS = 1e-12
+_BLOCK = 4096  # values per block of evolve's lookups
 _CSV_COLUMNS = ("s", "f0", "f1")
 
 
@@ -52,12 +62,15 @@ class RadialData:
         knots = np.asarray(self.knots, dtype=float)
         f0 = np.asarray(self.f0, dtype=float)
         f1 = np.asarray(self.f1, dtype=float)
-        if knots.size < 2 or np.any(np.diff(knots) <= 0):
+        if knots.size < 2 or np.any(knots[1:] <= knots[:-1]):
             raise InvalidDataError("need two or more strictly increasing knots")
         if knots[0] != 0.0:
             raise InvalidDataError("knots must start at r = 0")
         if f0.shape != knots.shape or f1.shape != (knots.size - 1,):
             raise InvalidDataError("f0/f1 shapes do not match the knots")
+        for name, values in (("knots", knots), ("f0", f0), ("f1", f1)):
+            if not np.isfinite(values).all():  # NaN fails every comparison above
+                raise InvalidDataError(f"{name} must be finite")
         if f0[0] != 0.0:
             raise InvalidDataError("f0(0) must vanish")
         object.__setattr__(self, "knots", knots)
@@ -92,7 +105,14 @@ class OneDWaveData:
 
     @property
     def F_knots(self) -> np.ndarray:
-        return self.F_left + np.concatenate(([0.0], np.cumsum(self.dF * np.diff(self.s))))
+        """F at each breakpoint of s, formed in one array."""
+        out = np.empty_like(self.s)
+        out[0] = 0.0
+        rise = np.subtract(self.s[1:], self.s[:-1], out=out[1:])
+        rise *= self.dF
+        np.cumsum(rise, out=rise)
+        out += self.F_left
+        return out
 
     def F(self, x):
         """Evaluate F anywhere (piecewise linear, constant outside)."""
@@ -103,7 +123,8 @@ class OneDWaveData:
     def dF_at(self, x):
         """F' evaluated cellwise (value at knots is the right cell's)."""
         x = np.asarray(x, dtype=float)
-        out = np.concatenate(([0.0], self.dF, [0.0]))[np.searchsorted(self.s, x, side="right")]
+        cell = np.searchsorted(self.s, x, side="right") - 1
+        out = np.where((cell >= 0) & (cell < self.dF.size), self.dF.take(cell, mode="clip"), 0.0)
         return out if out.ndim else float(out)
 
     def int_dF_sq(self, a: float, b: float) -> float:
@@ -129,15 +150,23 @@ def build_F(data: RadialData) -> OneDWaveData:
     F(s) =  f0(s)/2  + (1/2) int_0^s  f1   for s > 0,
     F(s) = -f0(-s)/2 + (1/2) int_0^{-s} f1 for s < 0.
     """
-    k = data.knots
+    k, f0, f1 = data.knots, data.f0, data.f1
+    m = f1.size
     dk = k[1:] - k[:-1]
-    half_slopes = 0.5 * ((data.f0[1:] - data.f0[:-1]) / dk)
-    half_f1 = 0.5 * data.f1
-    s = np.concatenate((-k[:0:-1], k))
+    s = np.empty(2 * m + 1)
+    np.negative(k[:0:-1], out=s[:m])
+    s[m:] = k
     # negative cells (-k_{i+1}, -k_i): F' = slope/2 - f1/2, reversed order;
     # positive cells (k_i, k_{i+1}): F' = slope/2 + f1/2
-    dF = np.concatenate(((half_slopes - half_f1)[::-1], half_slopes + half_f1))
-    F_left = -0.5 * data.f0[-1] + 0.5 * float(np.add.reduce(data.f1 * dk))
+    dF = np.empty(2 * m)
+    pos = np.multiply(f1, dk, out=dF[m:])
+    F_left = -0.5 * f0[-1] + 0.5 * float(np.add.reduce(pos))
+    half_slopes = np.subtract(f0[1:], f0[:-1], out=pos)
+    half_slopes /= dk
+    half_slopes *= 0.5
+    half_f1 = np.multiply(f1, 0.5, out=dk)
+    np.subtract(half_slopes, half_f1, out=dF[:m][::-1])
+    half_slopes += half_f1
     return OneDWaveData(s, dF, F_left)
 
 
@@ -146,12 +175,14 @@ def _merge_knots(v: np.ndarray, floor: float) -> np.ndarray:
     if v.size <= 1:
         return v
     gaps = v[1:] - v[:-1]
-    keep = gaps > _MERGE_EPS * floor  # the least tolerance
+    mask = np.empty(v.size, dtype=bool)
+    mask[0] = True
+    keep = np.greater(gaps, _MERGE_EPS * floor, out=mask[1:])  # the least tolerance
     # the few gaps that a larger one could merge, judged at their own magnitude
     near = np.flatnonzero(keep & (gaps <= _MERGE_EPS * max(floor, v[-1])))
-    del gaps  # freed before the merged copy is made, as np.diff's temporary was
+    del gaps  # freed before the merged copy is made
     keep[near] = v[near + 1] - v[near] > _MERGE_EPS * np.maximum(v[near + 1], floor)
-    return v[np.concatenate(([True], keep))]
+    return v[mask]
 
 
 def evolve(data: OneDWaveData, t: float) -> RadialData:
@@ -168,18 +199,26 @@ def evolve(data: OneDWaveData, t: float) -> RadialData:
             raise InvalidParameterError(
                 f"|t| = {abs(t):g} merges breakpoints up to {tol[i]:.3g} apart at |r| = {max(-s[i], s[i + 1]):g}, "
                 f"half the data's cell {cells[i]:.3g} there or more")
-    # the candidates s - t >= 0 and t - s >= 0 are sorted runs, which a stable sort merges
+    # the candidates s - t >= 0 and t - s >= 0 are sorted runs, which a stable
+    # sort merges; the least candidate is 0.0, so the knots start at 0
     i, j = np.searchsorted(s, t), np.searchsorted(s, t, side="right")
-    knots = np.sort(np.concatenate((s[i:] - t, (t - s[:j])[::-1], [0.0])), kind="stable")
+    knots = np.empty(s.size - i + j + 1)
+    np.subtract(s[i:], t, out=knots[:s.size - i])
+    np.subtract(t, s[:j], out=knots[s.size - i:-1][::-1])
+    knots[-1] = 0.0
+    knots.sort(kind="stable")
     # 1e-12 * max(1, |t|, k) is at most 1e-12 * max(1, |s| + |t|) of the k = |s - t| it lies at
     knots = _merge_knots(knots, max(1.0, abs(t)))
-    if knots[0] != 0.0:
-        knots = np.concatenate(([0.0], knots))
     F_knots = data.F_knots
-    f = np.interp(t + knots, s, F_knots) - np.interp(t - knots, s, F_knots)
+    f, ft = np.empty_like(knots), np.empty(knots.size - 1)
+    for lo in range(0, knots.size, _BLOCK):  # blocks bound the temporaries
+        k = knots[lo:lo + _BLOCK]
+        np.subtract(np.interp(t + k, s, F_knots), np.interp(t - k, s, F_knots), out=f[lo:lo + _BLOCK])
+        k = knots[lo:lo + _BLOCK + 1]  # the block's last cell ends at the next block's first knot
+        mid = 0.5 * (k[1:] + k[:-1])
+        # increasing keys search faster
+        np.subtract(data.dF_at(t + mid), data.dF_at(t - mid[::-1])[::-1], out=ft[lo:lo + _BLOCK])
     f[0] = 0.0
-    mid = 0.5 * (knots[1:] + knots[:-1])
-    ft = data.dF_at(t + mid) - data.dF_at(t - mid[::-1])[::-1]  # increasing keys search faster
     return RadialData(knots, f, ft)
 
 

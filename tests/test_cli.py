@@ -527,8 +527,11 @@ class TestDalembert:
             "s,f0,f1\n0.0,0.0,0.0\n1.0,abc,1.0\n2.0,0.0,0.0\n",  # non-numeric
             "s,f0,f1\n0.0,0.0,0.0\n1.0,0.5\n2.0,0.0,0.0\n",  # ragged
             "s,f0,f1\n0.0,0.0,1.0\n",  # one knot, no cell
+            "s,f0,f1\n0,0,0\nnan,0.5,1\n2,0,0\n",  # NaN fails the order check's comparisons
+            "s,f0,f1\n0,0,0\n1,0.5,1\ninf,0,0\n",
+            "s,f0,f1\n0,0,0\n1,nan,1\n2,0,0\n",
         ],
-        ids=["non_numeric", "ragged", "one_row"],
+        ids=["non_numeric", "ragged", "one_row", "nan_knot", "inf_last_knot", "nan_f0"],
     )
     def test_evolve_malformed_data_exit_2(self, tmp_path, capsys, text):
         src = write(tmp_path / "data.csv", text)

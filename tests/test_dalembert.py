@@ -2,7 +2,9 @@
 
 import csv
 import functools
+import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -316,6 +318,33 @@ class TestEngineBytes:
         assert all(same_bytes(a, b) for a, b in zip((got.knots, got.f0, got.f1), (ref.knots, ref.f0, ref.f1)))
 
 
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of traced memory during the call above its start, in bytes."""
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    out = fn(*args)
+    return out, tracemalloc.get_traced_memory()[1] - start
+
+
+class TestMemory:
+    def test_traced_peaks_on_the_finest_oracle_rung(self):
+        # the oracle ladder's finest rung: 76801 knots, so 153601 breakpoints of F
+        data = da.reduce(gaussian_bump(1.0, 0.8, 3.0), lambda x: np.zeros_like(np.asarray(x, float)),
+                         np.linspace(0.0, 12.0, 76801))
+        tracemalloc.start()
+        try:
+            wave, build_peak = traced_peak(da.build_F, data)
+            moved, evolve_peak = traced_peak(da.evolve, wave, 4.0)
+        finally:
+            tracemalloc.stop()
+        # build_F's one temporary is the cell widths, less than one knot array
+        assert build_peak <= wave.s.nbytes + wave.dF.nbytes + data.knots.nbytes + 2**14
+        # evolve holds F at the breakpoints, one array of len(s), and eight
+        # blocks of temporaries beyond its output
+        out = moved.knots.nbytes + moved.f0.nbytes + moved.f1.nbytes
+        assert evolve_peak <= out + wave.s.nbytes + 8 * da._BLOCK * 8
+
+
 class TestExteriorIdentity:
     @pytest.mark.parametrize("R0", [0.0, 0.5, 2.0])
     def test_gaussian(self, R0):
@@ -365,6 +394,10 @@ def reference_export_csv(data, path):
             w.writerow([repr(float(s)), repr(float(a)), repr(float(b))])
 
 
+# RadialData holds finite values only
+FINITE_FLOAT = ANY_FLOAT.filter(math.isfinite)
+
+
 class TestIO:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -373,8 +406,8 @@ class TestIO:
     )
     def test_bytes_match_csv_writer(self, s, data):
         knots = np.array([0.0, *sorted(s)])
-        f0 = np.array([0.0, *data.draw(st.lists(ANY_FLOAT, min_size=knots.size - 1, max_size=knots.size - 1))])
-        f1 = np.array(data.draw(st.lists(ANY_FLOAT, min_size=knots.size - 1, max_size=knots.size - 1)))
+        f0 = np.array([0.0, *data.draw(st.lists(FINITE_FLOAT, min_size=knots.size - 1, max_size=knots.size - 1))])
+        f1 = np.array(data.draw(st.lists(FINITE_FLOAT, min_size=knots.size - 1, max_size=knots.size - 1)))
         radial = da.RadialData(knots, f0, f1)
         with tempfile.TemporaryDirectory() as tmp:
             got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
@@ -410,6 +443,18 @@ class TestIO:
         # one knot has no cell, so F' would have none to evaluate
         with pytest.raises(InvalidDataError, match="two or more"):
             da.RadialData(np.array(knots), np.zeros(len(knots)), np.zeros(0))
+
+    @pytest.mark.parametrize("knots, f0, f1, message", [
+        ([0.0, np.nan, 2.0], [0.0, 0.5, 0.0], [1.0, 0.0], "knots must be finite"),
+        ([0.0, 1.0, np.inf], [0.0, 0.5, 0.0], [1.0, 0.0], "knots must be finite"),
+        ([0.0, 1.0, 2.0], [0.0, np.nan, 0.0], [1.0, 0.0], "f0 must be finite"),
+        ([0.0, 1.0, 2.0], [0.0, 0.5, 0.0], [1.0, -np.inf], "f1 must be finite"),
+    ], ids=["nan_knot", "inf_last_knot", "nan_f0", "inf_f1"])
+    def test_non_finite_refused(self, knots, f0, f1, message):
+        # NaN fails every comparison, so the order check alone lets it through
+        with pytest.raises(InvalidDataError) as exc:
+            da.RadialData(np.array(knots), np.array(f0), np.array(f1))
+        assert str(exc.value) == message
 
     def test_reduce_from_profile(self):
         grid = np.linspace(0.0, 6.0, 61)
