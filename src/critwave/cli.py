@@ -23,8 +23,9 @@ only the frames, so its rows are formed from the arrays that `simulate`'s were.
 .npy file as the solve makes it. Then it makes the same frame pass as
 `analyze`, `_frame_pass`: the frames are read back one at a time and each
 is reduced to its diagnostics row, and `simulate` also writes its snapshot
-CSV. One pool, `_in_parallel`, spreads every command's work over the CPUs
-of the process's affinity mask. The frame pass splits a run's frames once
+CSV. One fan-out, `_in_parallel`, spreads every command's work over the
+CPUs of the process's affinity mask: it forks its workers directly, and
+each sends its result back pickled over a pipe. The frame pass splits a run's frames once
 the run has `_FAN_OUT_MIN_ROWS` rows, so no process holds a run's frames;
 `analyze --split-index k` passes the frames before k, and its own process
 steps v beside the rest (`analysis.singular_part`). `sweep` splits its
@@ -39,12 +40,12 @@ import csv
 import hashlib
 import io
 import json
-import multiprocessing
 import os
+import pickle
+import signal
 import sys
 import time
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -91,48 +92,87 @@ def _iso_now() -> str:
 #   120050: 11/12 (409 -> 293 ms)           240100: 11/12 (605 -> 490 ms)
 # The break-even moves between sessions within 17k-34k rows (in one, the
 # fan-out won 0 of 8 pairs at 33621), so runs under 60000 rows stay serial.
-# Hosts with more than 2 CPUs have not been measured.
+# These pairs were timed with a process pool, before _in_parallel forked
+# its workers directly. Hosts with more than 2 CPUs have not been measured.
 _FAN_OUT_MIN_ROWS = 60_000
 
-_forked_fn = None  # _in_parallel's fn while it fans out, here and in its workers
-
-
-def _call_forked_fn(j: int, k: int):
-    return _forked_fn(j, k)
+_fanning_out = False  # True while _in_parallel fans out, here and in its workers
 
 
 def _in_parallel(fn, items: int) -> list:
     """[fn(0, k), ..., fn(k - 1, k)], one call in each of k processes: this
-    process makes fn(0, k) while k - 1 forked workers make one call each.
+    process makes fn(0, k) while k - 1 workers, forked directly, make one
+    call each.
 
     The calls share out `items` things, call j taking items j, j + k,
     j + 2k, ...; k is the number of CPUs in this process's affinity mask, or
-    `items` if that is fewer. The workers inherit fn, and all that it reads,
-    from this process's memory (a fork-context pool forks all of its workers
-    at its first task, before it starts its own thread), so a task sends
-    only (j, k) and only fn's result comes back. One call per process, not
-    one task per item: a task per item has the pool's feeder thread wait for
-    the GIL that this process's own calls hold, and the workers wait to be
-    fed. An exception that fn raises in a worker is raised here once this
-    process's own call has returned.
+    `items` if that is fewer. A worker inherits fn, and all that it reads,
+    from this process's memory, so nothing is sent to it; its result, or the
+    exception fn raised, comes back pickled over its own pipe, and it leaves
+    by os._exit. This process reads the pipes in order once its own call has
+    returned, and reaps every worker before it returns or raises. An
+    exception that fn raises in a worker is raised here; one raised here,
+    in this process's own call or by a worker's, kills the workers still
+    running (SIGKILL) first. A worker that ends without sending its result
+    raises ChildProcessError, an OSError, naming it and its wait status.
 
     k is 1 where the mask cannot be read, and inside any call made during a
     fan-out, in a worker or in this process's own share (a sweep cell), so
-    that pools never nest.
+    that fan-outs never nest.
     """
-    global _forked_fn
+    global _fanning_out
     k = 1
-    if _forked_fn is None and hasattr(os, "sched_getaffinity"):
+    if not _fanning_out and hasattr(os, "sched_getaffinity"):
         k = min(len(os.sched_getaffinity(0)), items)
     if k <= 1:
         return [fn(0, 1)]
-    _forked_fn = fn  # before the pool forks, so that its workers inherit it
+    _fanning_out = True  # before the forks, so that the workers inherit it
+    workers = {}  # pid -> the read end of its pipe, for each worker not yet reaped
     try:
-        with ProcessPoolExecutor(max_workers=k - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_call_forked_fn, j, k) for j in range(1, k)]
-            return [fn(0, k), *(f.result() for f in futures)]
+        for j in range(1, k):
+            fd, child_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(fd)
+                _run_worker(fn, j, k, child_fd)
+            os.close(child_fd)
+            workers[pid] = open(fd, "rb")
+        results = [fn(0, k)]
+        for j, (pid, pipe) in enumerate(list(workers.items()), 1):
+            with pipe:
+                sent = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[pid]
+            if not sent or status:
+                raise ChildProcessError(f"worker {j} ended without sending its result (wait status {status})")
+            ok, value = pickle.loads(sent)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
     finally:
-        _forked_fn = None
+        for pid, pipe in workers.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+        _fanning_out = False
+
+
+def _run_worker(fn, j: int, k: int, fd: int):
+    """A forked worker's life, which never returns: fn(j, k), or the
+    exception it raised, pickled as (ok, value) to fd, then os._exit, with
+    status 0 once all is sent."""
+    status = 1
+    try:
+        try:
+            sent = True, fn(j, k)
+        except Exception as exc:  # noqa: BLE001 - sent to the parent, which raises it
+            sent = False, exc
+        with open(fd, "wb") as pipe:
+            pipe.write(pickle.dumps(sent))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _interleaved(shares: list) -> list:

@@ -7,12 +7,13 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import weakref
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -57,27 +58,42 @@ def run_files(run_dir):
 
 
 @pytest.fixture
-def cpus(monkeypatch, tmp_path):
-    """Set the CPU count the snapshot fan-out sees, with no minimum of rows,
-    and log every pool that cli creates: returns (set_cpus, pool_pids)."""
-    log = tmp_path / "pools.log"
+def fork_pids(monkeypatch, tmp_path):
+    """Log every os.fork: returns fork_pids(), the pid that forked each
+    worker since its last call, one entry per worker."""
+    log, fork = tmp_path / "forks.log", os.fork
 
-    class LoggedPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            with open(log, "a") as fh:  # a file, so forked workers' pools show too
-                fh.write(f"{os.getpid()}\n")
-            super().__init__(*args, **kwargs)
+    def logged_fork():
+        with open(log, "a") as fh:  # a file, so forks in forked workers show too
+            fh.write(f"{os.getpid()}\n")
+        return fork()
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", LoggedPool)
+    monkeypatch.setattr(os, "fork", logged_fork)
+
+    def read():
+        pids = [int(pid) for pid in log.read_text().split()] if log.exists() else []
+        log.unlink(missing_ok=True)
+        return pids
+
+    return read
+
+
+@pytest.fixture
+def cpus(monkeypatch, fork_pids):
+    """Set the CPU count the snapshot fan-out sees, with no minimum of rows:
+    returns (set_cpus, fork_pids)."""
     monkeypatch.setattr(cli, "_FAN_OUT_MIN_ROWS", 0)
 
     def set_cpus(k):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
 
-    def pool_pids():
-        return [int(pid) for pid in log.read_text().split()] if log.exists() else []
+    return set_cpus, fork_pids
 
-    return set_cpus, pool_pids
+
+def assert_no_worker_left():
+    assert not cli._fanning_out
+    with pytest.raises(ChildProcessError):  # this process has no child, running or ended
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -92,55 +108,78 @@ def long_run(tmp_path_factory):
 
 class TestFanOut:
     @pytest.mark.parametrize("rows", [FAN_OUT_MIN_ROWS - 1, FAN_OUT_MIN_ROWS])
-    def test_cut_off_and_pool_size(self, monkeypatch, rows):
+    def test_cut_off_and_pool_size(self, monkeypatch, fork_pids, rows):
         # the frame pass's cut-off counts its run's frames times nodes, here
         # `rows` frames of one node. Under 2 CPUs a pass at the cut-off forks
         # one worker, which reduces the odd frames
-        sizes = []
-
-        class SizedPool(ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
 
         class Frames(list):  # frame i is i
             mesh = SimpleNamespace(nodes=np.zeros(1))
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SizedPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
         got = cli._frame_pass(Frames(range(rows)), lambda i, frame: (i, frame, os.getpid()))
         assert [(i, frame) for i, frame, _ in got] == [(i, i) for i in range(rows)]
         pids = [pid for *_, pid in got]
         if rows < FAN_OUT_MIN_ROWS:
-            assert sizes == [] and set(pids) == {os.getpid()}
+            assert fork_pids() == [] and set(pids) == {os.getpid()}
         else:
-            assert sizes == [1] and set(pids[0::2]) == {os.getpid()}
+            assert fork_pids() == [os.getpid()] and set(pids[0::2]) == {os.getpid()}
             assert len(set(pids[1::2])) == 1 and os.getpid() not in pids[1::2]
 
-    def test_no_pool_inside_a_fan_out(self, monkeypatch):
+    def test_no_pool_inside_a_fan_out(self, monkeypatch, fork_pids):
         # 8 CPUs and 3 items: this process makes call 0, so a call in
         # parallel forks 2 workers, not 7. A call made during a fan-out, in
         # this process's own share or in a worker, runs alone in its
-        # process: one pool, never nested
-        sizes = []
-
-        class SizedPool(ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SizedPool)
+        # process: every worker is forked here, never nested
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
 
         def inner(j, k):
             return j, k, os.getpid(), [(jj, kk) for jj, kk, _ in cli._in_parallel(lambda *a: (*a, 0), 3)]
 
         got = cli._in_parallel(inner, 3)
-        assert sizes == [2] and [(j, k, calls) for j, k, _, calls in got] == [(j, 3, [(0, 1)]) for j in range(3)]
+        assert [(j, k, calls) for j, k, _, calls in got] == [(j, 3, [(0, 1)]) for j in range(3)]
+        assert fork_pids() == [os.getpid()] * 2
         assert [pid != os.getpid() for _, _, pid, _ in got] == [False, True, True]
         assert cli._in_parallel(lambda j, k: (j, k), 2) == [(0, 2), (1, 2)]  # reset after
-        assert cli._in_parallel(lambda j, k: (j, k), 1) == [(0, 1)]  # one item: no pool
-        assert sizes == [2, 1]
+        assert cli._in_parallel(lambda j, k: (j, k), 1) == [(0, 1)]  # one item: no worker
+        assert fork_pids() == [os.getpid()]
+        assert_no_worker_left()
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_own_share_failure_kills_the_workers(self, monkeypatch, error):
+        # this process's share fails at once while worker 1's would take a
+        # minute: the failure is raised within seconds, and no worker is left
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
+
+        def share(j, k):
+            if j == 0:
+                raise error("share 0")
+            time.sleep(60)
+            return j
+
+        start = time.monotonic()
+        with pytest.raises(error, match="share 0"):
+            cli._in_parallel(share, 2)
+        assert time.monotonic() - start < 10
+        assert_no_worker_left()
+
+    @pytest.mark.parametrize("end, status", [(lambda: os.kill(os.getpid(), signal.SIGKILL), signal.SIGKILL),
+                                             (lambda: os._exit(0), 0)], ids=["sigkill", "exit_0"])
+    def test_worker_that_sends_no_result(self, monkeypatch, end, status):
+        # a worker killed by a signal, or leaving by os._exit in its share,
+        # is an OSError naming the worker and its wait status, so main
+        # exits 3 on it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+
+        def share(j, k):
+            if j == 1:
+                end()
+            return j
+
+        with pytest.raises(ChildProcessError, match=rf"^worker 1 ended without sending its result "
+                                                    rf"\(wait status {int(status)}\)$"):
+            cli._in_parallel(share, 3)
+        assert_no_worker_left()
 
     def test_interleaved(self):
         assert cli._interleaved([[0, 3, 6], [1, 4], [2, 5]]) == list(range(7))
@@ -349,7 +388,7 @@ class TestSimulate:
 
     def test_same_bytes_on_any_cpu_count(self, tmp_path, cpus):
         # 11 snapshots: 3 CPUs split them by i mod 3 as 4 + 4 + 3
-        set_cpus, pool_pids = cpus
+        set_cpus, fork_pids = cpus
         cfg = write(tmp_path / "c.json", BUMP_CFG.replace('"every": 0.25', '"every": 0.1'))
         runs = {}
         for k in (1, 2, 3):
@@ -358,7 +397,7 @@ class TestSimulate:
             assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet",
                          "--ball-radius", "2", "--g-radius", "4"]) == 0
             runs[k] = run_files(out)
-            assert len(pool_pids()) == k - 1  # one pool per fanned-out simulate
+            assert fork_pids() == [os.getpid()] * (k - 1)  # k - 1 workers per fanned-out simulate
         assert len(runs[1]) == 11 + 11 + 2  # snapshots, frames, series and report
         assert runs[2] == runs[1] and runs[3] == runs[1]
 
@@ -370,16 +409,16 @@ class TestSimulate:
         assert len(list((tmp_path / "run" / "snapshots").iterdir())) == 51
 
     def test_small_run_stays_serial(self, tmp_path, cpus, monkeypatch):
-        set_cpus, pool_pids = cpus
+        set_cpus, fork_pids = cpus
         set_cpus(2)
         monkeypatch.setattr(cli, "_FAN_OUT_MIN_ROWS", FAN_OUT_MIN_ROWS)
         cfg = write(tmp_path / "c.json", BUMP_CFG)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 0
-        assert pool_pids() == []
+        assert fork_pids() == []
 
     def test_one_solve_on_any_cpu_count(self, tmp_path, cpus, monkeypatch):
         # the frame pass reads the solve's frames back: no process replays it
-        set_cpus, pool_pids = cpus
+        set_cpus, fork_pids = cpus
         log, run = tmp_path / "runs.log", solver.run
 
         def logged(config, **kwargs):
@@ -394,13 +433,13 @@ class TestSimulate:
             log.unlink(missing_ok=True)
             assert main(["simulate", "--config", cfg, "--out", str(tmp_path / f"cpus{k}"), "--quiet"]) == 0
             assert log.read_text() == f"{os.getpid()}\n"
-            assert len(pool_pids()) == k - 1
+            assert fork_pids() == [os.getpid()] * (k - 1)
 
     def test_blowup_before_t_end_stays_serial(self, tmp_path, cpus, monkeypatch):
         # counted to t_end, the run would have 1001 frames of 301 nodes; it
         # blows up after about 20, under the cut-off, so its frame pass
         # stays in this process
-        set_cpus, pool_pids = cpus
+        set_cpus, fork_pids = cpus
         monkeypatch.setattr(cli, "_FAN_OUT_MIN_ROWS", FAN_OUT_MIN_ROWS)
         cfg = write(tmp_path / "c.json", NEAR_W_CFG.replace('"t_end": 3.0', '"t_end": 50.0')
                     .replace('"every": 0.25', '"every": 0.05') % "0.1")
@@ -412,7 +451,7 @@ class TestSimulate:
             runs[k] = run_files(out)
         assert 1001 * 301 >= FAN_OUT_MIN_ROWS > len(list((tmp_path / "cpus1" / "snapshots").iterdir())) * 301
         assert json.loads(runs[1]["report.json"])["outcome"] == "BlowUpDetected"
-        assert pool_pids() == []
+        assert fork_pids() == []
         assert runs[2] == runs[1]
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -430,6 +469,26 @@ class TestSimulate:
             assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 3
             assert str(blocked) in capsys.readouterr().err
 
+    def test_dead_worker_exit_3(self, tmp_path, capsys, cpus, monkeypatch):
+        # 5 frames: under 2 CPUs the forked writer of snapshots 1 and 3 is
+        # killed before it writes one, and simulate exits 3 naming it
+        set_cpus, fork_pids = cpus
+        set_cpus(2)
+        parent, save_snapshot = os.getpid(), solver.save_snapshot
+
+        def killed_in_a_worker(state, path):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            save_snapshot(state, path)
+
+        monkeypatch.setattr(solver, "save_snapshot", killed_in_a_worker)
+        cfg = write(tmp_path / "c.json", BUMP_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 3
+        message = f"worker 1 ended without sending its result (wait status {int(signal.SIGKILL)})"
+        assert capsys.readouterr().err == f"simulate: {message}\n"
+        assert fork_pids() == [parent]
+        assert_no_worker_left()
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_simulate_peak_memory_is_not_the_runs_frames(self, long_run, cpus, k):
         # the solve holds one frame at a time, and each process of the frame
@@ -437,7 +496,7 @@ class TestSimulate:
         # time: the peak is one frame's working set and text, on 1601 nodes,
         # plus the series' rows; a report of the run's frames would hold
         # them all
-        set_cpus, pool_pids = cpus
+        set_cpus, fork_pids = cpus
         set_cpus(k)
         frames = len(list((long_run / "snapshots").iterdir()))
         frame_bytes = frames * 2 * 1601 * 8
@@ -449,7 +508,7 @@ class TestSimulate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(pool_pids()) == (k > 1)
+        assert fork_pids() == [os.getpid()] * (k > 1)
         assert run_files(out) == run_files(long_run)
         assert peak < 0.1 * frame_bytes, (peak, frame_bytes)
 
@@ -646,7 +705,7 @@ class TestAnalyze:
         # simulate's on the blow-up frame too. A run of 2 frames, its t_end
         # under the output cadence, has its virial and g_R values from each
         # frame
-        set_cpus, pool_pids = cpus
+        set_cpus, fork_pids = cpus
         radii = ["--ball-radius", "1", "--ball-radius", "50", "--g-radius", "4", "--quiet"]
         configs = {"run": NEAR_W_CFG.replace('"every": 0.25', '"every": 0.1') % "0.05",
                    "two_frames": NEAR_W_CFG.replace('"t_end": 3.0', '"t_end": 0.2') % "0.05"}
@@ -659,7 +718,8 @@ class TestAnalyze:
             out = tmp_path / f"{name}_an"
             assert main(["analyze", str(run_dir), "--out", str(out), *radii]) == 0
             assert (out / "series.csv").read_bytes() == (run_dir / "series.csv").read_bytes()
-        assert len(pool_pids()) == 2 * (k > 1)
+            frames = len(list((run_dir / "frames").iterdir()))
+            assert fork_pids() == [os.getpid()] * (min(k, frames) - 1)  # a worker per CPU or frame, after the first
         with open(tmp_path / "two_frames" / "series.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 and all(np.isfinite(float(row[c])) for row in rows for c in ("z1", "z2", "Z", "g_4"))
@@ -668,7 +728,7 @@ class TestAnalyze:
         # the frames before the split index are shared out, and the split's
         # rows are formed in this process as v is stepped: a split at index
         # 0 has no frames before it, and forks no worker
-        set_cpus, pool_pids = cpus
+        set_cpus, fork_pids = cpus
         set_cpus(1)
         run_dir = tmp_path / "run"
         cfg = write(tmp_path / "c.json", BUMP_CFG.replace('"every": 0.25', '"every": 0.1'))
@@ -681,7 +741,7 @@ class TestAnalyze:
                 assert main(["analyze", str(run_dir), "--out", str(out), "--quiet", "--g-radius", "4",
                              "--t-est", "3.0", "--split-index", split]) == 0
                 written.append((out / "series.csv").read_bytes())
-        assert len(pool_pids()) == 1  # the analysis split at index 3 under 2 CPUs forked
+        assert fork_pids() == [os.getpid()]  # the analysis split at index 3 under 2 CPUs forked
         assert written[:2] == written[2:]
         assert written[0] != written[1]
 
@@ -692,7 +752,7 @@ class TestAnalyze:
         # frame of v beside it: the peak is one frame's working set, on 1601
         # nodes, plus the written series' text, on 11 columns; a list of the
         # run's frames, or of v's, would hold them all
-        set_cpus, pool_pids = cpus
+        set_cpus, fork_pids = cpus
         set_cpus(k)
         frames = len(list((long_run / "snapshots").iterdir()))
         frame_bytes = frames * 2 * 1601 * 8
@@ -706,14 +766,14 @@ class TestAnalyze:
         finally:
             tracemalloc.stop()
         # the frames before a split are shared out; a split at 0 has none
-        assert len(pool_pids()) == (k > 1 and split != "0")
+        assert fork_pids() == [os.getpid()] * (k > 1 and split != "0")
         assert peak < 0.1 * frame_bytes, (peak, frame_bytes)
 
     @pytest.mark.parametrize("damage", ["missing", "malformed", "npz", "bad_zip", "other_mesh", "no_origin_row",
                                         "nonzero_origin", "trailing", "fortran", "truncated", "int64"])
     def test_bad_snapshot_in_workers_half_exit_3(self, tmp_path, capsys, cpus, damage):
         # 5 frames: under 2 CPUs frame 3 is read by a forked worker
-        set_cpus, pool_pids = cpus
+        set_cpus, fork_pids = cpus
         set_cpus(1)
         run_dir = tmp_path / "run"
         cfg = write(tmp_path / "c.json", BUMP_CFG)
@@ -747,7 +807,8 @@ class TestAnalyze:
         capsys.readouterr()
         assert main(["analyze", str(run_dir), "--out", str(tmp_path / "an"), "--quiet"]) == 3
         assert str(frame) in capsys.readouterr().err
-        assert len(pool_pids()) == 1
+        assert fork_pids() == [os.getpid()]
+        assert_no_worker_left()
 
     def test_run_without_frames_exit_3(self, tmp_path, capsys):
         # a run directory written before simulate wrote frames/
@@ -1105,8 +1166,8 @@ class TestSweep:
 
     def test_cells_write_serially_in_workers(self, tmp_path, cpus):
         # two cells, with no cut-off for a frame pass: under 2 CPUs the cells
-        # are shared out and none forks its own pool
-        set_cpus, pool_pids = cpus
+        # are shared out and none forks a worker of its own
+        set_cpus, fork_pids = cpus
         cfg = write(tmp_path / "c.json", BUMP_CFG)
         outs = {}
         for k in (2, 1):
@@ -1114,7 +1175,7 @@ class TestSweep:
             outs[k] = tmp_path / f"cpus{k}"
             assert main(["sweep", "--config", cfg, "--param", "data.amp=0.2,0.3",
                          "--out", str(outs[k]), "--quiet"]) == 0
-            assert pool_pids() == [os.getpid()]  # the sweep's pool, none nested in a cell
+            assert fork_pids() == [os.getpid()] * (k - 1)  # the sweep's worker, none forked in a cell
         for cell in ("cell_000", "cell_001"):
             assert run_files(outs[2] / cell) == run_files(outs[1] / cell)
         assert (outs[2] / "aggregate.csv").read_bytes() == (outs[1] / "aggregate.csv").read_bytes()
@@ -1122,14 +1183,14 @@ class TestSweep:
     @pytest.mark.parametrize("min_rows", [1005, FAN_OUT_MIN_ROWS])
     def test_cells_shared_out_at_any_size(self, tmp_path, cpus, monkeypatch, min_rows):
         # two cells of 1005 rows each, at the cut-off or far under it: under
-        # 2 CPUs the sweep shares them out, and no cell forks its own pool
-        set_cpus, pool_pids = cpus
+        # 2 CPUs the sweep shares them out, and no cell forks a worker of its own
+        set_cpus, fork_pids = cpus
         set_cpus(2)
         monkeypatch.setattr(cli, "_FAN_OUT_MIN_ROWS", min_rows)
         cfg = write(tmp_path / "c.json", BUMP_CFG)
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", cfg, "--param", "data.amp=0.2,0.3", "--out", str(out), "--quiet"]) == 0
-        assert pool_pids() == [os.getpid()]
+        assert fork_pids() == [os.getpid()]
         cell_cfg = write(tmp_path / "cell.json", BUMP_CFG.replace('"amp": 0.3', '"amp": 0.2'))
         set_cpus(1)
         assert main(["simulate", "--config", cell_cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 0
@@ -1138,12 +1199,12 @@ class TestSweep:
     def test_lone_cell_shares_out_its_frames(self, tmp_path, cpus):
         # a sweep of one cell runs it in this process, and its frame pass
         # shares out the frames
-        set_cpus, pool_pids = cpus
+        set_cpus, fork_pids = cpus
         set_cpus(2)
         cfg = write(tmp_path / "c.json", BUMP_CFG)
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", cfg, "--param", "data.amp=0.2", "--out", str(out), "--quiet"]) == 0
-        assert pool_pids() == [os.getpid()]
+        assert fork_pids() == [os.getpid()]
         cell_cfg = write(tmp_path / "cell.json", BUMP_CFG.replace('"amp": 0.3', '"amp": 0.2'))
         set_cpus(1)
         assert main(["simulate", "--config", cell_cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 0
@@ -1397,6 +1458,22 @@ def test_argument_out_of_range_exit_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+def src_env():
+    """The environment with the tested critwave first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_import_loads_no_process_pool():
+    # _in_parallel forks its workers itself: the CLI loads neither
+    # multiprocessing nor concurrent.futures
+    script = ("import sys, critwave.cli; "
+              "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # Imports critwave.cli, checks that no scipy module came with it, then makes
 # every scipy import raise, runs each command and prints their exit codes,
 # and evaluates the closed-form profile integrals.
@@ -1439,11 +1516,9 @@ def test_no_run_path_loads_scipy(tmp_path):
         '{"mesh": {"h": 0.02, "rmax": 8.0}, "t_end": 5.0, "output": {"every": 0.1},'
         ' "data": {"family": "near_w", "delta": 0.05, "lambda": 1.0}}'
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path), blowup, BUMP_CFG],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=src_env(), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
